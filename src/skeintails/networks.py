@@ -7,6 +7,15 @@ follows the two Kauffman relations: each crossing resolves into
 A * (A-smoothing) + A**-1 * (B-smoothing), each box expands into its
 projector, and each closed loop contributes delta = -A**2 - A**-2.
 
+Both kinds of node go through one contraction: a node is a sum of local
+terms (a matching on its ports times a coefficient; two terms for a
+crossing, the projector's terms for a box).  The nodes are expanded one at
+a time in BFS order over the arc graph; each step composes the pairing of
+the still-open ports with every term, counts the loops it closes, and
+merges states with the same pairing.  Crossing states are never enumerated
+one by one, so the work follows the number of distinct pairings at the
+frontier, not 2**crossings.
+
 Box ports: a box of color n has ports a0..a(n-1) on side A and b0..b(n-1)
 on side B; the projector's identity diagram joins a_j to b_j.  Crossing
 ports are nw, ne, se, sw; the over-strand is declared as the "nwse" or
@@ -22,6 +31,7 @@ grammar is documented in docs/network-format.md.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import deque
 
 from .errors import CapacityError, DomainError
@@ -30,11 +40,14 @@ from .tl_oracle import DEFAULT_CONFIG, OracleConfig, jones_wenzl
 
 _CROSS_PORTS = ("nw", "ne", "se", "sw")
 
-# Smoothings by over-strand declaration: lists of port-name pairs.
+# Smoothings by over-strand declaration, (A-smoothing, B-smoothing), each a
+# matching on the indices of _CROSS_PORTS: sw-nw/se-ne or nw-ne/se-sw.
 _SMOOTHINGS = {
-    "nesw": ({("sw", "nw"), ("se", "ne")}, {("nw", "ne"), ("se", "sw")}),
-    "nwse": ({("nw", "ne"), ("se", "sw")}, {("sw", "nw"), ("se", "ne")}),
+    "nesw": ((3, 2, 1, 0), (1, 0, 3, 2)),
+    "nwse": ((1, 0, 3, 2), (3, 2, 1, 0)),
 }
+
+_BOX_PORT = re.compile(r"[ab](0|[1-9][0-9]*)")
 
 
 class ClosedNetwork:
@@ -82,12 +95,22 @@ class ClosedNetwork:
             return list(_CROSS_PORTS)
         raise DomainError(f"unknown node {name!r}")
 
+    def _has_port(self, name: str, port: str) -> bool:
+        if name in self.crossings:
+            return port in _CROSS_PORTS
+        if name not in self.boxes:
+            raise DomainError(f"unknown node {name!r}")
+        m = _BOX_PORT.fullmatch(port)
+        # Canonical decimals order numerically by (length, text).
+        limit = str(self.boxes[name])
+        return m is not None and (len(m[1]), m[1]) < (len(limit), limit)
+
     def validate(self) -> None:
         seen: dict[tuple[str, str], int] = {}
         for e1, e2 in self.arcs:
             for e in (e1, e2):
                 node, port = e
-                if port not in self.ports_of(node):
+                if not self._has_port(node, port):
                     raise DomainError(f"no port {port!r} on node {node!r}")
                 seen[e] = seen.get(e, 0) + 1
         for name in itertools.chain(self.boxes, self.crossings):
@@ -96,8 +119,6 @@ class ClosedNetwork:
                     raise DomainError(
                         f"port {name}.{port} used {seen.get((name, port), 0)} times"
                     )
-        if len(seen) != 2 * len(self.arcs):
-            raise DomainError("an arc endpoint is repeated")
 
     # -- text format ----------------------------------------------------------
 
@@ -139,9 +160,7 @@ class ClosedNetwork:
                     net.add_loops(int(toks[1]))
                 else:
                     raise DomainError(f"unrecognized statement {line!r}")
-            except DomainError:
-                raise
-            except Exception as exc:  # int() failures etc.
+            except Exception as exc:  # DomainError, int() failures etc.
                 raise DomainError(f"line {lineno}: {exc}") from exc
         return net
 
@@ -157,109 +176,73 @@ def bracket_closed(
     net: ClosedNetwork, config: OracleConfig = DEFAULT_CONFIG
 ) -> VFraction:
     """Kauffman bracket of a closed network, as an exact rational function."""
-    net.validate()
     for name, color in net.boxes.items():
         if color > config.max_box_color:
-            raise CapacityError(f"box {name} color {color} exceeds limit")
+            raise CapacityError(
+                f"box {name} color {color} exceeds limit {config.max_box_color}"
+            )
     if len(net.crossings) > config.max_crossings:
         raise CapacityError(
             f"{len(net.crossings)} crossings exceed limit {config.max_crossings}"
         )
-    if sum(2 * c for c in net.boxes.values()) > 2 * config.max_frontier:
-        raise CapacityError("total box boundary points exceed the frontier limit")
+    points = 2 * sum(net.boxes.values())
+    if points > 2 * config.max_frontier:
+        raise CapacityError(
+            f"{points} total box boundary points exceed limit {2 * config.max_frontier}"
+        )
+    net.validate()
+
+    # Each node is a sum of local terms: (matching on its ports, coefficient).
+    a, a_inv = (VFraction.from_poly(VLaurent.monomial(1, s)) for s in (1, -1))
+    node_terms: dict[str, list[tuple[tuple[int, ...], VFraction]]] = {}
+    for name, color in net.boxes.items():
+        element = jones_wenzl(color, config)
+        node_terms[name] = [(m.pairs, c) for m, c in element.terms.items()]
+    for name, over in net.crossings.items():
+        smooth_a, smooth_b = _SMOOTHINGS[over]
+        node_terms[name] = [(smooth_a, a), (smooth_b, a_inv)]
 
     # Integer ids for ports.
     pid: dict[tuple[str, str], int] = {}
-    for name in itertools.chain(net.boxes, net.crossings):
-        for port in net.ports_of(name):
-            pid[(name, port)] = len(pid)
-    arc_adj: dict[int, int] = {}
+    node_ports: dict[str, list[int]] = {}
+    for name in node_terms:
+        node_ports[name] = [
+            pid.setdefault((name, port), len(pid)) for port in net.ports_of(name)
+        ]
+    pairing: dict[int, int] = {}
     for e1, e2 in net.arcs:
-        arc_adj[pid[e1]] = pid[e2]
-        arc_adj[pid[e2]] = pid[e1]
+        pairing[pid[e1]] = pid[e2]
+        pairing[pid[e2]] = pid[e1]
 
-    box_ports: dict[str, list[int]] = {
-        name: [pid[(name, p)] for p in net.ports_of(name)] for name in net.boxes
-    }
-    box_port_set = {p for ports in box_ports.values() for p in ports}
-
-    crossings = sorted(net.crossings)
-    delta = VFraction.from_poly(_DELTA)
-    total = VFraction.zero()
-    amono = {s: VFraction.from_poly(VLaurent.monomial(1, s)) for s in range(-64, 65)}
-
-    for state in itertools.product((0, 1), repeat=len(crossings)):
-        smooth: dict[int, int] = {}
-        weight = 0
-        for choice, name in zip(state, crossings):
-            pairs = _SMOOTHINGS[net.crossings[name]][choice]
-            weight += 1 if choice == 0 else -1
-            for p1, p2 in pairs:
-                a, b = pid[(name, p1)], pid[(name, p2)]
-                smooth[a] = b
-                smooth[b] = a
-
-        # Resolve to a pairing on box ports plus closed loops.
-        pairing: dict[int, int] = {}
-        loops = net.free_loops
-        visited: set[int] = set()
-        for p in box_port_set:
-            if p in visited:
-                continue
-            q = arc_adj[p]
-            while q not in box_port_set:
-                q = arc_adj[smooth[q]]
-            pairing[p] = q
-            pairing[q] = p
-            visited.add(p)
-            visited.add(q)
-        seen: set[int] = set()
-        for p in smooth:
-            if p in seen:
-                continue
-            # Follow the arc/smoothing cycle through this crossing port.
-            cyc = set()
-            q = p
-            touched_box = False
-            while q not in cyc:
-                cyc.add(q)
-                q2 = arc_adj[q]
-                if q2 in box_port_set:
-                    touched_box = True
-                    break
-                cyc.add(q2)
-                q = smooth[q2]
-            seen |= cyc
-            if not touched_box:
-                loops += 1
-        term = _contract_boxes(net, box_ports, pairing, config)
-        coeff = delta**loops
-        total = total + amono.get(weight, VFraction.from_poly(VLaurent.monomial(1, weight))) * coeff * term
-    return total
+    loops = VFraction.from_poly(_DELTA) ** net.free_loops
+    return _contract(node_terms, node_ports, pairing, loops)
 
 
 def _canon(pairing: dict[int, int]) -> tuple:
     return tuple(sorted((p, q) for p, q in pairing.items() if p < q))
 
 
-def _contract_boxes(
-    net: ClosedNetwork,
-    box_ports: dict[str, list[int]],
+def _contract(
+    node_terms: dict[str, list[tuple[tuple[int, ...], VFraction]]],
+    node_ports: dict[str, list[int]],
     pairing: dict[int, int],
-    config: OracleConfig,
+    initial: VFraction,
 ) -> VFraction:
-    """Sum over projector expansions of all boxes, with state aggregation."""
-    if not box_ports:
-        return VFraction.one()
+    """Expand every node into its local terms, with state aggregation.
 
-    # BFS order over the box adjacency keeps intermediate states local.
-    adj: dict[str, set[str]] = {b: set() for b in box_ports}
-    owner = {p: b for b, ports in box_ports.items() for p in ports}
+    A state is a pairing of the ports of the nodes not yet expanded;
+    expanding a node composes each state with each of the node's matchings,
+    counts the loops closed inside it, and merges states that end up with
+    the same pairing.
+    """
+    # BFS order over the node adjacency keeps intermediate states local.
+    adj: dict[str, set[str]] = {name: set() for name in node_ports}
+    owner = {p: name for name, ports in node_ports.items() for p in ports}
     for p, q in pairing.items():
         if owner[p] != owner[q]:
             adj[owner[p]].add(owner[q])
     order: list[str] = []
-    left = set(box_ports)
+    left = set(node_ports)
     while left:
         start = min(left)
         queue = deque([start])
@@ -273,20 +256,21 @@ def _contract_boxes(
                     queue.append(nb)
 
     delta = VFraction.from_poly(_DELTA)
-    states: dict[tuple, VFraction] = {_canon(pairing): VFraction.one()}
-    for bname in order:
-        color = net.boxes[bname]
-        ports = box_ports[bname]
+    states: dict[tuple, VFraction] = {_canon(pairing): initial}
+    for name in order:
+        ports = node_ports[name]
         port_set = set(ports)
-        element = jones_wenzl(color, config)
+        expansions = [
+            ({p: ports[j] for p, j in zip(ports, pairs)}, mcoeff)
+            for pairs, mcoeff in node_terms[name]
+        ]
         new_states: dict[tuple, VFraction] = {}
         for key, coeff in states.items():
             pr = {}
             for p, q in key:
                 pr[p] = q
                 pr[q] = p
-            for matching, mcoeff in element.terms.items():
-                mp = {ports[i]: ports[matching.pairs[i]] for i in range(2 * color)}
+            for mp, mcoeff in expansions:
                 out_pairs: dict[int, int] = {}
                 loops = 0
                 used: set[int] = set()
@@ -298,7 +282,7 @@ def _contract_boxes(
                         out_pairs[u] = v
                         out_pairs[v] = u
                         continue
-                    # Walk from outside port u through the box.
+                    # Walk from outside port u through the node.
                     while v in port_set:
                         used.add(v)
                         v2 = mp[v]
@@ -326,7 +310,7 @@ def _contract_boxes(
                 s = new_states.get(k)
                 new_states[k] = c if s is None else s + c
         states = new_states
-    # All boxes expanded: only the empty pairing remains.
+    # All nodes expanded: only the empty pairing remains.
     return states.get((), VFraction.zero())
 
 

@@ -118,6 +118,9 @@ class VLaurent:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
+        # A constant equals its coefficient, so it must hash like it too.
+        if not self.terms.keys() - {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     # -- arithmetic ----------------------------------------------------------
@@ -219,11 +222,12 @@ class VLaurent:
             drem = max(rem)
             if drem < dden:
                 break
-            f = rem[drem] / lead
+            # int / int would give a float; stay exact.
+            f = rem[drem] * lead if lead in (1, -1) else Fraction(rem[drem]) / lead
             quot[drem - dden] = f
             for e, c in den.items():
                 k = e + drem - dden
-                s = rem.get(k, Fraction(0)) - f * c
+                s = rem.get(k, 0) - f * c
                 if s:
                     rem[k] = s
                 else:
@@ -499,7 +503,11 @@ class VFraction:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        # Hash the gcd-reduced canonical form, so that equal values (which
+        # may be stored unreduced) hash equal, and a polynomial hashes like
+        # its VLaurent.
+        r = VFraction(self.num, self.den, reduce=True)
+        return hash(r.num) if r.is_poly() else hash((r.num, r.den))
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -51,7 +51,9 @@ def test_c07_tail_lemmas():
     _criterion(7, "sum P(n,i) ceil_0 tail", "tail_lemma_psum_nn0", {"n_max": 12})
 
 
-@pytest.mark.parametrize("f,n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (5, 1)])
+@pytest.mark.parametrize(
+    "f,n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (5, 1), (1, 3)]
+)
 def test_c08_torus_formula_vs_oracle(f, n):
     _criterion(8, f"(2,{f}) color {n}", "torus_oracle", {"f": f, "n": n})
 

@@ -48,6 +48,13 @@ class TestKauffmanRelations:
         want = VFraction.from_poly(VLaurent({4: -1, -4: -1})) * DELTA
         assert bracket_closed(net) == want
 
+    @pytest.mark.parametrize("f,n", [(3, 1), (2, 2), (3, 2), (1, 3)])
+    def test_mirror_torus_diagrams(self, f, n):
+        # Swapping every over-strand swaps the smoothings: v -> v^-1.
+        pos = bracket_closed(torus_knot_network(f, n, "nesw")).to_vlaurent()
+        neg = bracket_closed(torus_knot_network(f, n, "nwse")).to_vlaurent()
+        assert neg == pos.mirror()
+
 
 class TestSpinNetworks:
     def test_theta_small_values(self):
@@ -89,6 +96,13 @@ class TestCapacity:
     def test_frontier_limit(self):
         with pytest.raises(CapacityError):
             bracket_closed(theta_network(4, 4, 4), OracleConfig(max_frontier=5))
+
+    def test_oversized_box_rejected_before_validation(self):
+        # The box has no arcs, so validation would fail too; the size
+        # check runs first and names both the size and the limit.
+        net = ClosedNetwork.parse("box p color 2000\n")
+        with pytest.raises(CapacityError, match=r"color 2000 exceeds limit 8"):
+            bracket_closed(net)
 
 
 class TestValidation:
@@ -138,6 +152,24 @@ class TestTextFormat:
             ClosedNetwork.parse("box p color x\n")
         with pytest.raises(DomainError):
             ClosedNetwork.parse("arc p.a0\n")
+
+    def test_errors_keep_line_number(self):
+        for text in (
+            "box p color 1\nbox p color 2\n",
+            "box p color 1\nbox q color 0\n",
+            "box p color 1\ncross x over up\n",
+            "box p color 1\nloops -1\n",
+        ):
+            with pytest.raises(DomainError, match=r"^line 2: "):
+                ClosedNetwork.parse(text)
+
+    def test_port_names_checked_against_color(self):
+        closed_projector(10).validate()
+        for port in ("a10", "a01", "c0", "a", "a-1", "a" + "9" * 5000):
+            net = closed_projector(10)
+            net.arcs[0] = (("p", port), ("p", "b0"))
+            with pytest.raises(DomainError, match="no port"):
+                net.validate()
 
 
 class TestBubbleNetworks:

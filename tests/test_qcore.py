@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skeintails.errors import (
     ConsistencyError,
@@ -60,6 +62,13 @@ class TestVLaurent:
         assert a.div_exact(quantum_int(5)) == quantum_int(6)
         with pytest.raises(ConsistencyError):
             (quantum_int(5) + VLaurent.one()).div_exact(quantum_int(2))
+        # Long division stays exact beyond float precision.
+        big = VLaurent({4: 2**60 + 1, 0: 2**60 + 1})
+        assert big.div_exact(VLaurent({4: 1, 0: 1})) == VLaurent({0: 2**60 + 1})
+        third = VLaurent({4: 1, 0: Fraction(4, 3), -4: Fraction(1, 3)})
+        assert third.div_exact(VLaurent({4: 1, 0: 1})) == VLaurent(
+            {0: 1, -4: Fraction(1, 3)}
+        )
 
     def test_json_round_trip(self):
         p = VLaurent({-3: Fraction(1, 2), 5: -2})
@@ -86,6 +95,36 @@ class TestVFraction:
         assert a * quantum_int(2) == VFraction.one()
         assert (a - a).is_zero()
         assert a**-1 == VFraction.from_poly(quantum_int(2))
+
+    def test_equal_values_hash_equal(self):
+        q = VLaurent({4: 1})
+        one = VLaurent.one()
+        a = VFraction(one + q, one - q * q, reduce=False)
+        b = VFraction(one, one - q)
+        assert a == b
+        assert len({a, b}) == 1
+        assert VLaurent({0: 3}) == 3 and hash(VLaurent({0: 3})) == hash(3)
+        assert hash(VLaurent.zero()) == hash(0)
+        assert hash(VFraction(quantum_int(4), quantum_int(2))) == hash(
+            VLaurent({4: 1, -4: 1})
+        )
+
+
+_laurents = st.dictionaries(
+    st.integers(-6, 6), st.integers(-3, 3), max_size=4
+).map(VLaurent)
+_nonzero_laurents = _laurents.filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(num=_laurents, den=_nonzero_laurents, factor=_nonzero_laurents)
+def test_equal_fractions_hash_equal(num, den, factor):
+    a = VFraction(num, den)
+    b = VFraction(num * factor, den * factor, reduce=False)
+    assert a == b
+    assert hash(a) == hash(b)
+    if a.is_poly():
+        assert b == a.num and hash(b) == hash(a.num)
 
 
 class TestQuantumPrimitives:
