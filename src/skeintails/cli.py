@@ -8,7 +8,8 @@ Subcommands:
   oracle  FILE [--format text|json] [--max-crossings C] [--max-box-color B]
 
 Exit codes: 0 all passed / value printed, 1 verification failure, 2 usage,
-parse, or capacity error.  Output is byte-deterministic for fixed inputs:
+parse, or capacity error.  Every ``--order`` is capped at MAX_SERIES_ORDER
+before any series is built.  Output is byte-deterministic for fixed inputs:
 the verify runner may evaluate cases concurrently but always reports them
 in suite order.
 """
@@ -23,7 +24,7 @@ from importlib import resources
 
 from .errors import CapacityError, DomainError, SkeinError
 from .networks import ClosedNetwork, bracket_closed
-from .qcore import QSeries
+from .qcore import MAX_SERIES_ORDER, QSeries
 from .qidentities import SERIES_REGISTRY, named_series
 from .skein_formulas import colored_jones_torus
 from .tails_engine import normalize
@@ -33,6 +34,12 @@ from .verifycases import run_check
 _EXIT_PASS = 0
 _EXIT_FAIL = 1
 _EXIT_USAGE = 2
+
+
+def _check_order(order: int | None) -> None:
+    """Reject an ``--order`` above MAX_SERIES_ORDER before anything is allocated."""
+    if order is not None and order > MAX_SERIES_ORDER:
+        raise CapacityError(f"order {order} exceeds limit {MAX_SERIES_ORDER}")
 
 
 def _series_text(s: QSeries) -> str:
@@ -61,6 +68,7 @@ def _cmd_series(args, extra: dict[str, int], out) -> int:
               f"{', '.join(sorted(SERIES_REGISTRY))}", file=sys.stderr)
         return _EXIT_USAGE
     try:
+        _check_order(args.order)
         s = named_series(args.name, extra, args.order)
     except SkeinError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -99,6 +107,7 @@ def _run_case(case: dict, order_override: int | None) -> dict:
 
 
 def _cmd_verify(args, out) -> int:
+    _check_order(args.order)
     try:
         suite_name, cases = _load_suite(args.suite)
     except (OSError, KeyError, json.JSONDecodeError, DomainError) as exc:
@@ -135,6 +144,7 @@ def _cmd_jones(args, out) -> int:
     if args.f < 1 or args.n < 0:
         print("error: need --f >= 1 and --n >= 0", file=sys.stderr)
         return _EXIT_USAGE
+    _check_order(args.order)
     value = colored_jones_torus(args.f, args.n)
     if args.normalized:
         s = normalize(value)

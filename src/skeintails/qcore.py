@@ -7,8 +7,10 @@ Everything downstream computes in the single variable v with
 
 so that quantities like q**(1/2) (v**2) or q**((n*n - n)/4) (v**(n*n - n))
 always have integer v-exponents and no fractional powers ever appear.
-Coefficients are arbitrary-precision rationals; there is no floating point
-anywhere in this package.
+Coefficients are exact: Laurent coefficients are ``int`` or ``Fraction``,
+and q-series have ``int`` coefficients in Z[[q]], with a ``Fraction`` only
+after division by a series whose constant term is not +-1.  There is no
+floating point anywhere in this package.
 
 Three value types live here:
 
@@ -38,6 +40,11 @@ from .errors import (
 )
 
 Rat = Union[int, Fraction]
+
+# Largest truncation order a series may be asked for.  A series of order N
+# allocates N coefficients up front, and (q;q)_inf to order 5000 takes about
+# a second, so this bounds memory, not the run time of deep multi-sums.
+MAX_SERIES_ORDER = 5000
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +574,11 @@ class VFraction:
 
 
 class QSeries:
-    """Truncated formal power series in q with rational coefficients.
+    """Truncated formal power series in q with exact coefficients.
+
+    Coefficients are ``int`` (the series lives in Z[[q]]); a ``Fraction`` is
+    stored only where a value is genuinely rational, which happens only after
+    division by a series whose constant term is not +-1.
 
     ``coeffs[j]`` is the coefficient of q**(shift + j).  ``order`` is the
     number of retained coefficients.  A series built from an exact Laurent
@@ -589,7 +600,13 @@ class QSeries:
         exact: bool = False,
         v_shift: int = 0,
     ):
-        cs = [Fraction(c) for c in coeffs]
+        cs = []
+        for c in coeffs:
+            if not isinstance(c, int):
+                c = Fraction(c)
+                if c.denominator == 1:
+                    c = c.numerator
+            cs.append(c)
         # Leading zeros carry no information: absorb them into the shift.
         k = 0
         while k < len(cs) and cs[k] == 0:
@@ -613,7 +630,7 @@ class QSeries:
 
     @staticmethod
     def zero(order: int = 0) -> "QSeries":
-        return QSeries(0, [Fraction(0)] * order, exact=(order == 0))
+        return QSeries(0, [0] * order, exact=(order == 0))
 
     @staticmethod
     def one(order: int | None = None) -> "QSeries":
@@ -633,14 +650,14 @@ class QSeries:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def coeff(self, q_exp: int) -> Fraction:
+    def coeff(self, q_exp: int) -> Rat:
         """Coefficient of q**q_exp; raises PrecisionError beyond the order."""
         j = q_exp - self.shift
         if j < 0:
-            return Fraction(0)
+            return 0
         if j >= len(self.coeffs):
             if self.exact:
-                return Fraction(0)
+                return 0
             raise PrecisionError(f"coefficient of q^{q_exp} not computed")
         return self.coeffs[j]
 
@@ -669,7 +686,7 @@ class QSeries:
             raise PrecisionError(
                 f"series known to order {len(self.coeffs)}, requested {order}"
             )
-        cs = list(self.coeffs) + [Fraction(0)] * (order - len(self.coeffs))
+        cs = list(self.coeffs) + [0] * (order - len(self.coeffs))
         return QSeries(self.shift, cs, v_shift=self.v_shift)
 
     def _aligned(self, other: "QSeries") -> tuple[int, int, "QSeries", "QSeries"]:
@@ -690,7 +707,7 @@ class QSeries:
     def __add__(self, other: "QSeries") -> "QSeries":
         s, end, a, b = self._aligned(other)
         n = max(end - s, 0)
-        cs = [Fraction(0)] * n
+        cs = [0] * n
         for src in (a, b):
             for j, c in enumerate(src.coeffs):
                 k = src.shift + j - s
@@ -780,7 +797,7 @@ def series_mul(a: QSeries, b: QSeries) -> QSeries:
     if n == float("inf"):
         n = len(a.coeffs) + len(b.coeffs) - 1 if a.coeffs and b.coeffs else 0
     n = int(n)
-    cs = [Fraction(0)] * n
+    cs = [0] * n
     for i, ca in enumerate(a.coeffs):
         if ca == 0 or i >= n:
             continue
@@ -811,18 +828,20 @@ def series_div(a: QSeries, b: QSeries, order: int | None = None) -> QSeries:
     if n == float("inf"):
         raise DomainError("division of exact polynomials needs an explicit order")
     n = int(n)
-    # b.coeffs[0] != 0 by the leading-zero normalization of nonzero series.
-    binv0 = Fraction(1) / b.coeffs[0]
-    ca = list(a.with_order(n).coeffs) if a.order_or_inf() >= n else list(a.coeffs[:n])
-    ca += [Fraction(0)] * (n - len(ca))
-    cb = list(b.coeffs[:n]) + [Fraction(0)] * max(0, n - len(b.coeffs))
-    out = [Fraction(0)] * n
+    # An exact operand may be shorter than n: its missing coefficients are 0.
+    ca = a.coeffs[:n]
+    cb = b.coeffs[:n]
+    # b0 != 0 by the leading-zero normalization of nonzero series; a unit
+    # keeps the quotient in Z[[q]].
+    b0 = cb[0]
+    unit = b0 in (1, -1)
+    out = []
     for k in range(n):
-        acc = ca[k]
-        for j in range(1, k + 1):
+        acc = ca[k] if k < len(ca) else 0
+        for j in range(1, min(k, len(cb) - 1) + 1):
             if cb[j]:
                 acc -= cb[j] * out[k - j]
-        out[k] = acc * binv0
+        out.append(acc * b0 if unit else Fraction(acc) / b0)
     return QSeries(
         a.shift - b.shift,
         out,
@@ -843,11 +862,11 @@ def to_q_series(p: VLaurent, order: int | None = None) -> QSeries:
     e0 = p.min_exp()
     if not p.q_support_ok():
         raise RepresentationError("relative v-exponents not divisible by 4")
-    coeffs_by_q: dict[int, Fraction] = {}
+    coeffs_by_q: dict[int, Rat] = {}
     for e, c in p.terms.items():
         coeffs_by_q[(e - e0) // 4] = c
     top = max(coeffs_by_q)
-    cs = [coeffs_by_q.get(j, Fraction(0)) for j in range(top + 1)]
+    cs = [coeffs_by_q.get(j, 0) for j in range(top + 1)]
     base_shift, residue = divmod(e0, 4)
     s = QSeries(base_shift, cs, exact=True, v_shift=residue)
     if order is not None:
@@ -876,8 +895,8 @@ def to_x_series(p: VLaurent) -> QSeries:
     if any(e % 2 for e in p.terms):
         raise RepresentationError("v-support is not even; not a series in q^(1/2)")
     e0 = p.min_exp()
-    by_x: dict[int, Fraction] = {(e - e0) // 2: c for e, c in p.terms.items()}
-    cs = [by_x.get(j, Fraction(0)) for j in range(max(by_x) + 1)]
+    by_x: dict[int, Rat] = {(e - e0) // 2: c for e, c in p.terms.items()}
+    cs = [by_x.get(j, 0) for j in range(max(by_x) + 1)]
     return QSeries(e0 // 2, cs, exact=True)
 
 
@@ -937,40 +956,51 @@ def poch_finite(sign: int, c: int, n: int) -> VLaurent:
     return out
 
 
+def mul_one_minus_qk(cs: list, k: int) -> None:
+    """Multiply the coefficient list cs by (1 - q^k) in place, modulo
+    q^len(cs), in O(len(cs)).  Runs top down so each cs[i - k] is still the
+    old coefficient when it is read."""
+    for i in range(len(cs) - 1, k - 1, -1):
+        cs[i] -= cs[i - k]
+
+
+def div_one_minus_qk(cs: list, k: int) -> None:
+    """Divide the coefficient list cs by (1 - q^k) in place, modulo
+    q^len(cs), in O(len(cs)); k >= 1.  Runs bottom up so each cs[i - k] is
+    already a quotient coefficient when it is read."""
+    if k < 1:
+        raise DomainError("dividing by (1 - q^k) needs k >= 1")
+    for i in range(k, len(cs)):
+        cs[i] += cs[i - k]
+
+
 def poch_inf(c: int, order: int) -> QSeries:
     """(q^c; q)_infinity truncated to the given number of coefficients.
 
-    Exactly ``order`` factors are multiplied: once c + j >= order the factor
-    1 - q^(c+j) is 1 modulo q^order, so the truncation is provably exact.
+    Only the factors with c + j < order are applied: the others are 1 modulo
+    q^order, so the truncation is provably exact.
     """
     if c <= 0:
         raise DivergentProductError("(q^c; q)_inf needs c >= 1")
-    if order < 0:
-        raise DomainError("order must be non-negative")
-    out = QSeries.one(order) if order else QSeries.zero(0)
-    for j in range(order):
-        if c + j >= order:
-            break
-        f = [Fraction(0)] * order
-        f[0] = Fraction(1)
-        f[c + j] = Fraction(-1)
-        out = series_mul(out, QSeries(0, f))
-    return out
+    return poch_inf_step(c, 1, order)
 
 
 def poch_inf_step(c: int, step: int, order: int) -> QSeries:
-    """(q^c; q^step)_infinity truncated: prod_j (1 - q^(c + j*step))."""
+    """(q^c; q^step)_infinity truncated: prod_j (1 - q^(c + j*step)).
+
+    Each factor is one in-place O(order) step, so the product is always a
+    product of (1 - q^k) factors, never a closed-form series.
+    """
     if c <= 0 or step <= 0:
         raise DivergentProductError("step product needs c >= 1 and step >= 1")
-    out = QSeries.one(order) if order else QSeries.zero(0)
-    j = 0
-    while c + j * step < order:
-        f = [Fraction(0)] * order
-        f[0] = Fraction(1)
-        f[c + j * step] = Fraction(-1)
-        out = series_mul(out, QSeries(0, f))
-        j += 1
-    return out
+    if order < 0:
+        raise DomainError("order must be non-negative")
+    if not order:
+        return QSeries.zero(0)
+    cs = list(QSeries.one(order).coeffs)
+    for k in range(c, order, step):
+        mul_one_minus_qk(cs, k)
+    return QSeries(0, cs)
 
 
 def qbinom(n: int, i: int) -> VLaurent:

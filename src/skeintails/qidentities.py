@@ -26,11 +26,10 @@ from .errors import DomainError, RepresentationError
 from .qcore import (
     QSeries,
     VLaurent,
-    poch_finite,
+    div_one_minus_qk,
     poch_inf,
     poch_inf_step,
     qbinom,
-    series_div,
     series_mul,
     to_q_series,
 )
@@ -98,7 +97,7 @@ def _two_variable_series(
             raise RepresentationError(
                 "series support is not integral in q (half-integer exponent survives)"
             )
-    cs = [Fraction(0)] * order
+    cs = [0] * order
     for deg, coeff in acc.items():
         if coeff and deg // 2 < order:
             cs[deg // 2] += coeff
@@ -126,7 +125,7 @@ def theta_f(k: int, order: int) -> QSeries:
         raise DomainError("theta_f needs k >= 1")
     if order < 0:
         raise DomainError("order must be non-negative")
-    cs = [Fraction(0)] * order
+    cs = [0] * order
 
     i = 0
     while True:
@@ -153,7 +152,7 @@ def false_theta(k: int, order: int) -> QSeries:
         raise DomainError("false_theta needs k >= 1")
     if order < 0:
         raise DomainError("order must be non-negative")
-    cs = [Fraction(0)] * order
+    cs = [0] * order
     i = 0
     while True:
         d = k * i * i + (k - 1) * i
@@ -193,16 +192,12 @@ def nested_sum_series(depth: int, order: int, *, square_last: bool) -> QSeries:
     lmax = 0
     while (lmax + 1) * (lmax + 2) <= order:
         lmax += 1
-    inv_poch = []
-    acc = QSeries.one(order)
-    for l in range(lmax + 1):
-        if l:
-            factor = [Fraction(0)] * order
-            factor[0] = Fraction(1)
-            if l < order:
-                factor[l] = Fraction(-1)
-            acc = series_div(acc, QSeries(0, factor))
-        inv_poch.append(acc)
+    # inv_poch[l] = 1 / (q;q)_l, one in-place division step per factor.
+    inv_poch = [QSeries.one(order)]
+    cs = list(inv_poch[0].coeffs)
+    for l in range(1, lmax + 1):
+        div_one_minus_qk(cs, l)
+        inv_poch.append(QSeries(0, cs))
 
     total = QSeries.zero(order)
 
@@ -268,20 +263,17 @@ def lambda_series(order: int) -> QSeries:
     if order < 0:
         raise DomainError("order must be non-negative")
     total = QSeries.zero(order)
-    inv = QSeries.one(order)
+    inv = list(QSeries.one(order).coeffs)  # 1 / (q;q)_i, divided in place
     i = 0
     while True:
         d = (i + 3 * i * i) // 2
         if d > order or (order == 0 and i > 0):
             break
         if i:
-            factor = [Fraction(0)] * max(order, 1)
-            factor[0] = Fraction(1)
-            if i < order:
-                factor[i] = Fraction(-1)
-            inv = series_div(inv, QSeries(0, factor))
+            div_one_minus_qk(inv, i)
         if d < order:
-            term = series_mul(series_mul(inv, inv), inv).with_order(order)
+            s = QSeries(0, inv)
+            term = series_mul(series_mul(s, s), s).with_order(order)
             if i % 2:
                 term = -term
             total = total + term.q_shifted(d)
@@ -318,12 +310,12 @@ def tail_85(order: int, k_max: int | None = None) -> QSeries:
                 inner = inner + VLaurent.q_power(-2 * i * (k - i)) * (qb * qb)
             term_poly = VLaurent.q_power(k + k * k) * inner
             term = to_q_series(term_poly)
-            den = to_q_series(poch_finite(1, 1, k))
             if term.shift < order:
-                width = order - term.shift
-                total = total + series_div(
-                    term.with_order(width), den.with_order(width), order=width
-                )
+                # Divide by (q;q)_k one (1 - q^j) factor at a time.
+                cs = list(term.with_order(order - term.shift).coeffs)
+                for j in range(1, k + 1):
+                    div_one_minus_qk(cs, j)
+                total = total + QSeries(term.shift, cs)
         k += 1
     out = series_mul(series_mul(poch_inf(2, order), poch_inf(1, order)), total)
     return out.with_order(order)

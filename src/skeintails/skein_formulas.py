@@ -29,12 +29,11 @@ from .qcore import (
     VLaurent,
     delta_n,
     poch_finite,
-    poch_inf,
     qbinom,
     quantum_fact,
     quantum_int,
-    series_mul,
 )
+from .qidentities import ag_rhs, false_ag_rhs
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +246,19 @@ def chain_tail(parity: str, k: int, order: int) -> QSeries:
     """Tail series of the closed chain of bubbles around f(n).
 
     parity "even" is the chain with 2k bubbles:
-        (q;q)_inf * sum_{l_1..l_{k-1}} q^(sum i_j(i_j+1)) / prod (q;q)_{l_j};
-    parity "odd" is the chain with 2k+1 bubbles, the same sum over l_1..l_k
-    with the last Pochhammer factor squared.  i_j is the suffix sum of the
-    l's; an index l_j is included while l_j (l_j + 1) <= order, which is
-    sound because the term degree dominates every l_j (l_j + 1).
+        (q;q)_inf * sum_{l_1..l_{k-1}} q^(sum i_j(i_j+1)) / prod (q;q)_{l_j},
+    which is ag_rhs(k); parity "odd" is the chain with 2k+1 bubbles, the same
+    sum over l_1..l_k with the last Pochhammer factor squared, which is
+    false_ag_rhs(k + 1).  Both delegate to those multi-sums, so comparing a
+    chain tail with ag_rhs / false_ag_rhs is not independent evidence; the
+    comparisons with the direct sums theta_f and false_theta are.
     """
-    from .qidentities import nested_sum_series
-
     if k < 1:
         raise DomainError("chain_tail needs k >= 1")
     if order < 0:
         raise DomainError("order must be non-negative")
     if parity == "even":
-        body = nested_sum_series(k - 1, order, square_last=False)
-    elif parity == "odd":
-        body = nested_sum_series(k, order, square_last=True)
-    else:
-        raise DomainError("parity must be 'even' or 'odd'")
-    return series_mul(poch_inf(1, order), body).with_order(order)
+        return ag_rhs(k, order)
+    if parity == "odd":
+        return false_ag_rhs(k + 1, order)
+    raise DomainError("parity must be 'even' or 'odd'")

@@ -90,8 +90,8 @@ def agree_to_order(a: QSeries, b: QSeries, n: int) -> bool:
             f"{na.order_or_inf()} and {nb.order_or_inf()}"
         )
     for j in range(n):
-        ca = na.coeffs[j] if j < len(na.coeffs) else Fraction(0)
-        cb = nb.coeffs[j] if j < len(nb.coeffs) else Fraction(0)
+        ca = na.coeffs[j] if j < len(na.coeffs) else 0
+        cb = nb.coeffs[j] if j < len(nb.coeffs) else 0
         if ca != cb:
             return False
     return True
@@ -125,7 +125,7 @@ def sum_fraction_products_x(
         return QSeries.zero(2 * q_order)
     lo = min(live)
     window_end = lo + 2 * q_order + 4
-    total = QSeries(lo, [Fraction(0)] * (2 * q_order + 4))
+    total = QSeries(lo, [0] * (2 * q_order + 4))
     for factors, sh in zip(terms, shifts):
         if sh is None or sh >= window_end:
             continue
@@ -259,8 +259,6 @@ def graph_family_tail(family: str, params: dict, order: int) -> QSeries:
       chain_even        delegated to chain_tail("even", k)
       chain_odd         delegated to chain_tail("odd", k)
     """
-    from fractions import Fraction as F
-
     from .qidentities import MonomialArg, lambda_series, psi_general, theta_general
     from .skein_formulas import chain_tail
 
@@ -278,10 +276,12 @@ def graph_family_tail(family: str, params: dict, order: int) -> QSeries:
         l = int(params.get("l", 0))
         if k < 1 or l < 0:
             raise DomainError("g_kl needs k >= 1 and l >= 0")
-        psi = psi_general(MonomialArg(1, F(2 * k + 1)), MonomialArg(1, F(1)), order)
+        psi = psi_general(
+            MonomialArg(1, Fraction(2 * k + 1)), MonomialArg(1, Fraction(1)), order
+        )
         b_sign = -1 if int(params.get("sign_fixed", 0)) else 1
         f = theta_general(
-            MonomialArg(-1, F(2 * l + 2)), MonomialArg(b_sign, F(1)), order
+            MonomialArg(-1, Fraction(2 * l + 2)), MonomialArg(b_sign, Fraction(1)), order
         )
         return series_mul(psi, f).with_order(order)
     if family == "inadequate_chain":
@@ -296,9 +296,7 @@ def graph_family_tail(family: str, params: dict, order: int) -> QSeries:
     if family == "theta":
         return poch_inf(2, order)
     if family == "tet2n":
-        from .qidentities import lambda_series as lam_fn
-
-        return series_mul(lam_fn(order), poch_inf(2, order)).with_order(order)
+        return series_mul(lambda_series(order), poch_inf(2, order)).with_order(order)
     if family == "chain_even":
         return chain_tail("even", int(params["k"]), order)
     if family == "chain_odd":

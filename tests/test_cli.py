@@ -5,7 +5,7 @@ import json
 
 from skeintails.cli import main
 from skeintails.networks import theta_network
-from skeintails.qcore import poch_inf
+from skeintails.qcore import MAX_SERIES_ORDER, poch_inf
 
 
 def run(argv):
@@ -40,6 +40,17 @@ class TestSeries:
     def test_bad_params_exit2(self):
         code, _ = run(["series", "theta_f", "--order", "5"])
         assert code == 2
+
+    def test_order_cap_exit2(self, capsys):
+        code, out = run(["series", "theta_f", "--k", "2", "--order", "1000000000"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert MAX_SERIES_ORDER == 5000
+        assert "1000000000" in err and "5000" in err
+
+    def test_order_at_cap_runs(self):
+        code, out = run(["series", "theta_f", "--k", "2", "--order", str(MAX_SERIES_ORDER)])
+        assert code == 0 and out.startswith("1 - q - q^4")
 
 
 class TestVerify:
@@ -81,6 +92,12 @@ class TestVerify:
         assert code == 1
         # theta_f(2) and (q;q)_inf first differ at q^2
         assert "q^2" in out
+
+    def test_order_cap_exit2(self, capsys):
+        code, out = run(["verify", "builtin:jacobi", "--order", "1000000000"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert "1000000000" in err and "5000" in err
 
     def test_missing_suite_exit2(self):
         code, _ = run(["verify", "builtin:nosuch"])
@@ -134,6 +151,14 @@ class TestJones:
     def test_usage_error(self):
         code, _ = run(["jones", "--f", "0", "--n", "1"])
         assert code == 2
+
+    def test_order_cap_exit2(self, capsys):
+        code, out = run(
+            ["jones", "--f", "3", "--n", "2", "--normalized", "--order", "1000000000"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert "1000000000" in err and "5000" in err
 
 
 class TestOracle:

@@ -18,6 +18,8 @@ from skeintails.qcore import (
     VFraction,
     VLaurent,
     delta_n,
+    div_one_minus_qk,
+    mul_one_minus_qk,
     poch_finite,
     poch_inf,
     poch_inf_step,
@@ -310,3 +312,96 @@ class TestQSeries:
         obj = s.to_json_obj()
         assert obj["variable"] == "q" and obj["order"] == s.order
         assert QSeries.from_json_obj(obj) == s
+
+    def test_coeff_is_stored_value_or_int_zero(self):
+        s = QSeries(2, [3, Fraction(1, 3), 0, 5])
+        assert s.coeff(2) == 3 and type(s.coeff(2)) is int
+        assert s.coeff(3) == Fraction(1, 3)
+        for e in (0, 4):  # below the support, and a stored zero
+            assert s.coeff(e) == 0 and type(s.coeff(e)) is int
+        exact = to_q_series(VLaurent.one())
+        assert exact.coeff(9) == 0 and type(exact.coeff(9)) is int
+        with pytest.raises(PrecisionError):
+            s.coeff(6)
+
+
+class TestIntegerKernel:
+    def test_integral_fractions_are_stored_as_int(self):
+        s = QSeries(0, [Fraction(4, 2), Fraction(1, 2), -3])
+        assert [type(c) for c in s.coeffs] == [int, Fraction, int]
+        assert s.coeffs == (2, Fraction(1, 2), -3)
+        assert hash(s) == hash(QSeries(0, [Fraction(2), Fraction(1, 2), Fraction(-3)]))
+
+    def test_unit_division_stays_int_and_nonunit_division_is_rational(self):
+        one_minus_q = QSeries(0, [1, -1], exact=True)
+        geo = series_div(QSeries.one(5), one_minus_q, order=5)
+        assert all(type(c) is int for c in geo.coeffs)
+        half = series_div(QSeries.one(3), QSeries(0, [2], exact=True), order=3)
+        assert half.coeffs == (Fraction(1, 2), 0, 0)
+
+    def test_orders_zero_and_one(self):
+        for c, step in ((1, 1), (3, 1), (2, 3)):
+            empty = poch_inf_step(c, step, 0)
+            assert (empty.shift, empty.coeffs, empty.exact) == (0, (), True)
+            one = poch_inf_step(c, step, 1)
+            assert (one.shift, one.coeffs, one.exact) == (0, (1,), False)
+        for c in (1, 3):
+            assert poch_inf(c, 0).coeffs == () and poch_inf(c, 0).exact
+            assert poch_inf(c, 1).coeffs == (1,) and not poch_inf(c, 1).exact
+
+    def test_division_step_needs_positive_k(self):
+        with pytest.raises(DomainError):
+            div_one_minus_qk([1, 2, 3], 0)
+
+
+_int_lists = st.lists(st.integers(-5, 5), min_size=1, max_size=14)
+
+
+def _one_minus_qk(k: int) -> QSeries:
+    return QSeries(0, [1] + [0] * (k - 1) + [-1], exact=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=_int_lists,
+    b0=st.sampled_from([1, -1, 2, -3]),
+    b_tail=st.lists(st.integers(-5, 5), max_size=13),
+    b_exact=st.booleans(),
+)
+def test_div_inverts_mul_property(a, b0, b_tail, b_exact):
+    # b0 = +-1 takes the integer path of series_div, 2 and -3 the Fraction one.
+    if b_exact:
+        b = QSeries(0, [b0] + b_tail, exact=True)
+    else:
+        b = QSeries(0, ([b0] + b_tail + [0] * len(a))[: len(a)])
+    sa = QSeries(0, a)
+    quotient = series_div(series_mul(sa, b), b)
+    assert quotient == sa
+    assert all(type(c) is int for c in quotient.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cs=_int_lists, k=st.integers(1, 16))
+def test_mul_step_matches_dense_factor(cs, k):
+    got = list(cs)
+    mul_one_minus_qk(got, k)
+    assert QSeries(0, got) == series_mul(QSeries(0, cs), _one_minus_qk(k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cs=_int_lists, k=st.integers(1, 16))
+def test_mul_then_div_step_is_identity(cs, k):
+    got = list(cs)
+    mul_one_minus_qk(got, k)
+    div_one_minus_qk(got, k)
+    assert got == cs
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.integers(1, 6), step=st.integers(1, 4), order=st.integers(0, 25))
+def test_poch_inf_step_matches_dense_product(c, step, order):
+    want = QSeries.one(order)
+    for k in range(c, order, step):
+        want = series_mul(want, _one_minus_qk(k))
+    got = poch_inf_step(c, step, order)
+    assert got == want and got.order == order

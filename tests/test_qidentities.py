@@ -245,3 +245,39 @@ class TestRegistry:
             named_series("nosuch", {}, 5)
         with pytest.raises(DomainError):
             named_series("theta_f", {}, 5)
+
+
+class TestIntegerKernelEdges:
+    ORDER_EDGE_CASES = {
+        "nested_sum_series(0)": lambda n: nested_sum_series(0, n, square_last=False),
+        "nested_sum_series(1)": lambda n: nested_sum_series(1, n, square_last=False),
+        "nested_sum_series(2, squared)": lambda n: nested_sum_series(2, n, square_last=True),
+        "lambda_series": lambda_series,
+        "ag_rhs(1)": lambda n: ag_rhs(1, n),
+        "ag_rhs(3)": lambda n: ag_rhs(3, n),
+        "false_ag_rhs(2)": lambda n: false_ag_rhs(2, n),
+        "tail_85": tail_85,
+        "tail_85(k_max=4)": lambda n: tail_85(n, k_max=4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ORDER_EDGE_CASES))
+    def test_orders_zero_and_one(self, name):
+        fn = self.ORDER_EDGE_CASES[name]
+        empty, one = fn(0), fn(1)
+        assert (empty.shift, empty.coeffs, empty.exact) == (0, (), False)
+        assert (one.shift, one.coeffs, one.exact) == (0, (1,), False)
+
+    INT_CASES = {
+        "poch_inf(1)": lambda: poch_inf(1, 60),
+        "poch_inf(3)": lambda: poch_inf(3, 60),
+        "ag_rhs(3)": lambda: ag_rhs(3, 60),
+        "false_ag_rhs(3)": lambda: false_ag_rhs(3, 60),
+        "lambda_series": lambda: lambda_series(40),
+        "tail_85": lambda: tail_85(25),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INT_CASES))
+    def test_coefficients_are_int(self, name):
+        # A silent fallback to Fraction arithmetic must fail here.
+        series = self.INT_CASES[name]()
+        assert series.coeffs and all(type(c) is int for c in series.coeffs)
