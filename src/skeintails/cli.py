@@ -8,10 +8,10 @@ Subcommands:
   oracle  FILE [--format text|json] [--max-crossings C] [--max-box-color B]
 
 Exit codes: 0 all passed / value printed, 1 verification failure, 2 usage,
-parse, or capacity error.  Every ``--order`` is capped at MAX_SERIES_ORDER
-before any series is built.  Output is byte-deterministic for fixed inputs:
-the verify runner may evaluate cases concurrently but always reports them
-in suite order.
+parse, or capacity error.  Every ``--order``, and every ``order`` in a suite
+file, is capped at MAX_SERIES_ORDER before any series is built.  Output is
+byte-deterministic for fixed inputs: the verify runner may evaluate cases
+concurrently but always reports them in suite order.
 """
 
 from __future__ import annotations
@@ -99,6 +99,9 @@ def _run_case(case: dict, order_override: int | None) -> dict:
     if order_override is not None and "order" in params:
         params["order"] = order_override
     try:
+        # An order written in the suite file is capped like --order.
+        order = params.get("order")
+        _check_order(None if order is None else int(order))
         ok, detail = run_check(case["check"], params)
         status = "pass" if ok else "fail"
     except SkeinError as exc:

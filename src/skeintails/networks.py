@@ -49,6 +49,11 @@ _SMOOTHINGS = {
 
 _BOX_PORT = re.compile(r"[ab](0|[1-9][0-9]*)")
 
+# Most free loops (``loops k``, summed) a network may declare.  Each loop is
+# one more factor of delta in the value, so the value and its printed form
+# grow with k; the networks used here declare at most a few.
+MAX_FREE_LOOPS = 100
+
 
 class ClosedNetwork:
     """A closed diagram built from projector boxes, crossings, and arcs."""
@@ -184,6 +189,10 @@ def bracket_closed(
     if len(net.crossings) > config.max_crossings:
         raise CapacityError(
             f"{len(net.crossings)} crossings exceed limit {config.max_crossings}"
+        )
+    if net.free_loops > MAX_FREE_LOOPS:
+        raise CapacityError(
+            f"{net.free_loops} free loops exceed limit {MAX_FREE_LOOPS}"
         )
     points = 2 * sum(net.boxes.values())
     if points > 2 * config.max_frontier:

@@ -27,6 +27,7 @@ quantum factorials, q-Pochhammer symbols, q-binomials) are built on top.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence, Union
@@ -45,6 +46,12 @@ Rat = Union[int, Fraction]
 # allocates N coefficients up front, and (q;q)_inf to order 5000 takes about
 # a second, so this bounds memory, not the run time of deep multi-sums.
 MAX_SERIES_ORDER = 5000
+
+# VLaurent products of at least this many term pairs, len(a) * len(b), with
+# int coefficients go through Kronecker substitution (_kronecker_mul); below
+# it the dict double loop is faster.  Chosen by timing both on the products
+# of the verify suites (README, "Performance notes").
+KRONECKER_MIN_PAIRS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +162,21 @@ class VLaurent:
     def __mul__(self, other: "VLaurent | int | Fraction") -> "VLaurent":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out: dict[int, Rat] = {}
-        get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+        a, b = self.terms, other.terms
+        out = None
+        if len(a) * len(b) >= KRONECKER_MIN_PAIRS:
+            out = _kronecker_mul(a, b)
+        if out is None:
+            out = {}
+            get = out.get
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    s = get(e, 0) + c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
         res = VLaurent.__new__(VLaurent)
         res.terms = out
         return res
@@ -298,6 +310,58 @@ class VLaurent:
         return VLaurent({e: Fraction(n, d) for e, n, d in obj["terms"]})
 
 
+def _kronecker_mul(a: dict[int, Rat], b: dict[int, Rat]) -> dict[int, int] | None:
+    """Product of two nonempty term dicts by Kronecker substitution, or None
+    when a coefficient is not an int.
+
+    With g the gcd of all exponent differences, an operand with exponents
+    e0 + g*i becomes the integer sum_i c_i * X**i, X = 2**W, and one bigint
+    multiply gives every product coefficient in its own W-bit slot.  A
+    product coefficient is a sum of at most min(len(a), len(b)) terms
+    c1 * c2, so W leaves room for that plus a sign bit.  Slots are written
+    and read as unsigned bytes holding coefficient + 2**(W-1): ``pack``
+    subtracts those biases again, and the product gets one bias per slot
+    before it is read, so no negative coefficient borrows from its neighbour.
+    """
+    if set(map(type, a.values())) | set(map(type, b.values())) != {int}:
+        return None
+    ea, eb = min(a), min(b)
+    g = math.gcd(*[e - ea for e in a], *[e - eb for e in b]) or 1
+    bits = (
+        _max_abs(a).bit_length()
+        + _max_abs(b).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    width = (bits + 7) // 8  # bytes per slot
+    bias = 1 << (8 * width - 1)
+    zero = bias.to_bytes(width, "little")  # a slot holding coefficient 0
+
+    def pack(terms: dict[int, int], e0: int, n: int) -> int:
+        slots = [zero] * n
+        for e, c in terms.items():
+            slots[(e - e0) // g] = (c + bias).to_bytes(width, "little")
+        return int.from_bytes(b"".join(slots), "little") - int.from_bytes(
+            zero * n, "little"
+        )
+
+    na, nb = (max(a) - ea) // g + 1, (max(b) - eb) // g + 1
+    n = na + nb - 1
+    prod = pack(a, ea, na) * pack(b, eb, nb) + int.from_bytes(zero * n, "little")
+    raw = prod.to_bytes(n * width, "little")
+    out = {}
+    e0 = ea + eb
+    for k in range(n):
+        c = int.from_bytes(raw[k * width : (k + 1) * width], "little") - bias
+        if c:
+            out[e0 + g * k] = c
+    return out
+
+
+def _max_abs(terms: dict[int, int]) -> int:
+    return max(max(terms.values()), -min(terms.values()))
+
+
 V_A = VLaurent.monomial(1, 1)
 V_LOOP = VLaurent({2: -1, -2: -1})  # delta = -A**2 - A**-2
 _ONE_TERMS_DEN = VLaurent.one()
@@ -310,8 +374,6 @@ _ONE_TERMS_DEN = VLaurent.one()
 
 def _primitive_int_poly(p: VLaurent) -> list[int]:
     """Dense primitive integer coefficient list, shift and content stripped."""
-    import math
-
     lo = p.min_exp()
     lcm = 1
     for c in p.terms.values():
@@ -329,8 +391,6 @@ def _primitive_int_poly(p: VLaurent) -> list[int]:
 
 
 def _strip_valuation_and_content(r: list[int]) -> list[int]:
-    import math
-
     lo = 0
     while lo < len(r) and r[lo] == 0:
         lo += 1
@@ -445,8 +505,6 @@ class VFraction:
         lead = den.terms[den.max_exp()]
         # Rescale so den has integer content-1 coefficients, positive lead.
         denoms = [c.denominator for c in den.terms.values()]
-        import math
-
         lcm = 1
         for d in denoms:
             lcm = lcm * d // math.gcd(lcm, d)
@@ -995,8 +1053,6 @@ def poch_inf_step(c: int, step: int, order: int) -> QSeries:
         raise DivergentProductError("step product needs c >= 1 and step >= 1")
     if order < 0:
         raise DomainError("order must be non-negative")
-    if not order:
-        return QSeries.zero(0)
     cs = list(QSeries.one(order).coeffs)
     for k in range(c, order, step):
         mul_one_minus_qk(cs, k)

@@ -192,32 +192,30 @@ def nested_sum_series(depth: int, order: int, *, square_last: bool) -> QSeries:
     lmax = 0
     while (lmax + 1) * (lmax + 2) <= order:
         lmax += 1
-    # inv_poch[l] = 1 / (q;q)_l, one in-place division step per factor.
-    inv_poch = [QSeries.one(order)]
-    cs = list(inv_poch[0].coeffs)
-    for l in range(1, lmax + 1):
-        div_one_minus_qk(cs, l)
-        inv_poch.append(QSeries(0, cs))
+    total = [0] * order
 
-    total = QSeries.zero(order)
-
-    def rec(chosen: int, suffix: int, deg: int, prod: QSeries) -> None:
-        nonlocal total
+    def rec(chosen: int, suffix: int, deg: int, cur: list) -> None:
+        # cur (owned by this call) is prod_{j < chosen} 1/(q;q)_{l_j} to
+        # order - deg, the part that stays below q^order once shifted.
         if chosen == depth:
-            total = total + prod.q_shifted(deg)
+            for j, c in enumerate(cur):
+                total[deg + j] += c
             return
         for l in range(lmax + 1):
+            # Dividing by (1 - q^l) turns the factor 1/(q;q)_(l-1) into
+            # 1/(q;q)_l; the factor of l_depth (chosen first) may be squared.
+            if l:
+                div_one_minus_qk(cur, l)
+                if square_last and chosen == 0:
+                    div_one_minus_qk(cur, l)
             i_val = suffix + l
             d = deg + i_val * (i_val + 1)
             if d >= order:
                 break
-            piece = inv_poch[l]
-            if square_last and chosen == 0:
-                piece = series_mul(piece, inv_poch[l])
-            rec(chosen + 1, i_val, d, series_mul(prod, piece).with_order(order))
+            rec(chosen + 1, i_val, d, cur[: order - d])
 
-    rec(0, 0, 0, QSeries.one(order))
-    return total.with_order(order)
+    rec(0, 0, 0, list(QSeries.one(order).coeffs))
+    return QSeries(0, total)
 
 
 def ag_rhs(k: int, order: int) -> QSeries:

@@ -99,6 +99,25 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "1000000000" in err and "5000" in err
 
+    def test_suite_file_order_cap_exit2(self, tmp_path):
+        suite = {
+            "suite": "s",
+            "cases": [
+                {"id": "big", "check": "andrews_gordon",
+                 "params": {"k": 2, "order": 1000000000}},
+                {"id": "small", "check": "andrews_gordon",
+                 "params": {"k": 2, "order": 10}},
+            ],
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(suite))
+        code, out = run(["verify", str(path)])
+        assert code == 2
+        assert (
+            "[ERROR] big: CapacityError: order 1000000000 exceeds limit 5000" in out
+        )
+        assert "[PASS ] small:" in out and "1/2 cases passed" in out
+
     def test_missing_suite_exit2(self):
         code, _ = run(["verify", "builtin:nosuch"])
         assert code == 2
@@ -175,6 +194,22 @@ class TestOracle:
         code, out = run(["oracle", str(path)])
         assert code == 0
         assert out.strip() == "-v^2 - v^-2"
+
+    def test_loops_cap_exit2(self, tmp_path, capsys):
+        from skeintails.networks import MAX_FREE_LOOPS
+
+        assert MAX_FREE_LOOPS == 100
+        path = tmp_path / "loops.net"
+        path.write_text(f"loops {MAX_FREE_LOOPS}\n")
+        code, out = run(["oracle", str(path)])
+        assert code == 0 and out.startswith("v^200 + ")
+        # The box has no arcs, so validation would fail too; the loop cap
+        # is checked first and names both the count and the limit.
+        path.write_text("box p color 1\nloops 2000\nloops 1000\n")
+        code, out = run(["oracle", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert "3000 free loops exceed limit 100" in err
 
     def test_capacity_exit2(self, tmp_path):
         from skeintails.networks import torus_knot_network

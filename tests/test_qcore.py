@@ -1,6 +1,7 @@
 """Core arithmetic: Laurent polynomials, fractions, q-series, primitives."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from skeintails.errors import (
     RepresentationError,
 )
 from skeintails.qcore import (
+    KRONECKER_MIN_PAIRS,
     QSeries,
     VFraction,
     VLaurent,
@@ -29,6 +31,7 @@ from skeintails.qcore import (
     series_div,
     series_mul,
     to_q_series,
+    _kronecker_mul,
 )
 
 
@@ -342,12 +345,15 @@ class TestIntegerKernel:
     def test_orders_zero_and_one(self):
         for c, step in ((1, 1), (3, 1), (2, 3)):
             empty = poch_inf_step(c, step, 0)
-            assert (empty.shift, empty.coeffs, empty.exact) == (0, (), True)
+            assert (empty.shift, empty.coeffs, empty.exact) == (0, (), False)
             one = poch_inf_step(c, step, 1)
             assert (one.shift, one.coeffs, one.exact) == (0, (1,), False)
         for c in (1, 3):
-            assert poch_inf(c, 0).coeffs == () and poch_inf(c, 0).exact
+            assert poch_inf(c, 0).coeffs == () and not poch_inf(c, 0).exact
             assert poch_inf(c, 1).coeffs == (1,) and not poch_inf(c, 1).exact
+            # Order 0 knows no coefficient, so it cannot be extended.
+            with pytest.raises(PrecisionError):
+                poch_inf(c, 0).with_order(5)
 
     def test_division_step_needs_positive_k(self):
         with pytest.raises(DomainError):
@@ -405,3 +411,76 @@ def test_poch_inf_step_matches_dense_product(c, step, order):
         want = series_mul(want, _one_minus_qk(k))
     got = poch_inf_step(c, step, order)
     assert got == want and got.order == order
+
+
+# -- Kronecker-substitution products -----------------------------------------
+
+
+def _dense(e0: int, step: int, coeffs: list) -> VLaurent:
+    return VLaurent({e0 + step * i: c for i, c in enumerate(coeffs)})
+
+
+@st.composite
+def _int_laurent(draw, step: int) -> VLaurent:
+    """Integer Laurent polynomial on e0 + step*i, coefficients up to 400 bits."""
+    top = 2 ** draw(st.integers(1, 400)) - 1
+    coeff = st.one_of(st.sampled_from([top, -top]), st.integers(-top, top))
+    slots = draw(st.lists(st.integers(0, 70), min_size=1, max_size=45, unique=True))
+    e0 = draw(st.integers(-90, 40))
+    p = VLaurent({e0 + step * i: draw(coeff) for i in slots})
+    return p if p.terms else VLaurent({e0: top})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    step=st.sampled_from([1, 2, 3, 4, 5, 7]),
+    fraction=st.booleans(),
+)
+def test_kronecker_product_matches_dict_loop(data, step, fraction):
+    # Up to 45 terms per operand: products on both sides of the cutoff.  The
+    # second operand may use twice the step and an odd shift, so the
+    # exponent gcd runs over both operands.
+    a = data.draw(_int_laurent(step))
+    b = data.draw(_int_laurent(data.draw(st.sampled_from([step, 2 * step]))))
+    b = b.shift(data.draw(st.sampled_from([0, 1, -3])))
+    if fraction:  # one Fraction coefficient sends the product to the loop
+        e = data.draw(st.sampled_from(sorted(b.terms)))
+        b = VLaurent({**b.terms, e: b.terms[e] + Fraction(1, 2)})
+    want = q_dict_mul(a.terms, b.terms)
+    assert (a * b).terms == want
+    assert _kronecker_mul(a.terms, b.terms) == (None if fraction else want)
+
+
+class TestKronecker:
+    @pytest.mark.parametrize(
+        "k, j", [(2, 4), (6, 4), (198, 4), (4, 8), (2, 3), (5, 5), (197, 5)]
+    )
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_slot_width_bound_is_reached(self, k, j, sign):
+        # All coefficients +-(2^k - 1) and 2^j - 1 terms in the shorter
+        # operand: the middle coefficients (2^j - 1)(2^k - 1)^2 need 2k + j
+        # bits plus a sign.  With 2k + j = 0 mod 8, one bit less would round
+        # down to a byte too few; with 2k + j = 7 mod 8, the slot has no
+        # spare bit for a smaller bias.
+        m, top = 2**j - 1, 2**k - 1
+        a = _dense(-7, 4, [top] * m)
+        b = _dense(3, 4, [sign * top] * max(m, KRONECKER_MIN_PAIRS // m + 1))
+        assert len(a.terms) * len(b.terms) >= KRONECKER_MIN_PAIRS
+        prod = a * b
+        assert prod.terms == q_dict_mul(a.terms, b.terms)
+        assert prod.terms[-4 + 4 * (m - 1)] == sign * m * top * top
+
+    @pytest.mark.parametrize("n", [8, 40, 300])
+    @pytest.mark.parametrize("step", [1, 4, 7])
+    def test_telescoping_products_cancel(self, n, step):
+        # (c + c v^s + ... + c v^(s(n-1))) (v^s - 1) = c v^(sn) - c: every
+        # middle slot cancels to zero and must not be stored.
+        c = -(2**400) + 17
+        geometric = _dense(-50, step, [c] * n)
+        got = geometric * VLaurent({step: 1, 0: -1})
+        assert got.terms == {-50 + step * n: c, -50: -c}
+
+    def test_quantum_factorial_square_at_v_equals_one(self):
+        # [k] at v = 1 is k, so the coefficients of ([40]!)^2 sum to (40!)^2.
+        assert sum((quantum_fact(40) ** 2).terms.values()) == factorial(40) ** 2
