@@ -9,7 +9,10 @@ Subcommands:
 
 Exit codes: 0 all passed / value printed, 1 verification failure, 2 usage,
 parse, or capacity error.  Every ``--order``, and every ``order`` in a suite
-file, is capped at MAX_SERIES_ORDER before any series is built.  Output is
+file, is capped at MAX_SERIES_ORDER before any series is built, and
+``jones`` caps its inputs at MAX_JONES_N and MAX_JONES_SIZE.  A suite case
+with a malformed or missing parameter, or without a ``check``, is reported
+as an ``error`` case (exit 2); the other cases still run.  Output is
 byte-deterministic for fixed inputs: the verify runner may evaluate cases
 concurrently but always reports them in suite order.
 """
@@ -34,6 +37,14 @@ from .verifycases import run_check
 _EXIT_PASS = 0
 _EXIT_FAIL = 1
 _EXIT_USAGE = 2
+
+# Largest ``jones --n``, and largest f * n**2 (the crossing count of the
+# cabled (2, f) diagram; the degree of the result grows with it).  At the
+# corners, f=10 n=100 runs ~2 s and prints ~136 kB, f=100000 n=1 runs
+# ~0.5 s and prints ~1.1 MB; beyond them run time and output grow without
+# bound (f=1000000 n=3: 20 s, 51 MB).
+MAX_JONES_N = 100
+MAX_JONES_SIZE = 100_000
 
 
 def _check_order(order: int | None) -> None:
@@ -95,16 +106,17 @@ def _load_suite(spec: str) -> tuple[str, list[dict]]:
 
 
 def _run_case(case: dict, order_override: int | None) -> dict:
-    params = dict(case.get("params", {}))
-    if order_override is not None and "order" in params:
-        params["order"] = order_override
     try:
+        params = dict(case.get("params", {}))
+        if order_override is not None and "order" in params:
+            params["order"] = order_override
         # An order written in the suite file is capped like --order.
         order = params.get("order")
         _check_order(None if order is None else int(order))
         ok, detail = run_check(case["check"], params)
         status = "pass" if ok else "fail"
-    except SkeinError as exc:
+    except (SkeinError, KeyError, TypeError, ValueError) as exc:
+        # KeyError/TypeError/ValueError: a missing or malformed parameter.
         status, detail = "error", f"{type(exc).__name__}: {exc}"
     return {"id": case["id"], "status": status, "detail": detail}
 
@@ -113,7 +125,7 @@ def _cmd_verify(args, out) -> int:
     _check_order(args.order)
     try:
         suite_name, cases = _load_suite(args.suite)
-    except (OSError, KeyError, json.JSONDecodeError, DomainError) as exc:
+    except (OSError, KeyError, TypeError, json.JSONDecodeError, DomainError) as exc:
         print(f"error: cannot load suite: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     if not args.slow:
@@ -147,6 +159,11 @@ def _cmd_jones(args, out) -> int:
     if args.f < 1 or args.n < 0:
         print("error: need --f >= 1 and --n >= 0", file=sys.stderr)
         return _EXIT_USAGE
+    if args.n > MAX_JONES_N:
+        raise CapacityError(f"n {args.n} exceeds limit {MAX_JONES_N}")
+    size = args.f * args.n**2
+    if size > MAX_JONES_SIZE:
+        raise CapacityError(f"f*n^2 = {size} exceeds limit {MAX_JONES_SIZE}")
     _check_order(args.order)
     value = colored_jones_torus(args.f, args.n)
     if args.normalized:

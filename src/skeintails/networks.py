@@ -12,9 +12,10 @@ terms (a matching on its ports times a coefficient; two terms for a
 crossing, the projector's terms for a box).  The nodes are expanded one at
 a time in BFS order over the arc graph; each step composes the pairing of
 the still-open ports with every term, counts the loops it closes, and
-merges states with the same pairing.  Crossing states are never enumerated
-one by one, so the work follows the number of distinct pairings at the
-frontier, not 2**crossings.
+merges states with the same pairing.  The composition is
+``tl_oracle.join``, the same gluing step as TL products and closures.
+Crossing states are never enumerated one by one, so the work follows the
+number of distinct pairings at the frontier, not 2**crossings.
 
 Box ports: a box of color n has ports a0..a(n-1) on side A and b0..b(n-1)
 on side B; the projector's identity diagram joins a_j to b_j.  Crossing
@@ -36,7 +37,7 @@ from collections import deque
 
 from .errors import CapacityError, DomainError
 from .qcore import VFraction, VLaurent
-from .tl_oracle import DEFAULT_CONFIG, OracleConfig, jones_wenzl
+from .tl_oracle import DEFAULT_CONFIG, OracleConfig, join, jones_wenzl
 
 _CROSS_PORTS = ("nw", "ne", "se", "sw")
 
@@ -279,43 +280,16 @@ def _contract(
             for p, q in key:
                 pr[p] = q
                 pr[q] = p
+            # Sorted ends make each new pairing canonical as it is read off.
+            ends = sorted(p for p in pr if p not in port_set)
             for mp, mcoeff in expansions:
-                out_pairs: dict[int, int] = {}
-                loops = 0
-                used: set[int] = set()
-                for u in pr:
-                    if u in port_set or u in out_pairs:
-                        continue
-                    v = pr[u]
-                    if v not in port_set:
-                        out_pairs[u] = v
-                        out_pairs[v] = u
-                        continue
-                    # Walk from outside port u through the node.
-                    while v in port_set:
-                        used.add(v)
-                        v2 = mp[v]
-                        used.add(v2)
-                        v = pr[v2]
-                    out_pairs[u] = v
-                    out_pairs[v] = u
-                for w0 in port_set:
-                    if w0 in used:
-                        continue
-                    # A closed cycle alternating matching and pairing arcs.
-                    loops += 1
-                    w = w0
-                    while True:
-                        used.add(w)
-                        w2 = mp[w]
-                        used.add(w2)
-                        w = pr[w2]
-                        if w == w0:
-                            break
+                partner, loops = join(pr, mp, ends)
                 c = coeff * mcoeff
                 if loops:
                     c = c * delta**loops
-                k = _canon(out_pairs)
+                k = tuple(
+                    (ends[i], ends[j]) for i, j in enumerate(partner) if i < j
+                )
                 s = new_states.get(k)
                 new_states[k] = c if s is None else s + c
         states = new_states

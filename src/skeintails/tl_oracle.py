@@ -7,6 +7,13 @@ crossings inside the rectangle; there are Catalan(n) of them.
 Multiplication stacks the second diagram on top of the first and replaces
 every closed loop by the scalar delta = -A**2 - A**-2.
 
+Every gluing of diagrams goes through one function, ``join``: it glues
+chosen points in pairs, follows each free end through the arcs to the end
+it reaches, and counts the closed loops left among the glued points.  A
+product glues a's top to b's bottom, a closure glues bottom j to top n+j,
+and ``networks`` glues a node's terms into the pairing of the open ports
+with the same call.
+
 Jones-Wenzl projectors are built by Wenzl's recursion
 
     f(n) = f(n-1)x1 - (Delta_{n-2}/Delta_{n-1}) (f(n-1)x1) e_{n-1} (f(n-1)x1)
@@ -71,9 +78,6 @@ class Matching:
             pr[j], pr[n + j] = n + j, j
         return Matching(tuple(pr))
 
-    def partner(self, p: int) -> int:
-        return self.pairs[p]
-
     def _cycle_pos(self, p: int) -> int:
         # Boundary cycle: bottom left-to-right, then top right-to-left.
         return p if p < self.n else 3 * self.n - 1 - p
@@ -113,7 +117,6 @@ class Matching:
         return self.to_parens() < other.to_parens()
 
     def __repr__(self) -> str:
-        seen = set()
         arcs = []
         for p in range(2 * self.n):
             q = self.pairs[p]
@@ -139,8 +142,6 @@ def enumerate_matchings(n: int) -> list[Matching]:
                 for m2 in rec(outside):
                     yield [(a, b)] + m1 + m2
 
-    cycle = list(range(n)) + [3 * n - 1 - p for p in range(n, n2)]
-    # cycle[i] is the point at cyclic position i
     pos_to_point = [0] * n2
     for p in range(n2):
         pos = p if p < n else 3 * n - 1 - p
@@ -153,73 +154,58 @@ def enumerate_matchings(n: int) -> list[Matching]:
     return out
 
 
+def join(pairs, glue, ends) -> tuple[list[int], int]:
+    """Glue points together and follow the arcs: the one gluing step.
+
+    ``pairs`` is a fixed-point-free involution (indexable by point), ``glue``
+    a dict that pairs up the glued points, and ``ends`` lists the points that
+    are not glued.  The path from each end alternates an arc of ``pairs``
+    with one of ``glue`` until it reaches another end.  Returns
+    ``(partner, loops)``: ``partner[i] == j`` when the path from ``ends[i]``
+    arrives at ``ends[j]``, and ``loops`` counts the closed cycles left
+    among the glued points.
+    """
+    index = {p: i for i, p in enumerate(ends)}
+    partner = [-1] * len(ends)
+    seen: set[int] = set()
+    for i, p in enumerate(ends):
+        if partner[i] >= 0:
+            continue
+        q = pairs[p]
+        while q in glue:
+            seen.add(q)
+            q = glue[q]
+            seen.add(q)
+            q = pairs[q]
+        j = index[q]
+        partner[i], partner[j] = j, i
+    loops = 0
+    for p in glue:
+        if len(seen) == len(glue):
+            break
+        if p in seen:
+            continue
+        loops += 1
+        while p not in seen:
+            seen.add(p)
+            p = pairs[p]
+            seen.add(p)
+            p = glue[p]
+    return partner, loops
+
+
 def match_mul(a: Matching, b: Matching) -> tuple[Matching, int]:
     """Stack b on top of a; return (resulting matching, closed-loop count)."""
     if a.n != b.n:
         raise DomainError("strand-count mismatch")
     n = a.n
-    # Composite points: bottom of a (0..n-1) and top of b (n..2n-1).
-    # Interface: a's top point (n+j) is glued to b's bottom point j.
-    def step(layer: str, p: int):
-        # Returns (layer, point) after following one arc.
-        m = a if layer == "a" else b
-        return layer, m.pairs[p]
-
-    result_pairs: dict[int, int] = {}
-    visited_interface = set()
-
-    def boundary_of(layer: str, p: int):
-        if layer == "a" and p < n:
-            return p
-        if layer == "b" and p >= n:
-            return p
-        return None
-
-    def walk(layer: str, start: int):
-        lay, p = layer, start
-        while True:
-            lay, p = step(lay, p)
-            bnd = boundary_of(lay, p)
-            if bnd is not None:
-                return bnd
-            # Cross the interface.
-            if lay == "a":
-                visited_interface.add(p - n)
-                lay, p = "b", p - n
-            else:
-                visited_interface.add(p)
-                lay, p = "a", p + n
-
-    for p in range(n):
-        if p not in result_pairs:
-            q = walk("a", p)
-            result_pairs[p] = q
-            result_pairs[q] = p
-    for p in range(n, 2 * n):
-        if p not in result_pairs:
-            q = walk("b", p)
-            result_pairs[p] = q
-            result_pairs[q] = p
-
-    loops = 0
-    seen = set()
+    # b's points are offset by 2n; a's top n+j is glued to b's bottom 2n+j.
+    glue = {}
     for j in range(n):
-        if j in visited_interface or j in seen:
-            continue
-        # Follow the closed cycle through interface point j.
-        loops += 1
-        lay, p = "b", j
-        while True:
-            lay, p = step(lay, p)
-            if lay == "a":
-                seen.add(p - n)
-                lay, p = "b", p - n
-            else:
-                seen.add(p)
-                lay, p = "a", p + n
-            if p == j and lay == "b":
-                break
-    return Matching(tuple(result_pairs[p] for p in range(2 * n))), loops
+        glue[n + j], glue[2 * n + j] = 2 * n + j, n + j
+    pairs = a.pairs + tuple(p + 2 * n for p in b.pairs)
+    partner, loops = join(pairs, glue, [*range(n), *range(3 * n, 4 * n)])
+    return Matching(tuple(partner)), loops
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +283,7 @@ class TLElement:
 
     def tensor_strand(self) -> "TLElement":
         """Tensor with one identity strand on the right (TL_n -> TL_{n+1})."""
-        n = self.n
-        out = {}
-        for m, c in self.terms.items():
-            remap = lambda p: p if p < n else p + 1
-            arcs = [
-                (remap(p), remap(m.pairs[p]))
-                for p in range(2 * n)
-                if p < m.pairs[p]
-            ]
-            arcs.append((n, 2 * n + 1))
-            out[Matching.from_pairs(n + 1, arcs)] = c
-        return TLElement(n + 1, out)
+        return self.tensor_with(TLElement.identity(1))
 
     def tensor_with(self, other: "TLElement") -> "TLElement":
         """Side-by-side tensor product (self on the left)."""
@@ -351,19 +326,13 @@ class TLElement:
         return all(self.terms[m] == other.terms[m] for m in self.terms)
 
     def __repr__(self) -> str:
-        items = sorted(self.terms.items(), key=lambda kv: kv[0])
-        return f"TLElement(n={self.n}, {len(items)} diagrams)"
+        return f"TLElement(n={self.n}, {len(self.terms)} diagrams)"
 
     # -- closures ------------------------------------------------------------
 
     def trace_close(self) -> VFraction:
         """Close bottom j to top n+j for all j; returns the skein value."""
-        total = VFraction.zero()
-        delta = VFraction.from_poly(_DELTA)
-        for m, c in self.terms.items():
-            loops = _count_closure_loops(m, list(range(self.n)))
-            total = total + c * delta**loops
-        return total
+        return self.partial_close(self.n).terms.get(Matching(()), VFraction.zero())
 
     def partial_close(self, m_strands: int) -> "TLElement":
         """Close the rightmost m_strands around (bottom j to top n+j).
@@ -374,88 +343,23 @@ class TLElement:
         if not (0 <= m_strands <= n):
             raise DomainError("cannot close more strands than exist")
         keep = n - m_strands
+        glue = {}
+        for j in range(keep, n):
+            glue[j], glue[n + j] = n + j, j
+        # The surviving points, in order, are the points of TL_keep.
+        ends = [*range(keep), *range(n, n + keep)]
         delta = VFraction.from_poly(_DELTA)
         out: dict[Matching, VFraction] = {}
-        closed = list(range(keep, n))
         for m, c in self.terms.items():
-            arcs, loops = _close_strands(m, closed)
+            partner, loops = join(m.pairs, glue, ends)
             coeff = c * delta**loops if loops else c
-            key = Matching.from_pairs(keep, arcs)
+            key = Matching(tuple(partner))
             s = out.get(key, VFraction.zero()) + coeff
             if s.is_zero():
                 out.pop(key, None)
             else:
                 out[key] = s
         return TLElement(keep, out)
-
-
-def _count_closure_loops(m: Matching, closed_strands: list[int]) -> int:
-    arcs, loops = _close_strands(m, closed_strands)
-    if arcs:
-        raise DomainError("full closure expected")
-    return loops
-
-
-def _close_strands(m: Matching, closed: list[int]) -> tuple[list[tuple[int, int]], int]:
-    """Glue bottom j to top n+j for j in ``closed``; relabel the rest.
-
-    Returns (arcs among surviving points relabeled into TL_{keep}, loops).
-    """
-    n = m.n
-    closed_set = set(closed)
-    # Adjacency: matching arcs + closure arcs (bottom j -- top n+j).
-    def closure_partner(p: int) -> int | None:
-        if p < n and p in closed_set:
-            return p + n
-        if p >= n and (p - n) in closed_set:
-            return p - n
-        return None
-
-    surviving = [p for p in range(n) if p not in closed_set] + [
-        p for p in range(n, 2 * n) if (p - n) not in closed_set
-    ]
-    relabel = {}
-    keep = n - len(closed)
-    bot = [p for p in range(n) if p not in closed_set]
-    top = [p for p in range(n, 2 * n) if (p - n) not in closed_set]
-    for j, p in enumerate(bot):
-        relabel[p] = j
-    for j, p in enumerate(top):
-        relabel[p] = keep + j
-    arcs = []
-    visited = set()
-    for start in surviving:
-        if start in visited:
-            continue
-        visited.add(start)
-        p = m.pairs[start]
-        while True:
-            cp = closure_partner(p)
-            if cp is None:
-                break
-            visited.add(p)
-            visited.add(cp)
-            p = m.pairs[cp]
-        visited.add(p)
-        arcs.append((relabel[start], relabel[p]))
-    loops = 0
-    seen = set()
-    for start in range(2 * n):
-        if start in seen or start in visited:
-            continue
-        # Closed cycle alternating matching arcs and closure arcs.
-        loops += 1
-        p = start
-        while True:
-            seen.add(p)
-            q = m.pairs[p]
-            seen.add(q)
-            p = closure_partner(q)
-            if p is None:
-                raise DomainError("internal: broken closure walk")
-            if p == start:
-                break
-    return arcs, loops
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import io
 import json
 
-from skeintails.cli import main
+from skeintails.cli import MAX_JONES_N, MAX_JONES_SIZE, main
 from skeintails.networks import theta_network
 from skeintails.qcore import MAX_SERIES_ORDER, poch_inf
 
@@ -118,6 +118,75 @@ class TestVerify:
         )
         assert "[PASS ] small:" in out and "1/2 cases passed" in out
 
+    def _malformed_case_reported(self, tmp_path, bad_case, detail):
+        """A malformed case is an error case; its neighbours still run."""
+        suite = {
+            "suite": "s",
+            "cases": [
+                {"id": "before", "check": "andrews_gordon",
+                 "params": {"k": 2, "order": 10}},
+                {"id": "bad", **bad_case},
+                {"id": "after", "check": "andrews_gordon",
+                 "params": {"k": 3, "order": 10}},
+            ],
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(suite))
+        outputs = []
+        for jobs in ("1", "2"):
+            report = tmp_path / f"r{jobs}.json"
+            code, out = run(["verify", str(path), "--jobs", jobs, "--out", str(report)])
+            assert code == 2
+            lines = out.splitlines()
+            assert lines[0].startswith("[PASS ] before:")
+            assert lines[1] == f"[ERROR] bad: {detail}"
+            assert lines[2].startswith("[PASS ] after:")
+            assert lines[3] == "2/3 cases passed"
+            obj = json.loads(report.read_text())
+            assert [c["status"] for c in obj["cases"]] == ["pass", "error", "pass"]
+            outputs.append((out, report.read_text()))
+        assert outputs[0] == outputs[1]
+
+    def test_non_integer_order_is_error_case(self, tmp_path):
+        self._malformed_case_reported(
+            tmp_path,
+            {"check": "andrews_gordon", "params": {"k": 2, "order": "abc"}},
+            "ValueError: invalid literal for int() with base 10: 'abc'",
+        )
+
+    def test_non_integer_k_is_error_case(self, tmp_path):
+        self._malformed_case_reported(
+            tmp_path,
+            {"check": "andrews_gordon", "params": {"k": "two", "order": 10}},
+            "ValueError: invalid literal for int() with base 10: 'two'",
+        )
+
+    def test_missing_k_is_error_case(self, tmp_path):
+        self._malformed_case_reported(
+            tmp_path,
+            {"check": "andrews_gordon", "params": {"order": 10}},
+            "KeyError: 'k'",
+        )
+
+    def test_missing_check_is_error_case(self, tmp_path):
+        self._malformed_case_reported(
+            tmp_path, {"params": {"k": 2, "order": 10}}, "KeyError: 'check'"
+        )
+
+    def test_non_object_params_is_error_case(self, tmp_path):
+        self._malformed_case_reported(
+            tmp_path,
+            {"check": "andrews_gordon", "params": 5},
+            "TypeError: 'int' object is not iterable",
+        )
+
+    def test_non_object_case_exit2(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"suite": "s", "cases": ["andrews_gordon"]}))
+        code, out = run(["verify", str(path)])
+        assert code == 2 and out == ""
+        assert "cannot load suite" in capsys.readouterr().err
+
     def test_missing_suite_exit2(self):
         code, _ = run(["verify", "builtin:nosuch"])
         assert code == 2
@@ -178,6 +247,26 @@ class TestJones:
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert "1000000000" in err and "5000" in err
+
+    def test_colour_cap_exit2(self, capsys):
+        code, out = run(["jones", "--f", "1", "--n", str(MAX_JONES_N + 1)])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert "n 101 exceeds limit 100" in err
+
+    def test_size_cap_exit2(self, capsys):
+        code, out = run(["jones", "--f", "1000000", "--n", "3"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert "f*n^2 = 9000000 exceeds limit 100000" in err
+
+    def test_at_caps_runs(self):
+        assert (MAX_JONES_N, MAX_JONES_SIZE) == (100, 100_000)
+        # n at its cap; then f * n**2 exactly at its cap.
+        code, out = run(["jones", "--f", "2", "--n", str(MAX_JONES_N)])
+        assert code == 0 and out.strip()
+        code, out = run(["jones", "--f", "1000", "--n", "10"])
+        assert code == 0 and out.startswith("v^")
 
 
 class TestOracle:

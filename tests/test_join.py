@@ -1,0 +1,178 @@
+"""Property tests for ``tl_oracle.join``, the one gluing step of the oracle.
+
+TL products, strand closures and the network contraction all glue points
+together and follow arcs through them.  These properties check ``join``
+against a union-find reference, and each composition built on it through
+a law it must satisfy: associativity of stacking, closing strands in two
+steps or in one, and Reidemeister II invariance of the bracket.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skeintails.networks import (
+    ClosedNetwork,
+    bracket_closed,
+    closed_projector,
+    kinked_loop,
+    theta_network,
+    torus_knot_network,
+)
+from skeintails.qcore import VFraction, VLaurent
+from skeintails.tl_oracle import (
+    Matching,
+    TLElement,
+    enumerate_matchings,
+    join,
+    match_mul,
+)
+
+_MATCHINGS = {n: enumerate_matchings(n) for n in range(6)}
+
+
+def _reference_join(pairs, glue, ends):
+    """``join`` by union-find over the arcs of ``pairs`` and ``glue``."""
+    parent = list(range(len(pairs)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for arcs in (enumerate(pairs), glue.items()):
+        for p, q in arcs:
+            parent[find(p)] = find(q)
+    by_root: dict[int, list[int]] = {}
+    for i, p in enumerate(ends):
+        by_root.setdefault(find(p), []).append(i)
+    partner = [-1] * len(ends)
+    for i, j in by_root.values():
+        partner[i], partner[j] = j, i
+    loops = len({find(p) for p in glue} - set(by_root))
+    return partner, loops
+
+
+@st.composite
+def _gluings(draw):
+    """A random (also non-planar) involution, glue involution and end order."""
+    k = draw(st.integers(1, 8))
+    points = draw(st.permutations(range(2 * k)))
+    pairs = [0] * (2 * k)
+    for p, q in zip(points[::2], points[1::2]):
+        pairs[p], pairs[q] = q, p
+    g = draw(st.integers(0, k))
+    glued = draw(st.permutations(range(2 * k)))
+    glue = {}
+    for p, q in zip(glued[: 2 * g : 2], glued[1 : 2 * g : 2]):
+        glue[p], glue[q] = q, p
+    ends = draw(st.permutations([p for p in range(2 * k) if p not in glue]))
+    return tuple(pairs), glue, list(ends)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gluing=_gluings(), as_dict=st.booleans())
+def test_join_matches_union_find(gluing, as_dict):
+    pairs, glue, ends = gluing
+    expected = _reference_join(pairs, glue, ends)
+    if as_dict:
+        pairs = dict(enumerate(pairs))
+    assert join(pairs, glue, ends) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_match_mul_is_associative(data):
+    n = data.draw(st.integers(1, 5))
+    a, b, c = (data.draw(st.sampled_from(_MATCHINGS[n])) for _ in range(3))
+    ab, loops_ab = match_mul(a, b)
+    ab_c, loops_ab_c = match_mul(ab, c)
+    bc, loops_bc = match_mul(b, c)
+    a_bc, loops_a_bc = match_mul(a, bc)
+    assert ab_c == a_bc
+    assert ab_c in _MATCHINGS[n]
+    assert loops_ab + loops_ab_c == loops_bc + loops_a_bc
+
+
+@st.composite
+def _tl_elements(draw):
+    n = draw(st.integers(1, 5))
+    diagrams = draw(
+        st.lists(st.sampled_from(_MATCHINGS[n]), min_size=1, max_size=6, unique=True)
+    )
+    terms = {}
+    for m in diagrams:
+        poly = draw(
+            st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), min_size=1, max_size=3)
+        )
+        terms[m] = VFraction.from_poly(VLaurent(poly))
+    return TLElement(n, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(element=_tl_elements(), data=st.data())
+def test_closing_in_two_steps_equals_closing_at_once(element, data):
+    k = data.draw(st.integers(0, element.n))
+    m = data.draw(st.integers(0, element.n - k))
+    assert element.partial_close(k).partial_close(m) == element.partial_close(k + m)
+    full = element.partial_close(element.n)
+    assert set(full.terms) <= {Matching(())}
+    assert element.partial_close(k).trace_close() == element.trace_close()
+
+
+def _with_reidemeister_two(
+    net: ClosedNetwork, i: int, j: int, over: str, tag: int
+) -> ClosedNetwork:
+    """Pass the strand of arc i twice over (or under) that of arc j."""
+    out = ClosedNetwork()
+    out.boxes = dict(net.boxes)
+    out.crossings = dict(net.crossings)
+    out.free_loops = net.free_loops
+    out.arcs = [arc for k, arc in enumerate(net.arcs) if k not in (i, j)]
+    (p, q), (r, s) = net.arcs[i], net.arcs[j]
+    x, y = f"rx{tag}", f"ry{tag}"
+    # The strand from p runs sw -> ne through x and se -> nw through y, so
+    # it lies on the nesw diagonal of x and the nwse diagonal of y.
+    out.add_crossing(x, over)
+    out.add_crossing(y, "nwse" if over == "nesw" else "nesw")
+    out.add_arc(p, (x, "sw"))
+    out.add_arc(r, (x, "se"))
+    out.add_arc((x, "nw"), (y, "sw"))
+    out.add_arc((x, "ne"), (y, "se"))
+    out.add_arc((y, "nw"), q)
+    out.add_arc((y, "ne"), s)
+    return out
+
+
+_BASE_DIAGRAMS = {
+    "kink": lambda: kinked_loop("nesw"),
+    "kink-mirror": lambda: kinked_loop("nwse"),
+    "f2": lambda: closed_projector(2),
+    "f3": lambda: closed_projector(3),
+    "torus-2-1": lambda: torus_knot_network(2, 1),
+    "torus-3-1": lambda: torus_knot_network(3, 1),
+    "theta-112": lambda: theta_network(1, 1, 2),
+    "theta-222": lambda: theta_network(2, 2, 2),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=st.sampled_from(sorted(_BASE_DIAGRAMS)),
+    loops=st.integers(0, 2),
+    data=st.data(),
+)
+def test_reidemeister_two_invariance(base, loops, data):
+    net = _BASE_DIAGRAMS[base]()
+    net.add_loops(loops)
+    moved = net
+    for tag in range(data.draw(st.integers(1, 2))):
+        i, j = data.draw(
+            st.lists(
+                st.integers(0, len(moved.arcs) - 1), min_size=2, max_size=2, unique=True
+            )
+        )
+        over = data.draw(st.sampled_from(("nesw", "nwse")))
+        moved = _with_reidemeister_two(moved, i, j, over, tag)
+    assert len(moved.crossings) == len(net.crossings) + 2 * (tag + 1)
+    assert bracket_closed(moved) == bracket_closed(net)
