@@ -13,8 +13,10 @@ file, is capped at MAX_SERIES_ORDER before any series is built, and
 ``jones`` caps its inputs at MAX_JONES_N and MAX_JONES_SIZE.  A suite case
 with a malformed or missing parameter, or without a ``check``, is reported
 as an ``error`` case (exit 2); the other cases still run.  Output is
-byte-deterministic for fixed inputs: the verify runner may evaluate cases
-concurrently but always reports them in suite order.
+byte-deterministic for fixed inputs: the verify runner evaluates cases one
+after another, in suite order.  ``--jobs J`` (J >= 1) is accepted for
+compatibility and does not change how cases run: threads gave no speed-up
+on this CPU-bound pure-Python code.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 from .errors import CapacityError, DomainError, SkeinError
@@ -122,6 +123,9 @@ def _run_case(case: dict, order_override: int | None) -> dict:
 
 
 def _cmd_verify(args, out) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return _EXIT_USAGE
     _check_order(args.order)
     try:
         suite_name, cases = _load_suite(args.suite)
@@ -130,11 +134,7 @@ def _cmd_verify(args, out) -> int:
         return _EXIT_USAGE
     if not args.slow:
         cases = [c for c in cases if not c.get("slow")]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda c: _run_case(c, args.order), cases))
-    else:
-        results = [_run_case(c, args.order) for c in cases]
+    results = [_run_case(c, args.order) for c in cases]
     report = {
         "suite": suite_name,
         "cases": results,
@@ -176,9 +176,8 @@ def _cmd_jones(args, out) -> int:
             print(json.dumps(value.to_json_obj(), sort_keys=True), file=out)
         elif args.format == "csv":
             lines = ["v_exponent,numerator,denominator"]
-            for e in sorted(value.terms):
-                c = value.terms[e]
-                lines.append(f"{e},{c.numerator},{c.denominator}")
+            for e, c in sorted(value.terms.items()):
+                lines.append(f"{e},{c},1")
             print("\n".join(lines), file=out)
         else:
             print(value.format(), file=out)
@@ -248,7 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", help="builtin:NAME or a JSON file path")
     p.add_argument("--order", "-N", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted, >= 1; cases always run serially"
+    )
     p.add_argument("--slow", action="store_true", help="include slow cases")
     p.add_argument("--out", help="write the JSON report here")
 

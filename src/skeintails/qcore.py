@@ -7,10 +7,11 @@ Everything downstream computes in the single variable v with
 
 so that quantities like q**(1/2) (v**2) or q**((n*n - n)/4) (v**(n*n - n))
 always have integer v-exponents and no fractional powers ever appear.
-Coefficients are exact: Laurent coefficients are ``int`` or ``Fraction``,
-and q-series have ``int`` coefficients in Z[[q]], with a ``Fraction`` only
-after division by a series whose constant term is not +-1.  There is no
-floating point anywhere in this package.
+Coefficients are exact integers: a Laurent polynomial lives in
+Z[v, v**-1], and a rational function is a pair of such polynomials.  A
+q-series has ``int`` coefficients in Z[[q]]; it holds a ``Fraction`` only
+after ``series_div`` by a series whose constant term is not +-1.  There is
+no floating point anywhere in this package.
 
 Three value types live here:
 
@@ -47,11 +48,13 @@ Rat = Union[int, Fraction]
 # a second, so this bounds memory, not the run time of deep multi-sums.
 MAX_SERIES_ORDER = 5000
 
-# VLaurent products of at least this many term pairs, len(a) * len(b), with
-# int coefficients go through Kronecker substitution (_kronecker_mul); below
-# it the dict double loop is faster.  Chosen by timing both on the products
-# of the verify suites (README, "Performance notes").
+# VLaurent products of at least this many term pairs, len(a) * len(b), whose
+# shorter operand has at least KRONECKER_MIN_TERMS terms go through Kronecker
+# substitution (_kronecker_mul); otherwise the dict double loop is faster.
+# Chosen by timing both on the products of the verify suites (README,
+# "Performance notes").
 KRONECKER_MIN_PAIRS = 256
+KRONECKER_MIN_TERMS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -60,22 +63,21 @@ KRONECKER_MIN_PAIRS = 256
 
 
 class VLaurent:
-    """Sparse exact Laurent polynomial in v (A = v, q = v**4).
+    """Sparse exact Laurent polynomial in v (A = v, q = v**4) over Z.
 
-    Invariants: no stored coefficient is zero; the zero polynomial is the
-    empty mapping.  Instances are immutable; all arithmetic is exact.
+    Invariants: every stored coefficient is a nonzero ``int``; the zero
+    polynomial is the empty mapping.  Instances are immutable; all
+    arithmetic is exact.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[int, Rat] | None = None):
-        clean: dict[int, Rat] = {}
+    def __init__(self, terms: Mapping[int, int] | None = None):
+        clean: dict[int, int] = {}
         if terms:
             for e, c in terms.items():
                 if not isinstance(c, int):
-                    c = Fraction(c)
-                    if c.denominator == 1:
-                        c = c.numerator
+                    raise DomainError(f"Laurent coefficient {c!r} is not an integer")
                 if c:
                     clean[int(e)] = c
         self.terms = clean
@@ -91,16 +93,16 @@ class VLaurent:
         return VLaurent({0: 1})
 
     @staticmethod
-    def monomial(coeff: Rat, v_exp: int) -> "VLaurent":
+    def monomial(coeff: int, v_exp: int) -> "VLaurent":
         return VLaurent({v_exp: coeff})
 
     @staticmethod
-    def q_power(q_exp: int, coeff: Rat = 1) -> "VLaurent":
+    def q_power(q_exp: int, coeff: int = 1) -> "VLaurent":
         """coeff * q**q_exp, i.e. coeff * v**(4*q_exp)."""
         return VLaurent({4 * q_exp: coeff})
 
     @staticmethod
-    def from_q_dict(qterms: Mapping[int, Rat]) -> "VLaurent":
+    def from_q_dict(qterms: Mapping[int, int]) -> "VLaurent":
         return VLaurent({4 * e: c for e, c in qterms.items()})
 
     # -- inspection ----------------------------------------------------------
@@ -118,8 +120,8 @@ class VLaurent:
             raise DomainError("zero polynomial has no maximal exponent")
         return max(self.terms)
 
-    def coeff(self, v_exp: int) -> Fraction:
-        return Fraction(self.terms.get(v_exp, 0))
+    def coeff(self, v_exp: int) -> int:
+        return self.terms.get(v_exp, 0)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -159,14 +161,16 @@ class VLaurent:
     def __sub__(self, other: "VLaurent") -> "VLaurent":
         return self + (-other)
 
-    def __mul__(self, other: "VLaurent | int | Fraction") -> "VLaurent":
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: "VLaurent | int") -> "VLaurent":
+        if isinstance(other, int):
             return self.scale(other)
         a, b = self.terms, other.terms
-        out = None
-        if len(a) * len(b) >= KRONECKER_MIN_PAIRS:
+        if (
+            len(a) * len(b) >= KRONECKER_MIN_PAIRS
+            and min(len(a), len(b)) >= KRONECKER_MIN_TERMS
+        ):
             out = _kronecker_mul(a, b)
-        if out is None:
+        else:
             out = {}
             get = out.get
             for e1, c1 in a.items():
@@ -183,20 +187,13 @@ class VLaurent:
 
     __rmul__ = __mul__
 
-    def scale(self, c: Rat) -> "VLaurent":
+    def scale(self, c: int) -> "VLaurent":
         if not isinstance(c, int):
-            c = Fraction(c)
-            if c.denominator == 1:
-                c = c.numerator
+            raise DomainError(f"Laurent scalar {c!r} is not an integer")
         if not c:
             return VLaurent()
         res = VLaurent.__new__(VLaurent)
-        res.terms = {}
-        for e, k in self.terms.items():
-            s = k * c
-            if not isinstance(s, int) and s.denominator == 1:
-                s = s.numerator
-            res.terms[e] = s
+        res.terms = {e: k * c for e, k in self.terms.items()}
         return res
 
     def shift(self, v_exp: int) -> "VLaurent":
@@ -224,7 +221,12 @@ class VLaurent:
     # -- division ------------------------------------------------------------
 
     def divmod_by(self, other: "VLaurent") -> tuple["VLaurent", "VLaurent"]:
-        """Long division; Laurent shifts are normalized away first."""
+        """Long division in Z[v]; Laurent shifts are normalized away first.
+
+        The division stops, leaving a nonzero remainder, at the first step
+        whose leading coefficient the divisor's does not divide, so the
+        quotient and remainder stay integral: q * other + r == self.
+        """
         if other.is_zero():
             raise DomainError("division by zero polynomial")
         if self.is_zero():
@@ -235,14 +237,15 @@ class VLaurent:
         den = {e - sb: c for e, c in other.terms.items()}
         dden = max(den)
         lead = den[dden]
-        quot: dict[int, Fraction] = {}
+        quot: dict[int, int] = {}
         rem = dict(num)
         while rem:
             drem = max(rem)
             if drem < dden:
                 break
-            # int / int would give a float; stay exact.
-            f = rem[drem] * lead if lead in (1, -1) else Fraction(rem[drem]) / lead
+            f, inexact = divmod(rem[drem], lead)
+            if inexact:
+                break
             quot[drem - dden] = f
             for e, c in den.items():
                 k = e + drem - dden
@@ -299,20 +302,19 @@ class VLaurent:
     def to_json_obj(self) -> dict:
         return {
             "variable": "v",
-            "terms": [
-                [e, self.terms[e].numerator, self.terms[e].denominator]
-                for e in sorted(self.terms)
-            ],
+            "terms": [[e, c, 1] for e, c in sorted(self.terms.items())],
         }
 
     @staticmethod
     def from_json_obj(obj: Mapping) -> "VLaurent":
-        return VLaurent({e: Fraction(n, d) for e, n, d in obj["terms"]})
+        for e, n, d in obj["terms"]:
+            if d != 1:
+                raise DomainError(f"coefficient {n}/{d} of v^{e} is not an integer")
+        return VLaurent({e: n for e, n, d in obj["terms"]})
 
 
-def _kronecker_mul(a: dict[int, Rat], b: dict[int, Rat]) -> dict[int, int] | None:
-    """Product of two nonempty term dicts by Kronecker substitution, or None
-    when a coefficient is not an int.
+def _kronecker_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two nonempty term dicts by Kronecker substitution.
 
     With g the gcd of all exponent differences, an operand with exponents
     e0 + g*i becomes the integer sum_i c_i * X**i, X = 2**W, and one bigint
@@ -323,8 +325,6 @@ def _kronecker_mul(a: dict[int, Rat], b: dict[int, Rat]) -> dict[int, int] | Non
     subtracts those biases again, and the product gets one bias per slot
     before it is read, so no negative coefficient borrows from its neighbour.
     """
-    if set(map(type, a.values())) | set(map(type, b.values())) != {int}:
-        return None
     ea, eb = min(a), min(b)
     g = math.gcd(*[e - ea for e in a], *[e - eb for e in b]) or 1
     bits = (
@@ -372,25 +372,9 @@ _ONE_TERMS_DEN = VLaurent.one()
 # ---------------------------------------------------------------------------
 
 
-def _primitive_int_poly(p: VLaurent) -> list[int]:
-    """Dense primitive integer coefficient list, shift and content stripped."""
-    lo = p.min_exp()
-    lcm = 1
-    for c in p.terms.values():
-        d = c.denominator
-        lcm = lcm * d // math.gcd(lcm, d)
-    out = [0] * (p.max_exp() - lo + 1)
-    for e, c in p.terms.items():
-        out[e - lo] = int(c * lcm)
-    content = 0
-    for c in out:
-        content = math.gcd(content, c)
-    if content > 1:
-        out = [c // content for c in out]
-    return out
-
-
 def _strip_valuation_and_content(r: list[int]) -> list[int]:
+    """Dense coefficient list with leading and trailing zeros and the
+    integer content removed."""
     lo = 0
     while lo < len(r) and r[lo] == 0:
         lo += 1
@@ -410,10 +394,10 @@ _gcd_cache: dict[tuple, VLaurent] = {}
 
 
 def _poly_gcd(a: VLaurent, b: VLaurent) -> VLaurent:
-    """Monic gcd in Q[v] of two Laurent polynomials (shifts ignored).
+    """Primitive gcd in Z[v], with positive leading coefficient, of two
+    Laurent polynomials (shifts ignored).
 
-    Computed by a primitive pseudo-remainder sequence over the integers;
-    Fraction arithmetic inside a Euclidean loop is ruinously slow.
+    Computed by a primitive pseudo-remainder sequence over the integers.
     """
     if a.is_zero():
         return b
@@ -423,8 +407,12 @@ def _poly_gcd(a: VLaurent, b: VLaurent) -> VLaurent:
     hit = _gcd_cache.get(key)
     if hit is not None:
         return hit
-    x = _primitive_int_poly(a)
-    y = _primitive_int_poly(b)
+    x, y = (
+        _strip_valuation_and_content(
+            [p.terms.get(e, 0) for e in range(p.min_exp(), p.max_exp() + 1)]
+        )
+        for p in (a, b)
+    )
     if len(y) > len(x):
         x, y = y, x
     while y:
@@ -433,8 +421,8 @@ def _poly_gcd(a: VLaurent, b: VLaurent) -> VLaurent:
             break
         r = _pseudo_mod(x, y)
         x, y = y, _strip_valuation_and_content(r)
-    lead = x[-1]
-    result = VLaurent({e: Fraction(c, lead) for e, c in enumerate(x)})
+    sign = 1 if x[-1] > 0 else -1
+    result = VLaurent({e: sign * c for e, c in enumerate(x)})
     if len(_gcd_cache) > 200_000:
         _gcd_cache.clear()
     _gcd_cache[key] = result
@@ -465,9 +453,11 @@ def _pseudo_mod(u: list[int], v: list[int]) -> list[int]:
 
 
 class VFraction:
-    """Exact ratio of two VLaurent polynomials.
+    """Exact ratio of two integer VLaurent polynomials.
 
-    Small fractions are gcd-reduced to a canonical form (this keeps the
+    The denominator always has valuation 0 and a positive leading
+    coefficient, and num and den share no integer content.  Small fractions
+    are also gcd-reduced, which makes that form canonical (it keeps the
     Jones-Wenzl coefficients compact through the recursion); large ones are
     left unreduced because the Euclidean gcd would dominate the runtime.
     Equality always goes through cross-multiplication, so reduction is a
@@ -494,31 +484,22 @@ class VFraction:
             )
             reduce = span <= self._REDUCE_SPAN and not den == VLaurent.one()
         if reduce:
+            # g is primitive, so by Gauss's lemma it divides num and den in Z.
             g = _poly_gcd(num, den)
             if g.terms != {0: 1}:
                 num = num.div_exact(g)
                 den = den.div_exact(g)
-        # Move the denominator's v-shift and scale into the numerator.
+        # Move the denominator's v-shift into the numerator, then divide out
+        # the common integer content and give den a positive lead.
         s = den.min_exp()
         den = den.shift(-s)
         num = num.shift(-s)
-        lead = den.terms[den.max_exp()]
-        # Rescale so den has integer content-1 coefficients, positive lead.
-        denoms = [c.denominator for c in den.terms.values()]
-        lcm = 1
-        for d in denoms:
-            lcm = lcm * d // math.gcd(lcm, d)
-        den = den.scale(lcm)
-        num = num.scale(lcm)
-        g = 0
-        for c in den.terms.values():
-            g = math.gcd(g, abs(c.numerator))
-        if g > 1:
-            den = den.scale(Fraction(1, g))
-            num = num.scale(Fraction(1, g))
+        content = math.gcd(*num.terms.values(), *den.terms.values())
         if den.terms[den.max_exp()] < 0:
-            den = -den
-            num = -num
+            content = -content
+        if content != 1:
+            den = VLaurent({e: c // content for e, c in den.terms.items()})
+            num = VLaurent({e: c // content for e, c in num.terms.items()})
         self.num = num
         self.den = den
 
@@ -577,7 +558,7 @@ class VFraction:
     # -- arithmetic ----------------------------------------------------------
 
     @staticmethod
-    def _coerce(x: "VFraction | VLaurent | int | Fraction") -> "VFraction":
+    def _coerce(x: "VFraction | VLaurent | int") -> "VFraction":
         if isinstance(x, VFraction):
             return x
         if isinstance(x, VLaurent):
@@ -920,7 +901,7 @@ def to_q_series(p: VLaurent, order: int | None = None) -> QSeries:
     e0 = p.min_exp()
     if not p.q_support_ok():
         raise RepresentationError("relative v-exponents not divisible by 4")
-    coeffs_by_q: dict[int, Rat] = {}
+    coeffs_by_q: dict[int, int] = {}
     for e, c in p.terms.items():
         coeffs_by_q[(e - e0) // 4] = c
     top = max(coeffs_by_q)
@@ -953,7 +934,7 @@ def to_x_series(p: VLaurent) -> QSeries:
     if any(e % 2 for e in p.terms):
         raise RepresentationError("v-support is not even; not a series in q^(1/2)")
     e0 = p.min_exp()
-    by_x: dict[int, Rat] = {(e - e0) // 2: c for e, c in p.terms.items()}
+    by_x: dict[int, int] = {(e - e0) // 2: c for e, c in p.terms.items()}
     cs = [by_x.get(j, 0) for j in range(max(by_x) + 1)]
     return QSeries(e0 // 2, cs, exact=True)
 

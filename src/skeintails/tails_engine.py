@@ -52,9 +52,7 @@ def normalize(p: SkeinValue, order: int | None = None) -> QSeries:
             raise DomainError("normalizing a rational function needs an order")
         # Each of num and den must individually be a q-series up to a global
         # power of A; the leftover A-residue is framing and is dropped below.
-        num = to_q_series(p.num)
-        den = to_q_series(p.den)
-        s = series_div(num, den, order=order)
+        s = fraction_to_q_series(p, order)
     elif isinstance(p, QSeries):
         if p.is_zero():
             raise DomainError("cannot normalize zero")

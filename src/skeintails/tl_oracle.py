@@ -310,7 +310,8 @@ class TLElement:
                     if p < m2.pairs[p]
                 ]
                 key = Matching.from_pairs(n, arcs)
-                c = c1 * c2
+                # A unit factor (as in tensor_strand) reuses the coefficient.
+                c = c1 if c2.num.terms == c2.den.terms == {0: 1} else c1 * c2
                 prev = out.get(key)
                 out[key] = c if prev is None else prev + c
         return TLElement(n, out)

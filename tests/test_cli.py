@@ -3,8 +3,10 @@
 import io
 import json
 
+import pytest
+
 from skeintails.cli import MAX_JONES_N, MAX_JONES_SIZE, main
-from skeintails.networks import theta_network
+from skeintails.networks import tet_network, theta_network, torus_knot_network
 from skeintails.qcore import MAX_SERIES_ORDER, poch_inf
 
 
@@ -70,6 +72,12 @@ class TestVerify:
         run(["verify", "builtin:jacobi", "--jobs", "1", "--out", str(r1)])
         run(["verify", "builtin:jacobi", "--jobs", "4", "--out", str(r2)])
         assert r1.read_text() == r2.read_text()
+
+    def test_jobs_below_one_exit2(self, capsys):
+        for jobs in ("0", "-3"):
+            code, out = run(["verify", "builtin:jacobi", "--jobs", jobs])
+            assert code == 2 and out == ""
+            assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
 
     def test_negative_control_names_exponent(self, tmp_path):
         suite = {
@@ -269,7 +277,70 @@ class TestJones:
         assert code == 0 and out.startswith("v^")
 
 
+# Output of `skeintails oracle` frozen before the integer-only VLaurent
+# kernel, so that the canonical (num, den) form stays pinned: the network
+# text, then the text output, then the numerator and denominator terms of
+# the JSON output.
+_ORACLE_GOLDEN = [
+    (  # the two examples of docs/network-format.md
+        "box p color 2\narc p.a0 p.b0\narc p.a1 p.b1\n",
+        "v^4 + 1 + v^-4",
+        "[[-4, 1, 1], [0, 1, 1], [4, 1, 1]]",
+        "[[0, 1, 1]]",
+    ),
+    (
+        "cross x over nesw\narc x.ne x.se\narc x.nw x.sw\n",
+        "v^5 + v",
+        "[[1, 1, 1], [5, 1, 1]]",
+        "[[0, 1, 1]]",
+    ),
+    (
+        theta_network(1, 1, 2).serialize(),
+        "v^4 + 1 + v^-4",
+        "[[-4, 1, 1], [0, 1, 1], [4, 1, 1]]",
+        "[[0, 1, 1]]",
+    ),
+    (
+        theta_network(2, 2, 2).serialize(),
+        "(-v^10 - v^6 - 2*v^2 - v^-2 - v^-6) / (v^4 + 1)",
+        "[[-6, -1, 1], [-2, -1, 1], [2, -2, 1], [6, -1, 1], [10, -1, 1]]",
+        "[[0, 1, 1], [4, 1, 1]]",
+    ),
+    (
+        theta_network(2, 3, 3).serialize(),
+        "(v^16 + v^12 + 2*v^8 + 2*v^4 + 2 + v^-4 + v^-8) / (v^8 + v^4 + 1)",
+        "[[-8, 1, 1], [-4, 1, 1], [0, 2, 1], [4, 2, 1], [8, 2, 1], [12, 1, 1], "
+        "[16, 1, 1]]",
+        "[[0, 1, 1], [4, 1, 1], [8, 1, 1]]",
+    ),
+    (  # the tetrahedron with n = 1 (every edge coloured 2n = 2)
+        tet_network(2).serialize(),
+        "(v^16 + 2*v^8 + 2 + v^-8) / (v^8 + 2*v^4 + 1)",
+        "[[-8, 1, 1], [0, 2, 1], [8, 2, 1], [16, 1, 1]]",
+        "[[0, 1, 1], [4, 2, 1], [8, 1, 1]]",
+    ),
+    (
+        torus_knot_network(3, 2).serialize(),
+        "v^20 + v^16 + v^12 + v^8 + v^4 - v^-8 - v^-12 - v^-16 + v^-24",
+        "[[-24, 1, 1], [-16, -1, 1], [-12, -1, 1], [-8, -1, 1], [4, 1, 1], "
+        "[8, 1, 1], [12, 1, 1], [16, 1, 1], [20, 1, 1]]",
+        "[[0, 1, 1]]",
+    ),
+]
+
+
 class TestOracle:
+    @pytest.mark.parametrize("net, text, num, den", _ORACLE_GOLDEN)
+    def test_golden_output(self, tmp_path, net, text, num, den):
+        path = tmp_path / "golden.net"
+        path.write_text(net)
+        assert run(["oracle", str(path)]) == (0, text + "\n")
+        want = (
+            f'{{"denominator": {{"terms": {den}, "variable": "v"}}, '
+            f'"numerator": {{"terms": {num}, "variable": "v"}}}}\n'
+        )
+        assert run(["oracle", str(path), "--format", "json"]) == (0, want)
+
     def test_theta_file(self, tmp_path):
         path = tmp_path / "theta.net"
         path.write_text(theta_network(2, 2, 2).serialize())

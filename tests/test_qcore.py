@@ -1,7 +1,7 @@
 """Core arithmetic: Laurent polynomials, fractions, q-series, primitives."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -70,14 +70,37 @@ class TestVLaurent:
         # Long division stays exact beyond float precision.
         big = VLaurent({4: 2**60 + 1, 0: 2**60 + 1})
         assert big.div_exact(VLaurent({4: 1, 0: 1})) == VLaurent({0: 2**60 + 1})
-        third = VLaurent({4: 1, 0: Fraction(4, 3), -4: Fraction(1, 3)})
-        assert third.div_exact(VLaurent({4: 1, 0: 1})) == VLaurent(
-            {0: 1, -4: Fraction(1, 3)}
-        )
+        # A non-monic divisor divides in Z when the quotient is integral...
+        two_v_plus_two = VLaurent({1: 2, 0: 2})
+        product = two_v_plus_two * VLaurent({1: 3, 0: -1})
+        assert product.div_exact(two_v_plus_two) == VLaurent({1: 3, 0: -1})
+        # ...and stops with an integral remainder when it is not.
+        q, r = VLaurent({2: 3, 0: 1}).divmod_by(two_v_plus_two)
+        assert q.is_zero() and r == VLaurent({2: 3, 0: 1})
+        q, r = VLaurent({2: 4, 0: 1}).divmod_by(two_v_plus_two)
+        assert q == VLaurent({1: 2, 0: -2}) and r == VLaurent({0: 5})
+        assert q * two_v_plus_two + r == VLaurent({2: 4, 0: 1})
+        with pytest.raises(ConsistencyError):
+            VLaurent({2: 3, 0: 3}).div_exact(two_v_plus_two)
+
+    def test_coefficients_are_integers(self):
+        with pytest.raises(DomainError):
+            VLaurent({0: Fraction(1, 3)})
+        with pytest.raises(DomainError):  # not even an integral Fraction
+            VLaurent({0: Fraction(4, 2)})
+        with pytest.raises(DomainError):
+            VLaurent({0: 1}).scale(Fraction(1, 2))
+        p = VLaurent({2: 5})
+        assert p.coeff(2) == 5 and type(p.coeff(2)) is int
+        assert p.coeff(0) == 0 and type(p.coeff(0)) is int
 
     def test_json_round_trip(self):
-        p = VLaurent({-3: Fraction(1, 2), 5: -2})
-        assert VLaurent.from_json_obj(p.to_json_obj()) == p
+        p = VLaurent({-3: 7, 5: -2})
+        obj = p.to_json_obj()
+        assert obj["terms"] == [[-3, 7, 1], [5, -2, 1]]
+        assert VLaurent.from_json_obj(obj) == p
+        with pytest.raises(DomainError):
+            VLaurent.from_json_obj({"variable": "v", "terms": [[-3, 1, 2]]})
 
 
 class TestVFraction:
@@ -130,6 +153,72 @@ def test_equal_fractions_hash_equal(num, den, factor):
     assert hash(a) == hash(b)
     if a.is_poly():
         assert b == a.num and hash(b) == hash(a.num)
+
+
+def test_canonical_form_has_no_common_integer_content():
+    two = VLaurent({0: 2})
+    v = VLaurent({1: 1})
+    half = VFraction(VLaurent.one(), two)
+    assert (half.num, half.den) == (VLaurent.one(), two)
+    assert not half.is_poly() and half + half == 1
+    f = VFraction(VLaurent({3: 6, 1: 4}), VLaurent({2: -4, 1: -8}))
+    # (6v^3 + 4v) / (-4v^2 - 8v) = -(3v^2 + 2) / (2v + 4)
+    assert (f.num.terms, f.den.terms) == ({2: -3, 0: -2}, {1: 2, 0: 4})
+    assert VFraction(v * two, two) == v and VFraction(v * two, two).is_poly()
+
+
+_wide_laurents = st.dictionaries(
+    st.integers(-30, 30), st.integers(-(10**6), 10**6), max_size=36
+).map(VLaurent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_wide_laurents, b=_wide_laurents, c=_wide_laurents)
+def test_laurent_ring_laws(a, b, c):
+    # Up to 36 terms: the products run on both sides of the Kronecker cutoff.
+    zero, one = VLaurent.zero(), VLaurent.one()
+    assert (a + b) + c == a + (b + c) and a + b == b + a
+    assert (a * b) * c == a * (b * c) and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and (a - a).is_zero()
+    assert a * zero == zero and a * 3 == a + a + a
+
+
+_fractions = st.builds(VFraction, _laurents, _nonzero_laurents)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_fractions, b=_fractions, c=_fractions)
+def test_fraction_field_laws(a, b, c):
+    assert (a + b) + c == a + (b + c) and a + b == b + a
+    assert (a * b) * c == a * (b * c) and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a - a).is_zero() and a * VFraction.one() == a
+    if b:
+        assert (a / b) * b == a
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num=_laurents,
+    den=_nonzero_laurents,
+    factor=_nonzero_laurents,
+    shift=st.integers(-5, 5),
+    unit=st.sampled_from([1, -1, 2, -6]),
+)
+def test_canonical_form_is_unique(num, den, factor, shift, unit):
+    # Equal values reduce to the same (num, den): den has valuation 0, a
+    # positive lead, and no integer content in common with num.
+    a = VFraction(num, den, reduce=True)
+    b = VFraction(
+        (num * factor).shift(shift).scale(unit),
+        (den * factor).shift(shift).scale(unit),
+        reduce=True,
+    )
+    assert (a.num.terms, a.den.terms) == (b.num.terms, b.den.terms)
+    assert a.den.min_exp() == 0 and a.den.terms[a.den.max_exp()] > 0
+    if a:
+        assert gcd(*a.num.terms.values(), *a.den.terms.values()) == 1
 
 
 class TestQuantumPrimitives:
@@ -432,24 +521,18 @@ def _int_laurent(draw, step: int) -> VLaurent:
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    data=st.data(),
-    step=st.sampled_from([1, 2, 3, 4, 5, 7]),
-    fraction=st.booleans(),
-)
-def test_kronecker_product_matches_dict_loop(data, step, fraction):
-    # Up to 45 terms per operand: products on both sides of the cutoff.  The
-    # second operand may use twice the step and an odd shift, so the
-    # exponent gcd runs over both operands.
+@given(data=st.data(), step=st.sampled_from([1, 2, 3, 4, 5, 7]))
+def test_kronecker_product_matches_dict_loop(data, step):
+    # Up to 45 terms per operand: products on both sides of both cutoffs
+    # (KRONECKER_MIN_PAIRS and KRONECKER_MIN_TERMS).  The second operand may
+    # use twice the step and an odd shift, so the exponent gcd runs over
+    # both operands.
     a = data.draw(_int_laurent(step))
     b = data.draw(_int_laurent(data.draw(st.sampled_from([step, 2 * step]))))
     b = b.shift(data.draw(st.sampled_from([0, 1, -3])))
-    if fraction:  # one Fraction coefficient sends the product to the loop
-        e = data.draw(st.sampled_from(sorted(b.terms)))
-        b = VLaurent({**b.terms, e: b.terms[e] + Fraction(1, 2)})
     want = q_dict_mul(a.terms, b.terms)
     assert (a * b).terms == want
-    assert _kronecker_mul(a.terms, b.terms) == (None if fraction else want)
+    assert _kronecker_mul(a.terms, b.terms) == want
 
 
 class TestKronecker:

@@ -51,7 +51,9 @@ class TestNormalize:
             for s in (-3, 0, 11):
                 scaled = p.scale(c) * VLaurent.q_power(s)
                 assert normalize(scaled) == base
-        assert normalize(p.scale(Fraction(3, 7))) != base
+        assert normalize(p.scale(-3)) != base
+        three_sevenths = VFraction(p.scale(3), VLaurent({0: 7}))
+        assert normalize(three_sevenths, order=8) != base.with_order(8)
 
     def test_magnitude_preserved(self):
         got = normalize(VLaurent.from_q_dict({1: -3, 2: 6}))
