@@ -15,7 +15,10 @@ the still-open ports with every term, counts the loops it closes, and
 merges states with the same pairing.  The composition is
 ``tl_oracle.join``, the same gluing step as TL products and closures.
 Crossing states are never enumerated one by one, so the work follows the
-number of distinct pairings at the frontier, not 2**crossings.
+number of distinct pairings at the frontier, not 2**crossings.  Every
+local coefficient is an integer Laurent polynomial (A, A**-1, or a
+projector numerator); the product of the box denominators divides the sum
+once, at the end, so the contraction itself needs no gcd.
 
 Box ports: a box of color n has ports a0..a(n-1) on side A and b0..b(n-1)
 on side B; the projector's identity diagram joins a_j to b_j.  Crossing
@@ -203,11 +206,15 @@ def bracket_closed(
     net.validate()
 
     # Each node is a sum of local terms: (matching on its ports, coefficient).
-    a, a_inv = (VFraction.from_poly(VLaurent.monomial(1, s)) for s in (1, -1))
-    node_terms: dict[str, list[tuple[tuple[int, ...], VFraction]]] = {}
+    # A box contributes its projector's integer numerators, and its
+    # denominator goes into one product taken out of the whole sum.
+    node_terms: dict[str, list[tuple[tuple[int, ...], VLaurent]]] = {}
+    den = VLaurent.one()
     for name, color in net.boxes.items():
         element = jones_wenzl(color, config)
         node_terms[name] = [(m.pairs, c) for m, c in element.terms.items()]
+        den = den * element.den
+    a, a_inv = VLaurent.monomial(1, 1), VLaurent.monomial(1, -1)
     for name, over in net.crossings.items():
         smooth_a, smooth_b = _SMOOTHINGS[over]
         node_terms[name] = [(smooth_a, a), (smooth_b, a_inv)]
@@ -224,8 +231,8 @@ def bracket_closed(
         pairing[pid[e1]] = pid[e2]
         pairing[pid[e2]] = pid[e1]
 
-    loops = VFraction.from_poly(_DELTA) ** net.free_loops
-    return _contract(node_terms, node_ports, pairing, loops)
+    num = _contract(node_terms, node_ports, pairing, _DELTA**net.free_loops)
+    return VFraction(num, den, reduce=True)
 
 
 def _canon(pairing: dict[int, int]) -> tuple:
@@ -233,11 +240,11 @@ def _canon(pairing: dict[int, int]) -> tuple:
 
 
 def _contract(
-    node_terms: dict[str, list[tuple[tuple[int, ...], VFraction]]],
+    node_terms: dict[str, list[tuple[tuple[int, ...], VLaurent]]],
     node_ports: dict[str, list[int]],
     pairing: dict[int, int],
-    initial: VFraction,
-) -> VFraction:
+    initial: VLaurent,
+) -> VLaurent:
     """Expand every node into its local terms, with state aggregation.
 
     A state is a pairing of the ports of the nodes not yet expanded;
@@ -265,8 +272,7 @@ def _contract(
                     left.discard(nb)
                     queue.append(nb)
 
-    delta = VFraction.from_poly(_DELTA)
-    states: dict[tuple, VFraction] = {_canon(pairing): initial}
+    states: dict[tuple, VLaurent] = {_canon(pairing): initial}
     for name in order:
         ports = node_ports[name]
         port_set = set(ports)
@@ -274,7 +280,7 @@ def _contract(
             ({p: ports[j] for p, j in zip(ports, pairs)}, mcoeff)
             for pairs, mcoeff in node_terms[name]
         ]
-        new_states: dict[tuple, VFraction] = {}
+        new_states: dict[tuple, VLaurent] = {}
         for key, coeff in states.items():
             pr = {}
             for p, q in key:
@@ -286,7 +292,7 @@ def _contract(
                 partner, loops = join(pr, mp, ends)
                 c = coeff * mcoeff
                 if loops:
-                    c = c * delta**loops
+                    c = c * _DELTA**loops
                 k = tuple(
                     (ends[i], ends[j]) for i, j in enumerate(partner) if i < j
                 )
@@ -294,7 +300,7 @@ def _contract(
                 new_states[k] = c if s is None else s + c
         states = new_states
     # All nodes expanded: only the empty pairing remains.
-    return states.get((), VFraction.zero())
+    return states.get((), VLaurent())
 
 
 # ---------------------------------------------------------------------------

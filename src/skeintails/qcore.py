@@ -142,6 +142,8 @@ class VLaurent:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "VLaurent") -> "VLaurent":
+        if not isinstance(other, VLaurent):
+            return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e, 0) + c
@@ -164,6 +166,8 @@ class VLaurent:
     def __mul__(self, other: "VLaurent | int") -> "VLaurent":
         if isinstance(other, int):
             return self.scale(other)
+        if not isinstance(other, VLaurent):
+            return NotImplemented
         a, b = self.terms, other.terms
         if (
             len(a) * len(b) >= KRONECKER_MIN_PAIRS
@@ -457,8 +461,7 @@ class VFraction:
 
     The denominator always has valuation 0 and a positive leading
     coefficient, and num and den share no integer content.  Small fractions
-    are also gcd-reduced, which makes that form canonical (it keeps the
-    Jones-Wenzl coefficients compact through the recursion); large ones are
+    are also gcd-reduced, which makes that form canonical; large ones are
     left unreduced because the Euclidean gcd would dominate the runtime.
     Equality always goes through cross-multiplication, so reduction is a
     performance matter, never a correctness one.

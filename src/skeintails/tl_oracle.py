@@ -19,8 +19,17 @@ Jones-Wenzl projectors are built by Wenzl's recursion
     f(n) = f(n-1)x1 - (Delta_{n-2}/Delta_{n-1}) (f(n-1)x1) e_{n-1} (f(n-1)x1)
 
 starting from f(1) = single strand, and memoized (the recursion reuses
-f(n-1) heavily).  Everything here is an exact computation over VFraction
-coefficients and serves as the independent oracle for the closed-form
+f(n-1) heavily).
+
+A ``TLElement`` is fraction-free: one integer Laurent numerator per
+matching over one shared denominator, so products, sums and closures are
+integer polynomial arithmetic with no gcd.  The recursion only ever
+divides by quantum integers, and [n]! f(n) has integer coefficients, so
+f(n) is kept over the denominator [n]!: each step multiplies the
+numerators of f(n-1) x 1 by [n] and divides the correction term exactly
+by the monic [n-1]!.  A ``VFraction`` appears only at the boundary
+(``trace_close``, ``coeff_of`` and the argument of ``scale``).  Everything
+here is exact and serves as the independent oracle for the closed-form
 formulas elsewhere in the package.
 """
 
@@ -30,7 +39,7 @@ import threading
 from dataclasses import dataclass
 
 from .errors import CapacityError, DomainError
-from .qcore import VFraction, VLaurent, delta_n
+from .qcore import VFraction, VLaurent, quantum_int
 
 
 @dataclass(frozen=True)
@@ -215,71 +224,92 @@ def match_mul(a: Matching, b: Matching) -> tuple[Matching, int]:
 _DELTA = VLaurent({2: -1, -2: -1})
 
 
+def _accumulate(out: dict, key, c: VLaurent) -> None:
+    s = out.get(key)
+    out[key] = c if s is None else s + c
+
+
+def _times_loops(buckets: dict) -> dict:
+    """Sum the (key, loops) buckets into keys, each times delta**loops."""
+    out: dict = {}
+    for (key, loops), c in buckets.items():
+        _accumulate(out, key, c * _DELTA**loops if loops else c)
+    return out
+
+
 class TLElement:
-    """A VFraction-linear combination of crossingless matchings."""
+    """An element of TL_n: integer Laurent numerators over one denominator.
 
-    __slots__ = ("n", "terms")
+    The value is (1/den) * sum(terms[m] * m); every numerator and ``den``
+    are ``VLaurent`` polynomials over Z.  Nothing is reduced: products
+    multiply the denominators, and equality compares cross-scaled
+    numerators.
+    """
 
-    def __init__(self, n: int, terms: dict[Matching, VFraction] | None = None):
+    __slots__ = ("n", "terms", "den")
+
+    def __init__(
+        self,
+        n: int,
+        terms: dict[Matching, VLaurent] | None = None,
+        den: VLaurent | None = None,
+    ):
+        clean = {}
+        for m, c in (terms or {}).items():
+            if not isinstance(c, VLaurent):
+                raise DomainError(f"TL numerator {c!r} is not a VLaurent")
+            if c:
+                clean[m] = c
+        if den is not None and den.is_zero():
+            raise DomainError("zero denominator")
         self.n = n
-        self.terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
+        self.terms = clean
+        self.den = VLaurent.one() if den is None else den
 
     @staticmethod
     def identity(n: int) -> "TLElement":
-        return TLElement(n, {Matching.identity(n): VFraction.one()})
+        return TLElement(n, {Matching.identity(n): VLaurent.one()})
 
     @staticmethod
     def generator(n: int, i: int) -> "TLElement":
         """The cup-cap generator e_i (1 <= i <= n-1)."""
         if not (1 <= i <= n - 1):
             raise DomainError(f"e_{i} undefined in TL_{n}")
-        pairs = {}
-        for j in range(n):
-            pairs[j] = n + j
-        pairs[i - 1], pairs[i] = i, i - 1
         arcs = [(i - 1, i), (n + i - 1, n + i)]
         arcs += [(j, n + j) for j in range(n) if j not in (i - 1, i)]
-        return TLElement(n, {Matching.from_pairs(n, arcs): VFraction.one()})
+        return TLElement(n, {Matching.from_pairs(n, arcs): VLaurent.one()})
 
     def __add__(self, other: "TLElement") -> "TLElement":
         if self.n != other.n:
             raise DomainError("strand-count mismatch")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, VFraction.zero()) + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return TLElement(self.n, out)
+        a, b, den = self.terms, other.terms, self.den
+        if den != other.den:
+            a = {m: c * other.den for m, c in a.items()}
+            b = {m: c * den for m, c in b.items()}
+            den = den * other.den
+        out = dict(a)
+        for m, c in b.items():
+            _accumulate(out, m, c)
+        return TLElement(self.n, out, den)
 
     def __sub__(self, other: "TLElement") -> "TLElement":
-        return self + other.scale(VFraction.from_poly(VLaurent({0: -1})))
+        return self + other.scale(-1)
 
     def scale(self, c) -> "TLElement":
+        """Multiply by a scalar (a VFraction, VLaurent or int)."""
         c = VFraction._coerce(c)
-        if c.is_zero():
-            return TLElement(self.n)
-        return TLElement(self.n, {m: k * c for m, k in self.terms.items()})
+        terms = {m: k * c.num for m, k in self.terms.items()}
+        return TLElement(self.n, terms, self.den * c.den)
 
     def __mul__(self, other: "TLElement") -> "TLElement":
         """Algebra product: other stacked on top of self."""
         if self.n != other.n:
             raise DomainError("strand-count mismatch")
-        out: dict[Matching, VFraction] = {}
-        delta = VFraction.from_poly(_DELTA)
+        buckets: dict[tuple[Matching, int], VLaurent] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                m, loops = match_mul(ma, mb)
-                c = ca * cb
-                if loops:
-                    c = c * delta**loops
-                s = out.get(m, VFraction.zero()) + c
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return TLElement(self.n, out)
+                _accumulate(buckets, match_mul(ma, mb), ca * cb)
+        return TLElement(self.n, _times_loops(buckets), self.den * other.den)
 
     def tensor_strand(self) -> "TLElement":
         """Tensor with one identity strand on the right (TL_n -> TL_{n+1})."""
@@ -289,7 +319,7 @@ class TLElement:
         """Side-by-side tensor product (self on the left)."""
         n1, n2 = self.n, other.n
         n = n1 + n2
-        out: dict[Matching, VFraction] = {}
+        out: dict[Matching, VLaurent] = {}
 
         def remap1(p: int) -> int:
             return p if p < n1 else p + n2
@@ -309,12 +339,8 @@ class TLElement:
                     for p in range(2 * n2)
                     if p < m2.pairs[p]
                 ]
-                key = Matching.from_pairs(n, arcs)
-                # A unit factor (as in tensor_strand) reuses the coefficient.
-                c = c1 if c2.num.terms == c2.den.terms == {0: 1} else c1 * c2
-                prev = out.get(key)
-                out[key] = c if prev is None else prev + c
-        return TLElement(n, out)
+                _accumulate(out, Matching.from_pairs(n, arcs), c1 * c2)
+        return TLElement(n, out, self.den * other.den)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -322,9 +348,13 @@ class TLElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TLElement):
             return NotImplemented
-        if self.n != other.n or set(self.terms) != set(other.terms):
+        if self.n != other.n or self.terms.keys() != other.terms.keys():
             return False
-        return all(self.terms[m] == other.terms[m] for m in self.terms)
+        if self.den == other.den:
+            return self.terms == other.terms
+        return all(
+            c * other.den == other.terms[m] * self.den for m, c in self.terms.items()
+        )
 
     def __repr__(self) -> str:
         return f"TLElement(n={self.n}, {len(self.terms)} diagrams)"
@@ -333,7 +363,8 @@ class TLElement:
 
     def trace_close(self) -> VFraction:
         """Close bottom j to top n+j for all j; returns the skein value."""
-        return self.partial_close(self.n).terms.get(Matching(()), VFraction.zero())
+        closed = self.partial_close(self.n)
+        return VFraction(closed.terms.get(Matching(()), VLaurent()), self.den)
 
     def partial_close(self, m_strands: int) -> "TLElement":
         """Close the rightmost m_strands around (bottom j to top n+j).
@@ -349,18 +380,11 @@ class TLElement:
             glue[j], glue[n + j] = n + j, j
         # The surviving points, in order, are the points of TL_keep.
         ends = [*range(keep), *range(n, n + keep)]
-        delta = VFraction.from_poly(_DELTA)
-        out: dict[Matching, VFraction] = {}
+        buckets: dict[tuple[Matching, int], VLaurent] = {}
         for m, c in self.terms.items():
             partner, loops = join(m.pairs, glue, ends)
-            coeff = c * delta**loops if loops else c
-            key = Matching(tuple(partner))
-            s = out.get(key, VFraction.zero()) + coeff
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return TLElement(keep, out)
+            _accumulate(buckets, (Matching(tuple(partner)), loops), c)
+        return TLElement(keep, _times_loops(buckets), self.den)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +396,11 @@ _jw_lock = threading.Lock()
 
 
 def jones_wenzl(n: int, config: OracleConfig = DEFAULT_CONFIG) -> TLElement:
-    """The n-th Jones-Wenzl projector via Wenzl's recursion (memoized)."""
+    """The n-th Jones-Wenzl projector via Wenzl's recursion (memoized).
+
+    Its denominator is [n]!, and its numerators are integer Laurent
+    polynomials.
+    """
     if n < 0:
         raise DomainError("jones_wenzl needs n >= 0")
     if n > config.max_box_color:
@@ -387,14 +415,21 @@ def _jones_wenzl_locked(n: int) -> TLElement:
     if n in _jw_cache:
         return _jw_cache[n]
     if n == 0:
-        el = TLElement(0, {Matching(()): VFraction.one()})
+        el = TLElement(0, {Matching(()): VLaurent.one()})
     elif n == 1:
         el = TLElement.identity(1)
     else:
-        prev = _jones_wenzl_locked(n - 1).tensor_strand()
-        e = TLElement.generator(n, n - 1)
-        ratio = VFraction(delta_n(n - 2), delta_n(n - 1))
-        el = prev - (prev * e * prev).scale(ratio)
+        # p = f(n-1) x 1 = N / [n-1]!, and -Delta_{n-2}/Delta_{n-1} = [n-1]/[n],
+        # so f(n) = p + ([n-1]/[n]) p e p has, over [n]! = [n-1]! [n], the
+        # numerators N [n] + [n-1] (N e N) / [n-1]!.  The division is exact
+        # ([n]! f(n) is integral) and [n-1]! is monic, so it stays in Z.
+        p = _jones_wenzl_locked(n - 1).tensor_strand()
+        pep = p * TLElement.generator(n, n - 1) * p
+        qn, qn1 = quantum_int(n), quantum_int(n - 1)
+        terms = {m: c * qn for m, c in p.terms.items()}
+        for m, c in pep.terms.items():
+            _accumulate(terms, m, (c * qn1).div_exact(p.den))
+        el = TLElement(n, terms, p.den * qn)
     _jw_cache[n] = el
     return el
 
@@ -403,7 +438,7 @@ def coeff_of(e: TLElement, d: Matching) -> VFraction:
     """The coefficient of the diagram d in e (zero if absent)."""
     if e.n != d.n:
         raise DomainError("strand-count mismatch")
-    return e.terms.get(d, VFraction.zero())
+    return VFraction(e.terms.get(d, VLaurent()), e.den)
 
 
 def hook_matching(n: int) -> Matching:

@@ -4,7 +4,10 @@ TL products, strand closures and the network contraction all glue points
 together and follow arcs through them.  These properties check ``join``
 against a union-find reference, and each composition built on it through
 a law it must satisfy: associativity of stacking, closing strands in two
-steps or in one, and Reidemeister II invariance of the bracket.
+steps or in one, and Reidemeister II invariance of the bracket.  The TL
+elements carry integer numerators over a random denominator, so the
+algebra laws (associativity, distributivity, equality up to a common
+factor) also check the cross-multiplied arithmetic.
 """
 
 from hypothesis import given, settings
@@ -18,7 +21,7 @@ from skeintails.networks import (
     theta_network,
     torus_knot_network,
 )
-from skeintails.qcore import VFraction, VLaurent
+from skeintails.qcore import VLaurent
 from skeintails.tl_oracle import (
     Matching,
     TLElement,
@@ -94,19 +97,21 @@ def test_match_mul_is_associative(data):
     assert loops_ab + loops_ab_c == loops_bc + loops_a_bc
 
 
+_small_laurents = st.dictionaries(
+    st.integers(-4, 4), st.integers(-3, 3), min_size=1, max_size=3
+).map(VLaurent)
+_nonzero_small_laurents = _small_laurents.filter(bool)
+
+
 @st.composite
-def _tl_elements(draw):
-    n = draw(st.integers(1, 5))
+def _tl_elements(draw, n=None):
+    """A random TL_n element: up to six diagrams over a random denominator."""
+    n = draw(st.integers(1, 5)) if n is None else n
     diagrams = draw(
         st.lists(st.sampled_from(_MATCHINGS[n]), min_size=1, max_size=6, unique=True)
     )
-    terms = {}
-    for m in diagrams:
-        poly = draw(
-            st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), min_size=1, max_size=3)
-        )
-        terms[m] = VFraction.from_poly(VLaurent(poly))
-    return TLElement(n, terms)
+    terms = {m: draw(_small_laurents) for m in diagrams}
+    return TLElement(n, terms, draw(_nonzero_small_laurents))
 
 
 @settings(max_examples=150, deadline=None)
@@ -118,6 +123,41 @@ def test_closing_in_two_steps_equals_closing_at_once(element, data):
     full = element.partial_close(element.n)
     assert set(full.terms) <= {Matching(())}
     assert element.partial_close(k).trace_close() == element.trace_close()
+
+
+@settings(max_examples=150, deadline=None)
+@given(element=_tl_elements(), factor=_nonzero_small_laurents)
+def test_equality_ignores_a_common_factor(element, factor):
+    terms = {m: c * factor for m, c in element.terms.items()}
+    scaled = TLElement(element.n, terms, element.den * factor)
+    assert scaled == element and element == scaled
+    if not element.is_zero():
+        doubled = {m: c * 2 for m, c in element.terms.items()}
+        assert TLElement(element.n, doubled, element.den) != element
+
+
+@st.composite
+def _tl_triples(draw):
+    n = draw(st.integers(1, 4))
+    return tuple(draw(_tl_elements(n)) for _ in range(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(triple=_tl_triples())
+def test_tl_product_is_associative(triple):
+    a, b, c = triple
+    assert (a * b) * c == a * (b * c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(triple=_tl_triples())
+def test_tl_product_distributes_over_sum(triple):
+    a, b, c = triple
+    # The sum itself, checked against VFraction addition of the traces.
+    assert (b + c).trace_close() == b.trace_close() + c.trace_close()
+    assert a * (b + c) == a * b + a * c
+    assert (b + c) * a == b * a + c * a
+    assert a * (b - c) == a * b - a * c
 
 
 def _with_reidemeister_two(

@@ -1,9 +1,12 @@
 """Closed-network brackets: Kauffman relations, spin networks, text format."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from skeintails.errors import CapacityError, DomainError
 from skeintails.networks import (
+    MAX_FREE_LOOPS,
     ClosedNetwork,
     bracket_closed,
     bubble_lhs_network,
@@ -16,7 +19,7 @@ from skeintails.networks import (
     torus_knot_network,
 )
 from skeintails.qcore import VFraction, VLaurent, delta_n, quantum_int
-from skeintails.tl_oracle import OracleConfig
+from skeintails.tl_oracle import DEFAULT_CONFIG, OracleConfig
 
 DELTA = VFraction.from_poly(VLaurent({2: -1, -2: -1}))
 
@@ -170,6 +173,53 @@ class TestTextFormat:
             net.arcs[0] = (("p", port), ("p", "b0"))
             with pytest.raises(DomainError, match="no port"):
                 net.validate()
+
+
+def _admissible(a: int, b: int, c: int) -> bool:
+    return (a + b + c) % 2 == 0 and a <= b + c and b <= a + c and c <= a + b
+
+
+@st.composite
+def _random_networks(draw):
+    """A theta, tetrahedron or (2, f) torus network with admissible colours
+    within the oracle's capacity, plus random free loops."""
+    small = st.integers(0, 3)
+    kind = draw(st.sampled_from(("theta", "tet", "torus")))
+    if kind == "theta":
+        # (x+y, y+z, z+x) runs over every admissible triple.
+        x, y, z = draw(small), draw(small), draw(small)
+        net = theta_network(x + y, y + z, z + x)
+    elif kind == "tet":
+        # Admissible at V1, then V2, then V3 by construction; V4 is filtered.
+        x, y, z = draw(small), draw(small), draw(small)
+        c = {"e12": x + y, "e13": y + z, "e14": z + x}
+        t, u = draw(st.integers(0, c["e12"])), draw(small)
+        c["e24"], c["e23"] = t + u, c["e12"] - t + u
+        k = draw(st.integers(0, min(c["e23"], c["e13"])))
+        c["e34"] = c["e23"] + c["e13"] - 2 * k
+        assume(_admissible(c["e34"], c["e24"], c["e14"]))
+        net = tet_network(c)
+    else:
+        n = draw(small)
+        f = draw(st.integers(1, DEFAULT_CONFIG.max_crossings // max(n * n, 1)))
+        net = torus_knot_network(f, n, draw(st.sampled_from(("nesw", "nwse"))))
+    assume(max(net.boxes.values(), default=0) <= DEFAULT_CONFIG.max_box_color)
+    assume(sum(net.boxes.values()) <= DEFAULT_CONFIG.max_frontier)
+    net.add_loops(draw(st.integers(0, MAX_FREE_LOOPS)))
+    return net
+
+
+@settings(max_examples=200, deadline=None)
+@given(net=_random_networks())
+def test_parse_inverts_serialize(net):
+    net.validate()
+    text = net.serialize()
+    again = ClosedNetwork.parse(text)
+    assert again.serialize() == text
+    assert again.boxes == net.boxes
+    assert again.crossings == net.crossings
+    assert again.arcs == net.arcs
+    assert again.free_loops == net.free_loops
 
 
 class TestBubbleNetworks:

@@ -124,6 +124,28 @@ class TestVFraction:
         assert (a - a).is_zero()
         assert a**-1 == VFraction.from_poly(quantum_int(2))
 
+    # A VLaurent on the left of a VFraction defers to the VFraction.
+    def test_laurent_times_fraction(self):
+        a = VFraction(VLaurent.one(), quantum_int(2))
+        assert quantum_int(2) * a == VFraction.one()
+        assert VLaurent.one() * VFraction.one() == VFraction.one()
+        assert isinstance(VLaurent.one() * a, VFraction)
+
+    def test_laurent_plus_fraction(self):
+        a = VFraction(VLaurent.one(), quantum_int(2))
+        got = quantum_int(3) + a
+        assert isinstance(got, VFraction)
+        want = quantum_int(3) * quantum_int(2) + VLaurent.one()
+        assert got == VFraction(want, quantum_int(2))
+
+    def test_laurent_minus_fraction(self):
+        a = VFraction(VLaurent.one(), quantum_int(2))
+        got = quantum_int(3) - a
+        assert isinstance(got, VFraction)
+        want = quantum_int(3) * quantum_int(2) - VLaurent.one()
+        assert got == VFraction(want, quantum_int(2))
+        assert (VLaurent.one() - VFraction.one()).is_zero()
+
     def test_equal_values_hash_equal(self):
         q = VLaurent({4: 1})
         one = VLaurent.one()

@@ -22,6 +22,183 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
+# The coefficients of f(4) and f(5), gcd-reduced, as computed by Wenzl's
+# recursion over VFraction coefficients (before the TL layer moved to
+# integer numerators over one denominator).  Keyed by the diagram's
+# parenthesis word; each value is (numerator, denominator) as
+# (v-exponent, coefficient) pairs.
+_JW_GOLDEN = {
+    4: {
+        "(((())))": ([(0, 1)], [(0, 1)]),
+        "((()()))": ([(2, 1), (6, 1), (10, 1)], [(0, 1), (4, 1), (8, 1), (12, 1)]),
+        "((())())": ([(4, 1)], [(0, 1), (8, 1)]),
+        "((()))()": ([(6, 1)], [(0, 1), (4, 1), (8, 1), (12, 1)]),
+        "(()(()))": ([(4, 1)], [(0, 1), (8, 1)]),
+        "(()()())": ([(2, 1), (6, 1)], [(0, 1), (8, 1)]),
+        "(()())()": ([(4, 1)], [(0, 1), (8, 1)]),
+        "(())(())": ([(8, 1)], [(0, 1), (4, 1), (8, 2), (12, 1), (16, 1)]),
+        "(())()()": ([(6, 1), (10, 1)], [(0, 1), (4, 1), (8, 2), (12, 1), (16, 1)]),
+        "()((()))": ([(6, 1)], [(0, 1), (4, 1), (8, 1), (12, 1)]),
+        "()(()())": ([(4, 1)], [(0, 1), (8, 1)]),
+        "()(())()": ([(2, 1), (6, 1), (10, 1)], [(0, 1), (4, 1), (8, 1), (12, 1)]),
+        "()()(())": ([(6, 1), (10, 1)], [(0, 1), (4, 1), (8, 2), (12, 1), (16, 1)]),
+        "()()()()": (
+            [(4, 1), (8, 2), (12, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 1), (16, 1)],
+        ),
+    },
+    5: {
+        "((((()))))": ([(0, 1)], [(0, 1)]),
+        "(((()())))": (
+            [(2, 1), (6, 1), (10, 1), (14, 1)],
+            [(0, 1), (4, 1), (8, 1), (12, 1), (16, 1)],
+        ),
+        "(((())()))": (
+            [(4, 1), (8, 1), (12, 1)],
+            [(0, 1), (4, 1), (8, 1), (12, 1), (16, 1)],
+        ),
+        "(((()))())": ([(6, 1), (10, 1)], [(0, 1), (4, 1), (8, 1), (12, 1), (16, 1)]),
+        "(((())))()": ([(8, 1)], [(0, 1), (4, 1), (8, 1), (12, 1), (16, 1)]),
+        "((()(())))": (
+            [(4, 1), (8, 1), (12, 1)],
+            [(0, 1), (4, 1), (8, 1), (12, 1), (16, 1)],
+        ),
+        "((()()()))": (
+            [(2, 1), (6, 2), (10, 2), (14, 1)],
+            [(0, 1), (4, 1), (8, 1), (12, 1), (16, 1)],
+        ),
+        "((()())())": (
+            [(4, 1), (8, 2), (12, 1)],
+            [(0, 1), (4, 1), (8, 1), (12, 1), (16, 1)],
+        ),
+        "((()()))()": ([(6, 1), (10, 1)], [(0, 1), (4, 1), (8, 1), (12, 1), (16, 1)]),
+        "((())(()))": (
+            [(8, 1), (12, 1), (16, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "((())()())": (
+            [(6, 1), (10, 2), (14, 2), (18, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "((())())()": (
+            [(8, 1), (12, 1), (16, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "((()))(())": (
+            [(12, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "((()))()()": (
+            [(10, 1), (14, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "(()((())))": ([(6, 1), (10, 1)], [(0, 1), (4, 1), (8, 1), (12, 1), (16, 1)]),
+        "(()(()()))": (
+            [(4, 1), (8, 2), (12, 1)],
+            [(0, 1), (4, 1), (8, 1), (12, 1), (16, 1)],
+        ),
+        "(()(())())": (
+            [(2, 1), (6, 2), (10, 2), (14, 1)],
+            [(0, 1), (4, 1), (8, 1), (12, 1), (16, 1)],
+        ),
+        "(()(()))()": (
+            [(4, 1), (8, 1), (12, 1)],
+            [(0, 1), (4, 1), (8, 1), (12, 1), (16, 1)],
+        ),
+        "(()()(()))": (
+            [(6, 1), (10, 2), (14, 2), (18, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "(()()()())": (
+            [(4, 1), (8, 3), (12, 4), (16, 3), (20, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "(()()())()": (
+            [(6, 1), (10, 2), (14, 2), (18, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "(()())(())": (
+            [(10, 1), (14, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "(()())()()": (
+            [(8, 1), (12, 2), (16, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "(())((()))": (
+            [(12, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "(())(()())": (
+            [(10, 1), (14, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "(())(())()": (
+            [(8, 1), (12, 1), (16, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "(())()(())": (
+            [(8, 1), (12, 1), (16, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "(())()()()": (
+            [(6, 1), (10, 2), (14, 2), (18, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "()(((())))": ([(8, 1)], [(0, 1), (4, 1), (8, 1), (12, 1), (16, 1)]),
+        "()((()()))": ([(6, 1), (10, 1)], [(0, 1), (4, 1), (8, 1), (12, 1), (16, 1)]),
+        "()((())())": (
+            [(4, 1), (8, 1), (12, 1)],
+            [(0, 1), (4, 1), (8, 1), (12, 1), (16, 1)],
+        ),
+        "()((()))()": (
+            [(2, 1), (6, 1), (10, 1), (14, 1)],
+            [(0, 1), (4, 1), (8, 1), (12, 1), (16, 1)],
+        ),
+        "()(()(()))": (
+            [(8, 1), (12, 1), (16, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "()(()()())": (
+            [(6, 1), (10, 2), (14, 2), (18, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "()(()())()": (
+            [(4, 1), (8, 1), (12, 3), (16, 1), (20, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "()(())(())": (
+            [(8, 1), (12, 1), (16, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "()(())()()": (
+            [(6, 1), (10, 2), (14, 2), (18, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "()()((()))": (
+            [(10, 1), (14, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "()()(()())": (
+            [(8, 1), (12, 2), (16, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "()()(())()": (
+            [(6, 1), (10, 2), (14, 2), (18, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "()()()(())": (
+            [(6, 1), (10, 2), (14, 2), (18, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+        "()()()()()": (
+            [(4, 1), (8, 3), (12, 4), (16, 3), (20, 1)],
+            [(0, 1), (4, 1), (8, 2), (12, 2), (16, 2), (20, 1), (24, 1)],
+        ),
+    },
+}
+
+
 class TestMatchings:
     def test_counts_are_catalan(self):
         for n in range(11):
@@ -124,6 +301,31 @@ class TestJonesWenzl:
                 f = jones_wenzl(total)
                 assert f * tensor == f
                 assert tensor * f == f
+
+    def test_denominator_is_quantum_factorial(self):
+        for n in range(8):
+            f = jones_wenzl(n)
+            assert f.den == quantum_fact(n)
+            assert len(f.terms) == catalan(n)
+            for c in f.terms.values():
+                assert isinstance(c, VLaurent)
+                assert all(type(k) is int for k in c.terms.values())
+
+    def test_golden_coefficients(self):
+        for n, table in _JW_GOLDEN.items():
+            f = jones_wenzl(n)
+            words = {m.to_parens(): m for m in enumerate_matchings(n)}
+            assert set(words) == set(table)
+            for word, (num, den) in table.items():
+                want = VFraction(VLaurent(dict(num)), VLaurent(dict(den)))
+                assert coeff_of(f, words[word]) == want
+
+    def test_numerators_must_be_laurent(self):
+        ident = Matching.identity(1)
+        with pytest.raises(DomainError):
+            TLElement(1, {ident: VFraction.one()})
+        with pytest.raises(DomainError):
+            TLElement(1, {ident: VLaurent.one()}, VLaurent.zero())
 
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
