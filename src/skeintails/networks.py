@@ -39,7 +39,7 @@ import re
 from collections import deque
 
 from .errors import CapacityError, DomainError
-from .qcore import VFraction, VLaurent
+from .qcore import V_LOOP, VFraction, VLaurent
 from .tl_oracle import DEFAULT_CONFIG, OracleConfig, join, jones_wenzl
 
 _CROSS_PORTS = ("nw", "ne", "se", "sw")
@@ -178,9 +178,6 @@ class ClosedNetwork:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-_DELTA = VLaurent({2: -1, -2: -1})
-
-
 def bracket_closed(
     net: ClosedNetwork, config: OracleConfig = DEFAULT_CONFIG
 ) -> VFraction:
@@ -231,7 +228,7 @@ def bracket_closed(
         pairing[pid[e1]] = pid[e2]
         pairing[pid[e2]] = pid[e1]
 
-    num = _contract(node_terms, node_ports, pairing, _DELTA**net.free_loops)
+    num = _contract(node_terms, node_ports, pairing, V_LOOP**net.free_loops)
     return VFraction(num, den, reduce=True)
 
 
@@ -292,7 +289,7 @@ def _contract(
                 partner, loops = join(pr, mp, ends)
                 c = coeff * mcoeff
                 if loops:
-                    c = c * _DELTA**loops
+                    c = c * V_LOOP**loops
                 k = tuple(
                     (ends[i], ends[j]) for i, j in enumerate(partner) if i < j
                 )

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     ConsistencyError,
@@ -284,24 +284,7 @@ class VLaurent:
         return f"VLaurent({self.format()})"
 
     def format(self, var: str = "v") -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            sign = "-" if c < 0 else "+"
-            c = abs(c)
-            if e == 0:
-                body = str(c)
-            else:
-                pw = var if e == 1 else f"{var}^{e}"
-                body = pw if c == 1 else f"{c}*{pw}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _format_terms(sorted(self.terms.items(), reverse=True), var)
 
     def to_json_obj(self) -> dict:
         return {
@@ -366,8 +349,32 @@ def _max_abs(terms: dict[int, int]) -> int:
     return max(max(terms.values()), -min(terms.values()))
 
 
-V_A = VLaurent.monomial(1, 1)
-V_LOOP = VLaurent({2: -1, -2: -1})  # delta = -A**2 - A**-2
+def _format_terms(
+    terms: Iterable[tuple[int, Rat]], var: str, max_terms: float = math.inf
+) -> str:
+    """Signed ``c*var^e`` terms in the given order, zeros skipped; "+ ..."
+    follows the ``max_terms``-th term shown, and no term at all is "0"."""
+    parts = []
+    for e, c in terms:
+        if c == 0:
+            continue
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            pw = var if e == 1 else f"{var}^{e}"
+            body = pw if mag == 1 else f"{mag}*{pw}"
+        parts.append(("- " if c < 0 else "+ ") + body)
+        if len(parts) >= max_terms:
+            parts.append("+ ...")
+            break
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    return ("-" if text[0] == "-" else "") + text[2:]
+
+
+V_LOOP = VLaurent({2: -1, -2: -1})  # the loop value delta = -A**2 - A**-2
 _ONE_TERMS_DEN = VLaurent.one()
 
 
@@ -791,31 +798,8 @@ class QSeries:
         return f"QSeries({self.format()})"
 
     def format(self, max_terms: int = 12) -> str:
-        parts = []
-        shown = 0
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            e = self.shift + j
-            sign = "-" if c < 0 else "+"
-            c = abs(c)
-            if e == 0:
-                body = str(c)
-            else:
-                pw = "q" if e == 1 else f"q^{e}"
-                body = pw if c == 1 else f"{c}*{pw}"
-            parts.append((sign, body))
-            shown += 1
-            if shown >= max_terms:
-                parts.append(("+", "..."))
-                break
-        if not parts:
-            return "0"
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        terms = ((self.shift + j, c) for j, c in enumerate(self.coeffs))
+        return _format_terms(terms, "q", max_terms)
 
     def to_json_obj(self) -> dict:
         return {
@@ -832,9 +816,8 @@ class QSeries:
 
 def series_mul(a: QSeries, b: QSeries) -> QSeries:
     """Cauchy product; the result order is min of the operand orders."""
-    if a.v_shift or b.v_shift:
-        if a.v_shift and b.v_shift:
-            raise RepresentationError("cannot multiply two fractionally shifted series")
+    if a.v_shift and b.v_shift:
+        raise RepresentationError("cannot multiply two fractionally shifted series")
     n: float = min(a.order_or_inf(), b.order_or_inf())
     if n == float("inf"):
         n = len(a.coeffs) + len(b.coeffs) - 1 if a.coeffs and b.coeffs else 0
@@ -874,8 +857,8 @@ def series_div(a: QSeries, b: QSeries, order: int | None = None) -> QSeries:
     ca = a.coeffs[:n]
     cb = b.coeffs[:n]
     # b0 != 0 by the leading-zero normalization of nonzero series; a unit
-    # keeps the quotient in Z[[q]].
-    b0 = cb[0]
+    # keeps the quotient in Z[[q]].  At n = 0 the quotient is empty.
+    b0 = b.coeffs[0]
     unit = b0 in (1, -1)
     out = []
     for k in range(n):
@@ -1028,19 +1011,34 @@ def poch_inf(c: int, order: int) -> QSeries:
 
 
 def poch_inf_step(c: int, step: int, order: int) -> QSeries:
-    """(q^c; q^step)_infinity truncated: prod_j (1 - q^(c + j*step)).
+    """(q^c; q^step)_infinity truncated: prod_j (1 - q^(c + j*step))."""
+    return mul_poch_inf(QSeries.one(), c, order, step=step)
 
-    Each factor is one in-place O(order) step, so the product is always a
-    product of (1 - q^k) factors, never a closed-form series.
+
+def mul_poch_inf(
+    s: QSeries, c: int, order: int, *, step: int = 1, power: int = 1
+) -> QSeries:
+    """s * (q^c; q^step)_infinity^power to the given order; a negative power
+    divides.
+
+    The order is counted from s.shift, as in a series product: an exact s
+    is zero-padded to ``order`` coefficients, an inexact one keeps
+    min(order, len(s.coeffs)), and ``shift`` and ``v_shift`` are kept.  Each
+    factor (1 - q^k) with k below that length is one in-place O(order) step
+    per unit of power, so a product by a Pochhammer symbol is never a dense
+    series product.
     """
     if c <= 0 or step <= 0:
         raise DivergentProductError("step product needs c >= 1 and step >= 1")
     if order < 0:
         raise DomainError("order must be non-negative")
-    cs = list(QSeries.one(order).coeffs)
-    for k in range(c, order, step):
-        mul_one_minus_qk(cs, k)
-    return QSeries(0, cs)
+    n = order if s.exact else min(order, len(s.coeffs))
+    cs = list(s.coeffs[:n]) + [0] * (n - len(s.coeffs))
+    apply = mul_one_minus_qk if power > 0 else div_one_minus_qk
+    for k in range(c, n, step):
+        for _ in range(abs(power)):
+            apply(cs, k)
+    return QSeries(s.shift, cs, v_shift=s.v_shift)
 
 
 def qbinom(n: int, i: int) -> VLaurent:

@@ -8,10 +8,16 @@ The two-variable series are
     Psi(a, b) = same with the second sum subtracted,
 
 evaluated at monomial arguments a = sign * q^e with e > 0 (denominator of e
-at most 2, so intermediate supports live in half-integer powers of q).  The
-Andrews-Gordon multi-sums share one truncation engine: an index l_j is
-included while l_j (l_j + 1) <= order, which is sound because the term
-degree sum_j i_j (i_j + 1) dominates every l_j (l_j + 1).
+at most 2, so intermediate supports live in half-integer powers of q).
+``theta_f`` and ``false_theta`` are two specializations of them.
+
+The Andrews-Gordon multi-sums (``nested_sum_series``) are summed depth by
+depth over the partial sums i_j, and are never rewritten through the
+theta product side, so the identities they check stay independent.  Every
+product or quotient by a q-Pochhammer symbol, (q^c; q^step)_inf^p or
+1/(q;q)_l, is a sequence of in-place (1 - q^k) steps
+(``qcore.mul_poch_inf``, ``qcore.div_one_minus_qk``), never a dense series
+product.
 
 All series returned here live in Z[[q]]; assert_integer_coefficients makes
 that checkable after any assembly that routes through rational arithmetic.
@@ -27,10 +33,10 @@ from .qcore import (
     QSeries,
     VLaurent,
     div_one_minus_qk,
+    mul_poch_inf,
     poch_inf,
     poch_inf_step,
     qbinom,
-    series_mul,
     to_q_series,
 )
 
@@ -123,53 +129,14 @@ def theta_f(k: int, order: int) -> QSeries:
     """
     if k < 1:
         raise DomainError("theta_f needs k >= 1")
-    if order < 0:
-        raise DomainError("order must be non-negative")
-    cs = [0] * order
-
-    i = 0
-    while True:
-        d = k * (i * i + i) + i * (i - 1) // 2
-        if d >= order and i > 0:
-            break
-        if d < order:
-            cs[d] += (-1) ** i
-        i += 1
-    i = 1
-    while True:
-        d = k * (i * i - i) + i * (i + 1) // 2
-        if d >= order and i > 1:
-            break
-        if d < order:
-            cs[d] += (-1) ** i
-        i += 1
-    return QSeries(0, cs)
+    return theta_general(MonomialArg(-1, Fraction(2 * k)), MonomialArg(-1, Fraction(1)), order)
 
 
 def false_theta(k: int, order: int) -> QSeries:
     """Psi(q^(2k-1), q) = sum_{i>=0} q^(ki^2+(k-1)i) - sum_{i>=1} q^(k(i^2-i)+i)."""
     if k < 1:
         raise DomainError("false_theta needs k >= 1")
-    if order < 0:
-        raise DomainError("order must be non-negative")
-    cs = [0] * order
-    i = 0
-    while True:
-        d = k * i * i + (k - 1) * i
-        if d >= order and i > 0:
-            break
-        if d < order:
-            cs[d] += 1
-        i += 1
-    i = 1
-    while True:
-        d = k * (i * i - i) + i
-        if d >= order and i > 1:
-            break
-        if d < order:
-            cs[d] -= 1
-        i += 1
-    return QSeries(0, cs)
+    return psi_general(MonomialArg(1, Fraction(2 * k - 1)), MonomialArg(1, Fraction(1)), order)
 
 
 # ---------------------------------------------------------------------------
@@ -182,39 +149,37 @@ def nested_sum_series(depth: int, order: int, *, square_last: bool) -> QSeries:
     i_j = l_j + ... + l_depth; denom = prod_j (q;q)_{l_j}, last factor
     squared when requested.  Empty sum (depth 0) is 1.
 
-    Truncation: l_j included while l_j (l_j + 1) <= order; sound because
-    the term degree dominates each l_j (l_j + 1).
+    Summed depth by depth, l_depth first: ``level[i0]`` holds, below
+    q^order, the sum over the indices chosen so far whose partial sum is
+    i0.  For the next index l = 0, 1, ... it is divided in place by one
+    more factor (1 - q^l) (twice on the squared level), so it carries
+    1/(q;q)_l, and added times q^(i(i+1)) into the next level at
+    i = i0 + l.  Terms at or above q^order are dropped, so i(i+1) < order.
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    if depth == 0:
-        return QSeries.one(order)
-    lmax = 0
-    while (lmax + 1) * (lmax + 2) <= order:
-        lmax += 1
+    imax = 0
+    while imax * (imax + 1) < order:
+        imax += 1
+    level = {0: list(QSeries.one(order).coeffs)}
+    for m in range(depth):
+        divisions = 2 if square_last and m == 0 else 1
+        nxt: dict[int, list] = {}
+        for i0, cur in level.items():
+            for i in range(i0, imax):
+                d = i * (i + 1)
+                del cur[order - d:]  # only q^e with e + d < order is kept
+                if i > i0:
+                    for _ in range(divisions):
+                        div_one_minus_qk(cur, i - i0)
+                acc = nxt.setdefault(i, [0] * order)
+                for e, c in enumerate(cur):
+                    acc[e + d] += c
+        level = nxt
     total = [0] * order
-
-    def rec(chosen: int, suffix: int, deg: int, cur: list) -> None:
-        # cur (owned by this call) is prod_{j < chosen} 1/(q;q)_{l_j} to
-        # order - deg, the part that stays below q^order once shifted.
-        if chosen == depth:
-            for j, c in enumerate(cur):
-                total[deg + j] += c
-            return
-        for l in range(lmax + 1):
-            # Dividing by (1 - q^l) turns the factor 1/(q;q)_(l-1) into
-            # 1/(q;q)_l; the factor of l_depth (chosen first) may be squared.
-            if l:
-                div_one_minus_qk(cur, l)
-                if square_last and chosen == 0:
-                    div_one_minus_qk(cur, l)
-            i_val = suffix + l
-            d = deg + i_val * (i_val + 1)
-            if d >= order:
-                break
-            rec(chosen + 1, i_val, d, cur[: order - d])
-
-    rec(0, 0, 0, list(QSeries.one(order).coeffs))
+    for cs in level.values():
+        for e, c in enumerate(cs):
+            total[e] += c
     return QSeries(0, total)
 
 
@@ -227,8 +192,7 @@ def ag_rhs(k: int, order: int) -> QSeries:
     """
     if k < 1:
         raise DomainError("ag_rhs needs k >= 1")
-    body = nested_sum_series(k - 1, order, square_last=False)
-    return series_mul(poch_inf(1, order), body).with_order(order)
+    return mul_poch_inf(nested_sum_series(k - 1, order, square_last=False), 1, order)
 
 
 def false_ag_rhs(k: int, order: int) -> QSeries:
@@ -241,8 +205,7 @@ def false_ag_rhs(k: int, order: int) -> QSeries:
     """
     if k < 2:
         raise DomainError("false_ag_rhs needs k >= 2")
-    body = nested_sum_series(k - 1, order, square_last=True)
-    return series_mul(poch_inf(1, order), body).with_order(order)
+    return mul_poch_inf(nested_sum_series(k - 1, order, square_last=True), 1, order)
 
 
 # ---------------------------------------------------------------------------
@@ -261,23 +224,22 @@ def lambda_series(order: int) -> QSeries:
     if order < 0:
         raise DomainError("order must be non-negative")
     total = QSeries.zero(order)
-    inv = list(QSeries.one(order).coeffs)  # 1 / (q;q)_i, divided in place
+    inv = list(QSeries.one(order).coeffs)  # 1 / (q;q)_i^3, divided in place
     i = 0
     while True:
         d = (i + 3 * i * i) // 2
         if d > order or (order == 0 and i > 0):
             break
         if i:
-            div_one_minus_qk(inv, i)
+            for _ in range(3):
+                div_one_minus_qk(inv, i)
         if d < order:
-            s = QSeries(0, inv)
-            term = series_mul(series_mul(s, s), s).with_order(order)
+            term = QSeries(0, inv)
             if i % 2:
                 term = -term
             total = total + term.q_shifted(d)
         i += 1
-    pp = poch_inf(1, order)
-    return series_mul(series_mul(pp, pp), total).with_order(order)
+    return mul_poch_inf(total, 1, order, power=2)
 
 
 def tail_85(order: int, k_max: int | None = None) -> QSeries:
@@ -315,8 +277,7 @@ def tail_85(order: int, k_max: int | None = None) -> QSeries:
                     div_one_minus_qk(cs, j)
                 total = total + QSeries(term.shift, cs)
         k += 1
-    out = series_mul(series_mul(poch_inf(2, order), poch_inf(1, order)), total)
-    return out.with_order(order)
+    return mul_poch_inf(mul_poch_inf(total, 2, order), 1, order)
 
 
 def assert_integer_coefficients(s: QSeries) -> QSeries:

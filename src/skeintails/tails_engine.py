@@ -25,8 +25,9 @@ from .qcore import (
     VFraction,
     VLaurent,
     fraction_to_q_series,
+    mul_one_minus_qk,
+    mul_poch_inf,
     poch_inf,
-    series_div,
     series_mul,
     to_q_series,
 )
@@ -229,14 +230,15 @@ def stabilization_report(
 def tail_product_1(t1: QSeries, t2: QSeries, order: int) -> QSeries:
     """Tail of the theta-gluing of two graphs: T1 * T2 / (q^2; q)_inf."""
     prod = series_mul(t1.with_order(order), t2.with_order(order))
-    return series_div(prod, poch_inf(2, order), order=order)
+    return mul_poch_inf(prod, 2, order, power=-1)
 
 
 def tail_product_23(t1: QSeries, t2: QSeries, order: int) -> QSeries:
     """Tail of the edge-gluing (connect sum): (1 - q) * T1 * T2."""
-    one_minus_q = QSeries(0, [1, -1], exact=True)
     prod = series_mul(t1.with_order(order), t2.with_order(order))
-    return series_mul(prod, one_minus_q.with_order(order)).with_order(order)
+    cs = list(prod.coeffs)
+    mul_one_minus_qk(cs, 1)
+    return QSeries(prod.shift, cs, v_shift=prod.v_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +266,11 @@ def graph_family_tail(family: str, params: dict, order: int) -> QSeries:
         m = int(params["m"])
         if m < 0:
             raise DomainError("g_m needs m >= 0")
-        out = poch_inf(1, order)
+        out = QSeries.one()
         lam = lambda_series(order)
         for _ in range(m):
             out = series_mul(out, lam)
-        return out.with_order(order)
+        return mul_poch_inf(out, 1, order)
     if family == "g_kl":
         k = int(params["k"])
         l = int(params.get("l", 0))
@@ -286,15 +288,11 @@ def graph_family_tail(family: str, params: dict, order: int) -> QSeries:
         m = int(params["m"])
         if m < 0:
             raise DomainError("inadequate_chain needs m >= 0")
-        out = poch_inf(2, order)
-        pp = poch_inf(1, order)
-        for _ in range(m):
-            out = series_mul(out, pp)
-        return out.with_order(order)
+        return mul_poch_inf(poch_inf(2, order), 1, order, power=m)
     if family == "theta":
         return poch_inf(2, order)
     if family == "tet2n":
-        return series_mul(lambda_series(order), poch_inf(2, order)).with_order(order)
+        return mul_poch_inf(lambda_series(order), 2, order)
     if family == "chain_even":
         return chain_tail("even", int(params["k"]), order)
     if family == "chain_odd":

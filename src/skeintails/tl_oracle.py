@@ -39,7 +39,7 @@ import threading
 from dataclasses import dataclass
 
 from .errors import CapacityError, DomainError
-from .qcore import VFraction, VLaurent, quantum_int
+from .qcore import V_LOOP, VFraction, VLaurent, quantum_int
 
 
 @dataclass(frozen=True)
@@ -221,9 +221,6 @@ def match_mul(a: Matching, b: Matching) -> tuple[Matching, int]:
 # TL elements
 # ---------------------------------------------------------------------------
 
-_DELTA = VLaurent({2: -1, -2: -1})
-
-
 def _accumulate(out: dict, key, c: VLaurent) -> None:
     s = out.get(key)
     out[key] = c if s is None else s + c
@@ -233,7 +230,7 @@ def _times_loops(buckets: dict) -> dict:
     """Sum the (key, loops) buckets into keys, each times delta**loops."""
     out: dict = {}
     for (key, loops), c in buckets.items():
-        _accumulate(out, key, c * _DELTA**loops if loops else c)
+        _accumulate(out, key, c * V_LOOP**loops if loops else c)
     return out
 
 

@@ -218,6 +218,22 @@ class TestVerify:
         code, out = run(["verify", str(path), "--order", "10"])
         assert code == 0 and "order 10" in out
 
+    def test_product_laws_at_order_zero(self, tmp_path):
+        # Every series is empty at order 0; the check must still run through
+        # (it used to end in an IndexError traceback inside series_div).
+        suite = {
+            "suite": "s",
+            "cases": [{"id": "p0", "check": "product_laws", "params": {"order": 0}}],
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(suite))
+        code, out = run(["verify", str(path)])
+        assert code == 0
+        assert out.splitlines() == [
+            "[PASS ] p0: unit laws and the four-triangle wheel hold at order 0",
+            "1/1 cases passed",
+        ]
+
     def test_slow_cases_excluded_by_default(self, tmp_path):
         report = tmp_path / "r.json"
         code, _ = run(["verify", "builtin:products", "--out", str(report)])

@@ -21,7 +21,9 @@ from skeintails.qcore import (
     VLaurent,
     delta_n,
     div_one_minus_qk,
+    fraction_to_q_series,
     mul_one_minus_qk,
+    mul_poch_inf,
     poch_finite,
     poch_inf,
     poch_inf_step,
@@ -348,6 +350,19 @@ class TestPochInf:
 
 
 class TestQSeries:
+    def test_format(self):
+        # VLaurent and QSeries share one term formatter; "+ ..." follows the
+        # max_terms-th term shown, whether or not another term follows.
+        s = QSeries(-1, [-2, 0, 1, Fraction(-1, 3), 5])
+        assert s.format() == "-2*q^-1 + q - 1/3*q^2 + 5*q^3"
+        assert s.format(max_terms=2) == "-2*q^-1 + q + ..."
+        assert s.format(max_terms=4) == "-2*q^-1 + q - 1/3*q^2 + 5*q^3 + ..."
+        assert QSeries(0, [1, -1]).format() == "1 - q"
+        assert QSeries.zero(3).format() == "0"
+        assert VLaurent({0: 3, 1: -1, -4: 1}).format() == "-v + 3 + v^-4"
+        assert VLaurent({2: -1, -2: -1}).format("A") == "-A^2 - A^-2"
+        assert VLaurent.zero().format() == "0"
+
     def test_to_q_series_examples(self):
         s = to_q_series(VLaurent({4: 1, 8: 1}))
         assert s.shift == 1 and list(map(int, s.coeffs)) == [1, 1]
@@ -470,6 +485,18 @@ class TestIntegerKernel:
         with pytest.raises(DomainError):
             div_one_minus_qk([1, 2, 3], 0)
 
+    def test_division_to_order_zero_is_empty(self):
+        # Each of these used to raise IndexError (no SkeinError) in series_div.
+        one_minus_q = QSeries(0, [1, -1], exact=True)
+        for got in (
+            series_div(QSeries.one(5), one_minus_q, order=0),
+            series_div(QSeries(0, []), one_minus_q),
+            fraction_to_q_series(VFraction(VLaurent.one(), VLaurent({0: 1, 4: -1})), 0),
+        ):
+            assert (got.shift, got.coeffs, got.exact, got.v_shift) == (0, (), False, 0)
+        got = series_div(QSeries(3, [2, 1]), QSeries(1, [1, 1], exact=True), order=0)
+        assert (got.shift, got.coeffs, got.exact) == (2, (), False)
+
 
 _int_lists = st.lists(st.integers(-5, 5), min_size=1, max_size=14)
 
@@ -522,6 +549,49 @@ def test_poch_inf_step_matches_dense_product(c, step, order):
         want = series_mul(want, _one_minus_qk(k))
     got = poch_inf_step(c, step, order)
     assert got == want and got.order == order
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cs=st.lists(
+        st.one_of(st.integers(-9, 9), st.fractions(-3, 3, max_denominator=4)),
+        max_size=24,
+    ),
+    shift=st.integers(-6, 6),
+    v_shift=st.integers(0, 3),
+    exact=st.booleans(),
+    c=st.integers(1, 6),
+    step=st.integers(1, 4),
+    power=st.integers(-3, 3),
+    order=st.integers(0, 24),
+)
+def test_mul_poch_inf_matches_dense_factors(
+    cs, shift, v_shift, exact, c, step, power, order
+):
+    # The reference multiplies or divides by each explicit factor (1 - q^k),
+    # k = c, c + step, ... below the order, with the dense kernels.
+    s = QSeries(shift, cs, exact=exact, v_shift=v_shift)
+    want = s
+    for k in range(c, order, step):
+        for _ in range(abs(power)):
+            if power > 0:
+                want = series_mul(want, _one_minus_qk(k))
+            else:
+                want = series_div(want, _one_minus_qk(k), order=order)
+    want = want.with_order(min(order, want.order_or_inf()))
+    got = mul_poch_inf(s, c, order, step=step, power=power)
+    assert got == want and not got.exact
+    assert got.order == (order if exact else min(order, len(s.coeffs)))
+    assert [type(x) for x in got.coeffs] == [type(x) for x in want.coeffs]
+
+
+def test_mul_poch_inf_rejects_bad_arguments():
+    with pytest.raises(DivergentProductError):
+        mul_poch_inf(QSeries.one(), 0, 5)
+    with pytest.raises(DivergentProductError):
+        mul_poch_inf(QSeries.one(), 1, 5, step=0)
+    with pytest.raises(DomainError):
+        mul_poch_inf(QSeries.one(), 1, -1)
 
 
 # -- Kronecker-substitution products -----------------------------------------

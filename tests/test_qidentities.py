@@ -26,6 +26,7 @@ from skeintails.qidentities import (
     theta_f,
     theta_general,
 )
+from skeintails.tails_engine import graph_family_tail, tail_product_1, tail_product_23
 
 
 def mq(sign: int, e) -> MonomialArg:
@@ -101,6 +102,29 @@ class TestSpecializations:
     def test_false_theta_is_specialized_psi(self):
         for k in range(1, 5):
             assert false_theta(k, 30) == psi_general(mq(1, 2 * k - 1), mq(1, 1), 30)
+
+    # The nonzero coefficients of theta_f(k, 30) and false_theta(k, 30),
+    # frozen from the hand-written direct sums that preceded the two-variable
+    # engine.  Now that both functions are theta_general / psi_general, the
+    # two tests above compare each with its own definition; these do not.
+    FROZEN_30 = {
+        ("theta_f", 1): {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1, 15: -1, 22: 1, 26: 1},
+        ("theta_f", 2): {0: 1, 1: -1, 4: -1, 7: 1, 13: 1, 18: -1, 27: -1},
+        ("theta_f", 3): {0: 1, 1: -1, 6: -1, 9: 1, 19: 1, 24: -1},
+        ("theta_f", 4): {0: 1, 1: -1, 8: -1, 11: 1, 25: 1},
+        ("false_theta", 1): {0: 1},
+        ("false_theta", 2): {0: 1, 1: -1, 3: 1, 6: -1, 10: 1, 15: -1, 21: 1, 28: -1},
+        ("false_theta", 3): {0: 1, 1: -1, 5: 1, 8: -1, 16: 1, 21: -1},
+        ("false_theta", 4): {0: 1, 1: -1, 7: 1, 10: -1, 22: 1, 27: -1},
+    }
+
+    @pytest.mark.parametrize("name, k", sorted(FROZEN_30))
+    def test_frozen_coefficients(self, name, k):
+        got = {"theta_f": theta_f, "false_theta": false_theta}[name](k, 30)
+        want = self.FROZEN_30[name, k]
+        assert (got.shift, got.exact) == (0, False)
+        assert got.coeffs == tuple(want.get(j, 0) for j in range(30))
+        assert all(type(c) is int for c in got.coeffs)
 
 
 class TestAndrewsGordon:
@@ -258,6 +282,11 @@ class TestIntegerKernelEdges:
         "false_ag_rhs(2)": lambda n: false_ag_rhs(2, n),
         "tail_85": tail_85,
         "tail_85(k_max=4)": lambda n: tail_85(n, k_max=4),
+        "tail_product_1": lambda n: tail_product_1(theta_f(2, n), poch_inf(2, n), n),
+        "tail_product_23": lambda n: tail_product_23(theta_f(2, n), QSeries.one(n), n),
+        "g_m(2)": lambda n: graph_family_tail("g_m", {"m": 2}, n),
+        "inadequate_chain(2)": lambda n: graph_family_tail("inadequate_chain", {"m": 2}, n),
+        "tet2n": lambda n: graph_family_tail("tet2n", {}, n),
     }
 
     @pytest.mark.parametrize("name", sorted(ORDER_EDGE_CASES))
@@ -274,6 +303,11 @@ class TestIntegerKernelEdges:
         "false_ag_rhs(3)": lambda: false_ag_rhs(3, 60),
         "lambda_series": lambda: lambda_series(40),
         "tail_85": lambda: tail_85(25),
+        "tail_product_1": lambda: tail_product_1(lambda_series(40), theta_f(2, 40), 40),
+        "tail_product_23": lambda: tail_product_23(lambda_series(40), theta_f(2, 40), 40),
+        "g_m(2)": lambda: graph_family_tail("g_m", {"m": 2}, 40),
+        "inadequate_chain(3)": lambda: graph_family_tail("inadequate_chain", {"m": 3}, 60),
+        "tet2n": lambda: graph_family_tail("tet2n", {}, 40),
     }
 
     @pytest.mark.parametrize("name", sorted(INT_CASES))
