@@ -33,9 +33,7 @@ from .qcore import (
     to_q_series,
 )
 from .tl_oracle import (
-    DEFAULT_CONFIG,
     Matching,
-    OracleConfig,
     TLElement,
     coeff_of,
     enumerate_matchings,

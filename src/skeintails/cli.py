@@ -3,14 +3,17 @@
 Subcommands:
 
   series  NAME [--k 2 ...] --order N [--format text|json|csv]
-  verify  SUITE [--order N] [--jobs J] [--slow] [--out PATH]
+  verify  SUITE [--order N] [--jobs J] [--out PATH]
   jones   --f F --n N [--normalized] [--format text|json|csv]
-  oracle  FILE [--format text|json] [--max-crossings C] [--max-box-color B]
+  oracle  FILE [--format text|json]
 
 Exit codes: 0 all passed / value printed, 1 verification failure, 2 usage,
 parse, or capacity error.  Every ``--order``, and every ``order`` in a suite
 file, is capped at MAX_SERIES_ORDER before any series is built, and
-``jones`` caps its inputs at MAX_JONES_N and MAX_JONES_SIZE.  A suite case
+``jones`` caps its inputs at MAX_JONES_N and MAX_JONES_SIZE.  ``oracle``
+refuses a box colour above ``tl_oracle.MAX_BOX_COLOR``, more than
+``networks.MAX_FREE_LOOPS`` free loops, and a network whose contraction
+work would exceed ``networks.MAX_CONTRACTION_WORK``.  A suite case
 with a malformed or missing parameter, or without a ``check``, is reported
 as an ``error`` case (exit 2); the other cases still run.  Output is
 byte-deterministic for fixed inputs: the verify runner evaluates cases one
@@ -32,7 +35,6 @@ from .qcore import MAX_SERIES_ORDER, QSeries
 from .qidentities import SERIES_REGISTRY, named_series
 from .skein_formulas import colored_jones_torus
 from .tails_engine import normalize
-from .tl_oracle import DEFAULT_CONFIG, OracleConfig
 from .verifycases import run_check
 
 _EXIT_PASS = 0
@@ -132,8 +134,6 @@ def _cmd_verify(args, out) -> int:
     except (OSError, KeyError, TypeError, json.JSONDecodeError, DomainError) as exc:
         print(f"error: cannot load suite: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    if not args.slow:
-        cases = [c for c in cases if not c.get("slow")]
     results = [_run_case(c, args.order) for c in cases]
     report = {
         "suite": suite_name,
@@ -188,12 +188,7 @@ def _cmd_oracle(args, out) -> int:
     try:
         with open(args.file) as fh:
             net = ClosedNetwork.parse(fh.read())
-        config = OracleConfig(
-            max_box_color=args.max_box_color,
-            max_crossings=args.max_crossings,
-            max_frontier=DEFAULT_CONFIG.max_frontier,
-        )
-        value = bracket_closed(net, config)
+        value = bracket_closed(net)
     except (OSError, DomainError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
@@ -250,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs", type=int, default=1, help="accepted, >= 1; cases always run serially"
     )
-    p.add_argument("--slow", action="store_true", help="include slow cases")
     p.add_argument("--out", help="write the JSON report here")
 
     p = sub.add_parser("jones", help="colored Jones of the (2,f) torus link")
@@ -260,11 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", "-N", type=int, default=None)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
-    p = sub.add_parser("oracle", help="evaluate a closed network file")
+    p = sub.add_parser(
+        "oracle",
+        help="evaluate a closed network file (exit 2 if over a fixed size limit)",
+    )
     p.add_argument("file")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-crossings", type=int, default=DEFAULT_CONFIG.max_crossings)
-    p.add_argument("--max-box-color", type=int, default=DEFAULT_CONFIG.max_box_color)
 
     return parser
 

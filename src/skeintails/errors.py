@@ -32,7 +32,7 @@ class PrecisionError(SkeinError):
 
 
 class CapacityError(SkeinError):
-    """A brute-force evaluation exceeds the configured size limits."""
+    """An input exceeds a fixed size or work limit of the engine."""
 
 
 class ConsistencyError(SkeinError):

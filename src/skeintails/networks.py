@@ -40,7 +40,7 @@ from collections import deque
 
 from .errors import CapacityError, DomainError
 from .qcore import V_LOOP, VFraction, VLaurent
-from .tl_oracle import DEFAULT_CONFIG, OracleConfig, join, jones_wenzl
+from .tl_oracle import MAX_BOX_COLOR, join, jones_wenzl
 
 _CROSS_PORTS = ("nw", "ne", "se", "sw")
 
@@ -57,6 +57,14 @@ _BOX_PORT = re.compile(r"[ab](0|[1-9][0-9]*)")
 # one more factor of delta in the value, so the value and its printed form
 # grow with k; the networks used here declare at most a few.
 MAX_FREE_LOOPS = 100
+
+# Most contraction work ``bracket_closed`` may do: the sum, over the nodes
+# expanded so far, of (states before the step) x (the node's local terms),
+# the number of joins the steps run.  It is checked before each step, so an
+# oversized network is refused before the step that would exceed it runs.
+# At 100 000 the (4,3) torus (75 516, about 3 s) and theta(6,6,6) run; tet
+# n=3, the (3,4) and (5,3) torus and theta(8,8,8) are refused.
+MAX_CONTRACTION_WORK = 100_000
 
 
 class ClosedNetwork:
@@ -178,27 +186,21 @@ class ClosedNetwork:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def bracket_closed(
-    net: ClosedNetwork, config: OracleConfig = DEFAULT_CONFIG
-) -> VFraction:
-    """Kauffman bracket of a closed network, as an exact rational function."""
+def bracket_closed(net: ClosedNetwork) -> VFraction:
+    """Kauffman bracket of a closed network, as an exact rational function.
+
+    Raises ``CapacityError`` for a box colour above ``MAX_BOX_COLOR``, more
+    than ``MAX_FREE_LOOPS`` free loops, or contraction work above
+    ``MAX_CONTRACTION_WORK``.
+    """
     for name, color in net.boxes.items():
-        if color > config.max_box_color:
+        if color > MAX_BOX_COLOR:
             raise CapacityError(
-                f"box {name} color {color} exceeds limit {config.max_box_color}"
+                f"box {name} color {color} exceeds limit {MAX_BOX_COLOR}"
             )
-    if len(net.crossings) > config.max_crossings:
-        raise CapacityError(
-            f"{len(net.crossings)} crossings exceed limit {config.max_crossings}"
-        )
     if net.free_loops > MAX_FREE_LOOPS:
         raise CapacityError(
             f"{net.free_loops} free loops exceed limit {MAX_FREE_LOOPS}"
-        )
-    points = 2 * sum(net.boxes.values())
-    if points > 2 * config.max_frontier:
-        raise CapacityError(
-            f"{points} total box boundary points exceed limit {2 * config.max_frontier}"
         )
     net.validate()
 
@@ -208,7 +210,7 @@ def bracket_closed(
     node_terms: dict[str, list[tuple[tuple[int, ...], VLaurent]]] = {}
     den = VLaurent.one()
     for name, color in net.boxes.items():
-        element = jones_wenzl(color, config)
+        element = jones_wenzl(color)
         node_terms[name] = [(m.pairs, c) for m, c in element.terms.items()]
         den = den * element.den
     a, a_inv = VLaurent.monomial(1, 1), VLaurent.monomial(1, -1)
@@ -247,7 +249,9 @@ def _contract(
     A state is a pairing of the ports of the nodes not yet expanded;
     expanding a node composes each state with each of the node's matchings,
     counts the loops closed inside it, and merges states that end up with
-    the same pairing.
+    the same pairing.  Raises ``CapacityError`` before a step that would
+    take the work (states x terms, summed over the steps) above
+    ``MAX_CONTRACTION_WORK``.
     """
     # BFS order over the node adjacency keeps intermediate states local.
     adj: dict[str, set[str]] = {name: set() for name in node_ports}
@@ -270,7 +274,14 @@ def _contract(
                     queue.append(nb)
 
     states: dict[tuple, VLaurent] = {_canon(pairing): initial}
-    for name in order:
+    work = 0
+    for step, name in enumerate(order, 1):
+        work += len(states) * len(node_terms[name])
+        if work > MAX_CONTRACTION_WORK:
+            raise CapacityError(
+                f"contraction work {work} (states x terms) exceeds limit "
+                f"{MAX_CONTRACTION_WORK} at node {step} of {len(order)}"
+            )
         ports = node_ports[name]
         port_set = set(ports)
         expansions = [

@@ -36,22 +36,15 @@ formulas elsewhere in the package.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 from .errors import CapacityError, DomainError
 from .qcore import V_LOOP, VFraction, VLaurent, quantum_int
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Size limits for the brute-force engine (Catalan/2^c blowup)."""
-
-    max_box_color: int = 8
-    max_crossings: int = 12
-    max_frontier: int = 24
-
-
-DEFAULT_CONFIG = OracleConfig()
+# Largest projector colour.  f(n) has Catalan(n) diagrams with numerators
+# over [n]!; f(8) (1430 diagrams) builds cold in about 15 s, and each colour
+# beyond costs several times more.
+MAX_BOX_COLOR = 8
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +385,7 @@ _jw_cache: dict[int, TLElement] = {}
 _jw_lock = threading.Lock()
 
 
-def jones_wenzl(n: int, config: OracleConfig = DEFAULT_CONFIG) -> TLElement:
+def jones_wenzl(n: int) -> TLElement:
     """The n-th Jones-Wenzl projector via Wenzl's recursion (memoized).
 
     Its denominator is [n]!, and its numerators are integer Laurent
@@ -400,10 +393,8 @@ def jones_wenzl(n: int, config: OracleConfig = DEFAULT_CONFIG) -> TLElement:
     """
     if n < 0:
         raise DomainError("jones_wenzl needs n >= 0")
-    if n > config.max_box_color:
-        raise CapacityError(
-            f"projector color {n} exceeds configured limit {config.max_box_color}"
-        )
+    if n > MAX_BOX_COLOR:
+        raise CapacityError(f"projector color {n} exceeds limit {MAX_BOX_COLOR}")
     with _jw_lock:
         return _jones_wenzl_locked(n)
 

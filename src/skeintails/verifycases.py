@@ -13,9 +13,11 @@ from typing import Callable
 
 from .errors import SkeinError
 from .qcore import (
+    V_LOOP,
     QSeries,
     VFraction,
     VLaurent,
+    delta_n,
     fraction_to_x_series,
     poch_finite,
     poch_inf,
@@ -141,8 +143,6 @@ def check_morrison(params: dict) -> CheckResult:
 
 def check_jw_laws(params: dict) -> CheckResult:
     n_max = int(params.get("n_max", 6))
-    from .qcore import delta_n
-
     for n in range(1, n_max + 1):
         f = tl_oracle.jones_wenzl(n)
         if not (f * f) == f:
@@ -206,8 +206,6 @@ def check_bubble_oracle(params: dict) -> CheckResult:
 
 
 def check_torus_oracle(params: dict) -> CheckResult:
-    from .qcore import delta_n
-
     f, n = int(params["f"]), int(params["n"])
     bracket = networks.bracket_closed(networks.torus_knot_network(f, n))
     poly = bracket.to_vlaurent().div_exact(delta_n(n))
@@ -237,7 +235,7 @@ def check_tet_oracle(params: dict) -> CheckResult:
 
 
 def check_oracle_basics(params: dict) -> CheckResult:
-    delta = VFraction.from_poly(VLaurent({2: -1, -2: -1}))
+    delta = VFraction.from_poly(V_LOOP)
     if networks.bracket_closed(networks.loop_network()) != delta:
         return False, "a single loop is not delta"
     a3 = VFraction.from_poly(VLaurent.monomial(-1, 3)) * delta
@@ -247,8 +245,6 @@ def check_oracle_basics(params: dict) -> CheckResult:
         or networks.bracket_closed(networks.kinked_loop("nwse")) != am3
     ):
         return False, "kinked loops do not give -A^(+-3) delta"
-    from .qcore import delta_n
-
     for n in range(1, 5):
         if networks.bracket_closed(networks.closed_projector(n)) != VFraction.from_poly(
             delta_n(n)
@@ -402,7 +398,7 @@ def check_tail85(params: dict) -> CheckResult:
     order = int(params.get("order", 30))
     s = qidentities.tail_85(order)
     qidentities.assert_integer_coefficients(s)
-    if s.shift != 0 or s.coeffs[0] != 1:
+    if s.shift != 0 or s.coeff(0) != 1:
         return False, "8_5 tail does not start with 1 at q^0"
     if s != qidentities.tail_85(order, k_max=12):
         return False, "8_5 tail not stable under a larger summation bound"

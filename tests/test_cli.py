@@ -234,12 +234,32 @@ class TestVerify:
             "1/1 cases passed",
         ]
 
-    def test_slow_cases_excluded_by_default(self, tmp_path):
-        report = tmp_path / "r.json"
-        code, _ = run(["verify", "builtin:products", "--out", str(report)])
+    def test_slow_key_is_ignored(self, tmp_path):
+        # A "slow" key selects nothing: the case runs, like one with "kind".
+        suite = {
+            "suite": "s",
+            "cases": [{"id": "t", "check": "tet_oracle", "params": {"n": 1},
+                       "slow": True}],
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(suite))
+        code, out = run(["verify", str(path)])
         assert code == 0
-        obj = json.loads(report.read_text())
-        assert all(c["status"] == "pass" for c in obj["cases"])
+        assert out.splitlines() == [
+            "[PASS ] t: tet_2n(1) matches the tetrahedron bracket",
+            "1/1 cases passed",
+        ]
+
+    def test_tail85_at_order_zero_is_error_case(self):
+        # The order-0 series has no q^0 coefficient to compare; the case is
+        # reported as an error and the other case still runs.
+        code, out = run(["verify", "builtin:products", "--order", "0"])
+        assert code == 2
+        assert out.splitlines() == [
+            "[PASS ] product-laws: unit laws and the four-triangle wheel hold at order 0",
+            "[ERROR] tail-85: PrecisionError: coefficient of q^0 not computed",
+            "1/2 cases passed",
+        ]
 
 
 class TestJones:
@@ -387,13 +407,15 @@ class TestOracle:
         assert code == 2 and out == ""
         assert "3000 free loops exceed limit 100" in err
 
-    def test_capacity_exit2(self, tmp_path):
-        from skeintails.networks import torus_knot_network
-
+    def test_capacity_exit2(self, tmp_path, capsys):
         path = tmp_path / "big.net"
-        path.write_text(torus_knot_network(5, 1).serialize())
-        code, _ = run(["oracle", str(path), "--max-crossings", "3"])
-        assert code == 2
+        path.write_text(tet_network(6).serialize())  # tet n=3
+        code, out = run(["oracle", str(path)])
+        assert code == 2 and out == ""
+        assert (
+            "error: contraction work 554532 (states x terms) exceeds limit 100000"
+            in capsys.readouterr().err
+        )
 
     def test_parse_error_exit2(self, tmp_path):
         path = tmp_path / "bad.net"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from skeintails import networks
 from skeintails.errors import CapacityError, DomainError
 from skeintails.networks import (
     MAX_FREE_LOOPS,
@@ -19,7 +20,9 @@ from skeintails.networks import (
     torus_knot_network,
 )
 from skeintails.qcore import VFraction, VLaurent, delta_n, quantum_int
-from skeintails.tl_oracle import DEFAULT_CONFIG, OracleConfig
+from skeintails.skein_formulas import colored_jones_torus
+from skeintails.tails_engine import normalize
+from skeintails.tl_oracle import MAX_BOX_COLOR
 
 DELTA = VFraction.from_poly(VLaurent({2: -1, -2: -1}))
 
@@ -87,18 +90,57 @@ class TestSpinNetworks:
 
 
 class TestCapacity:
-    def test_crossing_limit(self):
-        net = torus_knot_network(5, 1)
-        with pytest.raises(CapacityError):
-            bracket_closed(net, OracleConfig(max_crossings=4))
+    @pytest.mark.parametrize(
+        "net, work, step",
+        [
+            (tet_network(6), 554_532, 3),  # tet n=3
+            (torus_knot_network(5, 3), 113_310, 30),
+        ],
+        ids=["tet-n3", "torus-5-3"],
+    )
+    def test_work_limit(self, net, work, step):
+        nodes = len(net.boxes) + len(net.crossings)
+        with pytest.raises(
+            CapacityError,
+            match=rf"^contraction work {work} \(states x terms\) exceeds limit "
+            rf"100000 at node {step} of {nodes}$",
+        ):
+            bracket_closed(net)
+
+    @pytest.mark.parametrize("f, n", [(3, 3), (6, 2), (20, 2)])
+    def test_under_work_limit_evaluates(self, f, n):
+        # 27 and 80 crossings: the work bound, not the crossing count,
+        # decides what runs.
+        got = bracket_closed(torus_knot_network(f, n)).to_vlaurent()
+        got = normalize(got.div_exact(delta_n(n)))
+        assert got == normalize(colored_jones_torus(f, n))
+
+    def test_work_limit_is_checked_before_the_step(self, monkeypatch):
+        # torus (3,3) needs exactly 6180 joins, 4 of them in the last step.
+        # One less refuses it before that step runs; at 6180 it evaluates.
+        net = torus_knot_network(3, 3)
+        want = bracket_closed(net)
+        steps = []
+        real_join = networks.join
+
+        def counting_join(*args):
+            steps.append(1)
+            return real_join(*args)
+
+        monkeypatch.setattr(networks, "join", counting_join)
+        monkeypatch.setattr(networks, "MAX_CONTRACTION_WORK", 6179)
+        with pytest.raises(CapacityError, match=r"work 6180 .* limit 6179 at node 29 of 29"):
+            bracket_closed(net)
+        refused = len(steps)
+        monkeypatch.setattr(networks, "MAX_CONTRACTION_WORK", 6180)
+        steps.clear()
+        assert bracket_closed(net) == want
+        assert (refused, len(steps)) == (6176, 6180)
 
     def test_box_color_limit(self):
-        with pytest.raises(CapacityError):
-            bracket_closed(closed_projector(4), OracleConfig(max_box_color=3))
-
-    def test_frontier_limit(self):
-        with pytest.raises(CapacityError):
-            bracket_closed(theta_network(4, 4, 4), OracleConfig(max_frontier=5))
+        assert MAX_BOX_COLOR == 8
+        with pytest.raises(CapacityError, match=r"color 9 exceeds limit 8"):
+            bracket_closed(closed_projector(9))
 
     def test_oversized_box_rejected_before_validation(self):
         # The box has no arcs, so validation would fail too; the size
@@ -201,10 +243,10 @@ def _random_networks(draw):
         net = tet_network(c)
     else:
         n = draw(small)
-        f = draw(st.integers(1, DEFAULT_CONFIG.max_crossings // max(n * n, 1)))
+        f = draw(st.integers(1, 12 // max(n * n, 1)))
         net = torus_knot_network(f, n, draw(st.sampled_from(("nesw", "nwse"))))
-    assume(max(net.boxes.values(), default=0) <= DEFAULT_CONFIG.max_box_color)
-    assume(sum(net.boxes.values()) <= DEFAULT_CONFIG.max_frontier)
+    assume(max(net.boxes.values(), default=0) <= 8)
+    assume(sum(net.boxes.values()) <= 24)
     net.add_loops(draw(st.integers(0, MAX_FREE_LOOPS)))
     return net
 

@@ -98,7 +98,6 @@ class TestThetaTet:
     def test_tet_against_oracle_n1(self):
         assert tet_2n(1) == bracket_closed(tet_network(2))
 
-    @pytest.mark.slow
     def test_tet_against_oracle_n2(self):
         assert tet_2n(2) == bracket_closed(tet_network(4))
 

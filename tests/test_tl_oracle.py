@@ -8,7 +8,6 @@ from skeintails.errors import CapacityError, DomainError
 from skeintails.qcore import VFraction, VLaurent, delta_n, quantum_fact, quantum_int
 from skeintails.tl_oracle import (
     Matching,
-    OracleConfig,
     TLElement,
     coeff_of,
     enumerate_matchings,
@@ -328,8 +327,9 @@ class TestJonesWenzl:
             TLElement(1, {ident: VLaurent.one()}, VLaurent.zero())
 
     def test_capacity_limit(self):
-        with pytest.raises(CapacityError):
-            jones_wenzl(4, OracleConfig(max_box_color=3))
+        # Refused before anything is built.
+        with pytest.raises(CapacityError, match=r"^projector color 9 exceeds limit 8$"):
+            jones_wenzl(9)
         with pytest.raises(DomainError):
             jones_wenzl(-1)
 
