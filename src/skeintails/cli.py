@@ -63,7 +63,7 @@ def _series_text(s: QSeries) -> str:
 def _series_csv(s: QSeries) -> str:
     lines = ["exponent,numerator,denominator"]
     for j, c in enumerate(s.coeffs):
-        lines.append(f"{s.shift + j},{c.numerator},{c.denominator}")
+        lines.append(f"{s.shift + j},{c},1")
     return "\n".join(lines)
 
 
@@ -222,7 +222,10 @@ def _parse_unknown_int_flags(unknown: list[str]) -> dict[str, int]:
             if i >= len(unknown):
                 raise DomainError(f"flag --{key} needs a value")
             val = unknown[i]
-        params[key.replace("-", "_")] = int(val)
+        try:
+            params[key.replace("-", "_")] = int(val)
+        except ValueError:
+            raise DomainError(f"flag --{key} needs an integer, got {val!r}") from None
         i += 1
     return params
 

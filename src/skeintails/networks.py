@@ -231,7 +231,7 @@ def bracket_closed(net: ClosedNetwork) -> VFraction:
         pairing[pid[e2]] = pid[e1]
 
     num = _contract(node_terms, node_ports, pairing, V_LOOP**net.free_loops)
-    return VFraction(num, den, reduce=True)
+    return VFraction(num, den).reduced()
 
 
 def _canon(pairing: dict[int, int]) -> tuple:

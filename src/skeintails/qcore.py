@@ -8,10 +8,10 @@ Everything downstream computes in the single variable v with
 so that quantities like q**(1/2) (v**2) or q**((n*n - n)/4) (v**(n*n - n))
 always have integer v-exponents and no fractional powers ever appear.
 Coefficients are exact integers: a Laurent polynomial lives in
-Z[v, v**-1], and a rational function is a pair of such polynomials.  A
-q-series has ``int`` coefficients in Z[[q]]; it holds a ``Fraction`` only
-after ``series_div`` by a series whose constant term is not +-1.  There is
-no floating point anywhere in this package.
+Z[v, v**-1], a rational function is a pair of such polynomials, and a
+q-series lives in Z[[q]]: a non-integer coefficient raises, and
+``series_div`` divides only by a series whose constant term is +-1.  There
+is no floating point anywhere in this package.
 
 Three value types live here:
 
@@ -29,9 +29,8 @@ quantum factorials, q-Pochhammer symbols, q-binomials) are built on top.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     ConsistencyError,
@@ -40,8 +39,6 @@ from .errors import (
     PrecisionError,
     RepresentationError,
 )
-
-Rat = Union[int, Fraction]
 
 # Largest truncation order a series may be asked for.  A series of order N
 # allocates N coefficients up front, and (q;q)_inf to order 5000 takes about
@@ -350,7 +347,7 @@ def _max_abs(terms: dict[int, int]) -> int:
 
 
 def _format_terms(
-    terms: Iterable[tuple[int, Rat]], var: str, max_terms: float = math.inf
+    terms: Iterable[tuple[int, int]], var: str, max_terms: float = math.inf
 ) -> str:
     """Signed ``c*var^e`` terms in the given order, zeros skipped; "+ ..."
     follows the ``max_terms``-th term shown, and no term at all is "0"."""
@@ -401,9 +398,6 @@ def _strip_valuation_and_content(r: list[int]) -> list[int]:
     return r
 
 
-_gcd_cache: dict[tuple, VLaurent] = {}
-
-
 def _poly_gcd(a: VLaurent, b: VLaurent) -> VLaurent:
     """Primitive gcd in Z[v], with positive leading coefficient, of two
     Laurent polynomials (shifts ignored).
@@ -414,10 +408,6 @@ def _poly_gcd(a: VLaurent, b: VLaurent) -> VLaurent:
         return b
     if b.is_zero():
         return a
-    key = (frozenset(a.terms.items()), frozenset(b.terms.items()))
-    hit = _gcd_cache.get(key)
-    if hit is not None:
-        return hit
     x, y = (
         _strip_valuation_and_content(
             [p.terms.get(e, 0) for e in range(p.min_exp(), p.max_exp() + 1)]
@@ -433,11 +423,7 @@ def _poly_gcd(a: VLaurent, b: VLaurent) -> VLaurent:
         r = _pseudo_mod(x, y)
         x, y = y, _strip_valuation_and_content(r)
     sign = 1 if x[-1] > 0 else -1
-    result = VLaurent({e: sign * c for e, c in enumerate(x)})
-    if len(_gcd_cache) > 200_000:
-        _gcd_cache.clear()
-    _gcd_cache[key] = result
-    return result
+    return VLaurent({e: sign * c for e, c in enumerate(x)})
 
 
 def _pseudo_mod(u: list[int], v: list[int]) -> list[int]:
@@ -467,20 +453,17 @@ class VFraction:
     """Exact ratio of two integer VLaurent polynomials.
 
     The denominator always has valuation 0 and a positive leading
-    coefficient, and num and den share no integer content.  Small fractions
-    are also gcd-reduced, which makes that form canonical; large ones are
-    left unreduced because the Euclidean gcd would dominate the runtime.
-    Equality always goes through cross-multiplication, so reduction is a
-    performance matter, never a correctness one.
+    coefficient, and num and den share no integer content.  No polynomial
+    gcd is taken when a value is built, because the Euclidean gcd would
+    dominate the runtime, so equal values may be stored differently.
+    Equality goes through cross-multiplication; ``reduced()`` gives the
+    canonical gcd-reduced form, which hashing and the oracle's printed value
+    use.
     """
 
     __slots__ = ("num", "den")
 
-    _REDUCE_SPAN = 400  # max v-exponent span for automatic gcd reduction
-
-    def __init__(
-        self, num: VLaurent, den: VLaurent | None = None, *, reduce: bool | None = None
-    ):
+    def __init__(self, num: VLaurent, den: VLaurent | None = None):
         den = VLaurent.one() if den is None else den
         if den.is_zero():
             raise DomainError("zero denominator")
@@ -488,17 +471,6 @@ class VFraction:
             self.num = VLaurent()
             self.den = VLaurent.one()
             return
-        if reduce is None:
-            span = max(
-                num.max_exp() - num.min_exp(), den.max_exp() - den.min_exp()
-            )
-            reduce = span <= self._REDUCE_SPAN and not den == VLaurent.one()
-        if reduce:
-            # g is primitive, so by Gauss's lemma it divides num and den in Z.
-            g = _poly_gcd(num, den)
-            if g.terms != {0: 1}:
-                num = num.div_exact(g)
-                den = den.div_exact(g)
         # Move the denominator's v-shift into the numerator, then divide out
         # the common integer content and give den a positive lead.
         s = den.min_exp()
@@ -512,6 +484,15 @@ class VFraction:
             num = VLaurent({e: c // content for e, c in num.terms.items()})
         self.num = num
         self.den = den
+
+    def reduced(self) -> "VFraction":
+        """The canonical form: num and den divided by their gcd, so that
+        equal values give equal (num, den)."""
+        # g is primitive, so by Gauss's lemma it divides num and den in Z.
+        g = _poly_gcd(self.num, self.den)
+        if g.terms == {0: 1}:
+            return self
+        return VFraction(self.num.div_exact(g), self.den.div_exact(g))
 
     # -- constructors --------------------------------------------------------
 
@@ -536,6 +517,8 @@ class VFraction:
         return self.num.is_zero()
 
     def is_poly(self) -> bool:
+        """True when the stored denominator is 1; ``reduced().is_poly()``
+        tells whether the value is a Laurent polynomial."""
         return self.den == VLaurent.one()
 
     def to_vlaurent(self) -> VLaurent:
@@ -559,10 +542,9 @@ class VFraction:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self) -> int:
-        # Hash the gcd-reduced canonical form, so that equal values (which
-        # may be stored unreduced) hash equal, and a polynomial hashes like
-        # its VLaurent.
-        r = VFraction(self.num, self.den, reduce=True)
+        # Hash the canonical form, so that equal values (which may be stored
+        # differently) hash equal, and a polynomial hashes like its VLaurent.
+        r = self.reduced()
         return hash(r.num) if r.is_poly() else hash((r.num, r.den))
 
     # -- arithmetic ----------------------------------------------------------
@@ -609,7 +591,7 @@ class VFraction:
     def __pow__(self, n: int) -> "VFraction":
         if n < 0:
             return VFraction(self.den, self.num) ** (-n)
-        return VFraction(self.num**n, self.den**n, reduce=False)
+        return VFraction(self.num**n, self.den**n)
 
     def __repr__(self) -> str:
         if self.is_poly():
@@ -623,11 +605,10 @@ class VFraction:
 
 
 class QSeries:
-    """Truncated formal power series in q with exact coefficients.
+    """Truncated formal power series in q over Z.
 
-    Coefficients are ``int`` (the series lives in Z[[q]]); a ``Fraction`` is
-    stored only where a value is genuinely rational, which happens only after
-    division by a series whose constant term is not +-1.
+    Coefficients are ``int``: tails and q-identities live in Z[[q]], and
+    any other coefficient raises DomainError, as in VLaurent.
 
     ``coeffs[j]`` is the coefficient of q**(shift + j).  ``order`` is the
     number of retained coefficients.  A series built from an exact Laurent
@@ -644,18 +625,15 @@ class QSeries:
     def __init__(
         self,
         shift: int,
-        coeffs: Sequence[Rat],
+        coeffs: Sequence[int],
         *,
         exact: bool = False,
         v_shift: int = 0,
     ):
-        cs = []
-        for c in coeffs:
+        cs = list(coeffs)
+        for c in cs:
             if not isinstance(c, int):
-                c = Fraction(c)
-                if c.denominator == 1:
-                    c = c.numerator
-            cs.append(c)
+                raise DomainError(f"series coefficient {c!r} is not an integer")
         # Leading zeros carry no information: absorb them into the shift.
         k = 0
         while k < len(cs) and cs[k] == 0:
@@ -699,7 +677,7 @@ class QSeries:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def coeff(self, q_exp: int) -> Rat:
+    def coeff(self, q_exp: int) -> int:
         """Coefficient of q**q_exp; raises PrecisionError beyond the order."""
         j = q_exp - self.shift
         if j < 0:
@@ -775,14 +753,16 @@ class QSeries:
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
 
-    def __mul__(self, other: "QSeries | int | Fraction") -> "QSeries":
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: "QSeries | int") -> "QSeries":
+        if isinstance(other, int):
             return QSeries(
                 self.shift,
                 [c * other for c in self.coeffs],
                 exact=self.exact,
                 v_shift=self.v_shift,
             )
+        if not isinstance(other, QSeries):
+            return NotImplemented
         return series_mul(self, other)
 
     __rmul__ = __mul__
@@ -806,12 +786,15 @@ class QSeries:
             "variable": "q",
             "shift": self.shift,
             "order": self.order,
-            "coefficients": [[c.numerator, c.denominator] for c in self.coeffs],
+            "coefficients": [[c, 1] for c in self.coeffs],
         }
 
     @staticmethod
     def from_json_obj(obj: Mapping) -> "QSeries":
-        return QSeries(obj["shift"], [Fraction(n, d) for n, d in obj["coefficients"]])
+        for n, d in obj["coefficients"]:
+            if d != 1:
+                raise DomainError(f"series coefficient {n}/{d} is not an integer")
+        return QSeries(obj["shift"], [n for n, d in obj["coefficients"]])
 
 
 def series_mul(a: QSeries, b: QSeries) -> QSeries:
@@ -842,11 +825,16 @@ def series_mul(a: QSeries, b: QSeries) -> QSeries:
 def series_div(a: QSeries, b: QSeries, order: int | None = None) -> QSeries:
     """Long division a / b, exact to the common order.
 
-    ``b`` must be nonzero.  When both operands are exact polynomials the
-    quotient is an infinite series, so an explicit ``order`` is required.
+    ``b`` must start with coefficient +-1, which keeps the quotient in
+    Z[[q]].  When both operands are exact polynomials the quotient is an
+    infinite series, so an explicit ``order`` is required.
     """
     if b.is_zero():
         raise DomainError("division by zero series")
+    # b0 != 0 by the leading-zero normalization of nonzero series.
+    b0 = b.coeffs[0]
+    if b0 not in (1, -1):
+        raise DomainError(f"series divisor starts with {b0}, not +-1")
     n: float = min(a.order_or_inf(), b.order_or_inf())
     if order is not None:
         n = min(n, order)
@@ -856,17 +844,13 @@ def series_div(a: QSeries, b: QSeries, order: int | None = None) -> QSeries:
     # An exact operand may be shorter than n: its missing coefficients are 0.
     ca = a.coeffs[:n]
     cb = b.coeffs[:n]
-    # b0 != 0 by the leading-zero normalization of nonzero series; a unit
-    # keeps the quotient in Z[[q]].  At n = 0 the quotient is empty.
-    b0 = b.coeffs[0]
-    unit = b0 in (1, -1)
-    out = []
+    out = []  # empty at n = 0
     for k in range(n):
         acc = ca[k] if k < len(ca) else 0
         for j in range(1, min(k, len(cb) - 1) + 1):
             if cb[j]:
                 acc -= cb[j] * out[k - j]
-        out.append(acc * b0 if unit else Fraction(acc) / b0)
+        out.append(acc * b0)
     return QSeries(
         a.shift - b.shift,
         out,

@@ -17,10 +17,7 @@ theta product side, so the identities they check stay independent.  Every
 product or quotient by a q-Pochhammer symbol, (q^c; q^step)_inf^p or
 1/(q;q)_l, is a sequence of in-place (1 - q^k) steps
 (``qcore.mul_poch_inf``, ``qcore.div_one_minus_qk``), never a dense series
-product.
-
-All series returned here live in Z[[q]]; assert_integer_coefficients makes
-that checkable after any assembly that routes through rational arithmetic.
+product.  Every series returned here lives in Z[[q]], as every QSeries does.
 """
 
 from __future__ import annotations
@@ -280,14 +277,6 @@ def tail_85(order: int, k_max: int | None = None) -> QSeries:
     return mul_poch_inf(mul_poch_inf(total, 2, order), 1, order)
 
 
-def assert_integer_coefficients(s: QSeries) -> QSeries:
-    """Assert that every coefficient is an integer (tails live in Z[[q]])."""
-    for c in s.coeffs:
-        if c.denominator != 1:
-            raise RepresentationError(f"non-integer coefficient {c}")
-    return s
-
-
 # ---------------------------------------------------------------------------
 # Named-series registry (used by the CLI's series/verify commands)
 # ---------------------------------------------------------------------------
@@ -301,10 +290,17 @@ def _arg(params: dict, key: str, default=None) -> int:
     raise DomainError(f"missing parameter {key!r}")
 
 
+def _registry_arg(params: dict, x: str) -> MonomialArg:
+    """theta_general's argument x ("a" or "b"): x_sign * q**(x_num / x_den)."""
+    sign, num = _arg(params, f"{x}_sign"), _arg(params, f"{x}_num")
+    den = _arg(params, f"{x}_den", 1)
+    if den == 0:
+        raise DomainError(f"{x}_den must be nonzero")
+    return MonomialArg(sign, Fraction(num, den))
+
+
 def _registry_theta_general(params: dict, order: int) -> QSeries:
-    a = MonomialArg(_arg(params, "a_sign"), Fraction(_arg(params, "a_num"), _arg(params, "a_den", 1)))
-    b = MonomialArg(_arg(params, "b_sign"), Fraction(_arg(params, "b_num"), _arg(params, "b_den", 1)))
-    return theta_general(a, b, order)
+    return theta_general(_registry_arg(params, "a"), _registry_arg(params, "b"), order)
 
 
 SERIES_REGISTRY = {

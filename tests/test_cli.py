@@ -43,6 +43,19 @@ class TestSeries:
         code, _ = run(["series", "theta_f", "--order", "5"])
         assert code == 2
 
+    def test_non_integer_flag_exit2(self, capsys):
+        code, out = run(["series", "theta_f", "--k", "abc", "--order", "5"])
+        assert code == 2 and out == ""
+        assert "error: flag --k needs an integer, got 'abc'" in capsys.readouterr().err
+
+    def test_zero_exponent_denominator_exit2(self, capsys):
+        code, out = run([
+            "series", "theta_general", "--a_sign", "1", "--a_num", "1",
+            "--a_den", "0", "--b_sign", "1", "--b_num", "1", "--order", "5",
+        ])
+        assert code == 2 and out == ""
+        assert "error: a_den must be nonzero" in capsys.readouterr().err
+
     def test_order_cap_exit2(self, capsys):
         code, out = run(["series", "theta_f", "--k", "2", "--order", "1000000000"])
         err = capsys.readouterr().err
@@ -167,6 +180,17 @@ class TestVerify:
             tmp_path,
             {"check": "andrews_gordon", "params": {"k": "two", "order": 10}},
             "ValueError: invalid literal for int() with base 10: 'two'",
+        )
+
+    def test_zero_exponent_denominator_is_error_case(self, tmp_path):
+        general = {"series": "theta_general", "a_sign": 1, "a_num": 1,
+                   "a_den": 0, "b_sign": 1, "b_num": 1}
+        self._malformed_case_reported(
+            tmp_path,
+            {"check": "series_equal",
+             "params": {"a": general, "b": {"series": "theta_f", "k": 1},
+                        "order": 10}},
+            "DomainError: a_den must be nonzero",
         )
 
     def test_missing_k_is_error_case(self, tmp_path):

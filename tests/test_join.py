@@ -216,3 +216,54 @@ def test_reidemeister_two_invariance(base, loops, data):
         moved = _with_reidemeister_two(moved, i, j, over, tag)
     assert len(moved.crossings) == len(net.crossings) + 2 * (tag + 1)
     assert bracket_closed(moved) == bracket_closed(net)
+
+
+def _with_braid(
+    net: ClosedNetwork, arcs: list[int], word: list[int], over: str
+) -> ClosedNetwork:
+    """Cut three arcs and join their ends through a braid on three strands.
+
+    The end of arc k that comes first (its bottom end) enters the braid at
+    position k, and its other end leaves it at position k.  Generator i
+    crosses the strands at positions i and i + 1 (0-based): the left one
+    enters at sw and leaves at ne, the right one enters at se and leaves at
+    nw, and every crossing declares the same over-strand.
+    """
+    out = ClosedNetwork()
+    out.boxes = dict(net.boxes)
+    out.crossings = dict(net.crossings)
+    out.free_loops = net.free_loops
+    out.arcs = [arc for k, arc in enumerate(net.arcs) if k not in arcs]
+    ends = [net.arcs[k][0] for k in arcs]
+    for tag, i in enumerate(word):
+        x = f"b{tag}"
+        out.add_crossing(x, over)
+        out.add_arc(ends[i], (x, "sw"))
+        out.add_arc(ends[i + 1], (x, "se"))
+        ends[i], ends[i + 1] = (x, "nw"), (x, "ne")
+    for end, k in zip(ends, arcs):
+        out.add_arc(end, net.arcs[k][1])
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=st.sampled_from(
+        sorted(b for b, make in _BASE_DIAGRAMS.items() if len(make().arcs) >= 3)
+    ),
+    over=st.sampled_from(("nesw", "nwse")),
+    data=st.data(),
+)
+def test_reidemeister_three_invariance(base, over, data):
+    # s1 s2 s1 and s2 s1 s2 are isotopic tangles with one permutation, so
+    # both closures through the rest of the network have one bracket.
+    net = _BASE_DIAGRAMS[base]()
+    arcs = data.draw(
+        st.lists(
+            st.integers(0, len(net.arcs) - 1), min_size=3, max_size=3, unique=True
+        )
+    )
+    left = _with_braid(net, arcs, [0, 1, 0], over)
+    right = _with_braid(net, arcs, [1, 0, 1], over)
+    assert len(left.crossings) == len(right.crossings) == len(net.crossings) + 3
+    assert bracket_closed(left) == bracket_closed(right)

@@ -15,7 +15,6 @@ from skeintails.qcore import (
 from skeintails.qidentities import (
     MonomialArg,
     ag_rhs,
-    assert_integer_coefficients,
     false_ag_rhs,
     false_theta,
     lambda_series,
@@ -34,7 +33,11 @@ def mq(sign: int, e) -> MonomialArg:
 
 
 def dict_series(d: dict, order: int) -> QSeries:
-    return QSeries(0, [Fraction(d.get(j, 0)) for j in range(order)])
+    return QSeries(0, [d.get(j, 0) for j in range(order)])
+
+
+def assert_integer_coefficients(s: QSeries) -> None:
+    assert all(type(c) is int for c in s.coeffs)
 
 
 def dict_mul(a: dict, b: dict, order: int) -> dict:
@@ -144,8 +147,8 @@ class TestAndrewsGordon:
         i = 0
         while i * (i + 1) < order:
             if i:
-                f = [Fraction(0)] * order
-                f[0], f[i] = Fraction(1), Fraction(-1)
+                f = [0] * order
+                f[0], f[i] = 1, -1
                 inv = series_div(inv, QSeries(0, f))
             total = total + series_mul(inv, inv).with_order(order).q_shifted(
                 i * (i + 1)
