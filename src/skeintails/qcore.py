@@ -9,9 +9,15 @@ so that quantities like q**(1/2) (v**2) or q**((n*n - n)/4) (v**(n*n - n))
 always have integer v-exponents and no fractional powers ever appear.
 Coefficients are exact integers: a Laurent polynomial lives in
 Z[v, v**-1], a rational function is a pair of such polynomials, and a
-q-series lives in Z[[q]]: a non-integer coefficient raises, and
-``series_div`` divides only by a series whose constant term is +-1.  There
-is no floating point anywhere in this package.
+q-series lives in Z[[q]] times an integer power of q: a non-integer
+coefficient raises, and ``series_div`` divides only by a series whose
+constant term is +-1.  There is no floating point anywhere in this package.
+
+A polynomial or rational function of v becomes a series in q = v**4 or in
+x = q**(1/2) = v**2 through one kernel, at v-step 4 or 2.  The kernel
+refuses a v-exponent that is not a multiple of the step, so a fractional
+power of q is never stored; dropping the framing power of A is left to
+``tails_engine.normalize``.
 
 Three value types live here:
 
@@ -19,8 +25,8 @@ Three value types live here:
 * ``VFraction``   -- an exact ratio of two VLaurent values (skein evaluations
                      of closed networks with projectors are rational
                      functions of A, not polynomials).
-* ``QSeries``     -- a truncated formal power series in q with an integer
-                     shift; the value type of tails and q-identities.
+* ``QSeries``     -- a truncated formal power series in q over Z with an
+                     integer shift; the value type of tails and q-identities.
 
 The quantum/number-theoretic primitives (quantum integers, Delta_n,
 quantum factorials, q-Pochhammer symbols, q-binomials) are built on top.
@@ -265,15 +271,6 @@ class VLaurent:
         if not r.is_zero():
             raise ConsistencyError("expected exact polynomial division")
         return q
-
-    # -- q-series view -------------------------------------------------------
-
-    def q_support_ok(self) -> bool:
-        """True when all relative exponents are divisible by 4."""
-        if not self.terms:
-            return True
-        e0 = self.min_exp()
-        return all((e - e0) % 4 == 0 for e in self.terms)
 
     # -- formatting ----------------------------------------------------------
 
@@ -610,26 +607,16 @@ class QSeries:
     Coefficients are ``int``: tails and q-identities live in Z[[q]], and
     any other coefficient raises DomainError, as in VLaurent.
 
-    ``coeffs[j]`` is the coefficient of q**(shift + j).  ``order`` is the
-    number of retained coefficients.  A series built from an exact Laurent
-    polynomial is flagged ``exact``: all later coefficients are genuinely
-    zero, so it behaves as if its order were infinite.
-
-    ``v_shift`` records a leftover v-exponent residue (mod 4) when a
-    v-Laurent value is only a q-series up to a fractional power of q;
-    comparison operations refuse such series.
+    ``coeffs[j]`` is the coefficient of q**(shift + j), with an integer
+    ``shift``: a series never carries a fractional power of q.  ``order``
+    is the number of retained coefficients.  A series built from an exact
+    Laurent polynomial is flagged ``exact``: all later coefficients are
+    genuinely zero, so it behaves as if its order were infinite.
     """
 
-    __slots__ = ("shift", "coeffs", "exact", "v_shift")
+    __slots__ = ("shift", "coeffs", "exact")
 
-    def __init__(
-        self,
-        shift: int,
-        coeffs: Sequence[int],
-        *,
-        exact: bool = False,
-        v_shift: int = 0,
-    ):
+    def __init__(self, shift: int, coeffs: Sequence[int], *, exact: bool = False):
         cs = list(coeffs)
         for c in cs:
             if not isinstance(c, int):
@@ -651,7 +638,6 @@ class QSeries:
         self.shift = shift
         self.coeffs = tuple(cs)
         self.exact = exact
-        self.v_shift = v_shift % 4
 
     # -- constructors --------------------------------------------------------
 
@@ -691,14 +677,10 @@ class QSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        return (
-            self.shift == other.shift
-            and self.coeffs == other.coeffs
-            and self.v_shift == other.v_shift
-        )
+        return self.shift == other.shift and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.shift, self.coeffs, self.v_shift))
+        return hash((self.shift, self.coeffs))
 
     # -- order management ----------------------------------------------------
 
@@ -707,18 +689,15 @@ class QSeries:
         if order < 0:
             raise DomainError("order must be non-negative")
         if order <= len(self.coeffs):
-            s = QSeries(self.shift, self.coeffs[:order], v_shift=self.v_shift)
-            return s
+            return QSeries(self.shift, self.coeffs[:order])
         if not self.exact:
             raise PrecisionError(
                 f"series known to order {len(self.coeffs)}, requested {order}"
             )
         cs = list(self.coeffs) + [0] * (order - len(self.coeffs))
-        return QSeries(self.shift, cs, v_shift=self.v_shift)
+        return QSeries(self.shift, cs)
 
     def _aligned(self, other: "QSeries") -> tuple[int, int, "QSeries", "QSeries"]:
-        if self.v_shift != other.v_shift:
-            raise RepresentationError("incompatible fractional q-shifts")
         s = min(self.shift, other.shift)
         end = min(
             self.shift + self.order_or_inf(), other.shift + other.order_or_inf()
@@ -740,15 +719,10 @@ class QSeries:
                 k = src.shift + j - s
                 if 0 <= k < n:
                     cs[k] += c
-        return QSeries(s, cs, exact=a.exact and b.exact, v_shift=self.v_shift)
+        return QSeries(s, cs, exact=a.exact and b.exact)
 
     def __neg__(self) -> "QSeries":
-        return QSeries(
-            self.shift,
-            [-c for c in self.coeffs],
-            exact=self.exact,
-            v_shift=self.v_shift,
-        )
+        return QSeries(self.shift, [-c for c in self.coeffs], exact=self.exact)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
@@ -756,10 +730,7 @@ class QSeries:
     def __mul__(self, other: "QSeries | int") -> "QSeries":
         if isinstance(other, int):
             return QSeries(
-                self.shift,
-                [c * other for c in self.coeffs],
-                exact=self.exact,
-                v_shift=self.v_shift,
+                self.shift, [c * other for c in self.coeffs], exact=self.exact
             )
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -768,9 +739,7 @@ class QSeries:
     __rmul__ = __mul__
 
     def q_shifted(self, k: int) -> "QSeries":
-        return QSeries(
-            self.shift + k, self.coeffs, exact=self.exact, v_shift=self.v_shift
-        )
+        return QSeries(self.shift + k, self.coeffs, exact=self.exact)
 
     # -- formatting ----------------------------------------------------------
 
@@ -799,8 +768,6 @@ class QSeries:
 
 def series_mul(a: QSeries, b: QSeries) -> QSeries:
     """Cauchy product; the result order is min of the operand orders."""
-    if a.v_shift and b.v_shift:
-        raise RepresentationError("cannot multiply two fractionally shifted series")
     n: float = min(a.order_or_inf(), b.order_or_inf())
     if n == float("inf"):
         n = len(a.coeffs) + len(b.coeffs) - 1 if a.coeffs and b.coeffs else 0
@@ -814,12 +781,7 @@ def series_mul(a: QSeries, b: QSeries) -> QSeries:
             if k >= n:
                 break
             cs[k] += ca * cb
-    return QSeries(
-        a.shift + b.shift,
-        cs,
-        exact=a.exact and b.exact,
-        v_shift=(a.v_shift + b.v_shift) % 4,
-    )
+    return QSeries(a.shift + b.shift, cs, exact=a.exact and b.exact)
 
 
 def series_div(a: QSeries, b: QSeries, order: int | None = None) -> QSeries:
@@ -851,45 +813,55 @@ def series_div(a: QSeries, b: QSeries, order: int | None = None) -> QSeries:
             if cb[j]:
                 acc -= cb[j] * out[k - j]
         out.append(acc * b0)
-    return QSeries(
-        a.shift - b.shift,
-        out,
-        v_shift=(a.v_shift - b.v_shift) % 4,
-    )
+    return QSeries(a.shift - b.shift, out)
 
 
-def to_q_series(p: VLaurent, order: int | None = None) -> QSeries:
-    """View an exact v-Laurent polynomial as a q-series.
-
-    The minimal v-exponent e0 is factored out; the remaining exponents must
-    all be divisible by 4 or a RepresentationError is raised.  When e0 is
-    not itself divisible by 4, the residue is kept as ``v_shift`` metadata
-    and comparison operations will refuse the series.
-    """
+def _to_series(p: VLaurent, step: int) -> QSeries:
+    """p as an exact series in v**step; every v-exponent must be a multiple
+    of the step."""
     if p.is_zero():
-        raise DomainError("cannot view the zero polynomial as a pointed q-series")
+        raise DomainError("cannot view the zero polynomial as a pointed series")
+    bad = [e for e in p.terms if e % step]
+    if bad:
+        raise RepresentationError(
+            f"v-exponent {min(bad)} is not a multiple of {step} "
+            f"({'q' if step == 4 else 'x'} = v^{step})"
+        )
     e0 = p.min_exp()
-    if not p.q_support_ok():
-        raise RepresentationError("relative v-exponents not divisible by 4")
-    coeffs_by_q: dict[int, int] = {}
+    cs = [0] * ((p.max_exp() - e0) // step + 1)
     for e, c in p.terms.items():
-        coeffs_by_q[(e - e0) // 4] = c
-    top = max(coeffs_by_q)
-    cs = [coeffs_by_q.get(j, 0) for j in range(top + 1)]
-    base_shift, residue = divmod(e0, 4)
-    s = QSeries(base_shift, cs, exact=True, v_shift=residue)
-    if order is not None:
-        s = s.with_order(order)
-    return s
+        cs[(e - e0) // step] = c
+    return QSeries(e0 // step, cs, exact=True)
+
+
+def _fraction_to_series(f: VFraction, order: int, step: int) -> QSeries:
+    """f expanded as a series in v**step to the given order.
+
+    The division needs a denominator whose lowest coefficient is +-1.  The
+    stored form is not gcd-reduced, so a factor common to num and den can
+    give it another one; only then is f reduced first.  Values whose stored
+    denominator already starts with +-1 never run a gcd.
+    """
+    if f.is_zero():
+        return QSeries.zero(order)
+    if f.den.terms[f.den.min_exp()] not in (1, -1):
+        f = f.reduced()
+    return series_div(_to_series(f.num, step), _to_series(f.den, step), order=order)
+
+
+def to_q_series(p: VLaurent) -> QSeries:
+    """View an exact v-Laurent polynomial as an exact q-series.
+
+    Every v-exponent must be a multiple of 4, or RepresentationError names
+    the first one that is not.  A value that is a q-series only up to a
+    power of A is moved first (``tails_engine.normalize`` does that).
+    """
+    return _to_series(p, 4)
 
 
 def fraction_to_q_series(f: VFraction, order: int) -> QSeries:
     """Expand an exact rational function of v as a q-series to given order."""
-    if f.is_zero():
-        return QSeries.zero(order)
-    num = to_q_series(f.num)
-    den = to_q_series(f.den)
-    return series_div(num, den, order=order)
+    return _fraction_to_series(f, order, 4)
 
 
 def to_x_series(p: VLaurent) -> QSeries:
@@ -899,21 +871,12 @@ def to_x_series(p: VLaurent) -> QSeries:
     skein formulas all live in Z[x, x**-1]; this is the natural domain for
     exact summation of terms whose q-shifts differ by half-integers.
     """
-    if p.is_zero():
-        raise DomainError("cannot view zero as a pointed series")
-    if any(e % 2 for e in p.terms):
-        raise RepresentationError("v-support is not even; not a series in q^(1/2)")
-    e0 = p.min_exp()
-    by_x: dict[int, int] = {(e - e0) // 2: c for e, c in p.terms.items()}
-    cs = [by_x.get(j, 0) for j in range(max(by_x) + 1)]
-    return QSeries(e0 // 2, cs, exact=True)
+    return _to_series(p, 2)
 
 
 def fraction_to_x_series(f: VFraction, order: int) -> QSeries:
     """Expand an exact rational function of v as a series in x = q**(1/2)."""
-    if f.is_zero():
-        return QSeries.zero(order)
-    return series_div(to_x_series(f.num), to_x_series(f.den), order=order)
+    return _fraction_to_series(f, order, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1007,7 +970,7 @@ def mul_poch_inf(
 
     The order is counted from s.shift, as in a series product: an exact s
     is zero-padded to ``order`` coefficients, an inexact one keeps
-    min(order, len(s.coeffs)), and ``shift`` and ``v_shift`` are kept.  Each
+    min(order, len(s.coeffs)), and ``shift`` is kept.  Each
     factor (1 - q^k) with k below that length is one in-place O(order) step
     per unit of power, so a product by a Pochhammer symbol is never a dense
     series product.
@@ -1022,7 +985,7 @@ def mul_poch_inf(
     for k in range(c, n, step):
         for _ in range(abs(power)):
             apply(cs, k)
-    return QSeries(s.shift, cs, v_shift=s.v_shift)
+    return QSeries(s.shift, cs)
 
 
 def qbinom(n: int, i: int) -> VLaurent:

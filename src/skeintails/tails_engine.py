@@ -2,10 +2,11 @@
 reports for sequence families, and the tail product combinators.
 
 A sequence P_1, P_2, ... of exact skein evaluations has a tail when the
-first n coefficients of P_n stabilize (up to a common sign and power of q).
-"Up to a common sign" is resolved by normalizing each series individually:
-divide by +-q^s so the lowest term sits at q^0 with a positive coefficient.
-The normalized representative is a complete invariant of the +-q^s orbit,
+first n coefficients of P_n stabilize up to a common sign, a power of q and
+a power of A (the framing).  ``normalize`` alone drops that factor
++-q^s A^r: it divides it out so the lowest term sits at q^0 with a positive
+coefficient, and every tail check reads a skein value through it.  The
+normalized representative is a complete invariant of the +-q^s A^r orbit,
 which makes the agreement predicate a genuine equivalence on prefixes.
 
 Comparing beyond the computed order of a series raises PrecisionError; it
@@ -25,6 +26,7 @@ from .qcore import (
     VFraction,
     VLaurent,
     fraction_to_q_series,
+    fraction_to_x_series,
     mul_one_minus_qk,
     mul_poch_inf,
     poch_inf,
@@ -36,32 +38,34 @@ SkeinValue = Union[VLaurent, VFraction, QSeries]
 
 
 def normalize(p: SkeinValue, order: int | None = None) -> QSeries:
-    """Divide by +-q^s so the series starts with a positive coefficient at q^0.
+    """Divide by +-q^s A^r so the series starts with a positive coefficient
+    at q^0; this is the one place where the framing power A^r is dropped.
 
-    The magnitude of the leading coefficient is preserved.  Exact Laurent
-    polynomials normalize to exact series; rational functions need an
-    explicit order.  Zero input and non-integral relative q-powers raise.
+    A Laurent polynomial or rational function of v has its numerator moved
+    to valuation 0 (the stored denominator already has it) before it is
+    expanded, so any power of A leaves with the shift.  The magnitude of the
+    leading coefficient is preserved.  Exact Laurent polynomials normalize
+    to exact series; rational functions need an explicit order.  Zero input
+    and relative v-exponents that are not multiples of 4 raise.
     """
     if isinstance(p, VLaurent):
         if p.is_zero():
             raise DomainError("cannot normalize zero")
-        s = to_q_series(p)
+        s = to_q_series(p.shift(-p.min_exp()))
     elif isinstance(p, VFraction):
         if p.is_zero():
             raise DomainError("cannot normalize zero")
         if order is None:
             raise DomainError("normalizing a rational function needs an order")
-        # Each of num and den must individually be a q-series up to a global
-        # power of A; the leftover A-residue is framing and is dropped below.
-        s = fraction_to_q_series(p, order)
+        s = fraction_to_q_series(
+            VFraction(p.num.shift(-p.num.min_exp()), p.den), order
+        )
     elif isinstance(p, QSeries):
         if p.is_zero():
             raise DomainError("cannot normalize zero")
         s = p
     else:
         raise DomainError(f"cannot normalize {type(p).__name__}")
-    # Shift to q^0 and fix the sign; drop any leftover v-residue (a global
-    # power of A = q^(1/4) is part of the +-q^s framing ambiguity).
     cs = list(s.coeffs)
     if cs and cs[0] < 0:
         cs = [-c for c in cs]
@@ -79,8 +83,6 @@ def agree_to_order(a: QSeries, b: QSeries, n: int) -> bool:
     """
     if n < 0:
         raise DomainError("n must be non-negative")
-    if a.v_shift or b.v_shift:
-        raise RepresentationError("fractionally shifted series cannot be compared")
     na = normalize(a)
     nb = normalize(b)
     if na.order_or_inf() < n or nb.order_or_inf() < n:
@@ -108,8 +110,6 @@ def sum_fraction_products_x(
     overlap); expanding each product as a truncated x-series and aligning
     shifts costs O(order^2) per term instead.
     """
-    from .qcore import fraction_to_x_series, to_x_series
-
     shifts = []
     for factors in terms:
         sh = 0
@@ -117,7 +117,7 @@ def sum_fraction_products_x(
             if f.is_zero():
                 sh = None
                 break
-            sh += to_x_series(f.num).shift - to_x_series(f.den).shift
+            sh += (f.num.min_exp() - f.den.min_exp()) // 2
         shifts.append(sh)
     live = [s for s in shifts if s is not None]
     if not live:
@@ -140,15 +140,10 @@ def sum_fraction_products_x(
 def x_series_to_normalized_q(s: QSeries, q_order: int) -> QSeries:
     """Normalize an x-series and reinterpret it in q; the normalized support
     must lie on even x-powers (odd residues would be a q^(1/2) leftover)."""
-    if s.is_zero():
-        raise DomainError("cannot normalize zero")
-    cs = list(s.coeffs)
-    if cs[0] < 0:
-        cs = [-c for c in cs]
-    if any(c for j, c in enumerate(cs) if j % 2):
+    cs = normalize(s).coeffs
+    if any(cs[1::2]):
         raise RepresentationError("normalized series has q^(1/2) support")
-    qc = [cs[2 * j] for j in range(len(cs) // 2 + len(cs) % 2)]
-    return QSeries(0, qc, exact=s.exact).with_order(
+    return QSeries(0, cs[::2], exact=s.exact).with_order(
         min(q_order, (len(cs) + 1) // 2)
     )
 
@@ -238,7 +233,7 @@ def tail_product_23(t1: QSeries, t2: QSeries, order: int) -> QSeries:
     prod = series_mul(t1.with_order(order), t2.with_order(order))
     cs = list(prod.coeffs)
     mul_one_minus_qk(cs, 1)
-    return QSeries(prod.shift, cs, v_shift=prod.v_shift)
+    return QSeries(prod.shift, cs)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +315,7 @@ def theta_2n_generator() -> SeriesGenerator:
     from .skein_formulas import theta_2n
 
     def ev(n: int):
-        v = theta_2n(n)
-        return fraction_to_q_series(v, max(2 * n + 4, 8))
+        return normalize(theta_2n(n), max(2 * n + 4, 8))
 
     return SeriesGenerator(name="theta_2n", params={}, eval=ev)
 

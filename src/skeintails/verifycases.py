@@ -18,7 +18,6 @@ from .qcore import (
     VFraction,
     VLaurent,
     delta_n,
-    fraction_to_x_series,
     poch_finite,
     poch_inf,
     poch_inf_step,
@@ -350,7 +349,7 @@ def check_lambda_theorem(params: dict) -> CheckResult:
     lam = qidentities.lambda_series(n_max + 2)
     for n in range(1, n_max + 1):
         ratio = skein_formulas.tet_2n(n) / skein_formulas.theta_2n(n)
-        rx = fraction_to_x_series(ratio, 2 * (n + 2) + 4)
+        rx = tails_engine.sum_fraction_products_x([[ratio]], n + 2)
         rq = tails_engine.x_series_to_normalized_q(rx, n + 2)
         if not tails_engine.agree_to_order(rq, lam, n):
             return False, f"tet/theta ratio differs from Lambda at n={n}"

@@ -24,6 +24,7 @@ from skeintails.qcore import (
     delta_n,
     div_one_minus_qk,
     fraction_to_q_series,
+    fraction_to_x_series,
     mul_one_minus_qk,
     mul_poch_inf,
     poch_finite,
@@ -35,6 +36,7 @@ from skeintails.qcore import (
     series_div,
     series_mul,
     to_q_series,
+    to_x_series,
     _kronecker_mul,
 )
 
@@ -380,18 +382,29 @@ class TestQSeries:
         assert s.shift == 1 and list(map(int, s.coeffs)) == [1, 1]
         s = to_q_series(VLaurent({-4: 1, 0: 2, 4: 1}))
         assert s.shift == -1 and list(map(int, s.coeffs)) == [1, 2, 1]
-        with pytest.raises(RepresentationError):
+        not_q = r"v-exponent 2 is not a multiple of 4 \(q = v\^4\)"
+        with pytest.raises(RepresentationError, match=not_q):
             to_q_series(VLaurent({2: 1, 4: 1}))
         with pytest.raises(DomainError):
             to_q_series(VLaurent.zero())
 
-    def test_fractional_shift_metadata(self):
-        s = to_q_series(VLaurent({2: 1, 6: 1}))
-        assert s.v_shift == 2
-        from skeintails.tails_engine import agree_to_order
+    def test_fractional_q_power_is_refused(self):
+        # v^2 + v^6 = A^2 (1 + q): no series in q stores it.  Only normalize,
+        # which drops the framing power of A, expands it.  The refusal names
+        # the lowest offending exponent and the step.
+        p = VLaurent({2: 1, 6: 1})
+        with pytest.raises(RepresentationError, match=r"^v-exponent 2 .* \(q = v\^4\)$"):
+            to_q_series(p)
+        # The denominator's normal form moves v^-4 into the numerator.
+        f = VFraction(p, VLaurent({4: 1, 8: -1}))
+        with pytest.raises(RepresentationError, match="v-exponent -2 is not a multiple of 4"):
+            fraction_to_q_series(f, 4)
+        with pytest.raises(RepresentationError, match=r"^v-exponent -3 .* 2 \(x = v\^2\)$"):
+            to_x_series(VLaurent({5: 1, -3: 1, 2: 1}))
+        from skeintails.tails_engine import normalize
 
-        with pytest.raises(RepresentationError):
-            agree_to_order(s, s, 1)
+        assert normalize(p) == QSeries(0, [1, 1], exact=True)
+        assert normalize(p).format() == "1 + q"
 
     def test_series_mul_examples(self):
         a = QSeries(0, [1, -1, 0, 0])
@@ -501,6 +514,19 @@ class TestIntegerKernel:
         with pytest.raises(DomainError):
             fraction_to_q_series(VFraction(VLaurent.one(), VLaurent({0: 2})), 3)
 
+    def test_expansion_does_not_depend_on_the_stored_form(self):
+        # (2 + q) / ((2 + q)(1 - q)) is 1/(1 - q), but its stored denominator
+        # starts with -2; the expansion reduces it rather than refusing.
+        two_plus_q = VLaurent.from_q_dict({0: 2, 1: 1})
+        f = VFraction(two_plus_q, two_plus_q * VLaurent.from_q_dict({0: 1, 1: -1}))
+        assert f.den.coeff(0) == -2
+        assert fraction_to_q_series(f, 6) == QSeries(0, [1] * 6)
+        assert fraction_to_x_series(f, 6) == QSeries(0, [1, 0, 1, 0, 1, 0])
+        from skeintails.tails_engine import normalize
+
+        for framed in (f, -f * VLaurent({-7: 1}), f * VLaurent({6: 1})):
+            assert normalize(framed, 6) == QSeries(0, [1] * 6)
+
     def test_orders_zero_and_one(self):
         for c, step in ((1, 1), (3, 1), (2, 3)):
             empty = poch_inf_step(c, step, 0)
@@ -526,7 +552,7 @@ class TestIntegerKernel:
             series_div(QSeries(0, []), one_minus_q),
             fraction_to_q_series(VFraction(VLaurent.one(), VLaurent({0: 1, 4: -1})), 0),
         ):
-            assert (got.shift, got.coeffs, got.exact, got.v_shift) == (0, (), False, 0)
+            assert (got.shift, got.coeffs, got.exact) == (0, (), False)
         got = series_div(QSeries(3, [2, 1]), QSeries(1, [1, 1], exact=True), order=0)
         assert (got.shift, got.coeffs, got.exact) == (2, (), False)
 
@@ -592,7 +618,6 @@ def test_poch_inf_step_matches_dense_product(c, step, order):
 @given(
     cs=st.lists(st.integers(-9, 9), max_size=24),
     shift=st.integers(-6, 6),
-    v_shift=st.integers(0, 3),
     exact=st.booleans(),
     c=st.integers(1, 6),
     step=st.integers(1, 4),
@@ -600,11 +625,11 @@ def test_poch_inf_step_matches_dense_product(c, step, order):
     order=st.integers(0, 24),
 )
 def test_mul_poch_inf_matches_dense_factors(
-    cs, shift, v_shift, exact, c, step, power, order
+    cs, shift, exact, c, step, power, order
 ):
     # The reference multiplies or divides by each explicit factor (1 - q^k),
     # k = c, c + step, ... below the order, with the dense kernels.
-    s = QSeries(shift, cs, exact=exact, v_shift=v_shift)
+    s = QSeries(shift, cs, exact=exact)
     want = s
     for k in range(c, order, step):
         for _ in range(abs(power)):

@@ -2,9 +2,11 @@
 
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from skeintails import qcore
 from skeintails.errors import DomainError, PrecisionError
 from skeintails.qcore import (
     QSeries,
@@ -18,7 +20,7 @@ from skeintails.qcore import (
     to_q_series,
 )
 from skeintails.qidentities import false_theta, lambda_series, theta_f
-from skeintails.skein_formulas import chain_tail, colored_jones_torus
+from skeintails.skein_formulas import chain_tail, colored_jones_torus, tet_2n, theta_2n
 from skeintails.tails_engine import (
     SeriesGenerator,
     agree_to_order,
@@ -26,9 +28,11 @@ from skeintails.tails_engine import (
     named_generator,
     normalize,
     stabilization_report,
+    sum_fraction_products_x,
     tail_product_1,
     tail_product_23,
     torus_jones_generator,
+    x_series_to_normalized_q,
 )
 
 
@@ -75,9 +79,24 @@ class TestNormalize:
         assert s.order == 5 and s.coeffs[0] == 1
 
     def test_framing_power_discarded(self):
-        # a global factor +-A^c is framing and must not affect the result
+        # A global factor +-A^r is framing and must not affect the result,
+        # for a polynomial and a rational function, at every residue of r.
         p = VLaurent.from_q_dict({0: 1, 1: -1})
-        assert normalize(p * VLaurent.monomial(-1, 3)) == normalize(p)
+        f = VFraction(VLaurent.from_q_dict({0: 2, 2: 1}), quantum_int(3))
+        for value, order in ((p, None), (f, 6)):
+            base = normalize(value, order)
+            for sign in (1, -1):
+                for r in range(-7, 8):
+                    framed = value * VLaurent.monomial(sign, r)
+                    assert normalize(framed, order) == base
+
+    def test_no_gcd_on_the_normal_path(self):
+        # A stored denominator that starts with +-1 is expanded as stored.
+        with mock.patch.object(qcore, "_poly_gcd", side_effect=AssertionError):
+            assert normalize(theta_2n(3), 4) == poch_inf(2, 4)
+            ratio = tet_2n(2) / theta_2n(2)
+            sx = sum_fraction_products_x([[ratio]], 4)
+            assert agree_to_order(x_series_to_normalized_q(sx, 4), lambda_series(4), 2)
 
     def test_torus_jones_prefix(self):
         s = normalize(colored_jones_torus(3, 3))
