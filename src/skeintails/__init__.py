@@ -54,9 +54,6 @@ from .networks import (
     torus_knot_network,
 )
 from .skein_formulas import (
-    AdmissibleTriple,
-    ChainSpec,
-    admissible,
     bubble_coeff,
     chain_tail,
     colored_jones_torus,

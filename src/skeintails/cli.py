@@ -118,8 +118,9 @@ def _run_case(case: dict, order_override: int | None) -> dict:
         _check_order(None if order is None else int(order))
         ok, detail = run_check(case["check"], params)
         status = "pass" if ok else "fail"
-    except (SkeinError, KeyError, TypeError, ValueError) as exc:
-        # KeyError/TypeError/ValueError: a missing or malformed parameter.
+    except (SkeinError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        # KeyError/TypeError/ValueError: a missing or malformed parameter;
+        # OverflowError: an infinite number (JSON 1e400) given to int().
         status, detail = "error", f"{type(exc).__name__}: {exc}"
     return {"id": case["id"], "status": status, "detail": detail}
 
@@ -131,7 +132,10 @@ def _cmd_verify(args, out) -> int:
     _check_order(args.order)
     try:
         suite_name, cases = _load_suite(args.suite)
-    except (OSError, KeyError, TypeError, json.JSONDecodeError, DomainError) as exc:
+    except (
+        OSError, KeyError, TypeError, UnicodeDecodeError, json.JSONDecodeError,
+        DomainError,
+    ) as exc:
         print(f"error: cannot load suite: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     results = [_run_case(c, args.order) for c in cases]
@@ -189,7 +193,7 @@ def _cmd_oracle(args, out) -> int:
         with open(args.file) as fh:
             net = ClosedNetwork.parse(fh.read())
         value = bracket_closed(net)
-    except (OSError, DomainError, CapacityError) as exc:
+    except (OSError, UnicodeDecodeError, DomainError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     if args.format == "json":

@@ -286,13 +286,6 @@ class VLaurent:
             "terms": [[e, c, 1] for e, c in sorted(self.terms.items())],
         }
 
-    @staticmethod
-    def from_json_obj(obj: Mapping) -> "VLaurent":
-        for e, n, d in obj["terms"]:
-            if d != 1:
-                raise DomainError(f"coefficient {n}/{d} of v^{e} is not an integer")
-        return VLaurent({e: n for e, n, d in obj["terms"]})
-
 
 def _kronecker_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """Product of two nonempty term dicts by Kronecker substitution.
@@ -757,13 +750,6 @@ class QSeries:
             "order": self.order,
             "coefficients": [[c, 1] for c in self.coeffs],
         }
-
-    @staticmethod
-    def from_json_obj(obj: Mapping) -> "QSeries":
-        for n, d in obj["coefficients"]:
-            if d != 1:
-                raise DomainError(f"series coefficient {n}/{d} is not an integer")
-        return QSeries(obj["shift"], [n for n, d in obj["coefficients"]])
 
 
 def series_mul(a: QSeries, b: QSeries) -> QSeries:

@@ -1,8 +1,7 @@
 """Closed-form skein evaluations.
 
 This module houses the exact formulas that the brute-force oracle
-cross-checks: admissibility of color triples, the bubble-expansion
-coefficients
+cross-checks: the bubble-expansion coefficients
 
     ceil[m n; k l]_i = (-1)^(i+l) q^(i(i-l)/2)
         * prod_{j<l-i} [k-j] * prod_{s<i} [n-s][m-s]
@@ -20,8 +19,6 @@ VLaurent with a remainder assertion, never by rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConsistencyError, DomainError
 from .qcore import (
     QSeries,
@@ -34,39 +31,6 @@ from .qcore import (
     quantum_int,
 )
 from .qidentities import ag_rhs, false_ag_rhs
-
-
-# ---------------------------------------------------------------------------
-# Admissibility
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdmissibleTriple:
-    """An admissible color triple with its internal colors x, y, z."""
-
-    a: int
-    b: int
-    c: int
-    x: int
-    y: int
-    z: int
-
-
-def admissible(a: int, b: int, c: int) -> AdmissibleTriple | None:
-    """The triple (a, b, c) with internal colors, or None if inadmissible.
-
-    Admissible means a + b + c is even and a + b >= c >= |a - b|; then
-    x = (a+b-c)/2, y = (a+c-b)/2, z = (b+c-a)/2 are the internal colors.
-    """
-    if min(a, b, c) < 0:
-        return None
-    if (a + b + c) % 2:
-        return None
-    x2, y2, z2 = a + b - c, a + c - b, b + c - a
-    if x2 < 0 or y2 < 0 or z2 < 0:
-        return None
-    return AdmissibleTriple(a, b, c, x2 // 2, y2 // 2, z2 // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -205,41 +169,6 @@ def colored_jones_torus(f: int, n: int) -> VLaurent:
 # ---------------------------------------------------------------------------
 # Bubble chain tails
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChainSpec:
-    """A chain of bubbles, all strands one color, in the (n, n, 2n) frame.
-
-    ``bubbles`` counts the bubbles (2k or 2k+1); ``color`` is 0 for the
-    generic symbolic color n; ``outer`` records the framing of the chain.
-    """
-
-    bubbles: int
-    color: int = 0
-    outer: str = "n,n,2n"
-
-    def __post_init__(self):
-        if self.bubbles < 1:
-            raise DomainError("a chain has at least one bubble")
-
-    @property
-    def parity(self) -> str:
-        return "even" if self.bubbles % 2 == 0 else "odd"
-
-    @property
-    def k(self) -> int:
-        return self.bubbles // 2 if self.parity == "even" else (self.bubbles - 1) // 2
-
-    def tail(self, order: int) -> QSeries:
-        """The chain's stable series (delegates to chain_tail).
-
-        A single bubble is the 2-crossing torus chain, whose tail is the
-        constant series 1 (the k >= 1 cases delegate to the multi-sums).
-        """
-        if self.bubbles == 1:
-            return QSeries.one(order)
-        return chain_tail(self.parity, self.k, order)
 
 
 def chain_tail(parity: str, k: int, order: int) -> QSeries:

@@ -15,7 +15,6 @@ never silently returns False.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -33,6 +32,8 @@ from .qcore import (
     series_mul,
     to_q_series,
 )
+from .qidentities import MonomialArg, lambda_series, psi_general, theta_general
+from .skein_formulas import colored_jones_torus
 
 SkeinValue = Union[VLaurent, VFraction, QSeries]
 
@@ -186,27 +187,18 @@ class StabilizationReport:
             "tail": self.tail.to_json_obj(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
+def stabilization_report(g: SeriesGenerator, n_max: int) -> StabilizationReport:
+    """Check P_n = P_{n+1} on the first n coefficients for n <= n_max.
 
-def stabilization_report(
-    g: SeriesGenerator, n_max: int, agreement_offset: int = 0
-) -> StabilizationReport:
-    """Check P_n = P_{n+1} on the first n (+offset) coefficients for n <= n_max.
-
-    The tail field is the normalized order-n_max prefix of P_{n_max}.  The
-    offset 0 is the always-valid reading of the stabilization criterion; 1
-    asserts the stronger (n+1)-coefficient agreement of torus-knot chains.
+    The tail field is the normalized order-n_max prefix of P_{n_max}.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     values = [g.normalized(n) for n in range(1, n_max + 2)]
     verdicts = []
     for n in range(1, n_max + 1):
-        verdicts.append(
-            agree_to_order(values[n - 1], values[n], n + agreement_offset)
-        )
+        verdicts.append(agree_to_order(values[n - 1], values[n], n))
     tail = values[n_max - 1].with_order(n_max)
     return StabilizationReport(
         generator=g.name,
@@ -251,12 +243,7 @@ def graph_family_tail(family: str, params: dict, order: int) -> QSeries:
       inadequate_chain  (q^2;q)_inf (q;q)_inf^m
       theta             (q^2;q)_inf
       tet2n             Lambda(q) (q^2;q)_inf
-      chain_even        delegated to chain_tail("even", k)
-      chain_odd         delegated to chain_tail("odd", k)
     """
-    from .qidentities import MonomialArg, lambda_series, psi_general, theta_general
-    from .skein_formulas import chain_tail
-
     if family == "g_m":
         m = int(params["m"])
         if m < 0:
@@ -288,47 +275,18 @@ def graph_family_tail(family: str, params: dict, order: int) -> QSeries:
         return poch_inf(2, order)
     if family == "tet2n":
         return mul_poch_inf(lambda_series(order), 2, order)
-    if family == "chain_even":
-        return chain_tail("even", int(params["k"]), order)
-    if family == "chain_odd":
-        return chain_tail("odd", int(params["k"]), order)
     raise DomainError(f"unknown graph family {family!r}")
 
 
 # ---------------------------------------------------------------------------
-# Generator registry
+# Generators
 # ---------------------------------------------------------------------------
 
 
 def torus_jones_generator(f: int) -> SeriesGenerator:
     """n -> normalized colored Jones of the (2, f) torus link."""
-    from .skein_formulas import colored_jones_torus
-
     return SeriesGenerator(
         name="torus_jones",
         params={"f": f},
         eval=lambda n: colored_jones_torus(f, n),
     )
-
-
-def theta_2n_generator() -> SeriesGenerator:
-    from .skein_formulas import theta_2n
-
-    def ev(n: int):
-        return normalize(theta_2n(n), max(2 * n + 4, 8))
-
-    return SeriesGenerator(name="theta_2n", params={}, eval=ev)
-
-
-GENERATOR_REGISTRY = {
-    "torus_jones": lambda p: torus_jones_generator(int(p["f"])),
-    "theta_2n": lambda p: theta_2n_generator(),
-}
-
-
-def named_generator(name: str, params: dict) -> SeriesGenerator:
-    try:
-        fn = GENERATOR_REGISTRY[name]
-    except KeyError:
-        raise DomainError(f"unknown generator {name!r}") from None
-    return fn(params)

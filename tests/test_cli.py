@@ -219,6 +219,34 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "cannot load suite" in capsys.readouterr().err
 
+    def test_infinite_number_is_error_case(self, tmp_path):
+        # JSON 1e400 parses as inf, and int(inf) raises OverflowError
+        path = tmp_path / "s.json"
+        path.write_text(
+            '{"suite": "s", "cases": ['
+            '{"id": "order", "check": "andrews_gordon",'
+            ' "params": {"k": 2, "order": 1e400}},'
+            '{"id": "n_max", "check": "morrison", "params": {"n_max": 1e400}},'
+            '{"id": "after", "check": "andrews_gordon",'
+            ' "params": {"k": 2, "order": 10}}]}'
+        )
+        code, out = run(["verify", str(path)])
+        assert code == 2
+        lines = out.splitlines()
+        detail = "OverflowError: cannot convert float infinity to integer"
+        assert lines[0] == f"[ERROR] order: {detail}"
+        assert lines[1] == f"[ERROR] n_max: {detail}"
+        assert lines[2].startswith("[PASS ] after:")
+        assert lines[3] == "1/3 cases passed"
+
+    def test_non_utf8_suite_exit2(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out = run(["verify", str(path)])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load suite:") and "decode" in err
+
     def test_missing_suite_exit2(self):
         code, _ = run(["verify", "builtin:nosuch"])
         assert code == 2
@@ -440,6 +468,14 @@ class TestOracle:
             "error: contraction work 554532 (states x terms) exceeds limit 100000"
             in capsys.readouterr().err
         )
+
+    def test_non_utf8_file_exit2(self, tmp_path, capsys):
+        path = tmp_path / "bad.net"
+        path.write_bytes(b"\xff\xfe")
+        code, out = run(["oracle", str(path)])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "decode" in err
 
     def test_parse_error_exit2(self, tmp_path):
         path = tmp_path / "bad.net"

@@ -89,6 +89,8 @@ class TestSpinNetworks:
             theta_network(1, 1, 1)
         with pytest.raises(DomainError):
             theta_network(1, 2, 5)
+        with pytest.raises(DomainError):
+            theta_network(-1, 1, 0)
 
     def test_tet_inadmissible(self):
         # All edges colored 1 gives odd vertex sums

@@ -104,9 +104,6 @@ class TestVLaurent:
         p = VLaurent({-3: 7, 5: -2})
         obj = p.to_json_obj()
         assert obj["terms"] == [[-3, 7, 1], [5, -2, 1]]
-        assert VLaurent.from_json_obj(obj) == p
-        with pytest.raises(DomainError):
-            VLaurent.from_json_obj({"variable": "v", "terms": [[-3, 1, 2]]})
 
 
 class TestVFraction:
@@ -466,10 +463,6 @@ class TestQSeries:
         obj = s.to_json_obj()
         assert obj["variable"] == "q" and obj["order"] == s.order
         assert obj["coefficients"] == [[1, 1], [-3, 1], [0, 1], [5, 1]]
-        assert QSeries.from_json_obj(obj) == s
-        for bad in ([1, 3], [4, 2]):  # a denominator other than 1
-            with pytest.raises(DomainError):
-                QSeries.from_json_obj({"shift": 0, "coefficients": [[1, 1], bad]})
 
     def test_coeff_is_stored_value_or_int_zero(self):
         s = QSeries(2, [3, -7, 0, 5])

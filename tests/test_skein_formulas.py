@@ -19,7 +19,6 @@ from skeintails.qcore import (
     quantum_int,
 )
 from skeintails.skein_formulas import (
-    admissible,
     bubble_coeff,
     chain_tail,
     colored_jones_torus,
@@ -31,26 +30,6 @@ from skeintails.skein_formulas import (
 from skeintails.qidentities import false_ag_rhs, false_theta, theta_f
 from skeintails.tails_engine import normalize
 from skeintails.verifycases import bubble_sweep_cases
-
-
-class TestAdmissible:
-    def test_n_n_2n(self):
-        t = admissible(3, 3, 6)
-        assert t is not None and (t.x, t.y, t.z) == (0, 3, 3)
-
-    def test_rejections(self):
-        assert admissible(1, 1, 1) is None  # odd sum
-        assert admissible(1, 2, 5) is None  # triangle inequality
-        assert admissible(-1, 1, 0) is None
-
-    def test_internal_color_equations(self):
-        for a in range(6):
-            for b in range(6):
-                for c in range(12):
-                    t = admissible(a, b, c)
-                    if t is None:
-                        continue
-                    assert (t.x + t.y, t.x + t.z, t.y + t.z) == (a, b, c)
 
 
 class TestBubbleCoeff:
@@ -192,20 +171,6 @@ class TestColoredJonesTorus:
     def test_domain(self):
         with pytest.raises(DomainError):
             colored_jones_torus(0, 1)
-
-
-class TestChainSpec:
-    def test_parity_and_delegation(self):
-        from skeintails.skein_formulas import ChainSpec
-        from skeintails.qcore import QSeries
-
-        assert ChainSpec(2).parity == "even" and ChainSpec(2).k == 1
-        assert ChainSpec(5).parity == "odd" and ChainSpec(5).k == 2
-        assert ChainSpec(2).tail(15) == chain_tail("even", 1, 15)
-        assert ChainSpec(3).tail(15) == chain_tail("odd", 1, 15)
-        assert ChainSpec(1).tail(10) == QSeries.one(10)
-        with pytest.raises(DomainError):
-            ChainSpec(0)
 
 
 class TestChainTail:

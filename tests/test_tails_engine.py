@@ -1,6 +1,5 @@
 """Normalization, the agreement predicate, stabilization, tail products."""
 
-import json
 from fractions import Fraction
 from unittest import mock
 
@@ -20,12 +19,11 @@ from skeintails.qcore import (
     to_q_series,
 )
 from skeintails.qidentities import false_theta, lambda_series, theta_f
-from skeintails.skein_formulas import chain_tail, colored_jones_torus, tet_2n, theta_2n
+from skeintails.skein_formulas import colored_jones_torus, tet_2n, theta_2n
 from skeintails.tails_engine import (
     SeriesGenerator,
     agree_to_order,
     graph_family_tail,
-    named_generator,
     normalize,
     stabilization_report,
     sum_fraction_products_x,
@@ -154,27 +152,26 @@ class TestStabilization:
         assert rep.tail == theta_f(2, 12)
 
     def test_strict_offset_for_torus_chains(self):
-        rep = stabilization_report(torus_jones_generator(3), 8, agreement_offset=1)
-        assert rep.all_stable
+        # (2, f) torus knots agree on n + 1 coefficients, one past the tail
+        values = [normalize(colored_jones_torus(3, n)) for n in range(1, 10)]
+        for n in range(1, 9):
+            assert agree_to_order(values[n - 1], values[n], n + 1)
 
     def test_report_json(self):
         rep = stabilization_report(torus_jones_generator(3), 4)
-        obj = json.loads(rep.to_json())
+        obj = rep.to_json_obj()
         assert obj["generator"] == "torus_jones"
         assert obj["params"] == {"f": 3}
         assert obj["n_max"] == 4
         assert obj["verdicts"] == [True] * 4
         assert obj["tail"]["variable"] == "q"
 
-    def test_named_generator(self):
-        g = named_generator("torus_jones", {"f": 5})
-        assert stabilization_report(g, 6).all_stable
-        with pytest.raises(DomainError):
-            named_generator("nosuch", {})
-
     def test_theta_generator_tail(self):
-        # the registered theta family stabilizes onto (q^2; q)_inf
-        rep = stabilization_report(named_generator("theta_2n", {}), 8)
+        # the theta family stabilizes onto (q^2; q)_inf
+        g = SeriesGenerator(
+            "theta_2n", {}, lambda n: normalize(theta_2n(n), max(2 * n + 4, 8))
+        )
+        rep = stabilization_report(g, 8)
         assert rep.all_stable
         assert rep.tail == poch_inf(2, 8)
 
@@ -234,12 +231,6 @@ class TestGraphFamilies:
     def test_theta_family(self):
         assert graph_family_tail("theta", {}, 20) == poch_inf(2, 20)
 
-    def test_chain_families_delegate(self):
-        assert graph_family_tail("chain_odd", {"k": 1}, 20) == chain_tail("odd", 1, 20)
-        assert graph_family_tail("chain_even", {"k": 2}, 20) == chain_tail(
-            "even", 2, 20
-        )
-
     def test_g_kl_sign_conventions(self):
         # default keeps the verbatim mixed-sign factor f(-q^(2l+2), +q);
         # sign_fixed switches to f(-q^(2l+2), -q)
@@ -255,5 +246,7 @@ class TestGraphFamilies:
         assert a == series_mul(psi, f_plus).with_order(20)
 
     def test_unknown_family(self):
-        with pytest.raises(DomainError):
-            graph_family_tail("nosuch", {}, 5)
+        # chains are reached through a suite's "chain" key, not as a family
+        for family in ("nosuch", "chain_even", "chain_odd"):
+            with pytest.raises(DomainError, match="unknown graph family"):
+                graph_family_tail(family, {"k": 1}, 5)
