@@ -171,10 +171,7 @@ def _cmd_jones(args, out) -> int:
     _check_order(args.order)
     value = colored_jones_torus(args.f, args.n)
     if args.normalized:
-        s = normalize(value)
-        if args.order is not None:
-            s = s.with_order(args.order)
-        _emit_series(s, args.format, out)
+        _emit_series(normalize(value, args.order), args.format, out)
     else:
         if args.format == "json":
             print(json.dumps(value.to_json_obj(), sort_keys=True), file=out)

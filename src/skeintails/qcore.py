@@ -13,11 +13,12 @@ q-series lives in Z[[q]] times an integer power of q: a non-integer
 coefficient raises, and ``series_div`` divides only by a series whose
 constant term is +-1.  There is no floating point anywhere in this package.
 
-A polynomial or rational function of v becomes a series in q = v**4 or in
-x = q**(1/2) = v**2 through one kernel, at v-step 4 or 2.  The kernel
-refuses a v-exponent that is not a multiple of the step, so a fractional
-power of q is never stored; dropping the framing power of A is left to
-``tails_engine.normalize``.
+Every series has a finite order, the number of coefficients it knows.  A
+polynomial or rational function of v becomes a series in q = v**4 or in
+x = q**(1/2) = v**2 only at an order its caller states, through one
+kernel, at v-step 4 or 2.  The kernel refuses a v-exponent that is not a
+multiple of the step, so a fractional power of q is never stored;
+dropping the framing power of A is left to ``tails_engine.normalize``.
 
 Three value types live here:
 
@@ -25,8 +26,9 @@ Three value types live here:
 * ``VFraction``   -- an exact ratio of two VLaurent values (skein evaluations
                      of closed networks with projectors are rational
                      functions of A, not polynomials).
-* ``QSeries``     -- a truncated formal power series in q over Z with an
-                     integer shift; the value type of tails and q-identities.
+* ``QSeries``     -- a formal power series in q over Z with an integer
+                     shift, truncated at a finite order; the value type of
+                     tails and q-identities.
 
 The quantum/number-theoretic primitives (quantum integers, Delta_n,
 quantum factorials, q-Pochhammer symbols, q-binomials) are built on top.
@@ -602,46 +604,37 @@ class QSeries:
 
     ``coeffs[j]`` is the coefficient of q**(shift + j), with an integer
     ``shift``: a series never carries a fractional power of q.  ``order``
-    is the number of retained coefficients.  A series built from an exact
-    Laurent polynomial is flagged ``exact``: all later coefficients are
-    genuinely zero, so it behaves as if its order were infinite.
+    is the number of retained coefficients, and it is always finite: a
+    coefficient past it is unknown, never zero.  A polynomial becomes a
+    series only at a stated order (``to_q_series(p, order)``).
     """
 
-    __slots__ = ("shift", "coeffs", "exact")
+    __slots__ = ("shift", "coeffs")
 
-    def __init__(self, shift: int, coeffs: Sequence[int], *, exact: bool = False):
+    def __init__(self, shift: int, coeffs: Sequence[int]):
         cs = list(coeffs)
         for c in cs:
             if not isinstance(c, int):
                 raise DomainError(f"series coefficient {c!r} is not an integer")
-        # Leading zeros carry no information: absorb them into the shift.
+        # Leading zeros carry no information: absorb them into the shift.  A
+        # truncated all-zero series keeps its length as precision.
         k = 0
         while k < len(cs) and cs[k] == 0:
             k += 1
-        if k == len(cs):
-            if exact:
-                shift, cs = 0, []
-            # a truncated all-zero series keeps its length as precision
-        elif k:
+        if 0 < k < len(cs):
             shift += k
             cs = cs[k:]
-        if exact:
-            while cs and cs[-1] == 0:
-                cs.pop()
         self.shift = shift
         self.coeffs = tuple(cs)
-        self.exact = exact
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(order: int = 0) -> "QSeries":
-        return QSeries(0, [0] * order, exact=(order == 0))
+    def zero(order: int) -> "QSeries":
+        return QSeries(0, [0] * order)
 
     @staticmethod
-    def one(order: int | None = None) -> "QSeries":
-        if order is None:
-            return QSeries(0, [1], exact=True)
+    def one(order: int) -> "QSeries":
         return QSeries(0, [1] + [0] * (order - 1)).with_order(order)
 
     # -- inspection ----------------------------------------------------------
@@ -649,9 +642,6 @@ class QSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs)
-
-    def order_or_inf(self) -> float:
-        return float("inf") if self.exact else len(self.coeffs)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -662,8 +652,6 @@ class QSeries:
         if j < 0:
             return 0
         if j >= len(self.coeffs):
-            if self.exact:
-                return 0
             raise PrecisionError(f"coefficient of q^{q_exp} not computed")
         return self.coeffs[j]
 
@@ -678,53 +666,38 @@ class QSeries:
     # -- order management ----------------------------------------------------
 
     def with_order(self, order: int) -> "QSeries":
-        """Truncate (or, for exact series, zero-pad) to the given order."""
+        """Truncate to the given order, which must not exceed the own one."""
         if order < 0:
             raise DomainError("order must be non-negative")
-        if order <= len(self.coeffs):
-            return QSeries(self.shift, self.coeffs[:order])
-        if not self.exact:
+        if order > len(self.coeffs):
             raise PrecisionError(
                 f"series known to order {len(self.coeffs)}, requested {order}"
             )
-        cs = list(self.coeffs) + [0] * (order - len(self.coeffs))
-        return QSeries(self.shift, cs)
-
-    def _aligned(self, other: "QSeries") -> tuple[int, int, "QSeries", "QSeries"]:
-        s = min(self.shift, other.shift)
-        end = min(
-            self.shift + self.order_or_inf(), other.shift + other.order_or_inf()
-        )
-        if end == float("inf"):
-            end = max(
-                self.shift + len(self.coeffs), other.shift + len(other.coeffs), s
-            )
-        return s, int(end), self, other
+        return QSeries(self.shift, self.coeffs[:order])
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        s, end, a, b = self._aligned(other)
+        s = min(self.shift, other.shift)
+        end = min(self.shift + len(self.coeffs), other.shift + len(other.coeffs))
         n = max(end - s, 0)
         cs = [0] * n
-        for src in (a, b):
+        for src in (self, other):
             for j, c in enumerate(src.coeffs):
                 k = src.shift + j - s
                 if 0 <= k < n:
                     cs[k] += c
-        return QSeries(s, cs, exact=a.exact and b.exact)
+        return QSeries(s, cs)
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.shift, [-c for c in self.coeffs], exact=self.exact)
+        return QSeries(self.shift, [-c for c in self.coeffs])
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
 
     def __mul__(self, other: "QSeries | int") -> "QSeries":
         if isinstance(other, int):
-            return QSeries(
-                self.shift, [c * other for c in self.coeffs], exact=self.exact
-            )
+            return QSeries(self.shift, [c * other for c in self.coeffs])
         if not isinstance(other, QSeries):
             return NotImplemented
         return series_mul(self, other)
@@ -732,7 +705,7 @@ class QSeries:
     __rmul__ = __mul__
 
     def q_shifted(self, k: int) -> "QSeries":
-        return QSeries(self.shift + k, self.coeffs, exact=self.exact)
+        return QSeries(self.shift + k, self.coeffs)
 
     # -- formatting ----------------------------------------------------------
 
@@ -754,10 +727,7 @@ class QSeries:
 
 def series_mul(a: QSeries, b: QSeries) -> QSeries:
     """Cauchy product; the result order is min of the operand orders."""
-    n: float = min(a.order_or_inf(), b.order_or_inf())
-    if n == float("inf"):
-        n = len(a.coeffs) + len(b.coeffs) - 1 if a.coeffs and b.coeffs else 0
-    n = int(n)
+    n = min(len(a.coeffs), len(b.coeffs))
     cs = [0] * n
     for i, ca in enumerate(a.coeffs):
         if ca == 0 or i >= n:
@@ -767,44 +737,41 @@ def series_mul(a: QSeries, b: QSeries) -> QSeries:
             if k >= n:
                 break
             cs[k] += ca * cb
-    return QSeries(a.shift + b.shift, cs, exact=a.exact and b.exact)
+    return QSeries(a.shift + b.shift, cs)
 
 
-def series_div(a: QSeries, b: QSeries, order: int | None = None) -> QSeries:
-    """Long division a / b, exact to the common order.
+def series_div(a: QSeries, b: QSeries) -> QSeries:
+    """Long division a / b to the smaller of the two orders.
 
     ``b`` must start with coefficient +-1, which keeps the quotient in
-    Z[[q]].  When both operands are exact polynomials the quotient is an
-    infinite series, so an explicit ``order`` is required.
+    Z[[q]]; only a divisor that stores no coefficient (order 0) goes
+    unchecked, and gives the empty quotient.
     """
-    if b.is_zero():
-        raise DomainError("division by zero series")
-    # b0 != 0 by the leading-zero normalization of nonzero series.
-    b0 = b.coeffs[0]
-    if b0 not in (1, -1):
-        raise DomainError(f"series divisor starts with {b0}, not +-1")
-    n: float = min(a.order_or_inf(), b.order_or_inf())
-    if order is not None:
-        n = min(n, order)
-    if n == float("inf"):
-        raise DomainError("division of exact polynomials needs an explicit order")
-    n = int(n)
-    # An exact operand may be shorter than n: its missing coefficients are 0.
-    ca = a.coeffs[:n]
-    cb = b.coeffs[:n]
+    if b.coeffs:
+        # b0 != 0 unless b is all zeros, by the leading-zero normalization.
+        b0 = b.coeffs[0]
+        if b0 == 0:
+            raise DomainError("division by zero series")
+        if b0 not in (1, -1):
+            raise DomainError(f"series divisor starts with {b0}, not +-1")
+    n = min(len(a.coeffs), len(b.coeffs))
+    # Only the nonzero terms of b past b0 enter the recurrence: the cost is
+    # O(n) per nonzero term, so a polynomial zero-padded to the order costs
+    # no more than its own terms.
+    terms = [(j, c) for j, c in enumerate(b.coeffs[1:n], 1) if c]
     out = []  # empty at n = 0
-    for k in range(n):
-        acc = ca[k] if k < len(ca) else 0
-        for j in range(1, min(k, len(cb) - 1) + 1):
-            if cb[j]:
-                acc -= cb[j] * out[k - j]
+    for k, acc in enumerate(a.coeffs[:n]):
+        for j, c in terms:
+            if j > k:
+                break
+            acc -= c * out[k - j]
         out.append(acc * b0)
     return QSeries(a.shift - b.shift, out)
 
 
-def _to_series(p: VLaurent, step: int) -> QSeries:
-    """p as an exact series in v**step; every v-exponent must be a multiple
-    of the step."""
+def _to_series(p: VLaurent, order: int, step: int) -> QSeries:
+    """p as a series in v**step to ``order`` coefficients, counted from its
+    lowest term; every v-exponent must be a multiple of the step."""
     if p.is_zero():
         raise DomainError("cannot view the zero polynomial as a pointed series")
     bad = [e for e in p.terms if e % step]
@@ -813,11 +780,15 @@ def _to_series(p: VLaurent, step: int) -> QSeries:
             f"v-exponent {min(bad)} is not a multiple of {step} "
             f"({'q' if step == 4 else 'x'} = v^{step})"
         )
+    if order < 0:
+        raise DomainError("order must be non-negative")
     e0 = p.min_exp()
-    cs = [0] * ((p.max_exp() - e0) // step + 1)
+    cs = [0] * order
     for e, c in p.terms.items():
-        cs[(e - e0) // step] = c
-    return QSeries(e0 // step, cs, exact=True)
+        j = (e - e0) // step
+        if j < order:
+            cs[j] = c
+    return QSeries(e0 // step, cs)
 
 
 def _fraction_to_series(f: VFraction, order: int, step: int) -> QSeries:
@@ -826,23 +797,28 @@ def _fraction_to_series(f: VFraction, order: int, step: int) -> QSeries:
     The division needs a denominator whose lowest coefficient is +-1.  The
     stored form is not gcd-reduced, so a factor common to num and den can
     give it another one; only then is f reduced first.  Values whose stored
-    denominator already starts with +-1 never run a gcd.
+    denominator already starts with +-1 never run a gcd.  The denominator
+    keeps at least its lowest coefficient, so a non-unit one is refused even
+    at order 0.
     """
     if f.is_zero():
         return QSeries.zero(order)
     if f.den.terms[f.den.min_exp()] not in (1, -1):
         f = f.reduced()
-    return series_div(_to_series(f.num, step), _to_series(f.den, step), order=order)
+    return series_div(
+        _to_series(f.num, order, step), _to_series(f.den, max(order, 1), step)
+    )
 
 
-def to_q_series(p: VLaurent) -> QSeries:
-    """View an exact v-Laurent polynomial as an exact q-series.
+def to_q_series(p: VLaurent, order: int) -> QSeries:
+    """The first ``order`` coefficients of a v-Laurent polynomial as a q-series,
+    counted from its lowest term (zero-padded past its highest).
 
     Every v-exponent must be a multiple of 4, or RepresentationError names
     the first one that is not.  A value that is a q-series only up to a
     power of A is moved first (``tails_engine.normalize`` does that).
     """
-    return _to_series(p, 4)
+    return _to_series(p, order, 4)
 
 
 def fraction_to_q_series(f: VFraction, order: int) -> QSeries:
@@ -850,14 +826,15 @@ def fraction_to_q_series(f: VFraction, order: int) -> QSeries:
     return _fraction_to_series(f, order, 4)
 
 
-def to_x_series(p: VLaurent) -> QSeries:
-    """View a polynomial with even v-support as a series in x = q**(1/2) = v**2.
+def to_x_series(p: VLaurent, order: int) -> QSeries:
+    """A polynomial with even v-support as a series in x = q**(1/2) = v**2,
+    to ``order`` coefficients counted from its lowest term.
 
     Every quantum integer, Delta, and q-power has even v-exponents, so the
     skein formulas all live in Z[x, x**-1]; this is the natural domain for
     exact summation of terms whose q-shifts differ by half-integers.
     """
-    return _to_series(p, 2)
+    return _to_series(p, order, 2)
 
 
 def fraction_to_x_series(f: VFraction, order: int) -> QSeries:
@@ -945,7 +922,7 @@ def poch_inf(c: int, order: int) -> QSeries:
 
 def poch_inf_step(c: int, step: int, order: int) -> QSeries:
     """(q^c; q^step)_infinity truncated: prod_j (1 - q^(c + j*step))."""
-    return mul_poch_inf(QSeries.one(), c, order, step=step)
+    return mul_poch_inf(QSeries.one(order), c, order, step=step)
 
 
 def mul_poch_inf(
@@ -954,9 +931,8 @@ def mul_poch_inf(
     """s * (q^c; q^step)_infinity^power to the given order; a negative power
     divides.
 
-    The order is counted from s.shift, as in a series product: an exact s
-    is zero-padded to ``order`` coefficients, an inexact one keeps
-    min(order, len(s.coeffs)), and ``shift`` is kept.  Each
+    The order is counted from s.shift, as in a series product: the result
+    keeps min(order, s.order) coefficients and the shift of s.  Each
     factor (1 - q^k) with k below that length is one in-place O(order) step
     per unit of power, so a product by a Pochhammer symbol is never a dense
     series product.
@@ -965,10 +941,9 @@ def mul_poch_inf(
         raise DivergentProductError("step product needs c >= 1 and step >= 1")
     if order < 0:
         raise DomainError("order must be non-negative")
-    n = order if s.exact else min(order, len(s.coeffs))
-    cs = list(s.coeffs[:n]) + [0] * (n - len(s.coeffs))
+    cs = list(s.coeffs[:order])
     apply = mul_one_minus_qk if power > 0 else div_one_minus_qk
-    for k in range(c, n, step):
+    for k in range(c, len(cs), step):
         for _ in range(abs(power)):
             apply(cs, k)
     return QSeries(s.shift, cs)

@@ -3,9 +3,8 @@ named q-series tails.
 
 The two-variable series are
 
-    f(a, b)   = sum_{i>=0} a^(i(i+1)/2) b^(i(i-1)/2)
-              + sum_{i>=1} a^(i(i-1)/2) b^(i(i+1)/2),
-    Psi(a, b) = same with the second sum subtracted,
+    f(a, b)   = sum_{i in Z} a^(i(i+1)/2) b^(i(i-1)/2),
+    Psi(a, b) = the same sum with the terms i < 0 negated
 
 evaluated at monomial arguments a = sign * q^e with e > 0 (denominator of e
 at most 2, so intermediate supports live in half-integer powers of q).
@@ -25,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, RepresentationError
+from .errors import CapacityError, DomainError, RepresentationError
 from .qcore import (
     QSeries,
     VLaurent,
@@ -37,14 +36,22 @@ from .qcore import (
     to_q_series,
 )
 
+# Largest k of ag_rhs and false_ag_rhs.  Their multi-sum has depth k - 1,
+# and every level costs about order**2 steps whatever the depth, so the run
+# time grows linearly in k: at MAX_SERIES_ORDER, k = 5 takes 6.5 s and
+# k = 10 about 15 s (2 cores, CPython 3.11), while k = 10**5 takes 45 s
+# already at order 100.  Checked before any series is built.
+MAX_AG_K = 10
+
 
 @dataclass(frozen=True)
 class MonomialArg:
     """A monomial argument sign * q**exponent with exponent > 0.
 
-    The exponent is a rational with denominator 1 or 2, so every series
-    below has support in half-integer powers of q; operations returning a
-    QSeries verify that the final support is integral.
+    The exponent is a rational with denominator 1 or 2 (an ``int`` is
+    stored as a Fraction), so every series below has support in
+    half-integer powers of q; operations returning a QSeries verify that
+    the final support is integral.
     """
 
     sign: int
@@ -69,32 +76,26 @@ class MonomialArg:
 def _two_variable_series(
     a: MonomialArg, b: MonomialArg, order: int, second_sign: int
 ) -> QSeries:
-    """Common engine for f(a, b) (second_sign +1) and Psi(a, b) (-1)."""
+    """Common engine for f(a, b) (second_sign +1) and Psi(a, b) (-1): the
+    bilateral sum over i in Z of a^(i(i+1)/2) b^(i(i-1)/2), with the terms
+    i < 0 times second_sign.
+
+    The degree grows along both walks, i = 0, 1, ... and i = -1, -2, ...,
+    so each stops at its first term past the order.
+    """
     if order < 0:
         raise DomainError("order must be non-negative")
     ea, eb = a.half_exponent, b.half_exponent
     limit = 2 * order  # work in half-exponent units
     acc: dict[int, int] = {}
-
-    def tri(i: int) -> int:
-        return i * (i + 1) // 2
-
-    def add_terms(exp_a, exp_b, start: int, sign_factor: int) -> None:
-        i = start
+    for i, step, sign in ((0, 1, 1), (-1, -1, second_sign)):
         while True:
-            deg = ea * exp_a(i) + eb * exp_b(i)
-            if deg > limit and i > start:
+            ta, tb = i * (i + 1) // 2, i * (i - 1) // 2
+            deg = ea * ta + eb * tb
+            if deg > limit:
                 break
-            if deg > limit and ea * exp_a(i + 1) + eb * exp_b(i + 1) > limit:
-                break
-            if deg <= limit:
-                coeff = (a.sign ** exp_a(i)) * (b.sign ** exp_b(i)) * sign_factor
-                acc[deg] = acc.get(deg, 0) + coeff
-            i += 1
-
-    add_terms(lambda i: tri(i), lambda i: tri(i - 1), 0, 1)
-    add_terms(lambda i: tri(i - 1), lambda i: tri(i), 1, second_sign)
-
+            acc[deg] = acc.get(deg, 0) + sign * a.sign**ta * b.sign**tb
+            i += step
     for deg, coeff in acc.items():
         if coeff and deg % 2:
             raise RepresentationError(
@@ -126,14 +127,14 @@ def theta_f(k: int, order: int) -> QSeries:
     """
     if k < 1:
         raise DomainError("theta_f needs k >= 1")
-    return theta_general(MonomialArg(-1, Fraction(2 * k)), MonomialArg(-1, Fraction(1)), order)
+    return theta_general(MonomialArg(-1, 2 * k), MonomialArg(-1, 1), order)
 
 
 def false_theta(k: int, order: int) -> QSeries:
     """Psi(q^(2k-1), q) = sum_{i>=0} q^(ki^2+(k-1)i) - sum_{i>=1} q^(k(i^2-i)+i)."""
     if k < 1:
         raise DomainError("false_theta needs k >= 1")
-    return psi_general(MonomialArg(1, Fraction(2 * k - 1)), MonomialArg(1, Fraction(1)), order)
+    return psi_general(MonomialArg(1, 2 * k - 1), MonomialArg(1, 1), order)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +190,8 @@ def ag_rhs(k: int, order: int) -> QSeries:
     """
     if k < 1:
         raise DomainError("ag_rhs needs k >= 1")
+    if k > MAX_AG_K:
+        raise CapacityError(f"k {k} exceeds limit {MAX_AG_K}")
     return mul_poch_inf(nested_sum_series(k - 1, order, square_last=False), 1, order)
 
 
@@ -202,6 +205,8 @@ def false_ag_rhs(k: int, order: int) -> QSeries:
     """
     if k < 2:
         raise DomainError("false_ag_rhs needs k >= 2")
+    if k > MAX_AG_K:
+        raise CapacityError(f"k {k} exceeds limit {MAX_AG_K}")
     return mul_poch_inf(nested_sum_series(k - 1, order, square_last=True), 1, order)
 
 
@@ -266,13 +271,13 @@ def tail_85(order: int, k_max: int | None = None) -> QSeries:
                 qb = qbinom(k, i)
                 inner = inner + VLaurent.q_power(-2 * i * (k - i)) * (qb * qb)
             term_poly = VLaurent.q_power(k + k * k) * inner
-            term = to_q_series(term_poly)
-            if term.shift < order:
+            shift = term_poly.min_exp() // 4
+            if shift < order:
                 # Divide by (q;q)_k one (1 - q^j) factor at a time.
-                cs = list(term.with_order(order - term.shift).coeffs)
+                cs = list(to_q_series(term_poly, order - shift).coeffs)
                 for j in range(1, k + 1):
                     div_one_minus_qk(cs, j)
-                total = total + QSeries(term.shift, cs)
+                total = total + QSeries(shift, cs)
         k += 1
     return mul_poch_inf(mul_poch_inf(total, 2, order), 1, order)
 

@@ -16,7 +16,6 @@ never silently returns False.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Union
 
 from .errors import DomainError, PrecisionError, RepresentationError
@@ -44,15 +43,19 @@ def normalize(p: SkeinValue, order: int | None = None) -> QSeries:
 
     A Laurent polynomial or rational function of v has its numerator moved
     to valuation 0 (the stored denominator already has it) before it is
-    expanded, so any power of A leaves with the shift.  The magnitude of the
-    leading coefficient is preserved.  Exact Laurent polynomials normalize
-    to exact series; rational functions need an explicit order.  Zero input
-    and relative v-exponents that are not multiples of 4 raise.
+    expanded, so any power of A leaves with the shift.  The result has
+    ``order`` coefficients; a series is truncated to it, and a polynomial is
+    zero-padded past its span.  Only a Laurent polynomial may omit the
+    order: it then keeps its whole span.  The magnitude of the leading
+    coefficient is preserved.  Zero input and relative v-exponents that are
+    not multiples of 4 raise.
     """
     if isinstance(p, VLaurent):
         if p.is_zero():
             raise DomainError("cannot normalize zero")
-        s = to_q_series(p.shift(-p.min_exp()))
+        if order is None:
+            order = (p.max_exp() - p.min_exp()) // 4 + 1
+        s = to_q_series(p.shift(-p.min_exp()), order)
     elif isinstance(p, VFraction):
         if p.is_zero():
             raise DomainError("cannot normalize zero")
@@ -64,16 +67,13 @@ def normalize(p: SkeinValue, order: int | None = None) -> QSeries:
     elif isinstance(p, QSeries):
         if p.is_zero():
             raise DomainError("cannot normalize zero")
-        s = p
+        s = p if order is None else p.with_order(order)
     else:
         raise DomainError(f"cannot normalize {type(p).__name__}")
     cs = list(s.coeffs)
     if cs and cs[0] < 0:
         cs = [-c for c in cs]
-    out = QSeries(0, cs, exact=s.exact)
-    if order is not None:
-        out = out.with_order(order)
-    return out
+    return QSeries(0, cs)
 
 
 def agree_to_order(a: QSeries, b: QSeries, n: int) -> bool:
@@ -86,17 +86,11 @@ def agree_to_order(a: QSeries, b: QSeries, n: int) -> bool:
         raise DomainError("n must be non-negative")
     na = normalize(a)
     nb = normalize(b)
-    if na.order_or_inf() < n or nb.order_or_inf() < n:
+    if na.order < n or nb.order < n:
         raise PrecisionError(
-            f"agreement to {n} requested but orders are "
-            f"{na.order_or_inf()} and {nb.order_or_inf()}"
+            f"agreement to {n} requested but orders are {na.order} and {nb.order}"
         )
-    for j in range(n):
-        ca = na.coeffs[j] if j < len(na.coeffs) else 0
-        cb = nb.coeffs[j] if j < len(nb.coeffs) else 0
-        if ca != cb:
-            return False
-    return True
+    return na.coeffs[:n] == nb.coeffs[:n]
 
 
 def sum_fraction_products_x(
@@ -144,9 +138,7 @@ def x_series_to_normalized_q(s: QSeries, q_order: int) -> QSeries:
     cs = normalize(s).coeffs
     if any(cs[1::2]):
         raise RepresentationError("normalized series has q^(1/2) support")
-    return QSeries(0, cs[::2], exact=s.exact).with_order(
-        min(q_order, (len(cs) + 1) // 2)
-    )
+    return QSeries(0, cs[::2]).with_order(min(q_order, (len(cs) + 1) // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +155,8 @@ class SeriesGenerator:
     eval: Callable[[int], SkeinValue]
 
     def normalized(self, n: int) -> QSeries:
-        return normalize(self.eval(n))
+        """P_n normalized to n coefficients (zero-padded past a short P_n)."""
+        return normalize(self.eval(n), n)
 
 
 @dataclass(frozen=True)
@@ -199,7 +192,7 @@ def stabilization_report(g: SeriesGenerator, n_max: int) -> StabilizationReport:
     verdicts = []
     for n in range(1, n_max + 1):
         verdicts.append(agree_to_order(values[n - 1], values[n], n))
-    tail = values[n_max - 1].with_order(n_max)
+    tail = values[n_max - 1]
     return StabilizationReport(
         generator=g.name,
         params=dict(g.params),
@@ -248,7 +241,7 @@ def graph_family_tail(family: str, params: dict, order: int) -> QSeries:
         m = int(params["m"])
         if m < 0:
             raise DomainError("g_m needs m >= 0")
-        out = QSeries.one()
+        out = QSeries.one(order)
         lam = lambda_series(order)
         for _ in range(m):
             out = series_mul(out, lam)
@@ -258,14 +251,10 @@ def graph_family_tail(family: str, params: dict, order: int) -> QSeries:
         l = int(params.get("l", 0))
         if k < 1 or l < 0:
             raise DomainError("g_kl needs k >= 1 and l >= 0")
-        psi = psi_general(
-            MonomialArg(1, Fraction(2 * k + 1)), MonomialArg(1, Fraction(1)), order
-        )
+        psi = psi_general(MonomialArg(1, 2 * k + 1), MonomialArg(1, 1), order)
         b_sign = -1 if int(params.get("sign_fixed", 0)) else 1
-        f = theta_general(
-            MonomialArg(-1, Fraction(2 * l + 2)), MonomialArg(b_sign, Fraction(1)), order
-        )
-        return series_mul(psi, f).with_order(order)
+        f = theta_general(MonomialArg(-1, 2 * l + 2), MonomialArg(b_sign, 1), order)
+        return series_mul(psi, f)
     if family == "inadequate_chain":
         m = int(params["m"])
         if m < 0:

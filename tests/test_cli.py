@@ -2,12 +2,14 @@
 
 import io
 import json
+import time
 
 import pytest
 
 from skeintails.cli import MAX_JONES_N, MAX_JONES_SIZE, main
 from skeintails.networks import tet_network, theta_network, torus_knot_network
 from skeintails.qcore import MAX_SERIES_ORDER, poch_inf
+from skeintails.qidentities import MAX_AG_K, theta_f
 
 
 def run(argv):
@@ -66,6 +68,21 @@ class TestSeries:
     def test_order_at_cap_runs(self):
         code, out = run(["series", "theta_f", "--k", "2", "--order", str(MAX_SERIES_ORDER)])
         assert code == 0 and out.startswith("1 - q - q^4")
+
+    @pytest.mark.parametrize("name", ["ag_rhs", "false_ag_rhs"])
+    def test_k_cap_exit2(self, capsys, name):
+        # The multi-sum has depth k - 1: uncapped, this k ran for seconds at
+        # order 10 before it printed 1 - q.
+        start = time.perf_counter()
+        code, out = run(["series", name, "--k", "1000000", "--order", "10"])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: k 1000000 exceeds limit {MAX_AG_K}\n"
+
+    def test_k_at_cap_runs(self):
+        code, out = run(["series", "ag_rhs", "--k", str(MAX_AG_K), "--order", "30"])
+        assert code == 0
+        assert out.strip() == theta_f(MAX_AG_K, 30).format(max_terms=1_000_000)
 
 
 class TestVerify:
@@ -238,6 +255,19 @@ class TestVerify:
         assert lines[1] == f"[ERROR] n_max: {detail}"
         assert lines[2].startswith("[PASS ] after:")
         assert lines[3] == "1/3 cases passed"
+
+    def test_k_cap_is_error_case(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"suite": "s", "cases": [
+            {"id": "huge-k", "check": "andrews_gordon", "params": {"k": 1000000, "order": 10}},
+            {"id": "after", "check": "andrews_gordon", "params": {"k": 2, "order": 10}},
+        ]}))
+        code, out = run(["verify", str(path)])
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[0] == f"[ERROR] huge-k: CapacityError: k 1000000 exceeds limit {MAX_AG_K}"
+        assert lines[1].startswith("[PASS ] after:")
+        assert lines[2] == "1/2 cases passed"
 
     def test_non_utf8_suite_exit2(self, tmp_path, capsys):
         path = tmp_path / "s.json"

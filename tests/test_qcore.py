@@ -375,15 +375,23 @@ class TestQSeries:
         assert VLaurent.zero().format() == "0"
 
     def test_to_q_series_examples(self):
-        s = to_q_series(VLaurent({4: 1, 8: 1}))
+        s = to_q_series(VLaurent({4: 1, 8: 1}), 2)
         assert s.shift == 1 and list(map(int, s.coeffs)) == [1, 1]
-        s = to_q_series(VLaurent({-4: 1, 0: 2, 4: 1}))
+        p = VLaurent({-4: 1, 0: 2, 4: 1})
+        s = to_q_series(p, 3)
         assert s.shift == -1 and list(map(int, s.coeffs)) == [1, 2, 1]
+        # The order is counted from the lowest term: the polynomial is cut
+        # below it or zero-padded past its highest term.
+        assert to_q_series(p, 2) == QSeries(-1, [1, 2])
+        assert to_q_series(p, 5) == QSeries(-1, [1, 2, 1, 0, 0])
+        assert to_q_series(p, 0) == QSeries(-1, [])
         not_q = r"v-exponent 2 is not a multiple of 4 \(q = v\^4\)"
         with pytest.raises(RepresentationError, match=not_q):
-            to_q_series(VLaurent({2: 1, 4: 1}))
+            to_q_series(VLaurent({2: 1, 4: 1}), 2)
         with pytest.raises(DomainError):
-            to_q_series(VLaurent.zero())
+            to_q_series(VLaurent.zero(), 2)
+        with pytest.raises(DomainError, match="order must be non-negative"):
+            to_q_series(p, -1)
 
     def test_fractional_q_power_is_refused(self):
         # v^2 + v^6 = A^2 (1 + q): no series in q stores it.  Only normalize,
@@ -391,16 +399,16 @@ class TestQSeries:
         # the lowest offending exponent and the step.
         p = VLaurent({2: 1, 6: 1})
         with pytest.raises(RepresentationError, match=r"^v-exponent 2 .* \(q = v\^4\)$"):
-            to_q_series(p)
+            to_q_series(p, 2)
         # The denominator's normal form moves v^-4 into the numerator.
         f = VFraction(p, VLaurent({4: 1, 8: -1}))
         with pytest.raises(RepresentationError, match="v-exponent -2 is not a multiple of 4"):
             fraction_to_q_series(f, 4)
         with pytest.raises(RepresentationError, match=r"^v-exponent -3 .* 2 \(x = v\^2\)$"):
-            to_x_series(VLaurent({5: 1, -3: 1, 2: 1}))
+            to_x_series(VLaurent({5: 1, -3: 1, 2: 1}), 5)
         from skeintails.tails_engine import normalize
 
-        assert normalize(p) == QSeries(0, [1, 1], exact=True)
+        assert normalize(p) == QSeries(0, [1, 1])
         assert normalize(p).format() == "1 + q"
 
     def test_series_mul_examples(self):
@@ -411,24 +419,38 @@ class TestQSeries:
         assert series_mul(a, one) == a
 
     def test_series_mul_poch_concatenation(self):
-        a = to_q_series(poch_finite(1, 1, 2)).with_order(12)
-        b = to_q_series(poch_finite(1, 3, 2)).with_order(12)
-        c = to_q_series(poch_finite(1, 1, 4)).with_order(12)
+        a = to_q_series(poch_finite(1, 1, 2), 12)
+        b = to_q_series(poch_finite(1, 3, 2), 12)
+        c = to_q_series(poch_finite(1, 1, 4), 12)
         assert series_mul(a, b) == c
 
     def test_series_div(self):
-        geo = series_div(QSeries.one(6), QSeries(0, [1, -1], exact=True), order=6)
+        geo = series_div(QSeries.one(6), QSeries(0, [1, -1, 0, 0, 0, 0]))
         assert list(map(int, geo.coeffs)) == [1] * 6
         a = QSeries(2, [-1, 1, 4, 1])
         assert series_div(a, a) == QSeries.one(4)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="division by zero series"):
             series_div(a, QSeries.zero(4))
 
+    def test_every_series_has_an_order(self):
+        # No series stands for a polynomial of unbounded order: the
+        # constructors and the division take no "exact" mode and no order
+        # of their own, and a series is never extended past its order.
+        with pytest.raises(TypeError):
+            QSeries(0, [1], exact=True)
+        with pytest.raises(TypeError):
+            QSeries.one()
+        with pytest.raises(TypeError):
+            series_div(QSeries.one(3), QSeries.one(3), order=3)
+        assert not hasattr(QSeries.one(3), "exact")
+        with pytest.raises(PrecisionError):
+            QSeries.one(3).with_order(4)
+
     def test_series_div_round_trip(self):
-        a = to_q_series(poch_finite(1, 1, 4)).with_order(10)
-        b = to_q_series(poch_finite(1, 1, 2)).with_order(10)
+        a = to_q_series(poch_finite(1, 1, 4), 10)
+        b = to_q_series(poch_finite(1, 1, 2), 10)
         q = series_div(a, b)
-        assert q == to_q_series(poch_finite(1, 3, 2)).with_order(10)
+        assert q == to_q_series(poch_finite(1, 3, 2), 10)
         assert series_mul(q, b) == a
 
     def test_mul_associative_commutative(self):
@@ -453,11 +475,6 @@ class TestQSeries:
         with pytest.raises(PrecisionError):
             QSeries(0, [1, 2]).with_order(5)
 
-    def test_exact_padding(self):
-        s = to_q_series(VLaurent.one())
-        assert s.with_order(5).order == 5
-        assert all(c == 0 for c in s.with_order(5).coeffs[1:])
-
     def test_json_round_trip(self):
         s = QSeries(-2, [1, -3, 0, 5])
         obj = s.to_json_obj()
@@ -470,10 +487,13 @@ class TestQSeries:
         assert s.coeff(3) == -7
         for e in (0, 4):  # below the support, and a stored zero
             assert s.coeff(e) == 0 and type(s.coeff(e)) is int
-        exact = to_q_series(VLaurent.one())
-        assert exact.coeff(9) == 0 and type(exact.coeff(9)) is int
         with pytest.raises(PrecisionError):
             s.coeff(6)
+        # A polynomial has no coefficient past the order it was given.
+        padded = to_q_series(VLaurent.one(), 10)
+        assert padded.coeff(9) == 0 and type(padded.coeff(9)) is int
+        with pytest.raises(PrecisionError):
+            padded.coeff(10)
 
 
 class TestIntegerKernel:
@@ -496,16 +516,23 @@ class TestIntegerKernel:
         assert all(type(c) is int for c in (s * 3).coeffs)
 
     def test_non_unit_division_is_rejected(self):
-        one_minus_q = QSeries(0, [1, -1], exact=True)
-        geo = series_div(QSeries.one(5), one_minus_q, order=5)
+        one_minus_q = QSeries(0, [1, -1, 0, 0, 0])
+        geo = series_div(QSeries.one(5), one_minus_q)
         assert all(type(c) is int for c in geo.coeffs)
         # Checked before the loop, so at order 0 too, and on the lowest
         # stored coefficient, whatever the shift.
-        for b, order in ((QSeries(0, [2], exact=True), 3), (QSeries(4, [-3, 1]), 0)):
+        for a, b in (
+            (QSeries.one(3), QSeries(0, [2])),
+            (QSeries.one(3), QSeries(4, [-3, 1])),
+            (QSeries.one(0), QSeries(4, [-3, 1])),
+        ):
             with pytest.raises(DomainError, match="not \\+-1"):
-                series_div(QSeries.one(3), b, order=order)
-        with pytest.raises(DomainError):
-            fraction_to_q_series(VFraction(VLaurent.one(), VLaurent({0: 2})), 3)
+                series_div(a, b)
+        # The expansion of 1/2 keeps the refusal at order 0, where the
+        # quotient would store no coefficient.
+        for order in (3, 1, 0):
+            with pytest.raises(DomainError, match="series divisor starts with 2"):
+                fraction_to_q_series(VFraction(VLaurent.one(), VLaurent({0: 2})), order)
 
     def test_expansion_does_not_depend_on_the_stored_form(self):
         # (2 + q) / ((2 + q)(1 - q)) is 1/(1 - q), but its stored denominator
@@ -523,12 +550,12 @@ class TestIntegerKernel:
     def test_orders_zero_and_one(self):
         for c, step in ((1, 1), (3, 1), (2, 3)):
             empty = poch_inf_step(c, step, 0)
-            assert (empty.shift, empty.coeffs, empty.exact) == (0, (), False)
+            assert (empty.shift, empty.coeffs) == (0, ())
             one = poch_inf_step(c, step, 1)
-            assert (one.shift, one.coeffs, one.exact) == (0, (1,), False)
+            assert (one.shift, one.coeffs) == (0, (1,))
         for c in (1, 3):
-            assert poch_inf(c, 0).coeffs == () and not poch_inf(c, 0).exact
-            assert poch_inf(c, 1).coeffs == (1,) and not poch_inf(c, 1).exact
+            assert poch_inf(c, 0).coeffs == ()
+            assert poch_inf(c, 1).coeffs == (1,)
             # Order 0 knows no coefficient, so it cannot be extended.
             with pytest.raises(PrecisionError):
                 poch_inf(c, 0).with_order(5)
@@ -539,22 +566,25 @@ class TestIntegerKernel:
 
     def test_division_to_order_zero_is_empty(self):
         # Each of these used to raise IndexError (no SkeinError) in series_div.
-        one_minus_q = QSeries(0, [1, -1], exact=True)
+        # A divisor that stores no coefficient is the only one not checked.
+        one_minus_q = QSeries(0, [1, -1])
         for got in (
-            series_div(QSeries.one(5), one_minus_q, order=0),
+            series_div(QSeries.one(5), to_q_series(poch_finite(1, 1, 1), 0)),
             series_div(QSeries(0, []), one_minus_q),
             fraction_to_q_series(VFraction(VLaurent.one(), VLaurent({0: 1, 4: -1})), 0),
         ):
-            assert (got.shift, got.coeffs, got.exact) == (0, (), False)
-        got = series_div(QSeries(3, [2, 1]), QSeries(1, [1, 1], exact=True), order=0)
-        assert (got.shift, got.coeffs, got.exact) == (2, (), False)
+            assert (got.shift, got.coeffs) == (0, ())
+        for a, b in ((QSeries(3, []), QSeries(1, [1, 1])), (QSeries(3, [2, 1]), QSeries(1, []))):
+            got = series_div(a, b)
+            assert (got.shift, got.coeffs) == (2, ())
 
 
 _int_lists = st.lists(st.integers(-5, 5), min_size=1, max_size=14)
 
 
-def _one_minus_qk(k: int) -> QSeries:
-    return QSeries(0, [1] + [0] * (k - 1) + [-1], exact=True)
+def _one_minus_qk(k: int, order: int) -> QSeries:
+    """(1 - q^k) to the given order."""
+    return to_q_series(VLaurent.from_q_dict({0: 1, k: -1}), order)
 
 
 @settings(max_examples=150, deadline=None)
@@ -562,14 +592,14 @@ def _one_minus_qk(k: int) -> QSeries:
     a=_int_lists,
     b0=st.sampled_from([1, -1, 2, -3]),
     b_tail=st.lists(st.integers(-5, 5), max_size=13),
-    b_exact=st.booleans(),
+    b_long=st.booleans(),
 )
-def test_div_inverts_mul_property(a, b0, b_tail, b_exact):
-    # series_div divides by b0 = +-1 and refuses 2 and -3.
-    if b_exact:
-        b = QSeries(0, [b0] + b_tail, exact=True)
-    else:
-        b = QSeries(0, ([b0] + b_tail + [0] * len(a))[: len(a)])
+def test_div_inverts_mul_property(a, b0, b_tail, b_long):
+    # series_div divides by b0 = +-1 and refuses 2 and -3.  A divisor known
+    # past the order of a leaves the quotient at the order of a.
+    b = QSeries(0, [b0] + b_tail + [0] * len(a))
+    if not b_long:
+        b = b.with_order(len(a))
     sa = QSeries(0, a)
     if b0 not in (1, -1):
         with pytest.raises(DomainError):
@@ -585,7 +615,7 @@ def test_div_inverts_mul_property(a, b0, b_tail, b_exact):
 def test_mul_step_matches_dense_factor(cs, k):
     got = list(cs)
     mul_one_minus_qk(got, k)
-    assert QSeries(0, got) == series_mul(QSeries(0, cs), _one_minus_qk(k))
+    assert QSeries(0, got) == series_mul(QSeries(0, cs), _one_minus_qk(k, len(cs)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -602,7 +632,7 @@ def test_mul_then_div_step_is_identity(cs, k):
 def test_poch_inf_step_matches_dense_product(c, step, order):
     want = QSeries.one(order)
     for k in range(c, order, step):
-        want = series_mul(want, _one_minus_qk(k))
+        want = series_mul(want, _one_minus_qk(k, order))
     got = poch_inf_step(c, step, order)
     assert got == want and got.order == order
 
@@ -611,39 +641,35 @@ def test_poch_inf_step_matches_dense_product(c, step, order):
 @given(
     cs=st.lists(st.integers(-9, 9), max_size=24),
     shift=st.integers(-6, 6),
-    exact=st.booleans(),
     c=st.integers(1, 6),
     step=st.integers(1, 4),
     power=st.integers(-3, 3),
     order=st.integers(0, 24),
 )
-def test_mul_poch_inf_matches_dense_factors(
-    cs, shift, exact, c, step, power, order
-):
+def test_mul_poch_inf_matches_dense_factors(cs, shift, c, step, power, order):
     # The reference multiplies or divides by each explicit factor (1 - q^k),
     # k = c, c + step, ... below the order, with the dense kernels.
-    s = QSeries(shift, cs, exact=exact)
-    want = s
+    s = QSeries(shift, cs)
+    want = s.with_order(min(order, s.order))
     for k in range(c, order, step):
         for _ in range(abs(power)):
             if power > 0:
-                want = series_mul(want, _one_minus_qk(k))
+                want = series_mul(want, _one_minus_qk(k, want.order))
             else:
-                want = series_div(want, _one_minus_qk(k), order=order)
-    want = want.with_order(min(order, want.order_or_inf()))
+                want = series_div(want, _one_minus_qk(k, want.order))
     got = mul_poch_inf(s, c, order, step=step, power=power)
-    assert got == want and not got.exact
-    assert got.order == (order if exact else min(order, len(s.coeffs)))
+    assert got == want
+    assert got.order == min(order, len(s.coeffs))
     assert [type(x) for x in got.coeffs] == [type(x) for x in want.coeffs]
 
 
 def test_mul_poch_inf_rejects_bad_arguments():
     with pytest.raises(DivergentProductError):
-        mul_poch_inf(QSeries.one(), 0, 5)
+        mul_poch_inf(QSeries.one(5), 0, 5)
     with pytest.raises(DivergentProductError):
-        mul_poch_inf(QSeries.one(), 1, 5, step=0)
+        mul_poch_inf(QSeries.one(5), 1, 5, step=0)
     with pytest.raises(DomainError):
-        mul_poch_inf(QSeries.one(), 1, -1)
+        mul_poch_inf(QSeries.one(5), 1, -1)
 
 
 # -- Kronecker-substitution products -----------------------------------------

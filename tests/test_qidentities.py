@@ -1,18 +1,24 @@
 """Theta/false-theta series, Andrews-Gordon sums, Lambda, and the 8_5 tail."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skeintails.errors import DomainError, RepresentationError
+from skeintails import qidentities
+from skeintails.errors import CapacityError, DomainError, RepresentationError
 from skeintails.qcore import (
     QSeries,
+    mul_poch_inf,
     poch_inf,
     poch_inf_step,
     series_div,
     series_mul,
 )
 from skeintails.qidentities import (
+    MAX_AG_K,
     MonomialArg,
     ag_rhs,
     false_ag_rhs,
@@ -25,6 +31,7 @@ from skeintails.qidentities import (
     theta_f,
     theta_general,
 )
+from skeintails.skein_formulas import chain_tail
 from skeintails.tails_engine import graph_family_tail, tail_product_1, tail_product_23
 
 
@@ -85,6 +92,61 @@ class TestThetaGeneral:
             theta_general(mq(-1, Fraction(3, 2)), mq(-1, 1), 20)
 
 
+def _one_sided_sums(a: MonomialArg, b: MonomialArg, order: int, second_sign: int) -> QSeries:
+    """f(a, b) (second_sign +1) or Psi(a, b) (-1) as the two one-sided sums
+
+        sum_{i>=0} a^(i(i+1)/2) b^(i(i-1)/2) + second_sign * sum_{i>=1} a^(i(i-1)/2) b^(i(i+1)/2),
+
+    each term summed in half-exponent units.  The i-th term has degree at
+    least i, so i <= 2 * order + 1 covers every term below q^order."""
+    acc: dict[int, int] = {}
+    terms = [(i * (i + 1) // 2, i * (i - 1) // 2, 1) for i in range(2 * order + 2)]
+    terms += [(i * (i - 1) // 2, i * (i + 1) // 2, second_sign) for i in range(1, 2 * order + 2)]
+    for ta, tb, sign in terms:
+        deg = a.half_exponent * ta + b.half_exponent * tb
+        if deg <= 2 * order:
+            acc[deg] = acc.get(deg, 0) + sign * a.sign**ta * b.sign**tb
+    if any(c and deg % 2 for deg, c in acc.items()):
+        raise RepresentationError("half-integer exponent")
+    return QSeries(0, [acc.get(2 * j, 0) for j in range(order)])
+
+
+_half_args = st.builds(
+    lambda sign, num, den: MonomialArg(sign, Fraction(num, den)),
+    st.sampled_from([1, -1]),
+    st.integers(1, 8),
+    st.sampled_from([1, 2]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_half_args, b=_half_args, order=st.integers(0, 40), second_sign=st.sampled_from([1, -1]))
+def test_bilateral_sum_matches_one_sided_sums(a, b, order, second_sign):
+    # The engine walks one sum over i in Z; the reference adds the two
+    # one-sided sums of the definition.  Both refuse the same arguments.
+    fn = theta_general if second_sign == 1 else psi_general
+    try:
+        want = _one_sided_sums(a, b, order, second_sign)
+    except RepresentationError:
+        with pytest.raises(RepresentationError):
+            fn(a, b, order)
+        return
+    assert fn(a, b, order) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.integers(1, 8), beta=st.integers(1, 8), order=st.integers(0, 60))
+def test_jacobi_triple_product(alpha, beta, order):
+    # f(-q^alpha, -q^beta) = (q^alpha; q^s)_inf (q^beta; q^s)_inf (q^s; q^s)_inf
+    # with s = alpha + beta; the product side is built step by step, not
+    # from the theta sum.
+    s = alpha + beta
+    rhs = QSeries.one(order)
+    for c in (alpha, beta, s):
+        rhs = mul_poch_inf(rhs, c, order, step=s)
+    assert theta_general(mq(-1, alpha), mq(-1, beta), order) == rhs
+
+
 class TestSpecializations:
     def test_theta_f_examples(self):
         assert theta_f(1, 20) == poch_inf(1, 20)
@@ -125,7 +187,7 @@ class TestSpecializations:
     def test_frozen_coefficients(self, name, k):
         got = {"theta_f": theta_f, "false_theta": false_theta}[name](k, 30)
         want = self.FROZEN_30[name, k]
-        assert (got.shift, got.exact) == (0, False)
+        assert got.shift == 0
         assert got.coeffs == tuple(want.get(j, 0) for j in range(30))
         assert all(type(c) is int for c in got.coeffs)
 
@@ -133,6 +195,22 @@ class TestSpecializations:
 class TestAndrewsGordon:
     def test_k1_empty_sum(self):
         assert ag_rhs(1, 30) == poch_inf(1, 30)
+
+    def test_k_cap(self):
+        assert ag_rhs(MAX_AG_K, 30) == theta_f(MAX_AG_K, 30)
+        assert false_ag_rhs(MAX_AG_K, 30) == false_theta(MAX_AG_K, 30)
+        # Refused before any multi-sum level is built, whatever the order.
+        with mock.patch.object(
+            qidentities, "nested_sum_series", side_effect=AssertionError
+        ):
+            for fn in (ag_rhs, false_ag_rhs):
+                for k in (MAX_AG_K + 1, 10**9):
+                    with pytest.raises(CapacityError, match=f"^k {k} exceeds limit {MAX_AG_K}$"):
+                        fn(k, 10)
+            with pytest.raises(CapacityError):
+                chain_tail("even", MAX_AG_K + 1, 10)
+            with pytest.raises(CapacityError):
+                chain_tail("odd", MAX_AG_K, 10)
 
     def test_identities(self):
         for k in range(2, 6):
@@ -296,8 +374,8 @@ class TestIntegerKernelEdges:
     def test_orders_zero_and_one(self, name):
         fn = self.ORDER_EDGE_CASES[name]
         empty, one = fn(0), fn(1)
-        assert (empty.shift, empty.coeffs, empty.exact) == (0, (), False)
-        assert (one.shift, one.coeffs, one.exact) == (0, (1,), False)
+        assert (empty.shift, empty.coeffs) == (0, ())
+        assert (one.shift, one.coeffs) == (0, (1,))
 
     INT_CASES = {
         "poch_inf(1)": lambda: poch_inf(1, 60),

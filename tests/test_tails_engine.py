@@ -59,6 +59,23 @@ class TestNormalize:
         with pytest.raises(DomainError):
             normalize(three_sevenths, order=8)
 
+    def test_order_pads_a_polynomial_past_its_span(self):
+        # -2 A^-6 + A^-2 normalizes to 2 - q.  Without an order it keeps its
+        # span; an order cuts it or pads it with zeros, and a series is only
+        # ever cut.
+        p = VLaurent({-6: -2, -2: 1})
+        assert normalize(p) == QSeries(0, [2, -1])
+        assert normalize(p, 5) == QSeries(0, [2, -1, 0, 0, 0])
+        assert normalize(p, 1) == QSeries(0, [2])
+        assert normalize(p, 0) == QSeries(0, [])
+        assert normalize(normalize(p, 5), 3) == QSeries(0, [2, -1, 0])
+        with pytest.raises(PrecisionError):
+            normalize(normalize(p), 5)
+        # A generator value shorter than n is padded to the n coefficients
+        # that stabilization_report compares.
+        g = SeriesGenerator("one", {}, lambda n: VLaurent.one())
+        assert g.normalized(4) == QSeries(0, [1, 0, 0, 0])
+
     def test_magnitude_preserved(self):
         got = normalize(VLaurent.from_q_dict({1: -3, 2: 6}))
         assert list(got.coeffs) == [3, -6]
@@ -119,7 +136,7 @@ class TestAgreeToOrder:
 
     def test_poch_prefix(self):
         for n in range(1, 21):
-            fin = to_q_series(poch_finite(1, 1, n)).with_order(n + 2)
+            fin = to_q_series(poch_finite(1, 1, n), n + 2)
             inf = poch_inf(1, n + 2)
             assert agree_to_order(fin, inf, n + 1)
             assert not agree_to_order(fin, inf, n + 2)
@@ -187,7 +204,7 @@ class TestTailProducts:
 
     def test_unit_law_product23(self):
         t = theta_f(2, 25)
-        inv = series_div(QSeries.one(25), QSeries(0, [1, -1], exact=True), order=25)
+        inv = series_div(QSeries.one(25), to_q_series(poch_finite(1, 1, 1), 25))
         assert tail_product_23(t, inv, 25) == t.with_order(25)
 
     def test_connect_sum_of_trefoils(self):
@@ -195,13 +212,12 @@ class TestTailProducts:
         order = 8
         pp = poch_inf(1, order)
         want = tail_product_23(pp, pp, order)
-        g = SeriesGenerator(
-            "trefoil_pair",
-            {},
-            lambda n: normalize(colored_jones_torus(3, n))
-            * normalize(colored_jones_torus(3, n))
-            * QSeries(0, [1, -1], exact=True),
-        )
+
+        def trefoil_pair(n: int) -> QSeries:
+            t = normalize(colored_jones_torus(3, n), n)
+            return t * t * to_q_series(poch_finite(1, 1, 1), n)
+
+        g = SeriesGenerator("trefoil_pair", {}, trefoil_pair)
         rep = stabilization_report(g, order)
         assert rep.all_stable
         assert rep.tail == want.with_order(order)
