@@ -32,12 +32,19 @@ Three value types live here:
 
 The quantum/number-theoretic primitives (quantum integers, Delta_n,
 quantum factorials, q-Pochhammer symbols, q-binomials) are built on top.
+Every finite product of quantum integers [a] and Pochhammer factors
+(1 - q^a), and every exact quotient of two such products, is one call of
+one kernel, ``poch_ratio``, on a dense coefficient list in q: one O(degree)
+pass per factor instead of a chain of VLaurent products.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from functools import lru_cache
+from itertools import accumulate, chain
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -867,46 +874,83 @@ def delta_n(n: int) -> VLaurent:
     return -v if n % 2 else v
 
 
+def mul_one_minus_qk(cs: list, k: int) -> None:
+    """Multiply the coefficient list cs by (1 - q^k) in place, modulo
+    q^len(cs): one shifted difference, in O(len(cs))."""
+    cs[k:] = map(operator.sub, cs[k:], cs[: len(cs) - k])
+
+
+def div_one_minus_qk(cs: list, k: int) -> None:
+    """Divide the coefficient list cs by (1 - q^k) in place, modulo
+    q^len(cs), k >= 1: one running sum per residue class mod k, in
+    O(len(cs))."""
+    if k < 1:
+        raise DomainError("dividing by (1 - q^k) needs k >= 1")
+    for r in range(min(k, len(cs))):
+        cs[r::k] = accumulate(cs[r::k])
+
+
+def poch_ratio(ups: Iterable[int], downs: Iterable[int]) -> VLaurent:
+    """prod_{a in ups} (1 - q^a) / prod_{b in downs} (1 - q^b) for two
+    multisets of exponents >= 1, when the ratio is a polynomial in q.
+
+    A factor on both sides cancels first.  The rest runs on one dense
+    coefficient list: multiplying by (1 - q^a) is one shifted difference,
+    and dividing by (1 - q^b) is one running sum per residue class mod b,
+    so every factor costs one O(degree) pass.  The numerator is built
+    before any division, so a ratio that is a polynomial divides exactly at
+    every step; a division that leaves a remainder (its top b quotient
+    coefficients are not all zero) raises ConsistencyError.
+    """
+    ups, downs = Counter(ups), Counter(downs)
+    if any(a < 1 for a in chain(ups, downs)):
+        raise DomainError("poch_ratio needs factors (1 - q^a) with a >= 1")
+    common = ups & downs
+    ups -= common
+    downs -= common
+    cs = [1]
+    for a in ups.elements():
+        cs += [0] * a
+        mul_one_minus_qk(cs, a)
+    for b in downs.elements():
+        div_one_minus_qk(cs, b)
+        if any(cs[-b:]):
+            raise ConsistencyError(f"(1 - q^{b}) does not divide the product")
+        del cs[-b:]
+    res = VLaurent.__new__(VLaurent)
+    res.terms = {4 * e: c for e, c in enumerate(cs) if c}
+    return res
+
+
+def quantum_product(args: Iterable[int]) -> VLaurent:
+    """prod_{a in args} [a] for a multiset of a >= 1, through one
+    ``poch_ratio``: [a] = v^(-2(a-1)) (1 - q^a) / (1 - q)."""
+    args = list(args)
+    return poch_ratio(args, [1] * len(args)).shift(-2 * sum(a - 1 for a in args))
+
+
 @lru_cache(maxsize=None)
 def quantum_fact(n: int) -> VLaurent:
     """[n]! = [1][2]...[n]; the empty product is 1."""
     if n < 0:
         raise DomainError("quantum_fact needs n >= 0")
-    out = VLaurent.one()
-    for i in range(1, n + 1):
-        out = out * quantum_int(i)
-    return out
+    return quantum_product(range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
 def poch_finite(sign: int, c: int, n: int) -> VLaurent:
-    """Finite q-Pochhammer (sign*q^c; q)_n = prod_{j<n} (1 - sign*q^(c+j))."""
+    """Finite q-Pochhammer (sign*q^c; q)_n = prod_{j<n} (1 - sign*q^(c+j))
+    for c >= 1; a factor (1 + q^a) is (1 - q^(2a)) / (1 - q^a)."""
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     if n < 0:
         raise DomainError("poch_finite needs n >= 0")
-    out = VLaurent.one()
-    for j in range(n):
-        out = out * VLaurent({0: 1, 4 * (c + j): -sign})
-    return out
-
-
-def mul_one_minus_qk(cs: list, k: int) -> None:
-    """Multiply the coefficient list cs by (1 - q^k) in place, modulo
-    q^len(cs), in O(len(cs)).  Runs top down so each cs[i - k] is still the
-    old coefficient when it is read."""
-    for i in range(len(cs) - 1, k - 1, -1):
-        cs[i] -= cs[i - k]
-
-
-def div_one_minus_qk(cs: list, k: int) -> None:
-    """Divide the coefficient list cs by (1 - q^k) in place, modulo
-    q^len(cs), in O(len(cs)); k >= 1.  Runs bottom up so each cs[i - k] is
-    already a quotient coefficient when it is read."""
-    if k < 1:
-        raise DomainError("dividing by (1 - q^k) needs k >= 1")
-    for i in range(k, len(cs)):
-        cs[i] += cs[i - k]
+    if c < 1:
+        raise DomainError("poch_finite needs c >= 1")
+    exps = range(c, c + n)
+    if sign == 1:
+        return poch_ratio(exps, ())
+    return poch_ratio([2 * a for a in exps], exps)
 
 
 def poch_inf(c: int, order: int) -> QSeries:
@@ -953,6 +997,4 @@ def qbinom(n: int, i: int) -> VLaurent:
     """Gaussian binomial (q;q)_n / ((q;q)_i (q;q)_(n-i)) as an exact polynomial."""
     if not (0 <= i <= n):
         raise DomainError(f"qbinom needs 0 <= i <= n, got ({n}, {i})")
-    num = poch_finite(1, 1, n)
-    den = poch_finite(1, 1, i) * poch_finite(1, 1, n - i)
-    return num.div_exact(den)
+    return poch_ratio(range(1, n + 1), [*range(1, i + 1), *range(1, n - i + 1)])

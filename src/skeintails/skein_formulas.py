@@ -12,6 +12,13 @@ the theta and all-equal tetrahedron evaluations, the P(n,i) chain
 coefficients, the normalized colored Jones polynomial of (2, f) torus
 links, and the multi-sum tails of the bubble chains.
 
+Each closed form is a signed power of v times a ratio of products of
+quantum integers [a] and Pochhammer factors (1 - q^a).  Every such product
+is one call of the dense kernel ``qcore.poch_ratio`` (or
+``qcore.quantum_product``, through [a] = v^(-2(a-1)) (1 - q^a)/(1 - q)),
+with repeated factors listed as often as they occur, never a chain of
+VLaurent products or powers.
+
 Values here are exact rational functions of v (VFraction); genuinely
 polynomial results (like the normalized colored Jones) are reduced to
 VLaurent with a remainder assertion, never by rounding.
@@ -25,12 +32,17 @@ from .qcore import (
     VFraction,
     VLaurent,
     delta_n,
-    poch_finite,
-    qbinom,
+    poch_ratio,
     quantum_fact,
-    quantum_int,
+    quantum_product,
 )
 from .qidentities import ag_rhs, false_ag_rhs
+
+
+def _upto(t: int, times: int = 1) -> list[int]:
+    """1, ..., t, each ``times`` times: the factors of ([t]!)^times, or of
+    (q;q)_t^times."""
+    return [*range(1, t + 1)] * times
 
 
 # ---------------------------------------------------------------------------
@@ -50,22 +62,15 @@ def bubble_coeff(m: int, n: int, k: int, l: int, i: int) -> VFraction:
     if not (0 <= i <= min(m, n, l)):
         raise DomainError(f"index i={i} outside 0..min(m, n, l)")
     sign = -1 if (i + l) % 2 else 1
-    # q^(i(i-l)/2) has v-exponent 2 i (i - l).
-    out = VFraction.from_poly(VLaurent.monomial(sign, 2 * i * (i - l)))
-    num = VLaurent.one()
-    for j in range(l - i):
-        num = num * quantum_int(k - j)
-    for s in range(i):
-        num = num * quantum_int(n - s) * quantum_int(m - s)
-    den = VLaurent.one()
-    for t in range(l):
-        den = den * quantum_int(n + k - t) * quantum_int(m + k - t)
-    out = out * VFraction(num, den)
-    out = out * VFraction.from_poly(qbinom(l, i))
-    tail = VLaurent.one()
-    for j in range(l - i):
-        tail = tail * quantum_int(m + n + k - i - j + 1)
-    return out * VFraction.from_poly(tail)
+    # The quantum integers of the numerator, and the q-binomial's factors.
+    ups = [k - j for j in range(l - i)]
+    ups += [x for s in range(i) for x in (n - s, m - s)]
+    ups += [m + n + k - i - j + 1 for j in range(l - i)]
+    num = poch_ratio(ups + _upto(l), [1] * len(ups) + _upto(i) + _upto(l - i))
+    # q^(i(i-l)/2) has v-exponent 2 i (i - l); [a] carries v^(-2(a-1)).
+    num = num.scale(sign).shift(2 * i * (i - l) - 2 * sum(a - 1 for a in ups))
+    den = quantum_product(x for t in range(l) for x in (n + k - t, m + k - t))
+    return VFraction(num, den)
 
 
 def theta_2n(n: int) -> VFraction:
@@ -90,9 +95,9 @@ def tet_2n(n: int) -> VFraction:
         num = quantum_fact(i + 1)
         if i % 2:
             num = -num
-        den = quantum_fact(4 * n - i) ** 3 * quantum_fact(i - 3 * n) ** 4
+        den = quantum_product(_upto(4 * n - i, 3) + _upto(i - 3 * n, 4))
         acc = acc + VFraction(num, den)
-    pref = VFraction(quantum_fact(n) ** 12, quantum_fact(2 * n) ** 6)
+    pref = VFraction(quantum_product(_upto(n, 12)), quantum_product(_upto(2 * n, 6)))
     return pref * acc
 
 
@@ -123,15 +128,15 @@ def nn_i_coeff(n: int, i: int, j: int) -> VFraction:
     sign = -1 if (j + n) % 2 else 1
     # v-exponent of q^(j^2 + j/2 - n/2) is 4 j^2 + 2 j - 2 n.
     out = VFraction.from_poly(VLaurent.monomial(sign, 4 * j * j + 2 * j - 2 * n))
-    pq = lambda t: poch_finite(1, 1, t)
-    num = pq(i) ** 2 * pq(n) ** 4 * pq(2 * n + i - j + 1)
-    den = (
-        pq(i - j)
-        * pq(j) ** 2
-        * pq(2 * n)
-        * pq(n + i)
-        * pq(n + i + 1)
-        * pq(n - j) ** 2
+    num = poch_ratio(_upto(i, 2) + _upto(n, 4) + _upto(2 * n + i - j + 1), ())
+    den = poch_ratio(
+        _upto(i - j)
+        + _upto(j, 2)
+        + _upto(2 * n)
+        + _upto(n + i)
+        + _upto(n + i + 1)
+        + _upto(n - j, 2),
+        (),
     )
     return out * VFraction(num, den)
 

@@ -35,8 +35,6 @@ formulas elsewhere in the package.
 
 from __future__ import annotations
 
-import threading
-
 from .errors import CapacityError, DomainError
 from .qcore import V_LOOP, VFraction, VLaurent, quantum_int
 
@@ -382,7 +380,6 @@ class TLElement:
 # ---------------------------------------------------------------------------
 
 _jw_cache: dict[int, TLElement] = {}
-_jw_lock = threading.Lock()
 
 
 def jones_wenzl(n: int) -> TLElement:
@@ -395,11 +392,10 @@ def jones_wenzl(n: int) -> TLElement:
         raise DomainError("jones_wenzl needs n >= 0")
     if n > MAX_BOX_COLOR:
         raise CapacityError(f"projector color {n} exceeds limit {MAX_BOX_COLOR}")
-    with _jw_lock:
-        return _jones_wenzl_locked(n)
+    return _jones_wenzl(n)
 
 
-def _jones_wenzl_locked(n: int) -> TLElement:
+def _jones_wenzl(n: int) -> TLElement:
     if n in _jw_cache:
         return _jw_cache[n]
     if n == 0:
@@ -411,7 +407,7 @@ def _jones_wenzl_locked(n: int) -> TLElement:
         # so f(n) = p + ([n-1]/[n]) p e p has, over [n]! = [n-1]! [n], the
         # numerators N [n] + [n-1] (N e N) / [n-1]!.  The division is exact
         # ([n]! f(n) is integral) and [n-1]! is monic, so it stays in Z.
-        p = _jones_wenzl_locked(n - 1).tensor_strand()
+        p = _jones_wenzl(n - 1).tensor_strand()
         pep = p * TLElement.generator(n, n - 1) * p
         qn, qn1 = quantum_int(n), quantum_int(n - 1)
         terms = {m: c * qn for m, c in p.terms.items()}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .errors import SkeinError
+from .errors import CapacityError, SkeinError
 from .qcore import (
     V_LOOP,
     QSeries,
@@ -28,6 +28,25 @@ from .qcore import (
 from . import networks, qidentities, skein_formulas, tails_engine, tl_oracle
 
 CheckResult = tuple[bool, str]
+
+# Largest ``n_max`` a suite may give each check that reads one, checked
+# before any value is built.  Each limit is the largest value measured to
+# run in at most about 10 s (2 cores, CPython 3.11.7); the comment gives
+# that time and, after the slash, the time one step further where it was
+# run.  The worst accepted case is nn_i_sweep at 14, 9.0 s.
+MAX_N_MAX: dict[str, int] = {
+    "morrison": 3,  # 0.1 s / 4: 15.5 s (builds f(8) cold)
+    "jw_laws": 6,  # 2.2 s / 7: 34 s
+    "theta_oracle": 3,  # 3.3 s; at 4 the contraction work cap refuses
+    "tail_lemma_fact": 70,  # 6.2 s / 80: 13.3 s
+    "tail_lemma_bubble0": 70,  # 7.7 s
+    "tail_lemma_psum": 28,  # 7.7 s / 30: 11.1 s
+    "tail_lemma_psum_nn0": 24,  # 8.2 s / 26: 11.9 s
+    "nn_i_sweep": 14,  # 9.0 s / 16: 21.9 s
+    "torus_stabilization": 50,  # 5.7 s at k_max 3 / 60: 12.7 s
+    "lambda_theorem": 11,  # 4.6 s / 12: 10.8 s
+    "theta_tail": 60,  # 7.7 s
+}
 
 
 def _series_diff_detail(a: QSeries, b: QSeries) -> str:
@@ -446,4 +465,8 @@ def run_check(name: str, params: dict) -> CheckResult:
         fn = CHECKS[name]
     except KeyError:
         raise SkeinError(f"unknown check {name!r}") from None
+    if name in MAX_N_MAX and "n_max" in params:
+        n_max, limit = int(params["n_max"]), MAX_N_MAX[name]
+        if n_max > limit:
+            raise CapacityError(f"n_max {n_max} exceeds limit {limit}")
     return fn(params)

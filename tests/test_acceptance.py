@@ -5,9 +5,16 @@ checks back the builtin:acceptance CLI suite, so CI and the command line
 exercise identical code.
 """
 
+import importlib.util
+import inspect
+import json
+import time
+from pathlib import Path
+
 import pytest
 
-from skeintails.verifycases import run_check
+from skeintails.errors import CapacityError
+from skeintails.verifycases import CHECKS, MAX_N_MAX, run_check
 
 
 def _criterion(number: int, label: str, check: str, params: dict) -> None:
@@ -79,3 +86,52 @@ def test_c12_product_combinators():
 
 def test_c13_85_tail():
     _criterion(13, "8_5 series checks", "tail85", {"order": 30})
+
+
+# -- the per-check n_max caps --------------------------------------------------
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _shipped_cases():
+    """Every case of the builtin suites, and of each perfbench workload with
+    its window offsets at both extremes."""
+    for path in sorted((_ROOT / "src" / "skeintails" / "suites").glob("*.json")):
+        yield from json.loads(path.read_text())["cases"]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_suites", _ROOT / "perfbench" / "suites.py"
+    )
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    for cases in mod.WORKLOADS.values():
+        for _id, check, params, window in cases:
+            for d in (-1, 0, 1) if window else (0,):
+                p = dict(params)
+                if window:
+                    p[window[0]] += d
+                yield {"check": check, "params": p}
+
+
+def test_n_max_caps_cover_every_n_max_check():
+    reads_n_max = {
+        name for name, fn in CHECKS.items() if '"n_max"' in inspect.getsource(fn)
+    }
+    assert reads_n_max == set(MAX_N_MAX)
+
+
+def test_n_max_caps_admit_every_shipped_suite():
+    seen = 0
+    for case in _shipped_cases():
+        n_max = case.get("params", {}).get("n_max")
+        if n_max is not None:
+            assert n_max <= MAX_N_MAX[case["check"]], case
+            seen += 1
+    assert seen >= 20
+
+
+def test_n_max_over_cap_is_refused_before_building():
+    for name, limit in MAX_N_MAX.items():
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"n_max {10**9} exceeds limit {limit}"):
+            run_check(name, {"n_max": 10**9})
+        assert time.perf_counter() - start < 1

@@ -10,6 +10,7 @@ from skeintails.cli import MAX_JONES_N, MAX_JONES_SIZE, main
 from skeintails.networks import tet_network, theta_network, torus_knot_network
 from skeintails.qcore import MAX_SERIES_ORDER, poch_inf
 from skeintails.qidentities import MAX_AG_K, theta_f
+from skeintails.verifycases import MAX_N_MAX
 
 
 def run(argv):
@@ -268,6 +269,23 @@ class TestVerify:
         assert lines[0] == f"[ERROR] huge-k: CapacityError: k 1000000 exceeds limit {MAX_AG_K}"
         assert lines[1].startswith("[PASS ] after:")
         assert lines[2] == "1/2 cases passed"
+
+    def test_n_max_cap_is_error_case(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"suite": "s", "cases": [
+            {"id": "huge", "check": "tail_lemma_fact", "params": {"n_max": 100000}},
+            {"id": "after", "check": "tail_lemma_fact", "params": {"n_max": 3}},
+        ]}))
+        report = tmp_path / "r.json"
+        code, out = run(["verify", str(path), "--out", str(report)])
+        assert code == 2
+        lines = out.splitlines()
+        limit = MAX_N_MAX["tail_lemma_fact"]
+        assert lines[0] == f"[ERROR] huge: CapacityError: n_max 100000 exceeds limit {limit}"
+        assert lines[1].startswith("[PASS ] after:")
+        assert lines[2] == "1/2 cases passed"
+        statuses = [c["status"] for c in json.loads(report.read_text())["cases"]]
+        assert statuses == ["error", "pass"]
 
     def test_non_utf8_suite_exit2(self, tmp_path, capsys):
         path = tmp_path / "s.json"

@@ -1,0 +1,212 @@
+"""The dense Pochhammer-ratio kernel and the closed forms built on it.
+
+``qcore.poch_ratio`` builds every product of quantum integers and factors
+(1 - q^a) in the package.  It is checked against a reference made of plain
+VLaurent products and ``div_exact``.  The closed forms are checked against
+test-local copies of their VLaurent product loops, term for term in the
+stored (num, den): the kernel changes how a value is computed, never which
+polynomials are stored.  This reference is independent of the kernel, so
+checks that now use the kernel on both sides (``nn_i_sweep``, the
+``poch_finite`` targets of the tail lemmas) stay honest.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skeintails import skein_formulas as sf
+from skeintails.errors import ConsistencyError, DomainError
+from skeintails.qcore import (
+    VFraction,
+    VLaurent,
+    delta_n,
+    poch_finite,
+    poch_ratio,
+    qbinom,
+    quantum_fact,
+    quantum_int,
+    quantum_product,
+)
+
+
+def _one_minus_q(a: int) -> VLaurent:
+    return VLaurent({0: 1, 4 * a: -1})
+
+
+def _product(polys) -> VLaurent:
+    out = VLaurent.one()
+    for p in polys:
+        out = out * p
+    return out
+
+
+def _reference_ratio(ups, downs) -> VLaurent:
+    num = _product(_one_minus_q(a) for a in ups)
+    return num.div_exact(_product(_one_minus_q(b) for b in downs))
+
+
+# -- test-local copies of the VLaurent product loops --------------------------
+
+
+def _ref_quantum_fact(n):
+    return _product(quantum_int(i) for i in range(1, n + 1))
+
+
+def _ref_poch_finite(sign, c, n):
+    return _product(VLaurent({0: 1, 4 * (c + j): -sign}) for j in range(n))
+
+
+def _ref_qbinom(n, i):
+    den = _ref_poch_finite(1, 1, i) * _ref_poch_finite(1, 1, n - i)
+    return _ref_poch_finite(1, 1, n).div_exact(den)
+
+
+def _ref_bubble_coeff(m, n, k, l, i):
+    sign = -1 if (i + l) % 2 else 1
+    out = VFraction.from_poly(VLaurent.monomial(sign, 2 * i * (i - l)))
+    num = _product(quantum_int(k - j) for j in range(l - i))
+    for s in range(i):
+        num = num * quantum_int(n - s) * quantum_int(m - s)
+    den = VLaurent.one()
+    for t in range(l):
+        den = den * quantum_int(n + k - t) * quantum_int(m + k - t)
+    out = out * VFraction(num, den)
+    out = out * VFraction.from_poly(_ref_qbinom(l, i))
+    tail = _product(quantum_int(m + n + k - i - j + 1) for j in range(l - i))
+    return out * VFraction.from_poly(tail)
+
+
+def _ref_theta_2n(n):
+    if n == 0:
+        return VFraction.one()
+    return _ref_bubble_coeff(n, n, n, n, 0) * VFraction.from_poly(delta_n(2 * n))
+
+
+def _ref_tet_2n(n):
+    qf = _ref_quantum_fact
+    acc = VFraction.zero()
+    for i in range(3 * n, 4 * n + 1):
+        num = qf(i + 1)
+        if i % 2:
+            num = -num
+        acc = acc + VFraction(num, qf(4 * n - i) ** 3 * qf(i - 3 * n) ** 4)
+    return VFraction(qf(n) ** 12, qf(2 * n) ** 6) * acc
+
+
+def _ref_p_coeff(n, i):
+    ratio = VFraction(delta_n(2 * n), delta_n(n + i))
+    return _ref_bubble_coeff(n, n, n, n, i) * ratio
+
+
+def _ref_nn_i_coeff(n, i, j):
+    sign = -1 if (j + n) % 2 else 1
+    out = VFraction.from_poly(VLaurent.monomial(sign, 4 * j * j + 2 * j - 2 * n))
+    pq = lambda t: _ref_poch_finite(1, 1, t)
+    num = pq(i) ** 2 * pq(n) ** 4 * pq(2 * n + i - j + 1)
+    den = pq(i - j) * pq(j) ** 2 * pq(2 * n) * pq(n + i) * pq(n + i + 1) * pq(n - j) ** 2
+    return out * VFraction(num, den)
+
+
+def _stored(x):
+    if isinstance(x, VFraction):
+        return x.num.terms, x.den.terms
+    return x.terms
+
+
+def _grid():
+    for n in range(30):
+        yield quantum_fact, _ref_quantum_fact, (n,)
+    for sign in (1, -1):
+        for c in range(1, 8):
+            for n in range(12):
+                yield poch_finite, _ref_poch_finite, (sign, c, n)
+    for n in range(16):
+        for i in range(n + 1):
+            yield qbinom, _ref_qbinom, (n, i)
+    for m in range(5):
+        for n in range(5):
+            for k in range(1, 5):
+                for l in range(1, k + 1):
+                    for i in range(min(m, n, l) + 1):
+                        yield sf.bubble_coeff, _ref_bubble_coeff, (m, n, k, l, i)
+    for n in range(9):
+        yield sf.theta_2n, _ref_theta_2n, (n,)
+    for n in range(5):
+        yield sf.tet_2n, _ref_tet_2n, (n,)
+    for n in range(1, 7):
+        for i in range(n + 1):
+            yield sf.p_coeff, _ref_p_coeff, (n, i)
+            for j in range(i + 1):
+                yield sf.nn_i_coeff, _ref_nn_i_coeff, (n, i, j)
+
+
+def test_stored_forms_match_the_product_loops():
+    count = 0
+    for fn, ref, args in _grid():
+        assert _stored(fn(*args)) == _stored(ref(*args)), (fn.__name__, args)
+        count += 1
+    assert count == 935
+
+
+# -- the kernel itself ---------------------------------------------------------
+
+_FACTORS = st.lists(st.integers(1, 12), max_size=8)
+
+
+@st.composite
+def _ratios(draw):
+    """Factor multisets whose ratio is a polynomial when ``extra`` is empty:
+    each down divides a distinct up, as (1 - q^d) divides (1 - q^a) for d | a."""
+    ups = draw(_FACTORS)
+    downs = []
+    for a in ups:
+        divisors = [d for d in range(1, a + 1) if a % d == 0]
+        d = draw(st.sampled_from([None, *divisors]))
+        if d is not None:
+            downs.append(d)
+    extra = draw(st.lists(st.integers(1, 12), max_size=2))
+    return ups, draw(st.permutations(downs + extra))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ratios())
+def test_poch_ratio_matches_reference(ratio):
+    ups, downs = ratio
+    try:
+        want = _reference_ratio(ups, downs)
+    except ConsistencyError:
+        with pytest.raises(ConsistencyError):
+            poch_ratio(ups, downs)
+        return
+    assert poch_ratio(ups, downs).terms == want.terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(_FACTORS)
+def test_quantum_product_matches_reference(args):
+    assert quantum_product(args).terms == _product(map(quantum_int, args)).terms
+
+
+def test_inexact_ratio_raises():
+    with pytest.raises(ConsistencyError):
+        poch_ratio([2], [3])
+    with pytest.raises(ConsistencyError):
+        poch_ratio([], [1])
+    with pytest.raises(ConsistencyError):
+        poch_ratio([2, 3], [5])
+
+
+def test_factor_below_one_raises():
+    for ups, downs in (([0], []), ([], [0]), ([0], [0]), ([3, -1], [1])):
+        with pytest.raises(DomainError):
+            poch_ratio(ups, downs)
+    with pytest.raises(DomainError):
+        quantum_product([2, 0])
+
+
+def test_poch_finite_refuses_c_below_one():
+    for sign in (1, -1):
+        for c in (0, -2):
+            for n in range(4):
+                with pytest.raises(DomainError):
+                    poch_finite(sign, c, n)
