@@ -10,8 +10,10 @@ Subcommands:
 Exit codes: 0 all passed / value printed, 1 verification failure, 2 usage,
 parse, or capacity error.  Every ``--order``, and every ``order`` in a suite
 file, is capped at MAX_SERIES_ORDER before any series is built; a suite's
-``n_max`` is capped per check at ``verifycases.MAX_N_MAX`` before any value
-is built; and ``jones`` caps its inputs at MAX_JONES_N and MAX_JONES_SIZE.
+``n_max`` is capped per check at ``verifycases.MAX_N_MAX`` (and
+``bubble_oracle``'s ``max_param`` at ``verifycases.MAX_MAX_PARAM``) before
+any value is built; and ``jones`` caps its inputs at MAX_JONES_N and
+MAX_JONES_SIZE.
 ``oracle`` refuses a box colour above ``tl_oracle.MAX_BOX_COLOR``, more than
 ``networks.MAX_FREE_LOOPS`` free loops, and a network whose contraction
 work would exceed ``networks.MAX_CONTRACTION_WORK``.  A suite case

@@ -10,15 +10,20 @@ projector, and each closed loop contributes delta = -A**2 - A**-2.
 Both kinds of node go through one contraction: a node is a sum of local
 terms (a matching on its ports times a coefficient; two terms for a
 crossing, the projector's terms for a box).  The nodes are expanded one at
-a time in BFS order over the arc graph; each step composes the pairing of
-the still-open ports with every term, counts the loops it closes, and
-merges states with the same pairing.  The composition is
-``tl_oracle.join``, the same gluing step as TL products and closures.
-Crossing states are never enumerated one by one, so the work follows the
-number of distinct pairings at the frontier, not 2**crossings.  Every
-local coefficient is an integer Laurent polynomial (A, A**-1, or a
-projector numerator); the product of the box denominators divides the sum
-once, at the end, so the contraction itself needs no gcd.
+a time, in a greedy order: next, the node that leaves the fewest open ends
+(Bar-Natan's local order, "Fast Khovanov homology computations", 2007).
+A state is a pairing of the open ends, the ports whose arc runs into the
+expanded part; each step composes every state with every term, counts the
+loops it closes, and merges states with the same pairing.  The
+composition is ``tl_oracle.join``, the same gluing step as TL products and
+closures.  Crossing states are never enumerated one by one, so the work
+follows the number of distinct pairings at the frontier, not
+2**crossings.  Since f(n) e_j = 0, a state that joins two adjacent ports
+on one side of a box not yet expanded is zero and is dropped when it is
+formed (the absorption of Kauffman-Lins, "Temperley-Lieb Recoupling
+Theory", 1994).  Every local coefficient is an integer Laurent polynomial
+(A, A**-1, or a projector numerator); the product of the box denominators
+divides the sum once, at the end, so the contraction itself needs no gcd.
 
 Box ports: a box of color n has ports a0..a(n-1) on side A and b0..b(n-1)
 on side B; the projector's identity diagram joins a_j to b_j.  Crossing
@@ -34,9 +39,10 @@ grammar is documented in docs/network-format.md.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import re
-from collections import deque
+from bisect import bisect_left
 
 from .errors import CapacityError, DomainError
 from .qcore import V_LOOP, VFraction, VLaurent
@@ -62,8 +68,10 @@ MAX_FREE_LOOPS = 100
 # expanded so far, of (states before the step) x (the node's local terms),
 # the number of joins the steps run.  It is checked before each step, so an
 # oversized network is refused before the step that would exceed it runs.
-# At 100 000 the (4,3) torus (75 516, about 3 s) and theta(6,6,6) run; tet
-# n=3, the (3,4) and (5,3) torus and theta(8,8,8) are refused.
+# At 100 000 tet n=3 (7 128 joins), theta(8,8,8) (10 010, about 1 s with
+# f(8) cached), the (5,3) torus (20 054, 0.4 s) and the (2,5) torus at
+# colour 5 run; tet n=4 (122 980 at node 4) and the (3,4), (3,5) and
+# (4,4) torus are refused.
 MAX_CONTRACTION_WORK = 100_000
 
 
@@ -230,12 +238,18 @@ def bracket_closed(net: ClosedNetwork) -> VFraction:
         pairing[pid[e1]] = pid[e2]
         pairing[pid[e2]] = pid[e1]
 
-    num = _contract(node_terms, node_ports, pairing, V_LOOP**net.free_loops)
+    # f(n) e_j = 0, so a box annihilates a pairing of its ports a_j, a_j+1
+    # or b_j, b_j+1 (ports j, j+1 or n+j, n+j+1 in its port list).
+    dead = set()
+    for name, color in net.boxes.items():
+        ports = node_ports[name]
+        for j in range(2 * color - 1):
+            if j != color - 1:
+                dead.add((ports[j], ports[j + 1]))
+                dead.add((ports[j + 1], ports[j]))
+
+    num = _contract(node_terms, node_ports, pairing, V_LOOP**net.free_loops, dead)
     return VFraction(num, den).reduced()
-
-
-def _canon(pairing: dict[int, int]) -> tuple:
-    return tuple(sorted((p, q) for p, q in pairing.items() if p < q))
 
 
 def _contract(
@@ -243,37 +257,28 @@ def _contract(
     node_ports: dict[str, list[int]],
     pairing: dict[int, int],
     initial: VLaurent,
+    dead: set[tuple[int, int]],
 ) -> VLaurent:
     """Expand every node into its local terms, with state aggregation.
 
-    A state is a pairing of the ports of the nodes not yet expanded;
-    expanding a node composes each state with each of the node's matchings,
-    counts the loops closed inside it, and merges states that end up with
-    the same pairing.  Raises ``CapacityError`` before a step that would
-    take the work (states x terms, summed over the steps) above
+    A state is a pairing of the open ends: the ports of the nodes not yet
+    expanded whose arc runs into an expanded node.  The arcs between two
+    nodes not yet expanded are the same in every state, so a state leaves
+    them out.  Expanding a node composes each state, with the node's own
+    arcs, with each of the node's matchings, counts the loops closed inside
+    it, and merges states that end up with the same pairing.  A state that
+    pairs two ports as a pair of ``dead`` does (adjacent same-side ports of
+    a box not yet expanded, in both orders) is dropped: the projector
+    annihilates it.  Raises ``CapacityError`` before a step that would take
+    the work (states x terms, summed over the steps) above
     ``MAX_CONTRACTION_WORK``.
     """
-    # BFS order over the node adjacency keeps intermediate states local.
-    adj: dict[str, set[str]] = {name: set() for name in node_ports}
     owner = {p: name for name, ports in node_ports.items() for p in ports}
-    for p, q in pairing.items():
-        if owner[p] != owner[q]:
-            adj[owner[p]].add(owner[q])
-    order: list[str] = []
-    left = set(node_ports)
-    while left:
-        start = min(left)
-        queue = deque([start])
-        left.discard(start)
-        while queue:
-            b = queue.popleft()
-            order.append(b)
-            for nb in sorted(adj[b]):
-                if nb in left:
-                    left.discard(nb)
-                    queue.append(nb)
-
-    states: dict[tuple, VLaurent] = {_canon(pairing): initial}
+    order = _greedy_order(node_ports, pairing, owner)
+    states: dict[tuple, VLaurent] = {}
+    if dead.isdisjoint(pairing.items()):
+        states[()] = initial
+    expanded: set[str] = set()
     work = 0
     for step, name in enumerate(order, 1):
         work += len(states) * len(node_terms[name])
@@ -284,31 +289,77 @@ def _contract(
             )
         ports = node_ports[name]
         port_set = set(ports)
+        # The node's arcs to nodes not yet expanded (or to itself).
+        fixed = {}
+        for p in ports:
+            q = pairing[p]
+            if owner[q] not in expanded:
+                fixed[p], fixed[q] = q, p
+        expanded.add(name)
         expansions = [
             ({p: ports[j] for p, j in zip(ports, pairs)}, mcoeff)
             for pairs, mcoeff in node_terms[name]
         ]
         new_states: dict[tuple, VLaurent] = {}
         for key, coeff in states.items():
-            pr = {}
+            pr = dict(fixed)
             for p, q in key:
                 pr[p] = q
                 pr[q] = p
             # Sorted ends make each new pairing canonical as it is read off.
             ends = sorted(p for p in pr if p not in port_set)
+            # Only the ends paired into this node can get a new partner.
+            moved = [
+                bisect_left(ends, pr[p]) for p in ports if pr[p] not in port_set
+            ]
             for mp, mcoeff in expansions:
                 partner, loops = join(pr, mp, ends)
-                c = coeff * mcoeff
-                if loops:
-                    c = c * V_LOOP**loops
+                if any((ends[i], ends[partner[i]]) in dead for i in moved):
+                    continue
                 k = tuple(
                     (ends[i], ends[j]) for i, j in enumerate(partner) if i < j
                 )
+                c = coeff * mcoeff
+                if loops:
+                    c = c * V_LOOP**loops
                 s = new_states.get(k)
                 new_states[k] = c if s is None else s + c
         states = new_states
     # All nodes expanded: only the empty pairing remains.
     return states.get((), VLaurent())
+
+
+def _greedy_order(
+    node_ports: dict[str, list[int]], pairing: dict[int, int], owner: dict[int, str]
+) -> list[str]:
+    """Expansion order: next the node that leaves the fewest open ends.
+
+    The open ends are the arcs between the expanded nodes and the rest.
+    Expanding a node changes their number by its arcs to unexpanded nodes
+    minus its arcs to expanded ones; ties go to the smaller name.  Each
+    expansion updates its neighbours' changes and pushes them on a heap,
+    whose stale entries are skipped when popped.
+    """
+    arcs: dict[str, list[str]] = {name: [] for name in node_ports}
+    for p, q in pairing.items():
+        if owner[p] != owner[q]:
+            arcs[owner[p]].append(owner[q])
+    delta = {name: len(ends) for name, ends in arcs.items()}
+    heap = [(d, name) for name, d in delta.items()]
+    heapq.heapify(heap)
+    order: list[str] = []
+    done: set[str] = set()
+    while heap:
+        d, name = heapq.heappop(heap)
+        if name in done or d != delta[name]:
+            continue
+        done.add(name)
+        order.append(name)
+        for nb in arcs[name]:
+            if nb not in done:
+                delta[nb] -= 2
+                heapq.heappush(heap, (delta[nb], nb))
+    return order
 
 
 # ---------------------------------------------------------------------------

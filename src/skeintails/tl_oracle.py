@@ -19,7 +19,10 @@ Jones-Wenzl projectors are built by Wenzl's recursion
     f(n) = f(n-1)x1 - (Delta_{n-2}/Delta_{n-1}) (f(n-1)x1) e_{n-1} (f(n-1)x1)
 
 starting from f(1) = single strand, and memoized (the recursion reuses
-f(n-1) heavily).
+f(n-1) heavily).  Since f(n-1) e_j = 0, a term of (f(n-1)x1) e_{n-1} with
+a cap on two adjacent top points among the first n-1 vanishes against the
+second factor, so the step drops it before that product: n-1 of the
+Catalan(n-1) terms are multiplied out.
 
 A ``TLElement`` is fraction-free: one integer Laurent numerator per
 matching over one shared denominator, so products, sums and closures are
@@ -40,8 +43,8 @@ from .qcore import V_LOOP, VFraction, VLaurent, quantum_int
 
 
 # Largest projector colour.  f(n) has Catalan(n) diagrams with numerators
-# over [n]!; f(8) (1430 diagrams) builds cold in about 15 s, and each colour
-# beyond costs several times more.
+# over [n]!; f(0..8) (1430 diagrams for f(8)) build cold in about 0.7 s,
+# and each colour beyond costs several times more (f(9) about 2.3 s).
 MAX_BOX_COLOR = 8
 
 
@@ -295,8 +298,13 @@ class TLElement:
             raise DomainError("strand-count mismatch")
         buckets: dict[tuple[Matching, int], VLaurent] = {}
         for ma, ca in self.terms.items():
+            # Sum the numerators of other that give one (diagram, loops)
+            # with ma, then multiply by ca once per sum.
+            sums: dict[tuple[Matching, int], VLaurent] = {}
             for mb, cb in other.terms.items():
-                _accumulate(buckets, match_mul(ma, mb), ca * cb)
+                _accumulate(sums, match_mul(ma, mb), cb)
+            for key, cb in sums.items():
+                _accumulate(buckets, key, ca * cb)
         return TLElement(self.n, _times_loops(buckets), self.den * other.den)
 
     def tensor_strand(self) -> "TLElement":
@@ -407,8 +415,17 @@ def _jones_wenzl(n: int) -> TLElement:
         # so f(n) = p + ([n-1]/[n]) p e p has, over [n]! = [n-1]! [n], the
         # numerators N [n] + [n-1] (N e N) / [n-1]!.  The division is exact
         # ([n]! f(n) is integral) and [n-1]! is monic, so it stays in Z.
+        # A diagram of p e with a cap on adjacent top points j, j+1 < n-1
+        # meets f(n-1) x 1 in cap_j f(n-1) = 0, so (p e) p drops it first:
+        # n-1 of the Catalan(n-1) terms survive.
         p = _jones_wenzl(n - 1).tensor_strand()
-        pep = p * TLElement.generator(n, n - 1) * p
+        pe = p * TLElement.generator(n, n - 1)
+        live = {
+            m: c
+            for m, c in pe.terms.items()
+            if all(m.pairs[n + j] != n + j + 1 for j in range(n - 2))
+        }
+        pep = TLElement(n, live, pe.den) * p
         qn, qn1 = quantum_int(n), quantum_int(n - 1)
         terms = {m: c * qn for m, c in p.terms.items()}
         for m, c in pep.terms.items():

@@ -35,9 +35,9 @@ CheckResult = tuple[bool, str]
 # that time and, after the slash, the time one step further where it was
 # run.  The worst accepted case is nn_i_sweep at 14, 9.0 s.
 MAX_N_MAX: dict[str, int] = {
-    "morrison": 3,  # 0.1 s / 4: 15.5 s (builds f(8) cold)
-    "jw_laws": 6,  # 2.2 s / 7: 34 s
-    "theta_oracle": 3,  # 3.3 s; at 4 the contraction work cap refuses
+    "morrison": 4,  # 0.8 s (builds f(8) cold); at 5 f(10) is over MAX_BOX_COLOR
+    "jw_laws": 6,  # 1.5 s / 7: 12.6-17.4 s (mostly the product f(7) f(7))
+    "theta_oracle": 4,  # 1.2 s; at 5 the colour 10 is over MAX_BOX_COLOR
     "tail_lemma_fact": 70,  # 6.2 s / 80: 13.3 s
     "tail_lemma_bubble0": 70,  # 7.7 s
     "tail_lemma_psum": 28,  # 7.7 s / 30: 11.1 s
@@ -46,6 +46,13 @@ MAX_N_MAX: dict[str, int] = {
     "torus_stabilization": 50,  # 5.7 s at k_max 3 / 60: 12.7 s
     "lambda_theorem": 11,  # 4.6 s / 12: 10.8 s
     "theta_tail": 60,  # 7.7 s
+}
+
+# Largest ``max_param`` a suite may give each check that reads one, in the
+# same way: bubble_oracle at 4 runs 140 closures in 2.0 s; at 5 a box of
+# colour 9 is refused after 3.0 s of contractions.
+MAX_MAX_PARAM: dict[str, int] = {
+    "bubble_oracle": 4,
 }
 
 
@@ -465,8 +472,9 @@ def run_check(name: str, params: dict) -> CheckResult:
         fn = CHECKS[name]
     except KeyError:
         raise SkeinError(f"unknown check {name!r}") from None
-    if name in MAX_N_MAX and "n_max" in params:
-        n_max, limit = int(params["n_max"]), MAX_N_MAX[name]
-        if n_max > limit:
-            raise CapacityError(f"n_max {n_max} exceeds limit {limit}")
+    for key, caps in (("n_max", MAX_N_MAX), ("max_param", MAX_MAX_PARAM)):
+        if name in caps and key in params:
+            value, limit = int(params[key]), caps[name]
+            if value > limit:
+                raise CapacityError(f"{key} {value} exceeds limit {limit}")
     return fn(params)

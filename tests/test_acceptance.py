@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from skeintails.errors import CapacityError
-from skeintails.verifycases import CHECKS, MAX_N_MAX, run_check
+from skeintails.verifycases import CHECKS, MAX_MAX_PARAM, MAX_N_MAX, run_check
 
 
 def _criterion(number: int, label: str, check: str, params: dict) -> None:
@@ -135,3 +135,33 @@ def test_n_max_over_cap_is_refused_before_building():
         with pytest.raises(CapacityError, match=f"n_max {10**9} exceeds limit {limit}"):
             run_check(name, {"n_max": 10**9})
         assert time.perf_counter() - start < 1
+
+
+def test_max_param_caps_cover_every_max_param_check():
+    reads = {
+        name for name, fn in CHECKS.items() if '"max_param"' in inspect.getsource(fn)
+    }
+    assert reads == set(MAX_MAX_PARAM)
+
+
+def test_max_param_caps_admit_every_shipped_suite():
+    seen = 0
+    for case in _shipped_cases():
+        value = case.get("params", {}).get("max_param")
+        if value is not None:
+            assert value <= MAX_MAX_PARAM[case["check"]], case
+            seen += 1
+    assert seen >= 3
+
+
+def test_max_param_over_cap_is_refused_before_building():
+    # One above the cap (a box of colour 9 after seconds of contraction
+    # without it) and far above it are both refused at once.
+    for name, limit in MAX_MAX_PARAM.items():
+        for value in (limit + 1, 100):
+            start = time.perf_counter()
+            with pytest.raises(
+                CapacityError, match=f"^max_param {value} exceeds limit {limit}$"
+            ):
+                run_check(name, {"max_param": value})
+            assert time.perf_counter() - start < 1

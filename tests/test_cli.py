@@ -10,7 +10,7 @@ from skeintails.cli import MAX_JONES_N, MAX_JONES_SIZE, main
 from skeintails.networks import tet_network, theta_network, torus_knot_network
 from skeintails.qcore import MAX_SERIES_ORDER, poch_inf
 from skeintails.qidentities import MAX_AG_K, theta_f
-from skeintails.verifycases import MAX_N_MAX
+from skeintails.verifycases import MAX_MAX_PARAM, MAX_N_MAX
 
 
 def run(argv):
@@ -287,6 +287,20 @@ class TestVerify:
         statuses = [c["status"] for c in json.loads(report.read_text())["cases"]]
         assert statuses == ["error", "pass"]
 
+    def test_max_param_cap_is_error_case(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"suite": "s", "cases": [
+            {"id": "huge", "check": "bubble_oracle", "params": {"max_param": 100}},
+            {"id": "after", "check": "bubble_oracle", "params": {"max_param": 1}},
+        ]}))
+        code, out = run(["verify", str(path)])
+        assert code == 2
+        lines = out.splitlines()
+        limit = MAX_MAX_PARAM["bubble_oracle"]
+        assert lines[0] == f"[ERROR] huge: CapacityError: max_param 100 exceeds limit {limit}"
+        assert lines[1].startswith("[PASS ] after:")
+        assert lines[2] == "1/2 cases passed"
+
     def test_non_utf8_suite_exit2(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_bytes(b"\xff\xfe")
@@ -509,11 +523,11 @@ class TestOracle:
 
     def test_capacity_exit2(self, tmp_path, capsys):
         path = tmp_path / "big.net"
-        path.write_text(tet_network(6).serialize())  # tet n=3
+        path.write_text(tet_network(8).serialize())  # tet n=4
         code, out = run(["oracle", str(path)])
         assert code == 2 and out == ""
         assert (
-            "error: contraction work 554532 (states x terms) exceeds limit 100000"
+            "error: contraction work 122980 (states x terms) exceeds limit 100000"
             in capsys.readouterr().err
         )
 

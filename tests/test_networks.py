@@ -19,10 +19,11 @@ from skeintails.networks import (
     theta_network,
     torus_knot_network,
 )
-from skeintails.qcore import VFraction, VLaurent, delta_n, quantum_int
-from skeintails.skein_formulas import colored_jones_torus
+from skeintails.qcore import V_LOOP, VFraction, VLaurent, delta_n, quantum_int
+from skeintails.skein_formulas import colored_jones_torus, tet_2n, theta_2n
 from skeintails.tails_engine import normalize
-from skeintails.tl_oracle import MAX_BOX_COLOR
+from skeintails.tl_oracle import MAX_BOX_COLOR, join, jones_wenzl
+from skeintails.verifycases import bubble_sweep_cases
 
 DELTA = VFraction.from_poly(VLaurent({2: -1, -2: -1}))
 
@@ -80,6 +81,16 @@ class TestSpinNetworks:
         assert (got.num, got.den) == (r.num, r.den)
         assert got.den == VLaurent({0: 1, 4: 1})
 
+    @pytest.mark.parametrize(
+        "net, formula, n",
+        [(tet_network(6), tet_2n, 3), (theta_network(8, 8, 8), theta_2n, 4)],
+        ids=["tet-n3", "theta-8-8-8"],
+    )
+    def test_projector_heavy_networks(self, net, formula, n):
+        # 1,855,524 and 2,046,330 joins with every state kept; dropping the
+        # states a projector annihilates leaves 7,128 and 10,010.
+        assert bracket_closed(net) == formula(n)
+
     def test_theta_degenerate_edge(self):
         # Theta(n, n, 0) is the closed n-projector
         assert bracket_closed(theta_network(2, 2, 0)) == VFraction.from_poly(delta_n(2))
@@ -102,10 +113,10 @@ class TestCapacity:
     @pytest.mark.parametrize(
         "net, work, step",
         [
-            (tet_network(6), 554_532, 3),  # tet n=3
-            (torus_knot_network(5, 3), 113_310, 30),
+            (tet_network(8), 122_980, 4),  # tet n=4
+            (torus_knot_network(3, 5), 122_486, 25),
         ],
-        ids=["tet-n3", "torus-5-3"],
+        ids=["tet-n4", "torus-3-5"],
     )
     def test_work_limit(self, net, work, step):
         nodes = len(net.boxes) + len(net.crossings)
@@ -116,17 +127,17 @@ class TestCapacity:
         ):
             bracket_closed(net)
 
-    @pytest.mark.parametrize("f, n", [(3, 3), (6, 2), (20, 2)])
+    @pytest.mark.parametrize("f, n", [(3, 3), (6, 2), (20, 2), (5, 3)])
     def test_under_work_limit_evaluates(self, f, n):
-        # 27 and 80 crossings: the work bound, not the crossing count,
+        # 27, 80 and 45 crossings: the work bound, not the crossing count,
         # decides what runs.
         got = bracket_closed(torus_knot_network(f, n)).to_vlaurent()
         got = normalize(got.div_exact(delta_n(n)))
         assert got == normalize(colored_jones_torus(f, n))
 
     def test_work_limit_is_checked_before_the_step(self, monkeypatch):
-        # torus (3,3) needs exactly 6180 joins, 4 of them in the last step.
-        # One less refuses it before that step runs; at 6180 it evaluates.
+        # torus (3,3) needs exactly 3217 joins, 4 of them in the last step.
+        # One less refuses it before that step runs; at 3217 it evaluates.
         net = torus_knot_network(3, 3)
         want = bracket_closed(net)
         steps = []
@@ -137,14 +148,14 @@ class TestCapacity:
             return real_join(*args)
 
         monkeypatch.setattr(networks, "join", counting_join)
-        monkeypatch.setattr(networks, "MAX_CONTRACTION_WORK", 6179)
-        with pytest.raises(CapacityError, match=r"work 6180 .* limit 6179 at node 29 of 29"):
+        monkeypatch.setattr(networks, "MAX_CONTRACTION_WORK", 3216)
+        with pytest.raises(CapacityError, match=r"work 3217 .* limit 3216 at node 29 of 29"):
             bracket_closed(net)
         refused = len(steps)
-        monkeypatch.setattr(networks, "MAX_CONTRACTION_WORK", 6180)
+        monkeypatch.setattr(networks, "MAX_CONTRACTION_WORK", 3217)
         steps.clear()
         assert bracket_closed(net) == want
-        assert (refused, len(steps)) == (6176, 6180)
+        assert (refused, len(steps)) == (3213, 3217)
 
     def test_box_color_limit(self):
         assert MAX_BOX_COLOR == 8
@@ -289,3 +300,121 @@ class TestBubbleNetworks:
         assert top == want
         lhs = bracket_closed(bubble_lhs_network(1, 1, 1, 1, 1, 1, "leftright"))
         assert lhs != want
+
+
+# -- a reference contraction with no pruning ---------------------------------
+
+# (A-smoothing, B-smoothing) on the port indices of nw, ne, se, sw.
+_REF_SMOOTHINGS = {
+    "nesw": ((3, 2, 1, 0), (1, 0, 3, 2)),
+    "nwse": ((1, 0, 3, 2), (3, 2, 1, 0)),
+}
+
+
+class _TooMuchWork(Exception):
+    pass
+
+
+def _reference_bracket(net: ClosedNetwork, max_work: int) -> VFraction:
+    """The bracket by plain contraction: nodes in BFS order over the arc
+    graph, every state kept (none dropped as annihilated by a projector)."""
+    terms, den = {}, VLaurent.one()
+    for name, color in net.boxes.items():
+        f = jones_wenzl(color)
+        terms[name] = [(m.pairs, c) for m, c in f.terms.items()]
+        den = den * f.den
+    for name, over in net.crossings.items():
+        smooth_a, smooth_b = _REF_SMOOTHINGS[over]
+        terms[name] = [
+            (smooth_a, VLaurent.monomial(1, 1)),
+            (smooth_b, VLaurent.monomial(1, -1)),
+        ]
+    ids: dict = {}
+    ports = {
+        name: [ids.setdefault((name, p), len(ids)) for p in net.ports_of(name)]
+        for name in terms
+    }
+    owner = {p: name for name, ps in ports.items() for p in ps}
+    pairing = {}
+    for e1, e2 in net.arcs:
+        pairing[ids[e1]], pairing[ids[e2]] = ids[e2], ids[e1]
+    order: list = []
+    for start in sorted(terms):
+        if start in order:
+            continue
+        order.append(start)
+        queue = [start]
+        while queue:
+            node = queue.pop(0)
+            for nb in sorted({owner[pairing[p]] for p in ports[node]}):
+                if nb not in order:
+                    order.append(nb)
+                    queue.append(nb)
+    states = {tuple(sorted(pairing.items())): V_LOOP**net.free_loops}
+    work = 0
+    for name in order:
+        work += len(states) * len(terms[name])
+        if work > max_work:
+            raise _TooMuchWork
+        mine = set(ports[name])
+        new: dict = {}
+        for key, coeff in states.items():
+            pr = dict(key)
+            ends = [p for p in pr if p not in mine]
+            for local, c in terms[name]:
+                glue = {p: ports[name][j] for p, j in zip(ports[name], local)}
+                partner, loops = join(pr, glue, ends)
+                k = tuple(sorted((ends[i], ends[j]) for i, j in enumerate(partner)))
+                c = coeff * c * V_LOOP**loops
+                new[k] = new[k] + c if k in new else c
+        states = new
+    return VFraction(states.get((), VLaurent()), den).reduced()
+
+
+def _old_cap_fixtures():
+    """The networks the tests and suites evaluate that fit under the work
+    cap in BFS order with no pruning."""
+    yield "loops", loop_network(3)
+    for over in ("nesw", "nwse"):
+        yield f"kink-{over}", kinked_loop(over)
+    for n in range(1, 5):
+        yield f"closed-f{n}", closed_projector(n)
+    for colors in ((1, 1, 2), (2, 2, 2), (2, 3, 3), (2, 2, 0), (4, 4, 4)):
+        yield f"theta{colors}", theta_network(*colors)
+    yield "tet-2", tet_network(2)
+    yield "tet-4", tet_network(4)
+    yield "tet-mixed", tet_network(
+        {"e12": 2, "e13": 2, "e14": 2, "e23": 2, "e24": 4, "e34": 2}
+    )
+    for f, n in ((2, 1), (3, 1), (12, 1), (2, 2), (3, 2), (6, 2), (20, 2), (1, 3),
+                 (3, 3)):
+        yield f"torus-{f}-{n}", torus_knot_network(f, n)
+    yield "torus-3-2-nwse", torus_knot_network(3, 2, "nwse")
+    for m, n, mp, np_, k, l, closure in bubble_sweep_cases(2):
+        yield f"bubble-lhs{(m, n, mp, np_, k, l, closure)}", bubble_lhs_network(
+            m, n, mp, np_, k, l, closure
+        )
+        for i in range(0, min(m, n, l) + 1):
+            yield f"bubble-rhs{(m, n, mp, np_, k, l, i, closure)}", (
+                bubble_rhs_network(m, n, mp, np_, k, l, i, closure)
+            )
+
+
+@pytest.mark.parametrize(
+    "net", [pytest.param(net, id=label) for label, net in _old_cap_fixtures()]
+)
+def test_contraction_matches_reference(net):
+    want = _reference_bracket(net, max_work=100_000)
+    got = bracket_closed(net)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+@settings(max_examples=25, deadline=None)
+@given(net=_random_networks())
+def test_random_contraction_matches_reference(net):
+    try:
+        want = _reference_bracket(net, max_work=5_000)
+    except _TooMuchWork:
+        assume(False)
+    got = bracket_closed(net)
+    assert (got.num, got.den) == (want.num, want.den)

@@ -310,6 +310,23 @@ class TestJonesWenzl:
                 assert isinstance(c, VLaurent)
                 assert all(type(k) is int for k in c.terms.values())
 
+    def test_filtered_step_equals_unfiltered_recursion(self):
+        # The recursion drops the terms of p e that f(n-1) annihilates before
+        # the second product; the full p e p must give the same numerators.
+        prev = TLElement.identity(1)
+        for n in range(2, 8):
+            p = prev.tensor_strand()
+            pep = p * TLElement.generator(n, n - 1) * p
+            qn, qn1 = quantum_int(n), quantum_int(n - 1)
+            terms = {m: c * qn for m, c in p.terms.items()}
+            for m, c in pep.terms.items():
+                s = terms.get(m)
+                c = (c * qn1).div_exact(p.den)
+                terms[m] = c if s is None else s + c
+            prev = TLElement(n, terms, p.den * qn)
+            f = jones_wenzl(n)
+            assert (f.terms, f.den) == (prev.terms, prev.den)
+
     def test_golden_coefficients(self):
         for n, table in _JW_GOLDEN.items():
             f = jones_wenzl(n)
