@@ -33,13 +33,10 @@ from .qcore import (
     to_q_series,
 )
 from .tl_oracle import (
-    Matching,
     TLElement,
     coeff_of,
-    enumerate_matchings,
     hook_matching,
     jones_wenzl,
-    match_mul,
 )
 from .networks import (
     ClosedNetwork,

@@ -43,6 +43,7 @@ import heapq
 import itertools
 import re
 from bisect import bisect_left
+from collections.abc import Collection
 
 from .errors import CapacityError, DomainError
 from .qcore import V_LOOP, VFraction, VLaurent
@@ -215,11 +216,11 @@ def bracket_closed(net: ClosedNetwork) -> VFraction:
     # Each node is a sum of local terms: (matching on its ports, coefficient).
     # A box contributes its projector's integer numerators, and its
     # denominator goes into one product taken out of the whole sum.
-    node_terms: dict[str, list[tuple[tuple[int, ...], VLaurent]]] = {}
+    node_terms: dict[str, Collection[tuple[tuple[int, ...], VLaurent]]] = {}
     den = VLaurent.one()
     for name, color in net.boxes.items():
         element = jones_wenzl(color)
-        node_terms[name] = [(m.pairs, c) for m, c in element.terms.items()]
+        node_terms[name] = element.terms.items()
         den = den * element.den
     a, a_inv = VLaurent.monomial(1, 1), VLaurent.monomial(1, -1)
     for name, over in net.crossings.items():
@@ -253,7 +254,7 @@ def bracket_closed(net: ClosedNetwork) -> VFraction:
 
 
 def _contract(
-    node_terms: dict[str, list[tuple[tuple[int, ...], VLaurent]]],
+    node_terms: dict[str, Collection[tuple[tuple[int, ...], VLaurent]]],
     node_ports: dict[str, list[int]],
     pairing: dict[int, int],
     initial: VLaurent,

@@ -61,16 +61,25 @@ def bubble_coeff(m: int, n: int, k: int, l: int, i: int) -> VFraction:
         raise DomainError("colors must be non-negative")
     if not (0 <= i <= min(m, n, l)):
         raise DomainError(f"index i={i} outside 0..min(m, n, l)")
-    sign = -1 if (i + l) % 2 else 1
+    return _bubble_times(m, n, k, l, i, 1, [], [])
+
+
+def _bubble_times(
+    m: int, n: int, k: int, l: int, i: int, sign: int, up: list[int], down: list[int]
+) -> VFraction:
+    """sign * ceil[m n; k l]_i * prod_{a in up} [a] / prod_{b in down} [b],
+    with the extra factors in the same two kernel calls as the bubble's."""
     # The quantum integers of the numerator, and the q-binomial's factors.
     ups = [k - j for j in range(l - i)]
     ups += [x for s in range(i) for x in (n - s, m - s)]
     ups += [m + n + k - i - j + 1 for j in range(l - i)]
+    ups += up
     num = poch_ratio(ups + _upto(l), [1] * len(ups) + _upto(i) + _upto(l - i))
+    num = num.scale(-sign if (i + l) % 2 else sign)  # times (-1)^(i+l)
     # q^(i(i-l)/2) has v-exponent 2 i (i - l); [a] carries v^(-2(a-1)).
-    num = num.scale(sign).shift(2 * i * (i - l) - 2 * sum(a - 1 for a in ups))
-    den = quantum_product(x for t in range(l) for x in (n + k - t, m + k - t))
-    return VFraction(num, den)
+    num = num.shift(2 * i * (i - l) - 2 * sum(a - 1 for a in ups))
+    downs = [x for t in range(l) for x in (n + k - t, m + k - t)]
+    return VFraction(num, quantum_product(downs + down))
 
 
 def theta_2n(n: int) -> VFraction:
@@ -79,7 +88,8 @@ def theta_2n(n: int) -> VFraction:
         raise DomainError("theta_2n needs n >= 0")
     if n == 0:
         return VFraction.one()
-    return bubble_coeff(n, n, n, n, 0) * VFraction.from_poly(delta_n(2 * n))
+    # Delta_2n = [2n + 1].
+    return _bubble_times(n, n, n, n, 0, 1, [2 * n + 1], [])
 
 
 def tet_2n(n: int) -> VFraction:
@@ -107,8 +117,9 @@ def p_coeff(n: int, i: int) -> VFraction:
         raise DomainError("p_coeff needs n >= 1")
     if not (0 <= i <= n):
         raise DomainError("p_coeff needs 0 <= i <= n")
-    ratio = VFraction(delta_n(2 * n), delta_n(n + i))
-    return bubble_coeff(n, n, n, n, i) * ratio
+    # Delta_2n / Delta_{n+i} = (-1)^(n+i) [2n + 1] / [n + i + 1].
+    sign = -1 if (n + i) % 2 else 1
+    return _bubble_times(n, n, n, n, i, sign, [2 * n + 1], [n + i + 1])
 
 
 def nn_i_coeff(n: int, i: int, j: int) -> VFraction:

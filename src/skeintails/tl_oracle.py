@@ -1,18 +1,23 @@
 """Brute-force Temperley-Lieb diagram algebra.
 
 TL_n is modeled on 2n boundary points: 0..n-1 on the bottom row (left to
-right) and n..2n-1 on the top row (left to right).  A ``Matching`` is a
-fixed-point-free involution of these points that is realizable without
-crossings inside the rectangle; there are Catalan(n) of them.
+right) and n..2n-1 on the top row (left to right).  A diagram is the
+tuple of partners of these points (``d[p]`` is the point that p is joined
+to): a fixed-point-free involution that is realizable without crossings
+inside the rectangle; there are Catalan(n) of them.  The tuple is the
+dictionary key of a term and what ``join`` reads and returns, so the
+products, the closures and ``networks`` share one representation.
 Multiplication stacks the second diagram on top of the first and replaces
 every closed loop by the scalar delta = -A**2 - A**-2.
 
 Every gluing of diagrams goes through one function, ``join``: it glues
 chosen points in pairs, follows each free end through the arcs to the end
 it reaches, and counts the closed loops left among the glued points.  A
-product glues a's top to b's bottom, a closure glues bottom j to top n+j,
-and ``networks`` glues a node's terms into the pairing of the open ports
-with the same call.
+product glues a's top to b's bottom (the glue dict, the list of ends and
+the right factor's shifted diagrams are built once per product, then one
+``join`` per diagram pair), a closure glues bottom j to top n+j, and
+``networks`` glues a node's terms into the pairing of the open ports with
+the same call.
 
 Jones-Wenzl projectors are built by Wenzl's recursion
 
@@ -25,7 +30,7 @@ second factor, so the step drops it before that product: n-1 of the
 Catalan(n-1) terms are multiplied out.
 
 A ``TLElement`` is fraction-free: one integer Laurent numerator per
-matching over one shared denominator, so products, sums and closures are
+diagram over one shared denominator, so products, sums and closures are
 integer polynomial arithmetic with no gcd.  The recursion only ever
 divides by quantum integers, and [n]! f(n) has integer coefficients, so
 f(n) is kept over the denominator [n]!: each step multiplies the
@@ -49,112 +54,23 @@ MAX_BOX_COLOR = 8
 
 
 # ---------------------------------------------------------------------------
-# Matchings
+# Diagrams
 # ---------------------------------------------------------------------------
 
 
-class Matching:
-    """A crossingless perfect matching on the 2n boundary points of TL_n."""
-
-    __slots__ = ("n", "pairs")
-
-    def __init__(self, pairs: tuple[int, ...]):
-        n2 = len(pairs)
-        if n2 % 2:
-            raise DomainError("matching needs an even number of points")
-        self.n = n2 // 2
-        self.pairs = pairs
-
-    @staticmethod
-    def from_pairs(n: int, pairlist) -> "Matching":
-        pr = [-1] * (2 * n)
-        for a, b in pairlist:
-            pr[a], pr[b] = b, a
-        if any(p < 0 for p in pr):
-            raise DomainError("incomplete matching")
-        return Matching(tuple(pr))
-
-    @staticmethod
-    def identity(n: int) -> "Matching":
-        pr = [0] * (2 * n)
-        for j in range(n):
-            pr[j], pr[n + j] = n + j, j
-        return Matching(tuple(pr))
-
-    def _cycle_pos(self, p: int) -> int:
-        # Boundary cycle: bottom left-to-right, then top right-to-left.
-        return p if p < self.n else 3 * self.n - 1 - p
-
-    def is_planar(self) -> bool:
-        n2 = 2 * self.n
-        cyc = [0] * n2
-        for p in range(n2):
-            cyc[self._cycle_pos(p)] = self._cycle_pos(self.pairs[p])
-        stack: list[int] = []
-        for pos in range(n2):
-            if stack and stack[-1] == pos:
-                stack.pop()
-            else:
-                q = cyc[pos]
-                if q < pos:
-                    return False
-                stack.append(q)
-        return not stack
-
-    def to_parens(self) -> str:
-        """Balanced-parenthesis word over the boundary cycle (canonical)."""
-        n2 = 2 * self.n
-        out = []
-        for pos in range(n2):
-            p = pos if pos < self.n else 3 * self.n - 1 - pos
-            out.append("(" if self._cycle_pos(self.pairs[p]) > pos else ")")
-        return "".join(out)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Matching) and self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
-
-    def __lt__(self, other: "Matching") -> bool:
-        return self.to_parens() < other.to_parens()
-
-    def __repr__(self) -> str:
-        arcs = []
-        for p in range(2 * self.n):
-            q = self.pairs[p]
-            if p < q:
-                arcs.append((p, q))
-        return f"Matching({self.n}; {arcs})"
+def _identity(n: int) -> tuple[int, ...]:
+    """The identity diagram of TL_n: bottom j joined to top n+j."""
+    return (*range(n, 2 * n), *range(n))
 
 
-def enumerate_matchings(n: int) -> list[Matching]:
-    """All crossingless matchings of TL_n, deterministically ordered."""
-    n2 = 2 * n
-
-    def rec(points: tuple[int, ...]):
-        if not points:
-            yield []
-            return
-        a = points[0]
-        for idx in range(1, len(points), 2):
-            b = points[idx]
-            inside = points[1:idx]
-            outside = points[idx + 1 :]
-            for m1 in rec(inside):
-                for m2 in rec(outside):
-                    yield [(a, b)] + m1 + m2
-
-    pos_to_point = [0] * n2
-    for p in range(n2):
-        pos = p if p < n else 3 * n - 1 - p
-        pos_to_point[pos] = p
-    out = []
-    for arcs in rec(tuple(range(n2))):
-        pairs = [(pos_to_point[a], pos_to_point[b]) for a, b in arcs]
-        out.append(Matching.from_pairs(n, pairs))
-    out.sort()
-    return out
+def _from_arcs(n: int, arcs) -> tuple[int, ...]:
+    """The diagram of TL_n with the given arcs (pairs of points)."""
+    pr = [-1] * (2 * n)
+    for a, b in arcs:
+        pr[a], pr[b] = b, a
+    if -1 in pr:
+        raise DomainError("incomplete matching")
+    return tuple(pr)
 
 
 def join(pairs, glue, ends) -> tuple[list[int], int]:
@@ -197,20 +113,6 @@ def join(pairs, glue, ends) -> tuple[list[int], int]:
     return partner, loops
 
 
-def match_mul(a: Matching, b: Matching) -> tuple[Matching, int]:
-    """Stack b on top of a; return (resulting matching, closed-loop count)."""
-    if a.n != b.n:
-        raise DomainError("strand-count mismatch")
-    n = a.n
-    # b's points are offset by 2n; a's top n+j is glued to b's bottom 2n+j.
-    glue = {}
-    for j in range(n):
-        glue[n + j], glue[2 * n + j] = 2 * n + j, n + j
-    pairs = a.pairs + tuple(p + 2 * n for p in b.pairs)
-    partner, loops = join(pairs, glue, [*range(n), *range(3 * n, 4 * n)])
-    return Matching(tuple(partner)), loops
-
-
 # ---------------------------------------------------------------------------
 # TL elements
 # ---------------------------------------------------------------------------
@@ -242,7 +144,7 @@ class TLElement:
     def __init__(
         self,
         n: int,
-        terms: dict[Matching, VLaurent] | None = None,
+        terms: dict[tuple[int, ...], VLaurent] | None = None,
         den: VLaurent | None = None,
     ):
         clean = {}
@@ -259,7 +161,7 @@ class TLElement:
 
     @staticmethod
     def identity(n: int) -> "TLElement":
-        return TLElement(n, {Matching.identity(n): VLaurent.one()})
+        return TLElement(n, {_identity(n): VLaurent.one()})
 
     @staticmethod
     def generator(n: int, i: int) -> "TLElement":
@@ -268,7 +170,7 @@ class TLElement:
             raise DomainError(f"e_{i} undefined in TL_{n}")
         arcs = [(i - 1, i), (n + i - 1, n + i)]
         arcs += [(j, n + j) for j in range(n) if j not in (i - 1, i)]
-        return TLElement(n, {Matching.from_pairs(n, arcs): VLaurent.one()})
+        return TLElement(n, {_from_arcs(n, arcs): VLaurent.one()})
 
     def __add__(self, other: "TLElement") -> "TLElement":
         if self.n != other.n:
@@ -296,16 +198,25 @@ class TLElement:
         """Algebra product: other stacked on top of self."""
         if self.n != other.n:
             raise DomainError("strand-count mismatch")
-        buckets: dict[tuple[Matching, int], VLaurent] = {}
+        n = self.n
+        # other's points are offset by 2n; self's top n+j is glued to
+        # other's bottom 2n+j.
+        glue = {}
+        for j in range(n):
+            glue[n + j], glue[2 * n + j] = 2 * n + j, n + j
+        ends = [*range(n), *range(3 * n, 4 * n)]
+        right = [(tuple(p + 2 * n for p in mb), cb) for mb, cb in other.terms.items()]
+        buckets: dict[tuple[tuple[int, ...], int], VLaurent] = {}
         for ma, ca in self.terms.items():
             # Sum the numerators of other that give one (diagram, loops)
             # with ma, then multiply by ca once per sum.
-            sums: dict[tuple[Matching, int], VLaurent] = {}
-            for mb, cb in other.terms.items():
-                _accumulate(sums, match_mul(ma, mb), cb)
+            sums: dict[tuple[tuple[int, ...], int], VLaurent] = {}
+            for mb, cb in right:
+                partner, loops = join(ma + mb, glue, ends)
+                _accumulate(sums, (tuple(partner), loops), cb)
             for key, cb in sums.items():
                 _accumulate(buckets, key, ca * cb)
-        return TLElement(self.n, _times_loops(buckets), self.den * other.den)
+        return TLElement(n, _times_loops(buckets), self.den * other.den)
 
     def tensor_strand(self) -> "TLElement":
         """Tensor with one identity strand on the right (TL_n -> TL_{n+1})."""
@@ -315,7 +226,7 @@ class TLElement:
         """Side-by-side tensor product (self on the left)."""
         n1, n2 = self.n, other.n
         n = n1 + n2
-        out: dict[Matching, VLaurent] = {}
+        out: dict[tuple[int, ...], VLaurent] = {}
 
         def remap1(p: int) -> int:
             return p if p < n1 else p + n2
@@ -324,18 +235,12 @@ class TLElement:
             return n1 + p if p < n2 else n1 + n1 + p
 
         for m1, c1 in self.terms.items():
-            arcs1 = [
-                (remap1(p), remap1(m1.pairs[p]))
-                for p in range(2 * n1)
-                if p < m1.pairs[p]
-            ]
+            arcs1 = [(remap1(p), remap1(q)) for p, q in enumerate(m1) if p < q]
             for m2, c2 in other.terms.items():
                 arcs = arcs1 + [
-                    (remap2(p), remap2(m2.pairs[p]))
-                    for p in range(2 * n2)
-                    if p < m2.pairs[p]
+                    (remap2(p), remap2(q)) for p, q in enumerate(m2) if p < q
                 ]
-                _accumulate(out, Matching.from_pairs(n, arcs), c1 * c2)
+                _accumulate(out, _from_arcs(n, arcs), c1 * c2)
         return TLElement(n, out, self.den * other.den)
 
     def is_zero(self) -> bool:
@@ -360,7 +265,7 @@ class TLElement:
     def trace_close(self) -> VFraction:
         """Close bottom j to top n+j for all j; returns the skein value."""
         closed = self.partial_close(self.n)
-        return VFraction(closed.terms.get(Matching(()), VLaurent()), self.den)
+        return VFraction(closed.terms.get((), VLaurent()), self.den)
 
     def partial_close(self, m_strands: int) -> "TLElement":
         """Close the rightmost m_strands around (bottom j to top n+j).
@@ -376,10 +281,10 @@ class TLElement:
             glue[j], glue[n + j] = n + j, j
         # The surviving points, in order, are the points of TL_keep.
         ends = [*range(keep), *range(n, n + keep)]
-        buckets: dict[tuple[Matching, int], VLaurent] = {}
+        buckets: dict[tuple[tuple[int, ...], int], VLaurent] = {}
         for m, c in self.terms.items():
-            partner, loops = join(m.pairs, glue, ends)
-            _accumulate(buckets, (Matching(tuple(partner)), loops), c)
+            partner, loops = join(m, glue, ends)
+            _accumulate(buckets, (tuple(partner), loops), c)
         return TLElement(keep, _times_loops(buckets), self.den)
 
 
@@ -407,7 +312,7 @@ def _jones_wenzl(n: int) -> TLElement:
     if n in _jw_cache:
         return _jw_cache[n]
     if n == 0:
-        el = TLElement(0, {Matching(()): VLaurent.one()})
+        el = TLElement(0, {(): VLaurent.one()})
     elif n == 1:
         el = TLElement.identity(1)
     else:
@@ -423,7 +328,7 @@ def _jones_wenzl(n: int) -> TLElement:
         live = {
             m: c
             for m, c in pe.terms.items()
-            if all(m.pairs[n + j] != n + j + 1 for j in range(n - 2))
+            if all(m[n + j] != n + j + 1 for j in range(n - 2))
         }
         pep = TLElement(n, live, pe.den) * p
         qn, qn1 = quantum_int(n), quantum_int(n - 1)
@@ -435,18 +340,18 @@ def _jones_wenzl(n: int) -> TLElement:
     return el
 
 
-def coeff_of(e: TLElement, d: Matching) -> VFraction:
+def coeff_of(e: TLElement, d: tuple[int, ...]) -> VFraction:
     """The coefficient of the diagram d in e (zero if absent)."""
-    if e.n != d.n:
+    if len(d) != 2 * e.n:
         raise DomainError("strand-count mismatch")
     return VFraction(e.terms.get(d, VLaurent()), e.den)
 
 
-def hook_matching(n: int) -> Matching:
+def hook_matching(n: int) -> tuple[int, ...]:
     """The fully nested turn-back diagram in TL_{2n}: n nested caps on the
     bottom row and n nested cups on the top row."""
     if n < 1:
         raise DomainError("hook_matching needs n >= 1")
     arcs = [(j, 2 * n - 1 - j) for j in range(n)]
     arcs += [(2 * n + j, 4 * n - 1 - j) for j in range(n)]
-    return Matching.from_pairs(2 * n, arcs)
+    return _from_arcs(2 * n, arcs)

@@ -2,9 +2,10 @@
 
 TL products, strand closures and the network contraction all glue points
 together and follow arcs through them.  These properties check ``join``
-against a union-find reference, and each composition built on it through
-a law it must satisfy: associativity of stacking, closing strands in two
-steps or in one, and Reidemeister II invariance of the bracket.  The TL
+against a union-find reference, the TL product against a per-pair
+stacking built on that reference, and each composition built on it
+through a law it must satisfy: associativity of stacking, closing strands
+in two steps or in one, and Reidemeister II invariance of the bracket.  The TL
 elements carry integer numerators over a random denominator, so the
 algebra laws (associativity, distributivity, equality up to a common
 factor) also check the cross-multiplied arithmetic.
@@ -21,14 +22,9 @@ from skeintails.networks import (
     theta_network,
     torus_knot_network,
 )
-from skeintails.qcore import VLaurent
-from skeintails.tl_oracle import (
-    Matching,
-    TLElement,
-    enumerate_matchings,
-    join,
-    match_mul,
-)
+from skeintails.qcore import V_LOOP, VLaurent
+from skeintails.tl_oracle import TLElement, join
+from tl_diagrams import enumerate_matchings
 
 _MATCHINGS = {n: enumerate_matchings(n) for n in range(6)}
 
@@ -85,16 +81,18 @@ def test_join_matches_union_find(gluing, as_dict):
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_match_mul_is_associative(data):
+def test_single_diagram_product_is_associative(data):
     n = data.draw(st.integers(1, 5))
-    a, b, c = (data.draw(st.sampled_from(_MATCHINGS[n])) for _ in range(3))
-    ab, loops_ab = match_mul(a, b)
-    ab_c, loops_ab_c = match_mul(ab, c)
-    bc, loops_bc = match_mul(b, c)
-    a_bc, loops_a_bc = match_mul(a, bc)
-    assert ab_c == a_bc
-    assert ab_c in _MATCHINGS[n]
-    assert loops_ab + loops_ab_c == loops_bc + loops_a_bc
+    a, b, c = (
+        TLElement(n, {data.draw(st.sampled_from(_MATCHINGS[n])): VLaurent.one()})
+        for _ in range(3)
+    )
+    ab_c, a_bc = (a * b) * c, a * (b * c)
+    assert (ab_c.terms, ab_c.den) == (a_bc.terms, a_bc.den)
+    # One diagram, times delta to the number of loops closed on the way.
+    ((d, coeff),) = ab_c.terms.items()
+    assert d in _MATCHINGS[n]
+    assert coeff in [V_LOOP**k for k in range(2 * n + 1)]
 
 
 _small_laurents = st.dictionaries(
@@ -121,7 +119,7 @@ def test_closing_in_two_steps_equals_closing_at_once(element, data):
     m = data.draw(st.integers(0, element.n - k))
     assert element.partial_close(k).partial_close(m) == element.partial_close(k + m)
     full = element.partial_close(element.n)
-    assert set(full.terms) <= {Matching(())}
+    assert set(full.terms) <= {()}
     assert element.partial_close(k).trace_close() == element.trace_close()
 
 
@@ -134,6 +132,37 @@ def test_equality_ignores_a_common_factor(element, factor):
     if not element.is_zero():
         doubled = {m: c * 2 for m, c in element.terms.items()}
         assert TLElement(element.n, doubled, element.den) != element
+
+
+def _reference_product(a: TLElement, b: TLElement) -> TLElement:
+    """b stacked on top of a, one union-find join per diagram pair."""
+    n = a.n
+    glue = {}
+    for j in range(n):
+        glue[n + j], glue[2 * n + j] = 2 * n + j, n + j
+    ends = [*range(n), *range(3 * n, 4 * n)]
+    terms: dict = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            stacked = ma + tuple(p + 2 * n for p in mb)
+            partner, loops = _reference_join(stacked, glue, ends)
+            key = tuple(partner)
+            terms[key] = terms.get(key, VLaurent()) + ca * cb * V_LOOP**loops
+    return TLElement(n, terms, a.den * b.den)
+
+
+@st.composite
+def _tl_pairs(draw):
+    n = draw(st.integers(1, 5))
+    return draw(_tl_elements(n)), draw(_tl_elements(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_tl_pairs())
+def test_tl_product_matches_reference_stacking(pair):
+    a, b = pair
+    got, want = a * b, _reference_product(a, b)
+    assert (got.terms, got.den) == (want.terms, want.den)
 
 
 @st.composite

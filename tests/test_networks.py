@@ -321,7 +321,7 @@ def _reference_bracket(net: ClosedNetwork, max_work: int) -> VFraction:
     terms, den = {}, VLaurent.one()
     for name, color in net.boxes.items():
         f = jones_wenzl(color)
-        terms[name] = [(m.pairs, c) for m, c in f.terms.items()]
+        terms[name] = list(f.terms.items())
         den = den * f.den
     for name, over in net.crossings.items():
         smooth_a, smooth_b = _REF_SMOOTHINGS[over]

@@ -5,20 +5,26 @@ import math
 import pytest
 
 from skeintails.errors import CapacityError, DomainError
-from skeintails.qcore import VFraction, VLaurent, delta_n, quantum_fact, quantum_int
-from skeintails.tl_oracle import (
-    Matching,
-    TLElement,
-    coeff_of,
-    enumerate_matchings,
-    hook_matching,
-    jones_wenzl,
-    match_mul,
+from skeintails.qcore import (
+    V_LOOP,
+    VFraction,
+    VLaurent,
+    delta_n,
+    quantum_fact,
+    quantum_int,
 )
+from skeintails.tl_oracle import TLElement, coeff_of, hook_matching, jones_wenzl
+from tl_diagrams import enumerate_matchings, is_planar, to_parens
 
 
 def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
+
+
+def _diagram(element: TLElement) -> tuple[int, ...]:
+    """The one diagram of a single-diagram element."""
+    (d,) = element.terms
+    return d
 
 
 # The coefficients of f(4) and f(5), gcd-reduced, as computed by Wenzl's
@@ -207,36 +213,31 @@ class TestMatchings:
         for n in range(7):
             ms = enumerate_matchings(n)
             assert len(set(ms)) == len(ms)
-            assert all(m.is_planar() for m in ms)
+            assert all(is_planar(m) for m in ms)
 
     def test_parens_encoding_is_canonical(self):
         ms = enumerate_matchings(4)
-        words = [m.to_parens() for m in ms]
+        words = [to_parens(m) for m in ms]
         assert len(set(words)) == len(words)
         assert words == sorted(words)
         assert all(w.count("(") == 4 for w in words)
 
     def test_identity_multiplication(self):
-        ident = Matching.identity(3)
-        m, loops = match_mul(ident, ident)
-        assert m == ident and loops == 0
+        ident = TLElement.identity(3)
+        assert (ident * ident).terms == {(3, 4, 5, 0, 1, 2): VLaurent.one()}
 
     def test_cup_cap_squared(self):
-        e1 = next(iter(TLElement.generator(2, 1).terms))
-        m, loops = match_mul(e1, e1)
-        assert m == e1 and loops == 1
+        e1 = TLElement.generator(2, 1)
+        assert (e1 * e1).terms == {_diagram(e1): V_LOOP}
 
     def test_zigzag(self):
-        e1 = next(iter(TLElement.generator(3, 1).terms))
-        e2 = next(iter(TLElement.generator(3, 2).terms))
-        m, loops = match_mul(e1, e2)
-        # bottom cup (0,1), strand bottom2 -> top3, top cap (4,5)
-        assert loops == 0
-        assert m == Matching.from_pairs(3, [(0, 1), (2, 3), (4, 5)])
+        e1, e2 = TLElement.generator(3, 1), TLElement.generator(3, 2)
+        # bottom cup (0,1), strand bottom2 -> top3, top cap (4,5); no loop
+        assert (e1 * e2).terms == {(1, 0, 3, 2, 5, 4): VLaurent.one()}
 
     def test_strand_mismatch(self):
-        with pytest.raises(DomainError):
-            match_mul(Matching.identity(2), Matching.identity(3))
+        with pytest.raises(DomainError, match="strand-count mismatch"):
+            TLElement.identity(2) * TLElement.identity(3)
 
 
 class TestTLAlgebra:
@@ -260,13 +261,14 @@ class TestJonesWenzl:
         f1 = jones_wenzl(1)
         assert f1 == TLElement.identity(1)
         f2 = jones_wenzl(2)
-        e1 = next(iter(TLElement.generator(2, 1).terms))
-        assert coeff_of(f2, Matching.identity(2)) == VFraction.one()
+        e1 = _diagram(TLElement.generator(2, 1))
+        assert coeff_of(f2, _diagram(TLElement.identity(2))) == VFraction.one()
         assert coeff_of(f2, e1) == VFraction(VLaurent.one(), quantum_int(2))
 
     def test_identity_coefficient_is_one(self):
         for n in range(1, 7):
-            assert coeff_of(jones_wenzl(n), Matching.identity(n)) == VFraction.one()
+            ident = _diagram(TLElement.identity(n))
+            assert coeff_of(jones_wenzl(n), ident) == VFraction.one()
 
     def test_idempotence(self):
         for n in range(1, 7):
@@ -330,14 +332,14 @@ class TestJonesWenzl:
     def test_golden_coefficients(self):
         for n, table in _JW_GOLDEN.items():
             f = jones_wenzl(n)
-            words = {m.to_parens(): m for m in enumerate_matchings(n)}
+            words = {to_parens(m): m for m in enumerate_matchings(n)}
             assert set(words) == set(table)
             for word, (num, den) in table.items():
                 want = VFraction(VLaurent(dict(num)), VLaurent(dict(den)))
                 assert coeff_of(f, words[word]) == want
 
     def test_numerators_must_be_laurent(self):
-        ident = Matching.identity(1)
+        ident = _diagram(TLElement.identity(1))
         with pytest.raises(DomainError):
             TLElement(1, {ident: VFraction.one()})
         with pytest.raises(DomainError):
@@ -366,7 +368,7 @@ class TestJonesWenzl:
 class TestMorrisonHooks:
     def test_hook_is_planar(self):
         for n in range(1, 4):
-            assert hook_matching(n).is_planar()
+            assert is_planar(hook_matching(n))
 
     def test_hook_coefficients(self):
         # coeff of the fully nested turn-back diagram in f(2n) = ([n]!)^2/[2n]!
@@ -381,5 +383,5 @@ class TestMorrisonHooks:
         )
 
     def test_coeff_of_mismatch(self):
-        with pytest.raises(DomainError):
-            coeff_of(jones_wenzl(2), Matching.identity(3))
+        with pytest.raises(DomainError, match="strand-count mismatch"):
+            coeff_of(jones_wenzl(2), _diagram(TLElement.identity(3)))
