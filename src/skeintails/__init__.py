@@ -40,12 +40,14 @@ from .tl_oracle import (
 )
 from .networks import (
     ClosedNetwork,
+    braid_network,
     bracket_closed,
     bubble_lhs_network,
     bubble_rhs_network,
     closed_projector,
     kinked_loop,
     loop_network,
+    spin_network,
     tet_network,
     theta_network,
     torus_knot_network,

@@ -8,12 +8,13 @@ Subcommands:
   oracle  FILE [--format text|json]
 
 Exit codes: 0 all passed / value printed, 1 verification failure, 2 usage,
-parse, or capacity error.  Every ``--order``, and every ``order`` in a suite
-file, is capped at MAX_SERIES_ORDER before any series is built; a suite's
-``n_max`` is capped per check at ``verifycases.MAX_N_MAX`` (and
-``bubble_oracle``'s ``max_param`` at ``verifycases.MAX_MAX_PARAM``) before
-any value is built; and ``jones`` caps its inputs at MAX_JONES_N and
-MAX_JONES_SIZE.
+parse, or capacity error (``verify`` opens its ``--out`` report before any
+case runs, so an unwritable path is a usage error).  Every ``--order``, and
+every ``order`` in a suite file, is capped at MAX_SERIES_ORDER before any
+series is built; a suite's ``n_max`` is capped per check at
+``verifycases.MAX_N_MAX`` (and ``bubble_oracle``'s ``max_param`` at
+``verifycases.MAX_MAX_PARAM``) before any value is built; and ``jones``
+caps its inputs at MAX_JONES_N and MAX_JONES_SIZE.
 ``oracle`` refuses a box colour above ``tl_oracle.MAX_BOX_COLOR``, more than
 ``networks.MAX_FREE_LOOPS`` free loops, and a network whose contraction
 work would exceed ``networks.MAX_CONTRACTION_WORK``.  A suite case
@@ -28,6 +29,7 @@ on this CPU-bound pure-Python code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from importlib import resources
@@ -141,16 +143,21 @@ def _cmd_verify(args, out) -> int:
     ) as exc:
         print(f"error: cannot load suite: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    results = [_run_case(c, args.order) for c in cases]
-    report = {
-        "suite": suite_name,
-        "cases": results,
-        "passed": all(r["status"] == "pass" for r in results),
-    }
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    # Opened before any case runs, so a bad path costs nothing.
+    try:
+        report_file = open(args.out, "w") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
+    with report_file as fh:
+        results = [_run_case(c, args.order) for c in cases]
+        report = {
+            "suite": suite_name,
+            "cases": results,
+            "passed": all(r["status"] == "pass" for r in results),
+        }
+        if fh is not None:
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for r in results:
         print(f"[{r['status'].upper():5s}] {r['id']}: {r['detail']}", file=out)
     print(

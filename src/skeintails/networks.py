@@ -32,9 +32,12 @@ ports are nw, ne, se, sw; the over-strand is declared as the "nwse" or
 sw-nw and se-ne (turn left along the over-strand).
 
 The module also contains the network builders used by the test oracle
-(theta and tetrahedral spin networks, bubble-expansion sides, (2,f) torus
-knot diagrams) and a small text format with a parser/serializer; the
-grammar is documented in docs/network-format.md.
+and a small text format with a parser/serializer; the grammar is
+documented in docs/network-format.md.  A diagram is data passed to one of
+two builders: ``spin_network`` wires a trivalent graph given as a rotation
+system (the theta and tetrahedral networks are two tables), and
+``braid_network`` cables a braid closure (the (2,f) torus diagrams and
+8_5 are braid words).  The bubble-expansion sides are wired by hand.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import heapq
 import itertools
 import re
 from bisect import bisect_left
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 
 from .errors import CapacityError, DomainError
 from .qcore import V_LOOP, VFraction, VLaurent
@@ -420,19 +423,40 @@ def _wire_vertex(net: ClosedNetwork, ends: list[list[tuple[str, str]]]) -> None:
             net.add_arc(e0[len(e0) - 1 - j], e1[j])
 
 
+def spin_network(
+    vertices: Sequence[Sequence[tuple[str, str]]], colors: dict[str, int]
+) -> ClosedNetwork:
+    """The trivalent spin network of a rotation system.
+
+    ``vertices`` lists the three edge-ends ``(edge, side)`` of each vertex
+    in clockwise order, where side "a" or "b" names the end of the edge's
+    box that faces the vertex.  ``colors`` maps every edge to its color;
+    an edge of color n > 0 becomes one box of color n, and an edge of color
+    0 is left out.  Every vertex must be admissible.
+    """
+    net = ClosedNetwork()
+    for edge, color in colors.items():
+        if color:
+            net.add_box(edge, color)
+    for vertex in vertices:
+        _wire_vertex(
+            net,
+            [_end_ports(net, e, side) if colors[e] else [] for e, side in vertex],
+        )
+    return net
+
+
+# The theta graph: edges A, B, C from the left vertex ("a" sides) to the
+# right one, clockwise around each vertex.
+_THETA_VERTICES = (
+    (("A", "a"), ("B", "a"), ("C", "a")),
+    (("C", "b"), ("B", "b"), ("A", "b")),
+)
+
+
 def theta_network(a: int, b: int, c: int) -> ClosedNetwork:
     """The theta spin network with edge colors (a, b, c)."""
-    net = ClosedNetwork()
-    for name, color in (("A", a), ("B", b), ("C", c)):
-        if color:
-            net.add_box(name, color)
-    def end(box, side, color):
-        return _end_ports(net, box, side) if color else []
-    left = [end("A", "a", a), end("B", "a", b), end("C", "a", c)]
-    right = [end("C", "b", c), end("B", "b", b), end("A", "b", a)]
-    _wire_vertex(net, left)
-    _wire_vertex(net, right)
-    return net
+    return spin_network(_THETA_VERTICES, {"A": a, "B": b, "C": c})
 
 
 _TET_EDGES = ("e12", "e13", "e14", "e23", "e24", "e34")
@@ -455,18 +479,8 @@ def tet_network(colors: dict[str, int] | int) -> ClosedNetwork:
     single integer colors every edge the same.
     """
     if isinstance(colors, int):
-        colors = {e: colors for e in _TET_EDGES}
-    net = ClosedNetwork()
-    for e in _TET_EDGES:
-        if colors[e]:
-            net.add_box(e, colors[e])
-    for vertex in _TET_VERTICES:
-        ends = [
-            _end_ports(net, e, side) if colors[e] else []
-            for e, side in vertex
-        ]
-        _wire_vertex(net, ends)
-    return net
+        colors = dict.fromkeys(_TET_EDGES, colors)
+    return spin_network(_TET_VERTICES, colors)
 
 
 # -- bubble expansion networks ----------------------------------------------
@@ -564,42 +578,53 @@ def _bubble_closure(net, m: int, n: int, mp: int, np_: int, closure: str) -> Non
         raise DomainError(f"unknown closure {closure!r}")
 
 
-# -- torus knots --------------------------------------------------------------
+# -- braid closures -----------------------------------------------------------
 
 
-def torus_knot_network(f: int, n: int, over: str = "nesw") -> ClosedNetwork:
-    """The (2, f) torus link diagram, both cables colored n.
+def braid_network(word: Sequence[int], strands: int, n: int) -> ClosedNetwork:
+    """The trace closure of a braid on ``strands`` strands, each cabled n times.
 
-    Built as the trace closure of the 2-cabled braid sigma_1**f with an
-    f(n) box inserted in each cable's closure arcs; f * n**2 crossings.
+    Letter i > 0 of ``word`` is sigma_i, the crossing of strands i and i+1
+    with over-strand "nesw" (the strand from i to i+1 on top); -i is
+    sigma_i**-1 ("nwse").  Each cabled letter is n**2 crossings, and the
+    closure arc of strand k runs through an f(n) box c<k>.
     """
-    if f < 1 or n < 0:
-        raise DomainError("need f >= 1 and n >= 0")
+    if strands < 1 or n < 0:
+        raise DomainError("need strands >= 1 and n >= 0")
+    for i in word:
+        if not 0 < abs(i) < strands:
+            raise DomainError(f"braid letter {i} out of range for {strands} strands")
     net = ClosedNetwork()
     if n == 0:
         return net
-    width = 2 * n
     # strand[p] = open endpoint (node, port) at the top of column p.
-    net.add_box("cl", n)
-    net.add_box("cr", n)
-    strand: list[tuple[str, str]] = [("cl", f"b{j}") for j in range(n)] + [
-        ("cr", f"b{j}") for j in range(n)
-    ]
-    cid = 0
-    for _block in range(f):
-        # One cabled sigma_1: the left cable crosses the right cable.
+    strand: list[tuple[str, str]] = []
+    for k in range(strands):
+        net.add_box(f"c{k}", n)
+        strand += [(f"c{k}", f"b{j}") for j in range(n)]
+    for i in word:
+        # One cabled sigma_|i|: the left cable crosses the right cable.
+        over = "nesw" if i > 0 else "nwse"
+        base = (abs(i) - 1) * n
         for a in range(n):
             for b in range(n):
-                p = n - 1 - a + b
-                name = f"x{cid}"
-                cid += 1
-                net.add_crossing(name, over)
+                p = base + n - 1 - a + b
+                name = net.add_crossing(f"x{len(net.crossings)}", over)
                 net.add_arc(strand[p], (name, "sw"))
                 net.add_arc(strand[p + 1], (name, "se"))
                 strand[p] = (name, "nw")
                 strand[p + 1] = (name, "ne")
-    for j in range(n):
-        net.add_arc(strand[j], ("cl", f"a{j}"))
-    for j in range(n):
-        net.add_arc(strand[n + j], ("cr", f"a{j}"))
+    for p, end in enumerate(strand):
+        net.add_arc(end, (f"c{p // n}", f"a{p % n}"))
     return net
+
+
+def torus_knot_network(f: int, n: int) -> ClosedNetwork:
+    """The (2, f) torus link diagram, both cables colored n.
+
+    It is the closure of sigma_1**f, with f * n**2 crossings; its mirror is
+    ``braid_network([-1] * f, 2, n)``.
+    """
+    if f < 1:
+        raise DomainError("need f >= 1")
+    return braid_network([1] * f, 2, n)

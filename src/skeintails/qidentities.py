@@ -244,40 +244,38 @@ def lambda_series(order: int) -> QSeries:
     return mul_poch_inf(total, 1, order, power=2)
 
 
-def tail_85(order: int, k_max: int | None = None) -> QSeries:
+def tail_85(order: int) -> QSeries:
     """The stable series of the 8_5 knot:
 
         (q^2;q)_inf (q;q)_inf * sum_k q^(k+k^2)/(q;q)_k
             * sum_{i=0}^{k} q^(-2i(k-i)) qbinom(k, i)^2.
 
-    The k-th term's inner sum dips to q^(-2 floor(k^2/4)), so k is included
-    while k + k^2 - 2*floor(k^2/4) <= order; each term is assembled exactly
-    in v-exponent space before any truncation.  ``k_max`` extends the outer
-    sum beyond the provably sufficient bound (the extra terms cannot touch
-    retained coefficients; the knob exists for prefix-stability checks).
+    It is the tail of the unnormalized colored bracket <K_n> (not divided
+    by Delta_n) at its low-v end, the end whose reduced Tait graph is a
+    theta graph with paths of 3, 3 and 2 edges (Armond-Dasbach,
+    arXiv:1106.3948).  The k-th term's inner sum dips to
+    q^(-2 floor(k^2/4)), so k is included while
+    k + k^2 - 2*floor(k^2/4) <= order; no later term reaches a retained
+    coefficient.  Each term is assembled exactly in v-exponent space before
+    any truncation.
     """
     if order < 0:
         raise DomainError("order must be non-negative")
     total = QSeries.zero(order)
     k = 0
-    while True:
-        min_deg = k + k * k - 2 * (k * k // 4)
-        needed = min_deg <= order
-        if not needed and (k_max is None or k > k_max):
-            break
-        if order and (needed or k <= k_max):
-            inner = VLaurent.zero()
-            for i in range(k + 1):
-                qb = qbinom(k, i)
-                inner = inner + VLaurent.q_power(-2 * i * (k - i)) * (qb * qb)
-            term_poly = VLaurent.q_power(k + k * k) * inner
-            shift = term_poly.min_exp() // 4
-            if shift < order:
-                # Divide by (q;q)_k one (1 - q^j) factor at a time.
-                cs = list(to_q_series(term_poly, order - shift).coeffs)
-                for j in range(1, k + 1):
-                    div_one_minus_qk(cs, j)
-                total = total + QSeries(shift, cs)
+    while k + k * k - 2 * (k * k // 4) <= order:
+        inner = VLaurent.zero()
+        for i in range(k + 1):
+            qb = qbinom(k, i)
+            inner = inner + VLaurent.q_power(-2 * i * (k - i)) * (qb * qb)
+        term_poly = VLaurent.q_power(k + k * k) * inner
+        shift = term_poly.min_exp() // 4
+        if shift < order:
+            # Divide by (q;q)_k one (1 - q^j) factor at a time.
+            cs = list(to_q_series(term_poly, order - shift).coeffs)
+            for j in range(1, k + 1):
+                div_one_minus_qk(cs, j)
+            total = total + QSeries(shift, cs)
         k += 1
     return mul_poch_inf(mul_poch_inf(total, 2, order), 1, order)
 

@@ -164,7 +164,10 @@ def colored_jones_torus(f: int, n: int) -> VLaurent:
         (-1)^(f(n-i)) q^(f(2i + 2i^2 - 2n - n^2)/4) Delta_{2i}.
 
     The division by Delta_n is exact; a remainder raises ConsistencyError.
-    The framing factor (a global power of +-A) is not fixed here; callers
+    It is divided by Delta_n, so its tails differ from those of the
+    unnormalized bracket <K_n> (the convention of ``tail_85``) by a factor
+    1/(1 - q): a tail of <K_n> is the tail here times 1/(1 - q).  The
+    framing factor (a global power of +-A) is not fixed here; callers
     compare through normalization.
     """
     if f < 1:

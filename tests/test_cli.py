@@ -104,6 +104,15 @@ class TestVerify:
         run(["verify", "builtin:jacobi", "--jobs", "4", "--out", str(r2)])
         assert r1.read_text() == r2.read_text()
 
+    def test_unwritable_report_exit2_before_any_case(self, monkeypatch, capsys):
+        import skeintails.cli as cli
+
+        ran = []
+        monkeypatch.setattr(cli, "_run_case", lambda *a: ran.append(a))
+        code, out = run(["verify", "builtin:jacobi", "--out", "/nonexistent/x.json"])
+        assert (code, out, ran) == (2, "", [])
+        assert capsys.readouterr().err.startswith("error: cannot write report: ")
+
     def test_jobs_below_one_exit2(self, capsys):
         for jobs in ("0", "-3"):
             code, out = run(["verify", "builtin:jacobi", "--jobs", jobs])

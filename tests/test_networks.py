@@ -4,11 +4,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skeintails import networks
+from skeintails import networks, verifycases
 from skeintails.errors import CapacityError, DomainError
 from skeintails.networks import (
     MAX_FREE_LOOPS,
     ClosedNetwork,
+    braid_network,
     bracket_closed,
     bubble_lhs_network,
     bubble_rhs_network,
@@ -19,11 +20,11 @@ from skeintails.networks import (
     theta_network,
     torus_knot_network,
 )
-from skeintails.qcore import V_LOOP, VFraction, VLaurent, delta_n, quantum_int
+from skeintails.qcore import V_LOOP, QSeries, VFraction, VLaurent, delta_n, quantum_int
 from skeintails.skein_formulas import colored_jones_torus, tet_2n, theta_2n
 from skeintails.tails_engine import normalize
 from skeintails.tl_oracle import MAX_BOX_COLOR, join, jones_wenzl
-from skeintails.verifycases import bubble_sweep_cases
+from skeintails.verifycases import bubble_sweep_cases, run_check
 
 DELTA = VFraction.from_poly(VLaurent({2: -1, -2: -1}))
 
@@ -58,8 +59,8 @@ class TestKauffmanRelations:
     @pytest.mark.parametrize("f,n", [(3, 1), (2, 2), (3, 2), (1, 3)])
     def test_mirror_torus_diagrams(self, f, n):
         # Swapping every over-strand swaps the smoothings: v -> v^-1.
-        pos = bracket_closed(torus_knot_network(f, n, "nesw")).to_vlaurent()
-        neg = bracket_closed(torus_knot_network(f, n, "nwse")).to_vlaurent()
+        pos = bracket_closed(torus_knot_network(f, n)).to_vlaurent()
+        neg = bracket_closed(braid_network([-1] * f, 2, n)).to_vlaurent()
         assert neg == pos.mirror()
 
 
@@ -103,10 +104,66 @@ class TestSpinNetworks:
         with pytest.raises(DomainError):
             theta_network(-1, 1, 0)
 
+    def test_theta_serialization_is_pinned(self):
+        assert theta_network(1, 1, 2).serialize() == (
+            "box A color 1\nbox B color 1\nbox C color 2\n"
+            "arc B.a0 C.a0\narc C.a1 A.a0\narc C.b0 B.b0\narc A.b0 C.b1\n"
+        )
+
     def test_tet_inadmissible(self):
         # All edges colored 1 gives odd vertex sums
         with pytest.raises(DomainError):
             tet_network(1)
+
+
+class TestBraidNetworks:
+    def test_eight_five_jones_coefficients(self):
+        # sigma_1^3 sigma_2^-1 sigma_1^3 sigma_2^-1 closes to 8_5 (KnotInfo's
+        # braid word); the absolute values sum to its determinant, 21.
+        net = braid_network((1, 1, 1, -2, 1, 1, 1, -2), 3, 1)
+        jones = bracket_closed(net).to_vlaurent().div_exact(delta_n(1))
+        coeffs = [c for _, c in sorted(jones.terms.items(), reverse=True)]
+        assert coeffs == [1, -1, 3, -3, 3, -4, 3, -2, 1]
+        assert sum(map(abs, coeffs)) == 21
+
+    def test_tail85_oracle_check(self, monkeypatch):
+        ok, detail = run_check("tail85_oracle", {"n_max": 2})
+        assert ok, detail
+        # A wrong second coefficient is caught at n = 1.
+        monkeypatch.setattr(
+            verifycases.qidentities, "tail_85", lambda order: QSeries(0, [1] * order)
+        )
+        assert run_check("tail85_oracle", {"n_max": 2}) == (
+            False, "8_5 braid closure differs from tail_85 at n=1"
+        )
+
+    def test_bad_letters_rejected(self):
+        for word, strands in (([0], 3), ([3], 3), ([-3], 3), ([1], 1)):
+            with pytest.raises(DomainError):
+                braid_network(word, strands, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        word=st.lists(st.sampled_from((1, 2, -1, -2)), max_size=6),
+        at=st.integers(0, 6),
+        letter=st.sampled_from((1, 2, -1, -2)),
+        sign=st.sampled_from((1, -1)),
+    )
+    def test_braid_moves_keep_the_bracket(self, word, at, letter, sign):
+        # Cancelling letters (Reidemeister II), the braid relation (III) and
+        # conjugation (turning the closure) are regular isotopies.
+        at = min(at, len(word))
+
+        def bracket(w):
+            return bracket_closed(braid_network(w, 3, 1))
+
+        want = bracket(word)
+        assert bracket(word[:at] + [letter, -letter] + word[at:]) == want
+        assert bracket(word[at:] + word[:at]) == want
+        s1, s2 = sign, 2 * sign
+        assert bracket(word[:at] + [s1, s2, s1] + word[at:]) == bracket(
+            word[:at] + [s2, s1, s2] + word[at:]
+        )
 
 
 class TestCapacity:
@@ -115,8 +172,9 @@ class TestCapacity:
         [
             (tet_network(8), 122_980, 4),  # tet n=4
             (torus_knot_network(3, 5), 122_486, 25),
+            (braid_network((1, 1, 1, -2, 1, 1, 1, -2), 3, 3), 101_181, 50),  # 8_5
         ],
-        ids=["tet-n4", "torus-3-5"],
+        ids=["tet-n4", "torus-3-5", "eight-five-n3"],
     )
     def test_work_limit(self, net, work, step):
         nodes = len(net.boxes) + len(net.crossings)
@@ -264,7 +322,7 @@ def _random_networks(draw):
     else:
         n = draw(small)
         f = draw(st.integers(1, 12 // max(n * n, 1)))
-        net = torus_knot_network(f, n, draw(st.sampled_from(("nesw", "nwse"))))
+        net = braid_network([draw(st.sampled_from((1, -1)))] * f, 2, n)
     assume(max(net.boxes.values(), default=0) <= 8)
     assume(sum(net.boxes.values()) <= 24)
     net.add_loops(draw(st.integers(0, MAX_FREE_LOOPS)))
@@ -389,7 +447,7 @@ def _old_cap_fixtures():
     for f, n in ((2, 1), (3, 1), (12, 1), (2, 2), (3, 2), (6, 2), (20, 2), (1, 3),
                  (3, 3)):
         yield f"torus-{f}-{n}", torus_knot_network(f, n)
-    yield "torus-3-2-nwse", torus_knot_network(3, 2, "nwse")
+    yield "torus-3-2-nwse", braid_network([-1] * 3, 2, 2)
     for m, n, mp, np_, k, l, closure in bubble_sweep_cases(2):
         yield f"bubble-lhs{(m, n, mp, np_, k, l, closure)}", bubble_lhs_network(
             m, n, mp, np_, k, l, closure

@@ -56,6 +56,39 @@ def dict_mul(a: dict, b: dict, order: int) -> dict:
     return out
 
 
+def _raw_tail_85(order: int, k_last: int) -> QSeries:
+    """The 8_5 series summed over k <= k_last with raw dict arithmetic."""
+    from skeintails.qcore import poch_finite, qbinom
+
+    total = {}
+    for k in range(k_last + 1):
+        inner = {}
+        for i in range(k + 1):
+            qb = {e // 4: int(c) for e, c in qbinom(k, i).terms.items()}
+            sq = dict_mul(qb, qb, 10**6)
+            for e, c in sq.items():
+                key = e - 2 * i * (k - i) + k + k * k
+                inner[key] = inner.get(key, 0) + c
+        # divide by (q;q)_k: geometric long division on dicts
+        den = {e // 4: int(c) for e, c in poch_finite(1, 1, k).terms.items()}
+        lo = min(inner) if inner else 0
+        quot = {}
+        work = dict(inner)
+        for e in range(lo, order):
+            c = work.get(e, 0)
+            if c:
+                quot[e] = c
+                for de, dc in den.items():
+                    if de:
+                        work[e + de] = work.get(e + de, 0) - c * dc
+        for e, c in quot.items():
+            if e < order:
+                total[e] = total.get(e, 0) + c
+    pp = {j: int(c) for j, c in enumerate(poch_inf(1, order).coeffs)}
+    p2 = {j: int(c) for j, c in enumerate(poch_inf(2, order).coeffs)}
+    return dict_series(dict_mul(dict_mul(pp, p2, order), total, order), order)
+
+
 class TestMonomialArg:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -293,42 +326,14 @@ class Test85Tail:
                 assert -2 * i * (k - i) == -2 * (k - i) * (k - (k - i))
 
     def test_order10_two_bounds(self):
-        # brute-force the stated formula at two different k-bounds
-        assert tail_85(10, k_max=4) == tail_85(10, k_max=7)
+        # The proved bound stops at k = 3 (order 10) and k = 6 (order 30); a
+        # raw sum to k = 12 must not change a retained coefficient.
+        for order in (10, 30):
+            assert tail_85(order) == _raw_tail_85(order, 12)
 
     def test_order10_independent_expansion(self):
-        # assemble the k <= 3 terms with raw dict arithmetic
-        from skeintails.qcore import poch_finite, qbinom
-
-        order = 10
-        total = {}
-        for k in range(4):
-            inner = {}
-            for i in range(k + 1):
-                qb = {e // 4: int(c) for e, c in qbinom(k, i).terms.items()}
-                sq = dict_mul(qb, qb, 10**6)
-                for e, c in sq.items():
-                    key = e - 2 * i * (k - i) + k + k * k
-                    inner[key] = inner.get(key, 0) + c
-            # divide by (q;q)_k: geometric long division on dicts
-            den = {e // 4: int(c) for e, c in poch_finite(1, 1, k).terms.items()}
-            lo = min(inner) if inner else 0
-            quot = {}
-            work = dict(inner)
-            for e in range(lo, order):
-                c = work.get(e, 0)
-                if c:
-                    quot[e] = c
-                    for de, dc in den.items():
-                        if de:
-                            work[e + de] = work.get(e + de, 0) - c * dc
-            for e, c in quot.items():
-                if e < order:
-                    total[e] = total.get(e, 0) + c
-        pp = {j: int(c) for j, c in enumerate(poch_inf(1, order).coeffs)}
-        p2 = {j: int(c) for j, c in enumerate(poch_inf(2, order).coeffs)}
-        want = dict_mul(dict_mul(pp, p2, order), total, order)
-        assert tail_85(order) == dict_series(want, order)
+        # the k <= 3 terms alone, with raw dict arithmetic
+        assert tail_85(10) == _raw_tail_85(10, 3)
 
     def test_leading_and_integrality(self):
         s = tail_85(30)
@@ -362,7 +367,6 @@ class TestIntegerKernelEdges:
         "ag_rhs(3)": lambda n: ag_rhs(3, n),
         "false_ag_rhs(2)": lambda n: false_ag_rhs(2, n),
         "tail_85": tail_85,
-        "tail_85(k_max=4)": lambda n: tail_85(n, k_max=4),
         "tail_product_1": lambda n: tail_product_1(theta_f(2, n), poch_inf(2, n), n),
         "tail_product_23": lambda n: tail_product_23(theta_f(2, n), QSeries.one(n), n),
         "g_m(2)": lambda n: graph_family_tail("g_m", {"m": 2}, n),
