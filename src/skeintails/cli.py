@@ -12,9 +12,10 @@ parse, or capacity error (``verify`` opens its ``--out`` report before any
 case runs, so an unwritable path is a usage error).  Every ``--order``, and
 every ``order`` in a suite file, is capped at MAX_SERIES_ORDER before any
 series is built; a suite's ``n_max`` is capped per check at
-``verifycases.MAX_N_MAX`` (and ``bubble_oracle``'s ``max_param`` at
-``verifycases.MAX_MAX_PARAM``) before any value is built; and ``jones``
-caps its inputs at MAX_JONES_N and MAX_JONES_SIZE.
+``verifycases.MAX_N_MAX`` (``bubble_oracle``'s ``max_param`` at
+``verifycases.MAX_MAX_PARAM`` and ``torus_oracle``'s ``f`` at
+``verifycases.MAX_F``, and each of them below at 1) before any value is
+built; and ``jones`` caps its inputs at MAX_JONES_N and MAX_JONES_SIZE.
 ``oracle`` refuses a box colour above ``tl_oracle.MAX_BOX_COLOR``, more than
 ``networks.MAX_FREE_LOOPS`` free loops, and a network whose contraction
 work would exceed ``networks.MAX_CONTRACTION_WORK``.  A suite case
@@ -24,6 +25,12 @@ byte-deterministic for fixed inputs: the verify runner evaluates cases one
 after another, in suite order.  ``--jobs J`` (J >= 1) is accepted for
 compatibility and does not change how cases run: threads gave no speed-up
 on this CPU-bound pure-Python code.
+
+Start-up: this module imports only ``errors`` and the standard library.
+Each subcommand imports the modules it calls (``series`` the q-series
+sums, ``jones`` the closed forms, ``oracle`` the diagram oracle), and each
+verify check imports its own (``verifycases``), so a process compiles only
+what its cases reach.
 """
 
 from __future__ import annotations
@@ -32,15 +39,8 @@ import argparse
 import contextlib
 import json
 import sys
-from importlib import resources
 
 from .errors import CapacityError, DomainError, SkeinError
-from .networks import ClosedNetwork, bracket_closed
-from .qcore import MAX_SERIES_ORDER, QSeries
-from .qidentities import SERIES_REGISTRY, named_series
-from .skein_formulas import colored_jones_torus
-from .tails_engine import normalize
-from .verifycases import run_check
 
 _EXIT_PASS = 0
 _EXIT_FAIL = 1
@@ -57,22 +57,26 @@ MAX_JONES_SIZE = 100_000
 
 def _check_order(order: int | None) -> None:
     """Reject an ``--order`` above MAX_SERIES_ORDER before anything is allocated."""
-    if order is not None and order > MAX_SERIES_ORDER:
+    if order is None:
+        return
+    from .qcore import MAX_SERIES_ORDER
+
+    if order > MAX_SERIES_ORDER:
         raise CapacityError(f"order {order} exceeds limit {MAX_SERIES_ORDER}")
 
 
-def _series_text(s: QSeries) -> str:
+def _series_text(s) -> str:
     return s.format(max_terms=1_000_000)
 
 
-def _series_csv(s: QSeries) -> str:
+def _series_csv(s) -> str:
     lines = ["exponent,numerator,denominator"]
     for j, c in enumerate(s.coeffs):
         lines.append(f"{s.shift + j},{c},1")
     return "\n".join(lines)
 
 
-def _emit_series(s: QSeries, fmt: str, out) -> None:
+def _emit_series(s, fmt: str, out) -> None:
     if fmt == "json":
         print(json.dumps(s.to_json_obj(), sort_keys=True), file=out)
     elif fmt == "csv":
@@ -82,6 +86,8 @@ def _emit_series(s: QSeries, fmt: str, out) -> None:
 
 
 def _cmd_series(args, extra: dict[str, int], out) -> int:
+    from .qidentities import SERIES_REGISTRY, named_series
+
     if args.name not in SERIES_REGISTRY:
         print(f"error: unknown series {args.name!r}; known: "
               f"{', '.join(sorted(SERIES_REGISTRY))}", file=sys.stderr)
@@ -98,6 +104,8 @@ def _cmd_series(args, extra: dict[str, int], out) -> int:
 
 def _load_suite(spec: str) -> tuple[str, list[dict]]:
     if spec.startswith("builtin:"):
+        from importlib import resources
+
         name = spec.split(":", 1)[1]
         ref = resources.files("skeintails") / "suites" / f"{name}.json"
         if not ref.is_file():
@@ -121,6 +129,8 @@ def _run_case(case: dict, order_override: int | None) -> dict:
         # An order written in the suite file is capped like --order.
         order = params.get("order")
         _check_order(None if order is None else int(order))
+        from .verifycases import run_check
+
         ok, detail = run_check(case["check"], params)
         status = "pass" if ok else "fail"
     except (SkeinError, KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -179,6 +189,9 @@ def _cmd_jones(args, out) -> int:
     if size > MAX_JONES_SIZE:
         raise CapacityError(f"f*n^2 = {size} exceeds limit {MAX_JONES_SIZE}")
     _check_order(args.order)
+    from .skein_formulas import colored_jones_torus
+    from .tails_engine import normalize
+
     value = colored_jones_torus(args.f, args.n)
     if args.normalized:
         _emit_series(normalize(value, args.order), args.format, out)
@@ -196,6 +209,8 @@ def _cmd_jones(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
+    from .networks import ClosedNetwork, bracket_closed
+
     try:
         with open(args.file) as fh:
             net = ClosedNetwork.parse(fh.read())

@@ -45,7 +45,7 @@ import operator
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, chain
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import (
     ConsistencyError,

@@ -21,9 +21,6 @@ product.  Every series returned here lives in Z[[q]], as every QSeries does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .errors import CapacityError, DomainError, RepresentationError
 from .qcore import (
     QSeries,
@@ -44,33 +41,47 @@ from .qcore import (
 MAX_AG_K = 10
 
 
-@dataclass(frozen=True)
 class MonomialArg:
     """A monomial argument sign * q**exponent with exponent > 0.
 
-    The exponent is a rational with denominator 1 or 2 (an ``int`` is
-    stored as a Fraction), so every series below has support in
+    The exponent is an ``int`` or a ``fractions.Fraction`` with denominator
+    1 or 2, stored as given, so every series below has support in
     half-integer powers of q; operations returning a QSeries verify that
-    the final support is integral.
+    the final support is integral.  Two arguments are equal when their
+    signs and exponents are.
     """
 
-    sign: int
-    exponent: Fraction
+    __slots__ = ("sign", "exponent")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, exponent) -> None:
+        if sign not in (1, -1):
             raise DomainError("sign must be +1 or -1")
-        e = Fraction(self.exponent)
-        if e <= 0:
+        try:
+            num, den = exponent.numerator, exponent.denominator
+        except AttributeError:
+            raise DomainError("exponent must be an int or a Fraction") from None
+        if num <= 0:
             raise DomainError("exponent must be positive")
-        if e.denominator not in (1, 2):
+        if den not in (1, 2):
             raise DomainError("exponent denominator must be 1 or 2")
-        object.__setattr__(self, "exponent", e)
+        self.sign = sign
+        self.exponent = exponent
+
+    def __repr__(self) -> str:
+        return f"MonomialArg(sign={self.sign!r}, exponent={self.exponent!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, MonomialArg):
+            return NotImplemented
+        return (self.sign, self.exponent) == (other.sign, other.exponent)
+
+    def __hash__(self) -> int:
+        return hash((self.sign, self.exponent))
 
     @property
     def half_exponent(self) -> int:
         """The exponent measured in units of q**(1/2)."""
-        return int(2 * self.exponent)
+        return 2 * self.exponent.numerator // self.exponent.denominator
 
 
 def _two_variable_series(
@@ -299,6 +310,8 @@ def _registry_arg(params: dict, x: str) -> MonomialArg:
     den = _arg(params, f"{x}_den", 1)
     if den == 0:
         raise DomainError(f"{x}_den must be nonzero")
+    from fractions import Fraction
+
     return MonomialArg(sign, Fraction(num, den))
 
 

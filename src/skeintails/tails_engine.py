@@ -15,8 +15,7 @@ never silently returns False.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Union
+from collections.abc import Callable
 
 from .errors import DomainError, PrecisionError, RepresentationError
 from .qcore import (
@@ -32,9 +31,8 @@ from .qcore import (
     to_q_series,
 )
 from .qidentities import MonomialArg, lambda_series, psi_general, theta_general
-from .skein_formulas import colored_jones_torus
 
-SkeinValue = Union[VLaurent, VFraction, QSeries]
+SkeinValue = VLaurent | VFraction | QSeries
 
 
 def normalize(p: SkeinValue, order: int | None = None) -> QSeries:
@@ -146,26 +144,40 @@ def x_series_to_normalized_q(s: QSeries, q_order: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SeriesGenerator:
     """A named, pure rule n -> skein value whose tail is being studied."""
 
-    name: str
-    params: dict
-    eval: Callable[[int], SkeinValue]
+    __slots__ = ("name", "params", "eval")
+
+    def __init__(self, name: str, params: dict, eval: Callable[[int], SkeinValue]):
+        self.name = name
+        self.params = params
+        self.eval = eval
 
     def normalized(self, n: int) -> QSeries:
         """P_n normalized to n coefficients (zero-padded past a short P_n)."""
         return normalize(self.eval(n), n)
 
 
-@dataclass(frozen=True)
 class StabilizationReport:
-    generator: str
-    params: dict
-    n_max: int
-    verdicts: tuple[bool, ...]
-    tail: QSeries
+    """The verdicts P_n = P_{n+1} to n coefficients for n <= n_max, and
+    the normalized order-n_max prefix of P_{n_max}."""
+
+    __slots__ = ("generator", "params", "n_max", "verdicts", "tail")
+
+    def __init__(
+        self,
+        generator: str,
+        params: dict,
+        n_max: int,
+        verdicts: tuple[bool, ...],
+        tail: QSeries,
+    ):
+        self.generator = generator
+        self.params = params
+        self.n_max = n_max
+        self.verdicts = verdicts
+        self.tail = tail
 
     @property
     def all_stable(self) -> bool:
@@ -274,6 +286,8 @@ def graph_family_tail(family: str, params: dict, order: int) -> QSeries:
 
 def torus_jones_generator(f: int) -> SeriesGenerator:
     """n -> normalized colored Jones of the (2, f) torus link."""
+    from .skein_formulas import colored_jones_torus
+
     return SeriesGenerator(
         name="torus_jones",
         params={"f": f},

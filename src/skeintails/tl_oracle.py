@@ -135,8 +135,9 @@ class TLElement:
 
     The value is (1/den) * sum(terms[m] * m); every numerator and ``den``
     are ``VLaurent`` polynomials over Z.  Nothing is reduced: products
-    multiply the denominators, and equality compares cross-scaled
-    numerators.
+    multiply the denominators, and equality scales one side by the exact
+    quotient of the denominators, or cross-multiplies when neither divides
+    the other.
     """
 
     __slots__ = ("n", "terms", "den")
@@ -253,9 +254,15 @@ class TLElement:
             return False
         if self.den == other.den:
             return self.terms == other.terms
-        return all(
-            c * other.den == other.terms[m] * self.den for m, c in self.terms.items()
-        )
+        # Divide the longer denominator by the shorter; when it divides
+        # exactly (as in f * f == f), only the shorter side is scaled.
+        a, b = self, other
+        if a.den.max_exp() - a.den.min_exp() < b.den.max_exp() - b.den.min_exp():
+            a, b = b, a
+        quot, rem = a.den.divmod_by(b.den)
+        if rem.is_zero():
+            return all(c == b.terms[m] * quot for m, c in a.terms.items())
+        return all(c * b.den == b.terms[m] * a.den for m, c in a.terms.items())
 
     def __repr__(self) -> str:
         return f"TLElement(n={self.n}, {len(self.terms)} diagrams)"

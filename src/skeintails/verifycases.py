@@ -4,28 +4,19 @@ builtin CLI suites, and the test suite.
 Every check is a pure function params -> (ok, detail).  The detail string
 names the first failing comparison (for series, the first mismatching
 exponent), so a red case is immediately actionable.
+
+Each check imports the modules it calls in its own body, so a verify
+process loads only what its cases reach: a suite of q-series identities
+never compiles the diagram oracle.  Annotations name ``qcore`` types
+without importing them; ``from __future__ import annotations`` leaves
+them unevaluated.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
-from .errors import CapacityError, SkeinError
-from .qcore import (
-    V_LOOP,
-    QSeries,
-    VFraction,
-    VLaurent,
-    delta_n,
-    poch_finite,
-    poch_inf,
-    poch_inf_step,
-    quantum_fact,
-    series_div,
-    series_mul,
-    to_q_series,
-)
-from . import networks, qidentities, skein_formulas, tails_engine, tl_oracle
+from .errors import CapacityError, DomainError, SkeinError
 
 CheckResult = tuple[bool, str]
 
@@ -56,6 +47,20 @@ MAX_MAX_PARAM: dict[str, int] = {
     "bubble_oracle": 4,
 }
 
+# Largest ``f`` (crossings of the (2, f) torus diagram) a suite may give
+# torus_oracle, in the same way.  The time grows about quadratically in f
+# and is worst at colour n = 2: f = 400 takes 7.9-10.0 s (four runs) and
+# 450 11.6 s, and f = 1000 is refused by the work cap only after 38 s.  At
+# n = 1, f = 400 takes 0.2 s (3000: 4.8 s); at n = 3, f = 20 takes 3-4 s
+# and f = 25..300 are refused within 5.6 s; n = 4..8 are refused within
+# 3.2 s at every f tried.
+MAX_F: dict[str, int] = {
+    "torus_oracle": 400,
+}
+
+# The suite parameters capped above, each with its table of limits.
+_CAPPED = (("n_max", MAX_N_MAX), ("max_param", MAX_MAX_PARAM), ("f", MAX_F))
+
 
 def _series_diff_detail(a: QSeries, b: QSeries) -> str:
     lo = min(a.shift, b.shift)
@@ -77,15 +82,19 @@ def _eq_series(a: QSeries, b: QSeries, label: str) -> CheckResult:
 
 
 def _resolve_series(spec: dict, order: int) -> QSeries:
+    from .qidentities import named_series
+    from .skein_formulas import chain_tail
+    from .tails_engine import graph_family_tail
+
     spec = dict(spec)
     if "family" in spec:
         family = spec.pop("family")
-        return tails_engine.graph_family_tail(family, spec, order)
+        return graph_family_tail(family, spec, order)
     if "chain" in spec:
         parity = spec.pop("chain")
-        return skein_formulas.chain_tail(parity, int(spec["k"]), order)
+        return chain_tail(parity, int(spec["k"]), order)
     name = spec.pop("series")
-    return qidentities.named_series(name, spec, order)
+    return named_series(name, spec, order)
 
 
 # ---------------------------------------------------------------------------
@@ -101,47 +110,55 @@ def check_series_equal(params: dict) -> CheckResult:
 
 
 def check_andrews_gordon(params: dict) -> CheckResult:
+    from .qidentities import ag_rhs, theta_f
+
     k, order = int(params["k"]), int(params["order"])
     return _eq_series(
-        qidentities.theta_f(k, order),
-        qidentities.ag_rhs(k, order),
+        theta_f(k, order),
+        ag_rhs(k, order),
         f"theta_f({k}) vs ag_rhs({k}) at order {order}",
     )
 
 
 def check_false_theta_identity(params: dict) -> CheckResult:
+    from .qidentities import false_ag_rhs, false_theta
+
     k, order = int(params["k"]), int(params["order"])
     return _eq_series(
-        qidentities.false_theta(k, order),
-        qidentities.false_ag_rhs(k, order),
+        false_theta(k, order),
+        false_ag_rhs(k, order),
         f"false_theta({k}) vs false_ag_rhs({k}) at order {order}",
     )
 
 
 def check_jacobi_triple(params: dict) -> CheckResult:
+    from .qcore import poch_inf
+    from .qidentities import MonomialArg, theta_general
+
     order = int(params.get("order", 40))
-    a = qidentities.MonomialArg(-1, 2)
-    b = qidentities.MonomialArg(-1, 1)
-    lhs = qidentities.theta_general(a, b, order)
+    a = MonomialArg(-1, 2)
+    b = MonomialArg(-1, 1)
+    lhs = theta_general(a, b, order)
     return _eq_series(lhs, poch_inf(1, order), f"f(-q^2,-q) vs (q;q)_inf at {order}")
 
 
 def check_theta_symmetry(params: dict) -> CheckResult:
+    from .qidentities import MonomialArg, theta_general
+
     order = int(params.get("order", 30))
-    a = qidentities.MonomialArg(-1, 4)
-    b = qidentities.MonomialArg(-1, 1)
-    lhs = qidentities.theta_general(a, b, order)
-    rhs = qidentities.theta_general(b, a, order)
+    a = MonomialArg(-1, 4)
+    b = MonomialArg(-1, 1)
+    lhs = theta_general(a, b, order)
+    rhs = theta_general(b, a, order)
     return _eq_series(lhs, rhs, "f(a,b) vs f(b,a)")
 
 
 def check_jacobi_step5(params: dict) -> CheckResult:
+    from .qcore import poch_inf_step, series_mul
+    from .qidentities import MonomialArg, theta_general
+
     order = int(params.get("order", 25))
-    lhs = qidentities.theta_general(
-        qidentities.MonomialArg(-1, 3),
-        qidentities.MonomialArg(-1, 2),
-        order,
-    )
+    lhs = theta_general(MonomialArg(-1, 3), MonomialArg(-1, 2), order)
     rhs = series_mul(
         series_mul(poch_inf_step(3, 5, order), poch_inf_step(2, 5, order)),
         poch_inf_step(5, 5, order),
@@ -155,11 +172,12 @@ def check_jacobi_step5(params: dict) -> CheckResult:
 
 
 def check_morrison(params: dict) -> CheckResult:
+    from .qcore import VFraction, quantum_fact
+    from .tl_oracle import coeff_of, hook_matching, jones_wenzl
+
     n_max = int(params.get("n_max", 3))
     for n in range(1, n_max + 1):
-        got = tl_oracle.coeff_of(
-            tl_oracle.jones_wenzl(2 * n), tl_oracle.hook_matching(n)
-        )
+        got = coeff_of(jones_wenzl(2 * n), hook_matching(n))
         want = VFraction(quantum_fact(n) ** 2, quantum_fact(2 * n))
         if got != want:
             return False, f"hook coefficient in f({2*n}) differs at n={n}"
@@ -167,13 +185,16 @@ def check_morrison(params: dict) -> CheckResult:
 
 
 def check_jw_laws(params: dict) -> CheckResult:
+    from .qcore import VFraction, delta_n
+    from .tl_oracle import TLElement, jones_wenzl
+
     n_max = int(params.get("n_max", 6))
     for n in range(1, n_max + 1):
-        f = tl_oracle.jones_wenzl(n)
+        f = jones_wenzl(n)
         if not (f * f) == f:
             return False, f"f({n}) not idempotent"
         for i in range(1, n):
-            e = tl_oracle.TLElement.generator(n, i)
+            e = TLElement.generator(n, i)
             if not (e * f).is_zero() or not (f * e).is_zero():
                 return False, f"annihilation fails for e_{i} f({n})"
         if f.trace_close() != VFraction.from_poly(delta_n(n)):
@@ -181,14 +202,12 @@ def check_jw_laws(params: dict) -> CheckResult:
     for total in range(2, n_max + 1):
         for m in range(1, total):
             n = total - m
-            closed = tl_oracle.jones_wenzl(total).partial_close(m)
-            target = tl_oracle.jones_wenzl(n).scale(
-                VFraction(delta_n(total), delta_n(n))
-            )
+            closed = jones_wenzl(total).partial_close(m)
+            target = jones_wenzl(n).scale(VFraction(delta_n(total), delta_n(n)))
             if closed != target:
                 return False, f"partial closure fails for ({m},{n})"
-            tensor = tl_oracle.jones_wenzl(m).tensor_with(tl_oracle.jones_wenzl(n))
-            if tl_oracle.jones_wenzl(total) * tensor != tl_oracle.jones_wenzl(total):
+            tensor = jones_wenzl(m).tensor_with(jones_wenzl(n))
+            if jones_wenzl(total) * tensor != jones_wenzl(total):
                 return False, f"absorption fails for ({m},{n})"
     return True, f"idempotence, annihilation, trace, closure, absorption to n={n_max}"
 
@@ -213,16 +232,18 @@ def bubble_sweep_cases(max_param: int = 2):
 
 
 def check_bubble_oracle(params: dict) -> CheckResult:
+    from .networks import bracket_closed, bubble_lhs_network, bubble_rhs_network
+    from .qcore import VFraction
+    from .skein_formulas import bubble_coeff
+
     max_param = int(params.get("max_param", 2))
     count = 0
     for m, n, mp, np_, k, l, closure in bubble_sweep_cases(max_param):
-        lhs = networks.bracket_closed(
-            networks.bubble_lhs_network(m, n, mp, np_, k, l, closure)
-        )
+        lhs = bracket_closed(bubble_lhs_network(m, n, mp, np_, k, l, closure))
         rhs = VFraction.zero()
         for i in range(0, min(m, n, l) + 1):
-            rhs = rhs + skein_formulas.bubble_coeff(m, n, k, l, i) * networks.bracket_closed(
-                networks.bubble_rhs_network(m, n, mp, np_, k, l, i, closure)
+            rhs = rhs + bubble_coeff(m, n, k, l, i) * bracket_closed(
+                bubble_rhs_network(m, n, mp, np_, k, l, i, closure)
             )
         if lhs != rhs:
             return False, f"bubble expansion fails at {(m, n, mp, np_, k, l, closure)}"
@@ -231,49 +252,61 @@ def check_bubble_oracle(params: dict) -> CheckResult:
 
 
 def check_torus_oracle(params: dict) -> CheckResult:
+    from .networks import bracket_closed, torus_knot_network
+    from .qcore import delta_n
+    from .skein_formulas import colored_jones_torus
+    from .tails_engine import normalize
+
     f, n = int(params["f"]), int(params["n"])
-    bracket = networks.bracket_closed(networks.torus_knot_network(f, n))
+    bracket = bracket_closed(torus_knot_network(f, n))
     poly = bracket.to_vlaurent().div_exact(delta_n(n))
-    lhs = tails_engine.normalize(poly)
-    rhs = tails_engine.normalize(skein_formulas.colored_jones_torus(f, n))
+    lhs = normalize(poly)
+    rhs = normalize(colored_jones_torus(f, n))
     if lhs == rhs:
         return True, f"(2,{f}) torus diagram matches the formula at color {n}"
     return False, f"(2,{f}) n={n}: oracle and formula normalize differently"
 
 
 def check_theta_oracle(params: dict) -> CheckResult:
+    from .networks import bracket_closed, theta_network
+    from .skein_formulas import theta_2n
+
     n_max = int(params.get("n_max", 2))
     for n in range(1, n_max + 1):
-        got = networks.bracket_closed(networks.theta_network(2 * n, 2 * n, 2 * n))
-        if got != skein_formulas.theta_2n(n):
+        got = bracket_closed(theta_network(2 * n, 2 * n, 2 * n))
+        if got != theta_2n(n):
             return False, f"theta network differs from theta_2n at n={n}"
     return True, f"theta_2n matches the theta-network bracket for n <= {n_max}"
 
 
 def check_tet_oracle(params: dict) -> CheckResult:
+    from .networks import bracket_closed, tet_network
+    from .skein_formulas import tet_2n
+
     n = int(params.get("n", 1))
-    got = networks.bracket_closed(networks.tet_network(2 * n))
-    want = skein_formulas.tet_2n(n)
+    got = bracket_closed(tet_network(2 * n))
+    want = tet_2n(n)
     if got == want:
         return True, f"tet_2n({n}) matches the tetrahedron bracket"
     return False, f"tet_2n({n}) differs from the tetrahedron bracket"
 
 
 def check_oracle_basics(params: dict) -> CheckResult:
+    from .networks import bracket_closed, closed_projector, kinked_loop, loop_network
+    from .qcore import V_LOOP, VFraction, VLaurent, delta_n
+
     delta = VFraction.from_poly(V_LOOP)
-    if networks.bracket_closed(networks.loop_network()) != delta:
+    if bracket_closed(loop_network()) != delta:
         return False, "a single loop is not delta"
     a3 = VFraction.from_poly(VLaurent.monomial(-1, 3)) * delta
     am3 = VFraction.from_poly(VLaurent.monomial(-1, -3)) * delta
     if (
-        networks.bracket_closed(networks.kinked_loop("nesw")) != a3
-        or networks.bracket_closed(networks.kinked_loop("nwse")) != am3
+        bracket_closed(kinked_loop("nesw")) != a3
+        or bracket_closed(kinked_loop("nwse")) != am3
     ):
         return False, "kinked loops do not give -A^(+-3) delta"
     for n in range(1, 5):
-        if networks.bracket_closed(networks.closed_projector(n)) != VFraction.from_poly(
-            delta_n(n)
-        ):
+        if bracket_closed(closed_projector(n)) != VFraction.from_poly(delta_n(n)):
             return False, f"closed f({n}) is not Delta_{n}"
     return True, "loop, kinks, and closed projectors evaluate correctly"
 
@@ -284,133 +317,174 @@ def check_oracle_basics(params: dict) -> CheckResult:
 
 
 def check_tail_lemma_fact(params: dict) -> CheckResult:
+    from .qcore import VFraction, poch_finite, quantum_fact, to_q_series
+    from .tails_engine import agree_to_order, normalize
+
     n_max = int(params.get("n_max", 20))
     for n in range(1, n_max + 1):
         val = VFraction(quantum_fact(n) ** 2, quantum_fact(2 * n))
-        s = tails_engine.normalize(val, order=n + 1)
+        s = normalize(val, order=n + 1)
         tgt = to_q_series(poch_finite(1, 1, n), n + 1)
-        if not tails_engine.agree_to_order(s, tgt, n):
+        if not agree_to_order(s, tgt, n):
             return False, f"([n]!)^2/[2n]! tail fails at n={n}"
     return True, f"([n]!)^2/[2n]! agrees with (q;q)_n to order n for n <= {n_max}"
 
 
 def check_tail_lemma_bubble0(params: dict) -> CheckResult:
+    from .qcore import poch_finite, to_q_series
+    from .skein_formulas import bubble_coeff
+    from .tails_engine import agree_to_order, normalize
+
     n_max = int(params.get("n_max", 20))
     for n in range(1, n_max + 1):
-        s = tails_engine.normalize(
-            skein_formulas.bubble_coeff(n, n, n, n, 0), order=n + 1
-        )
+        s = normalize(bubble_coeff(n, n, n, n, 0), order=n + 1)
         tgt = to_q_series(poch_finite(1, 1, n), n + 1)
-        if not tails_engine.agree_to_order(s, tgt, n):
+        if not agree_to_order(s, tgt, n):
             return False, f"bubble coefficient tail fails at n={n}"
     return True, f"ceil[n n; n n]_0 agrees with (q;q)_n to order n for n <= {n_max}"
 
 
 def check_tail_lemma_psum(params: dict) -> CheckResult:
+    from .qidentities import false_theta
+    from .skein_formulas import p_coeff
+    from .tails_engine import (
+        agree_to_order,
+        sum_fraction_products_x,
+        x_series_to_normalized_q,
+    )
+
     n_max = int(params.get("n_max", 12))
     for n in range(1, n_max + 1):
-        terms = [[skein_formulas.p_coeff(n, i)] for i in range(n + 1)]
-        sx = tails_engine.sum_fraction_products_x(terms, n + 1)
-        sq = tails_engine.x_series_to_normalized_q(sx, n + 1)
-        if not tails_engine.agree_to_order(sq, qidentities.false_theta(2, n + 1), n):
+        terms = [[p_coeff(n, i)] for i in range(n + 1)]
+        sx = sum_fraction_products_x(terms, n + 1)
+        sq = x_series_to_normalized_q(sx, n + 1)
+        if not agree_to_order(sq, false_theta(2, n + 1), n):
             return False, f"sum of P(n,i) tail fails at n={n}"
     return True, f"sum_i P(n,i) agrees with Psi(q^3,q) to order n for n <= {n_max}"
 
 
 def check_tail_lemma_psum_nn0(params: dict) -> CheckResult:
+    from .qidentities import theta_f
+    from .skein_formulas import nn_i_coeff, p_coeff
+    from .tails_engine import (
+        agree_to_order,
+        sum_fraction_products_x,
+        x_series_to_normalized_q,
+    )
+
     n_max = int(params.get("n_max", 12))
     for n in range(1, n_max + 1):
-        terms = [
-            [skein_formulas.p_coeff(n, i), skein_formulas.nn_i_coeff(n, i, 0)]
-            for i in range(n + 1)
-        ]
-        sx = tails_engine.sum_fraction_products_x(terms, n + 1)
-        sq = tails_engine.x_series_to_normalized_q(sx, n + 1)
-        if not tails_engine.agree_to_order(sq, qidentities.theta_f(2, n + 1), n):
+        terms = [[p_coeff(n, i), nn_i_coeff(n, i, 0)] for i in range(n + 1)]
+        sx = sum_fraction_products_x(terms, n + 1)
+        sq = x_series_to_normalized_q(sx, n + 1)
+        if not agree_to_order(sq, theta_f(2, n + 1), n):
             return False, f"sum of P(n,i) ceil[n i; n n]_0 tail fails at n={n}"
     return True, f"sum_i P(n,i) ceil_0 agrees with f(-q^4,-q) to order n for n <= {n_max}"
 
 
 def check_nn_i_sweep(params: dict) -> CheckResult:
+    from .skein_formulas import bubble_coeff, nn_i_coeff
+
     n_max = int(params.get("n_max", 4))
     for n in range(1, n_max + 1):
         for i in range(0, n + 1):
             for j in range(0, i + 1):
-                if skein_formulas.nn_i_coeff(n, i, j) != skein_formulas.bubble_coeff(
-                    n, i, n, n, j
-                ):
+                if nn_i_coeff(n, i, j) != bubble_coeff(n, i, n, n, j):
                     return False, f"nn_i_coeff differs from bubble_coeff at {(n,i,j)}"
     return True, f"nn_i_coeff matches bubble_coeff(n,i,n,n,j) for n <= {n_max}"
 
 
 def check_torus_stabilization(params: dict) -> CheckResult:
+    from .qidentities import false_theta, theta_f
+    from .skein_formulas import chain_tail
+    from .tails_engine import stabilization_report, torus_jones_generator
+
     k_max = int(params.get("k_max", 3))
     n_max = int(params.get("n_max", 12))
     for k in range(1, k_max + 1):
-        rep = tails_engine.stabilization_report(
-            tails_engine.torus_jones_generator(2 * k + 1), n_max
-        )
-        want = qidentities.theta_f(k, n_max)
+        rep = stabilization_report(torus_jones_generator(2 * k + 1), n_max)
+        want = theta_f(k, n_max)
         if not rep.all_stable:
             return False, f"f={2*k+1} does not stabilize"
         if rep.tail != want:
             return False, f"f={2*k+1} tail is not theta_f({k})"
-        if skein_formulas.chain_tail("even", k, n_max) != want:
+        if chain_tail("even", k, n_max) != want:
             return False, f"even chain k={k} differs from theta_f({k})"
-        rep = tails_engine.stabilization_report(
-            tails_engine.torus_jones_generator(2 * k), n_max
-        )
-        want = qidentities.false_theta(k, n_max)
+        rep = stabilization_report(torus_jones_generator(2 * k), n_max)
+        want = false_theta(k, n_max)
         if not rep.all_stable:
             return False, f"f={2*k} does not stabilize"
         if rep.tail != want:
             return False, f"f={2*k} tail is not false_theta({k})"
-        if k >= 2 and skein_formulas.chain_tail("odd", k - 1, n_max) != want:
+        if k >= 2 and chain_tail("odd", k - 1, n_max) != want:
             return False, f"odd chain k={k-1} differs from false_theta({k})"
     return True, f"torus tails and chains agree for k <= {k_max}, {n_max} coefficients"
 
 
 def check_lambda_theorem(params: dict) -> CheckResult:
+    from .qidentities import lambda_series
+    from .skein_formulas import tet_2n, theta_2n
+    from .tails_engine import (
+        agree_to_order,
+        sum_fraction_products_x,
+        x_series_to_normalized_q,
+    )
+
     n_max = int(params.get("n_max", 6))
-    lam = qidentities.lambda_series(n_max + 2)
+    lam = lambda_series(n_max + 2)
     for n in range(1, n_max + 1):
-        ratio = skein_formulas.tet_2n(n) / skein_formulas.theta_2n(n)
-        rx = tails_engine.sum_fraction_products_x([[ratio]], n + 2)
-        rq = tails_engine.x_series_to_normalized_q(rx, n + 2)
-        if not tails_engine.agree_to_order(rq, lam, n):
+        ratio = tet_2n(n) / theta_2n(n)
+        rx = sum_fraction_products_x([[ratio]], n + 2)
+        rq = x_series_to_normalized_q(rx, n + 2)
+        if not agree_to_order(rq, lam, n):
             return False, f"tet/theta ratio differs from Lambda at n={n}"
     return True, f"tet_2n/theta_2n agrees with Lambda(q) to order n for n <= {n_max}"
 
 
 def check_theta_tail(params: dict) -> CheckResult:
+    from .qcore import poch_finite, to_q_series
+    from .skein_formulas import theta_2n
+    from .tails_engine import agree_to_order, normalize
+
     n_max = int(params.get("n_max", 15))
     for n in range(1, n_max + 1):
-        s = tails_engine.normalize(skein_formulas.theta_2n(n), order=n + 1)
+        s = normalize(theta_2n(n), order=n + 1)
         tgt = to_q_series(poch_finite(1, 2, n), n + 1)
-        if not tails_engine.agree_to_order(s, tgt, n):
+        if not agree_to_order(s, tgt, n):
             return False, f"theta_2n tail fails at n={n}"
     return True, f"theta_2n(n) agrees with (q^2;q)_n to order n for n <= {n_max}"
 
 
 def check_product_laws(params: dict) -> CheckResult:
+    from .qcore import (
+        QSeries,
+        poch_finite,
+        poch_inf,
+        series_div,
+        series_mul,
+        to_q_series,
+    )
+    from .qidentities import lambda_series, theta_f
+    from .tails_engine import graph_family_tail, tail_product_1, tail_product_23
+
     order = int(params.get("order", 30))
-    t = qidentities.theta_f(2, order)
-    unit1 = tails_engine.tail_product_1(t, poch_inf(2, order), order)
+    t = theta_f(2, order)
+    unit1 = tail_product_1(t, poch_inf(2, order), order)
     if unit1 != t.with_order(order):
         return False, "tail_product_1 unit law fails"
     inv_1mq = series_div(QSeries.one(order), to_q_series(poch_finite(1, 1, 1), order))
-    unit23 = tails_engine.tail_product_23(t, inv_1mq, order)
+    unit23 = tail_product_23(t, inv_1mq, order)
     if unit23 != t.with_order(order):
         return False, "tail_product_23 unit law fails"
     # Wheel with four triangles: glue four tetrahedral sectors along the
     # shared triangle, then one edge gluing: Lambda^4 (q;q)_inf.
-    tet = tails_engine.graph_family_tail("tet2n", {}, order)
+    tet = graph_family_tail("tet2n", {}, order)
     glued = tet
     for _ in range(3):
-        glued = tails_engine.tail_product_1(glued, tet, order)
-    wheel = tails_engine.tail_product_23(glued, QSeries.one(order), order)
-    direct = tails_engine.graph_family_tail("g_m", {"m": 4}, order)
-    lam = qidentities.lambda_series(order)
+        glued = tail_product_1(glued, tet, order)
+    wheel = tail_product_23(glued, QSeries.one(order), order)
+    direct = graph_family_tail("g_m", {"m": 4}, order)
+    lam = lambda_series(order)
     explicit = poch_inf(1, order)
     for _ in range(4):
         explicit = series_mul(explicit, lam).with_order(order)
@@ -420,36 +494,46 @@ def check_product_laws(params: dict) -> CheckResult:
 
 
 def check_tail85(params: dict) -> CheckResult:
+    from .qidentities import tail_85
+
     order = int(params.get("order", 30))
-    s = qidentities.tail_85(order)
+    s = tail_85(order)
     if s.shift != 0 or s.coeff(0) != 1:
         return False, "8_5 tail does not start with 1 at q^0"
     return True, f"8_5 tail: integral, leading 1 at order {order}"
 
 
 def check_tail85_oracle(params: dict) -> CheckResult:
+    from .networks import bracket_closed, braid_network
+    from .qidentities import tail_85
+    from .tails_engine import agree_to_order, normalize
+
     # sigma_1^3 sigma_2^-1 sigma_1^3 sigma_2^-1 is the braid word of 8_5 in
     # KnotInfo; with sigma_i drawn "nesw", the low-v end of its bracket is
     # the one whose reduced Tait graph is the (3, 3, 2) theta graph.
     n_max = int(params.get("n_max", 2))
     for n in range(1, n_max + 1):
-        net = networks.braid_network((1, 1, 1, -2, 1, 1, 1, -2), 3, n)
-        bracket = networks.bracket_closed(net)
+        net = braid_network((1, 1, 1, -2, 1, 1, 1, -2), 3, n)
+        bracket = bracket_closed(net)
         # The unnormalized <K_n>, read from its low-v end; tail_85 is not
         # divided by Delta_n either.
-        got = tails_engine.normalize(bracket.to_vlaurent(), n + 1)
-        if not tails_engine.agree_to_order(got, qidentities.tail_85(n + 1), n + 1):
+        got = normalize(bracket.to_vlaurent(), n + 1)
+        if not agree_to_order(got, tail_85(n + 1), n + 1):
             return False, f"8_5 braid closure differs from tail_85 at n={n}"
     return True, f"8_5 braid closure agrees with tail_85 to n+1 terms for n <= {n_max}"
 
 
 def check_chain_examples(params: dict) -> CheckResult:
+    from .qcore import poch_inf
+    from .qidentities import false_ag_rhs, theta_f
+    from .skein_formulas import chain_tail
+
     order = int(params.get("order", 30))
-    if skein_formulas.chain_tail("even", 1, order) != poch_inf(1, order):
+    if chain_tail("even", 1, order) != poch_inf(1, order):
         return False, "even chain k=1 is not (q;q)_inf"
-    if skein_formulas.chain_tail("odd", 1, order) != qidentities.false_ag_rhs(2, order):
+    if chain_tail("odd", 1, order) != false_ag_rhs(2, order):
         return False, "odd chain k=1 is not the Entry-9 sum"
-    if skein_formulas.chain_tail("even", 2, order) != qidentities.theta_f(2, order):
+    if chain_tail("even", 2, order) != theta_f(2, order):
         return False, "even chain k=2 is not f(-q^4,-q)"
     return True, "chain tails match their named series"
 
@@ -488,9 +572,12 @@ def run_check(name: str, params: dict) -> CheckResult:
         fn = CHECKS[name]
     except KeyError:
         raise SkeinError(f"unknown check {name!r}") from None
-    for key, caps in (("n_max", MAX_N_MAX), ("max_param", MAX_MAX_PARAM)):
+    for key, caps in _CAPPED:
         if name in caps and key in params:
             value, limit = int(params[key]), caps[name]
+            if value < 1:
+                # Below 1 a check would loop over nothing and pass.
+                raise DomainError(f"{key} must be >= 1, got {value}")
             if value > limit:
                 raise CapacityError(f"{key} {value} exceeds limit {limit}")
     return fn(params)

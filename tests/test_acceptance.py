@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from skeintails.errors import CapacityError
-from skeintails.verifycases import CHECKS, MAX_MAX_PARAM, MAX_N_MAX, run_check
+from skeintails.errors import CapacityError, DomainError
+from skeintails.verifycases import CHECKS, MAX_F, MAX_MAX_PARAM, MAX_N_MAX, run_check
 
 
 def _criterion(number: int, label: str, check: str, params: dict) -> None:
@@ -165,3 +165,36 @@ def test_max_param_over_cap_is_refused_before_building():
             ):
                 run_check(name, {"max_param": value})
             assert time.perf_counter() - start < 1
+
+
+def test_f_over_cap_is_refused_before_building():
+    # At n = 2 one step past the cap already runs for seconds.
+    for name, limit in MAX_F.items():
+        for f in (limit + 1, 100000):
+            start = time.perf_counter()
+            with pytest.raises(CapacityError, match=f"^f {f} exceeds limit {limit}$"):
+                run_check(name, {"f": f, "n": 2})
+            assert time.perf_counter() - start < 1
+
+
+def test_f_caps_admit_every_shipped_suite():
+    seen = 0
+    for case in _shipped_cases():
+        if case["check"] in MAX_F:
+            assert case["params"]["f"] <= MAX_F[case["check"]], case
+            seen += 1
+    assert seen >= 10
+
+
+@pytest.mark.parametrize(
+    "name,key",
+    [*((name, "n_max") for name in MAX_N_MAX),
+     *((name, "max_param") for name in MAX_MAX_PARAM),
+     *((name, "f") for name in MAX_F)],
+)
+@pytest.mark.parametrize("value", [0, -1])
+def test_capped_parameter_below_one_is_refused(name, key, value):
+    # Below 1 a check loops over nothing and would pass vacuously.
+    params = {"f": 3, "n": 1, key: value}
+    with pytest.raises(DomainError, match=f"^{key} must be >= 1, got {value}$"):
+        run_check(name, params)

@@ -2,15 +2,19 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import skeintails
 from skeintails.cli import MAX_JONES_N, MAX_JONES_SIZE, main
 from skeintails.networks import tet_network, theta_network, torus_knot_network
 from skeintails.qcore import MAX_SERIES_ORDER, poch_inf
 from skeintails.qidentities import MAX_AG_K, theta_f
-from skeintails.verifycases import MAX_MAX_PARAM, MAX_N_MAX
+from skeintails.verifycases import MAX_F, MAX_MAX_PARAM, MAX_N_MAX
 
 
 def run(argv):
@@ -296,6 +300,43 @@ class TestVerify:
         statuses = [c["status"] for c in json.loads(report.read_text())["cases"]]
         assert statuses == ["error", "pass"]
 
+    @pytest.mark.parametrize(
+        "check,params",
+        [
+            ("tail_lemma_fact", {"n_max": 0}),
+            ("jw_laws", {"n_max": -3}),
+            ("bubble_oracle", {"max_param": 0}),
+            ("torus_oracle", {"f": 0, "n": 1}),
+        ],
+        ids=["n_max-0", "n_max-negative", "max_param-0", "f-0"],
+    )
+    def test_parameter_below_one_is_error_case(self, tmp_path, check, params):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"suite": "s", "cases": [
+            {"id": "empty", "check": check, "params": params},
+        ]}))
+        code, out = run(["verify", str(path)])
+        assert code == 2
+        key, value = next((k, v) for k, v in params.items() if k != "n")
+        assert out.splitlines() == [
+            f"[ERROR] empty: DomainError: {key} must be >= 1, got {value}",
+            "0/1 cases passed",
+        ]
+
+    def test_torus_f_cap_is_error_case(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"suite": "s", "cases": [
+            {"id": "huge", "check": "torus_oracle", "params": {"f": 100000, "n": 1}},
+        ]}))
+        start = time.perf_counter()
+        code, out = run(["verify", str(path)])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        limit = MAX_F["torus_oracle"]
+        assert out.splitlines()[0] == (
+            f"[ERROR] huge: CapacityError: f 100000 exceeds limit {limit}"
+        )
+
     def test_max_param_cap_is_error_case(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"suite": "s", "cases": [
@@ -489,7 +530,19 @@ _ORACLE_GOLDEN = [
 
 
 class TestOracle:
-    @pytest.mark.parametrize("net, text, num, den", _ORACLE_GOLDEN)
+    @pytest.mark.parametrize(
+        "net, text, num, den",
+        _ORACLE_GOLDEN,
+        ids=[
+            "closed-f2",
+            "kinked-loop",
+            "theta-1-1-2",
+            "theta-2-2-2",
+            "theta-2-3-3",
+            "tet-n1",
+            "torus-3-2",
+        ],
+    )
     def test_golden_output(self, tmp_path, net, text, num, den):
         path = tmp_path / "golden.net"
         path.write_text(net)
@@ -553,3 +606,68 @@ class TestOracle:
         path.write_text("frob 1\n")
         code, _ = run(["oracle", str(path)])
         assert code == 2
+
+
+# Runs one verify in a fresh interpreter and prints what it imported.
+_FOOTPRINT = """
+import io, json, sys
+from skeintails import cli
+code = cli.main(["verify", sys.argv[1]], out=io.StringIO())
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+_ORACLE_MODULES = {"skeintails.networks", "skeintails.tl_oracle"}
+
+
+def _fresh_python(*args: str) -> str:
+    """Stdout of a new interpreter that imports this checkout's skeintails."""
+    src = os.path.dirname(os.path.dirname(skeintails.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return proc.stdout
+_HEAVY_STDLIB = {"dataclasses", "fractions"}
+
+
+def _footprint(tmp_path, cases: list[dict]) -> set[str]:
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"suite": "s", "cases": cases}))
+    result = json.loads(_fresh_python("-c", _FOOTPRINT, str(path)))
+    assert result["code"] == 0
+    return set(result["modules"])
+
+
+class TestFootprint:
+    """A verify process imports only the modules its cases call."""
+
+    def test_empty_suite(self, tmp_path):
+        loaded = _footprint(tmp_path, [])
+        assert "skeintails.cli" in loaded
+        unused = _ORACLE_MODULES | _HEAVY_STDLIB | {
+            "skeintails.qcore",
+            "skeintails.skein_formulas",
+            "skeintails.tails_engine",
+            "skeintails.qidentities",
+        }
+        assert not loaded & unused
+
+    def test_identities_suite_skips_the_oracle(self, tmp_path):
+        case = {"id": "ag", "check": "andrews_gordon", "params": {"k": 2, "order": 10}}
+        loaded = _footprint(tmp_path, [case])
+        assert "skeintails.qidentities" in loaded
+        assert not loaded & (_ORACLE_MODULES | _HEAVY_STDLIB)
+
+    def test_package_import_loads_no_module(self):
+        out = _fresh_python(
+            "-c", "import sys, skeintails; "
+            "print(sorted(m for m in sys.modules if m.startswith('skeintails')))"
+        )
+        assert out.strip() == "['skeintails']"
+
+    def test_every_public_name_resolves(self):
+        for name in skeintails.__all__:
+            assert getattr(skeintails, name) is not None, name
+        with pytest.raises(AttributeError):
+            skeintails.no_such_name

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skeintails import networks, verifycases
+from skeintails import networks, qidentities
 from skeintails.errors import CapacityError, DomainError
 from skeintails.networks import (
     MAX_FREE_LOOPS,
@@ -130,9 +130,7 @@ class TestBraidNetworks:
         ok, detail = run_check("tail85_oracle", {"n_max": 2})
         assert ok, detail
         # A wrong second coefficient is caught at n = 1.
-        monkeypatch.setattr(
-            verifycases.qidentities, "tail_85", lambda order: QSeries(0, [1] * order)
-        )
+        monkeypatch.setattr(qidentities, "tail_85", lambda order: QSeries(0, [1] * order))
         assert run_check("tail85_oracle", {"n_max": 2}) == (
             False, "8_5 braid closure differs from tail_85 at n=1"
         )

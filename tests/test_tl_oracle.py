@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skeintails.errors import CapacityError, DomainError
 from skeintails.qcore import (
@@ -254,6 +256,56 @@ class TestTLAlgebra:
     def test_far_generators_commute(self):
         e1, e3 = TLElement.generator(4, 1), TLElement.generator(4, 3)
         assert e1 * e3 == e3 * e1
+
+
+def _cross_equal(a: TLElement, b: TLElement) -> bool:
+    """Equality by full cross-multiplication, the reference for ``==``."""
+    if a.n != b.n or a.terms.keys() != b.terms.keys():
+        return False
+    return all(c * b.den == b.terms[m] * a.den for m, c in a.terms.items())
+
+
+_laurents = st.dictionaries(
+    st.integers(-6, 6), st.integers(-4, 4).filter(bool), min_size=1, max_size=4
+).map(VLaurent)
+
+
+@st.composite
+def _equality_pairs(draw):
+    """An element over den * m_a and the same one, maybe perturbed, over
+    den * m_b: with m_a = 1 one denominator divides the other, with two
+    drawn multipliers usually neither does."""
+    n = draw(st.integers(1, 3))
+    chosen = draw(st.lists(st.sampled_from(enumerate_matchings(n)), min_size=1, unique=True))
+    terms, den = {d: draw(_laurents) for d in chosen}, draw(_laurents)
+    m_a = draw(st.sampled_from([VLaurent.one(), draw(_laurents)]))
+    m_b = draw(_laurents)
+    a = TLElement(n, {d: c * m_a for d, c in terms.items()}, den * m_a)
+    b_terms = {d: c * m_b for d, c in terms.items()}
+    if draw(st.booleans()):
+        d = draw(st.sampled_from(chosen))
+        b_terms[d] = b_terms[d] + draw(_laurents)
+    return a, TLElement(n, b_terms, den * m_b)
+
+
+class TestEquality:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_equality_pairs())
+    def test_matches_cross_multiplication(self, pair):
+        a, b = pair
+        assert (a == b) == _cross_equal(a, b)
+        assert (b == a) == _cross_equal(a, b)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_idempotence_both_ways(self, n):
+        f = jones_wenzl(n)
+        ff = f * f
+        assert ff.den == f.den * f.den  # so one denominator divides the other
+        assert ff == f and f == ff
+        assert _cross_equal(ff, f)
+        g = TLElement(n, dict(ff.terms), ff.den * VLaurent({0: 1, 4: 1}))
+        assert g != f and f != g
+        assert not _cross_equal(g, f)
 
 
 class TestJonesWenzl:
