@@ -37,7 +37,8 @@ documented in docs/network-format.md.  A diagram is data passed to one of
 two builders: ``spin_network`` wires a trivalent graph given as a rotation
 system (the theta and tetrahedral networks are two tables), and
 ``braid_network`` cables a braid closure (the (2,f) torus diagrams and
-8_5 are braid words).  The bubble-expansion sides are wired by hand.
+8_5 are braid words).  Both sides of the bubble expansion, closed either
+way, are one spin-network table with a color per edge for each case.
 """
 
 from __future__ import annotations
@@ -490,8 +491,22 @@ def tet_network(colors: dict[str, int] | int) -> ClosedNetwork:
 # boundary cables m, n (top corners) and m', n' (bottom corners); it exists
 # when m + k = m' + l and n + k = n' + l.  The expansion replaces it by
 # elements with i nested turn-backs joining the top cables, k-l+i joining
-# the bottom cables, and through strands on both sides.  Boundary projector
-# boxes of colors m, n, m', n' are part of both sides.
+# the bottom cables, and through strands on both sides.  Closed top-bottom
+# (m = n, m' = n') or left-right (m = m', n = n'), the element and every
+# expansion term are the same trivalent graph: two bigons (E1, E2 and E3,
+# E4) joined by the edges E5 and E6, colored per case.  A spin network
+# puts a projector on every edge, also on the bands, turn-backs and
+# throughs, which carry none in the skein elements; since
+# f(m+k) (f(k) x 1) = f(m+k) and f f = f, these boxes change no bracket.
+
+_BUBBLE_EDGES = ("E1", "E2", "E3", "E4", "E5", "E6")
+
+_BUBBLE_VERTICES = (
+    (("E1", "a"), ("E2", "a"), ("E5", "a")),
+    (("E6", "a"), ("E2", "b"), ("E1", "b")),
+    (("E3", "a"), ("E4", "a"), ("E5", "b")),
+    (("E6", "b"), ("E4", "b"), ("E3", "b")),
+)
 
 
 def _bubble_check(m: int, n: int, mp: int, np_: int, k: int, l: int) -> None:
@@ -503,79 +518,61 @@ def _bubble_check(m: int, n: int, mp: int, np_: int, k: int, l: int) -> None:
         raise DomainError("negative colors")
 
 
-def _add_cable_boxes(net: ClosedNetwork, m: int, n: int, mp: int, np_: int):
-    for name, color in (("pm", m), ("pn", n), ("pmp", mp), ("pnp", np_)):
-        if color:
-            net.add_box(name, color)
+def _bubble_closure(
+    m: int, n: int, mp: int, np_: int, closure: str,
+    topbottom: tuple[int, ...], leftright: tuple[int, ...],
+) -> dict[str, int]:
+    """The edge colors (E1..E6) of the bubble graph for ``closure``."""
+    if closure == "topbottom":
+        if m != n or mp != np_:
+            raise DomainError("topbottom closure needs m = n and m' = n'")
+        return dict(zip(_BUBBLE_EDGES, topbottom))
+    if closure == "leftright":
+        if m != mp or n != np_:
+            raise DomainError("leftright closure needs m = m' and n = n'")
+        return dict(zip(_BUBBLE_EDGES, leftright))
+    raise DomainError(f"unknown closure {closure!r}")
 
 
 def bubble_lhs_network(
     m: int, n: int, mp: int, np_: int, k: int, l: int, closure: str
 ) -> ClosedNetwork:
-    """Closure of the bubble skein element itself."""
+    """Closure of the bubble skein element itself.
+
+    Top-bottom, the bigons are the top cable and the band over the lens and
+    the bottom cable and the band under it, joined by the boxes m+k and n+k;
+    left-right, they are the left cable and the box m+k and the right cable
+    and the box n+k, joined by the two bands.
+    """
     _bubble_check(m, n, mp, np_, k, l)
-    net = ClosedNetwork()
-    net.add_box("L", m + k)
-    net.add_box("R", n + k)
-    _add_cable_boxes(net, m, n, mp, np_)
-    # Bands over and under the lens (nested, innermost between the boxes).
-    for j in range(k):
-        net.add_arc(("L", f"a{m + j}"), ("R", f"a{k - 1 - j}"))
-    for j in range(l):
-        net.add_arc(("L", f"b{mp + j}"), ("R", f"b{l - 1 - j}"))
-    # Corner cables through their boundary projectors (side b = inner).
-    for j in range(m):
-        net.add_arc(("pm", f"b{j}"), ("L", f"a{j}"))
-    for j in range(n):
-        net.add_arc(("pn", f"b{j}"), ("R", f"a{k + j}"))
-    for j in range(mp):
-        net.add_arc(("pmp", f"b{j}"), ("L", f"b{j}"))
-    for j in range(np_):
-        net.add_arc(("pnp", f"b{j}"), ("R", f"b{l + j}"))
-    _bubble_closure(net, m, n, mp, np_, closure)
-    return net
+    colors = _bubble_closure(
+        m, n, mp, np_, closure,
+        topbottom=(m, k, mp, l, m + k, n + k),
+        leftright=(m, m + k, n, n + k, k, l),
+    )
+    return spin_network(_BUBBLE_VERTICES, colors)
 
 
 def bubble_rhs_network(
     m: int, n: int, mp: int, np_: int, k: int, l: int, i: int, closure: str
 ) -> ClosedNetwork:
-    """Closure of the i-th expansion element (turn-backs and throughs)."""
+    """Closure of the i-th expansion element (turn-backs and throughs).
+
+    Top-bottom, the bigons are the top cable and the i top turn-backs and
+    the bottom cable and the k-l+i bottom turn-backs, joined by the two
+    sides' through strands; left-right, they are the left cable and its
+    throughs and the right cable and its throughs, joined by the two sets
+    of turn-backs.
+    """
     _bubble_check(m, n, mp, np_, k, l)
     if not (0 <= i <= min(m, n)) or k - l + i > min(mp, np_):
         raise DomainError(f"expansion index {i} out of range")
-    net = ClosedNetwork()
-    _add_cable_boxes(net, m, n, mp, np_)
-    tb, bb = i, k - l + i
-    # Top turn-backs: innermost (rightmost of pm / leftmost of pn) first.
-    for j in range(tb):
-        net.add_arc(("pm", f"b{m - 1 - j}"), ("pn", f"b{j}"))
-    for j in range(bb):
-        net.add_arc(("pmp", f"b{mp - 1 - j}"), ("pnp", f"b{j}"))
-    for j in range(m - tb):
-        net.add_arc(("pm", f"b{j}"), ("pmp", f"b{j}"))
-    for j in range(n - tb):
-        net.add_arc(("pn", f"b{tb + j}"), ("pnp", f"b{bb + j}"))
-    _bubble_closure(net, m, n, mp, np_, closure)
-    return net
-
-
-def _bubble_closure(net, m: int, n: int, mp: int, np_: int, closure: str) -> None:
-    if closure == "topbottom":
-        if m != n or mp != np_:
-            raise DomainError("topbottom closure needs m = n and m' = n'")
-        for j in range(m):
-            net.add_arc(("pm", f"a{j}"), ("pn", f"a{n - 1 - j}"))
-        for j in range(mp):
-            net.add_arc(("pmp", f"a{j}"), ("pnp", f"a{np_ - 1 - j}"))
-    elif closure == "leftright":
-        if m != mp or n != np_:
-            raise DomainError("leftright closure needs m = m' and n = n'")
-        for j in range(m):
-            net.add_arc(("pm", f"a{j}"), ("pmp", f"a{j}"))
-        for j in range(n):
-            net.add_arc(("pn", f"a{j}"), ("pnp", f"a{j}"))
-    else:
-        raise DomainError(f"unknown closure {closure!r}")
+    colors = _bubble_closure(
+        m, n, mp, np_, closure,
+        topbottom=(m, i, mp, k - l + i, m - i, n - i),
+        leftright=(m, m - i, n, n - i, i, k - l + i),
+    )
+    return spin_network(_BUBBLE_VERTICES, colors)
 
 
 # -- braid closures -----------------------------------------------------------

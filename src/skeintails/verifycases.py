@@ -41,8 +41,8 @@ MAX_N_MAX: dict[str, int] = {
 }
 
 # Largest ``max_param`` a suite may give each check that reads one, in the
-# same way: bubble_oracle at 4 runs 140 closures in 2.0 s; at 5 a box of
-# colour 9 is refused after 3.0 s of contractions.
+# same way: bubble_oracle at 4 runs 140 closures in 1.4-1.8 s (three
+# runs); at 5 a box of colour 9 is refused after 2.1-2.6 s of contractions.
 MAX_MAX_PARAM: dict[str, int] = {
     "bubble_oracle": 4,
 }
@@ -251,6 +251,13 @@ def check_bubble_oracle(params: dict) -> CheckResult:
     return True, f"bubble expansion matches the oracle on {count} closures"
 
 
+def _require_color(n: int) -> None:
+    # At colour 0 both sides are the empty diagram, 1, so a check would
+    # compare nothing and pass.
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+
+
 def check_torus_oracle(params: dict) -> CheckResult:
     from .networks import bracket_closed, torus_knot_network
     from .qcore import delta_n
@@ -258,6 +265,7 @@ def check_torus_oracle(params: dict) -> CheckResult:
     from .tails_engine import normalize
 
     f, n = int(params["f"]), int(params["n"])
+    _require_color(n)
     bracket = bracket_closed(torus_knot_network(f, n))
     poly = bracket.to_vlaurent().div_exact(delta_n(n))
     lhs = normalize(poly)
@@ -284,6 +292,7 @@ def check_tet_oracle(params: dict) -> CheckResult:
     from .skein_formulas import tet_2n
 
     n = int(params.get("n", 1))
+    _require_color(n)
     got = bracket_closed(tet_network(2 * n))
     want = tet_2n(n)
     if got == want:

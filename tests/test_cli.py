@@ -307,8 +307,11 @@ class TestVerify:
             ("jw_laws", {"n_max": -3}),
             ("bubble_oracle", {"max_param": 0}),
             ("torus_oracle", {"f": 0, "n": 1}),
+            ("torus_oracle", {"f": 5, "n": 0}),
+            ("tet_oracle", {"n": 0}),
         ],
-        ids=["n_max-0", "n_max-negative", "max_param-0", "f-0"],
+        ids=["n_max-0", "n_max-negative", "max_param-0", "f-0", "torus-n-0",
+             "tet-n-0"],
     )
     def test_parameter_below_one_is_error_case(self, tmp_path, check, params):
         path = tmp_path / "s.json"
@@ -317,7 +320,7 @@ class TestVerify:
         ]}))
         code, out = run(["verify", str(path)])
         assert code == 2
-        key, value = next((k, v) for k, v in params.items() if k != "n")
+        key, value = next((k, v) for k, v in params.items() if v < 1)
         assert out.splitlines() == [
             f"[ERROR] empty: DomainError: {key} must be >= 1, got {value}",
             "0/1 cases passed",

@@ -1,5 +1,7 @@
 """Closed-network brackets: Kauffman relations, spin networks, text format."""
 
+import re
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -346,6 +348,25 @@ class TestBubbleNetworks:
             bubble_lhs_network(1, 1, 1, 1, 2, 1, "topbottom")  # m' must be 2
         with pytest.raises(DomainError):
             bubble_rhs_network(1, 1, 1, 1, 1, 1, 3, "leftright")
+
+    # Each bubble below exists (m+k = m'+l, n+k = n'+l), so only the
+    # closure is at fault.
+    @pytest.mark.parametrize(
+        "closure,colors,message",
+        [
+            ("topbottom", (1, 2, 1, 2), "topbottom closure needs m = n and m' = n'"),
+            ("leftright", (1, 1, 2, 2), "leftright closure needs m = m' and n = n'"),
+            ("sideways", (1, 1, 1, 1), "unknown closure 'sideways'"),
+        ],
+        ids=["topbottom-m-ne-n", "leftright-m-ne-mp", "unknown"],
+    )
+    def test_closure_refusals(self, closure, colors, message):
+        m, n, mp, np_ = colors
+        k, l = mp - m + 1, 1
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            bubble_lhs_network(m, n, mp, np_, k, l, closure)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            bubble_rhs_network(m, n, mp, np_, k, l, 0, closure)
 
     def test_smallest_bubble_closures(self):
         # (1,1,1,1;1,1) closed top-bottom is the two-bead necklace, whose
