@@ -296,49 +296,72 @@ class VLaurent:
         }
 
 
-def _kronecker_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Product of two nonempty term dicts by Kronecker substitution.
+def kronecker_width(bound: int) -> int:
+    """Bytes per Kronecker slot for coefficients of absolute value <= bound.
 
-    With g the gcd of all exponent differences, an operand with exponents
-    e0 + g*i becomes the integer sum_i c_i * X**i, X = 2**W, and one bigint
-    multiply gives every product coefficient in its own W-bit slot.  A
-    product coefficient is a sum of at most min(len(a), len(b)) terms
-    c1 * c2, so W leaves room for that plus a sign bit.  Slots are written
-    and read as unsigned bytes holding coefficient + 2**(W-1): ``pack``
-    subtracts those biases again, and the product gets one bias per slot
-    before it is read, so no negative coefficient borrows from its neighbour.
+    A slot of W = 8 * width bits holds one coefficient c as a balanced
+    digit, |c| < 2**(W-1), so the smallest width with 2**(W-1) > bound.
     """
-    ea, eb = min(a), min(b)
-    g = math.gcd(*[e - ea for e in a], *[e - eb for e in b]) or 1
-    bits = (
-        _max_abs(a).bit_length()
-        + _max_abs(b).bit_length()
-        + min(len(a), len(b)).bit_length()
-        + 1
-    )
-    width = (bits + 7) // 8  # bytes per slot
+    return (bound.bit_length() + 8) // 8
+
+
+def kronecker_pack(terms: Mapping[int, int], e0: int, g: int, width: int) -> int:
+    """Kronecker substitution v -> X = 2**(8*width): sum c * X**((e - e0) / g).
+
+    Every exponent is e0 plus a multiple of g.  Slots are written as
+    unsigned bytes holding c + 2**(W-1), and the biases are subtracted
+    again in one step, so the result is the exact (possibly negative)
+    integer.  Sums and products of packed values are plain int arithmetic:
+    they stay readable by ``kronecker_unpack`` while every coefficient of
+    the result, not of the steps, fits its slot.
+    """
     bias = 1 << (8 * width - 1)
     zero = bias.to_bytes(width, "little")  # a slot holding coefficient 0
+    slots = [zero] * ((max(terms) - e0) // g + 1)
+    for e, c in terms.items():
+        slots[(e - e0) // g] = (c + bias).to_bytes(width, "little")
+    return int.from_bytes(b"".join(slots), "little") - int.from_bytes(
+        zero * len(slots), "little"
+    )
 
-    def pack(terms: dict[int, int], e0: int, n: int) -> int:
-        slots = [zero] * n
-        for e, c in terms.items():
-            slots[(e - e0) // g] = (c + bias).to_bytes(width, "little")
-        return int.from_bytes(b"".join(slots), "little") - int.from_bytes(
-            zero * n, "little"
-        )
 
-    na, nb = (max(a) - ea) // g + 1, (max(b) - eb) // g + 1
-    n = na + nb - 1
-    prod = pack(a, ea, na) * pack(b, eb, nb) + int.from_bytes(zero * n, "little")
-    raw = prod.to_bytes(n * width, "little")
+def kronecker_unpack(value: int, e0: int, g: int, width: int) -> dict[int, int]:
+    """The nonzero terms {e0 + g*k: c} of a packed value, by balanced digits.
+
+    Slot k holds the coefficient of X**k as a W-bit digit; every
+    coefficient must have |c| < 2**(W-1) (``kronecker_width``).  One bias
+    per slot makes every digit nonnegative, so the bytes are read without
+    carries.  With the highest nonzero slot at k, |value| > 2**(W*k - 1)
+    (the lower slots add up to less than X**k / 2), so bit_length // W + 1
+    slots hold every digit.
+    """
+    if not value:
+        return {}
+    bias = 1 << (8 * width - 1)
+    zero = bias.to_bytes(width, "little")
+    n = abs(value).bit_length() // (8 * width) + 1
+    raw = (value + int.from_bytes(zero * n, "little")).to_bytes(n * width, "little")
     out = {}
-    e0 = ea + eb
     for k in range(n):
         c = int.from_bytes(raw[k * width : (k + 1) * width], "little") - bias
         if c:
             out[e0 + g * k] = c
     return out
+
+
+def _kronecker_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two nonempty term dicts by Kronecker substitution.
+
+    With g the gcd of all exponent differences, each operand is packed into
+    one integer and one bigint multiply gives every product coefficient in
+    its own slot.  A product coefficient is a sum of at most
+    min(len(a), len(b)) terms c1 * c2, which bounds the slot width.
+    """
+    ea, eb = min(a), min(b)
+    g = math.gcd(*[e - ea for e in a], *[e - eb for e in b]) or 1
+    width = kronecker_width(_max_abs(a) * _max_abs(b) * min(len(a), len(b)))
+    prod = kronecker_pack(a, ea, g, width) * kronecker_pack(b, eb, g, width)
+    return kronecker_unpack(prod, ea + eb, g, width)
 
 
 def _max_abs(terms: dict[int, int]) -> int:

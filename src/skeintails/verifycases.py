@@ -27,7 +27,7 @@ CheckResult = tuple[bool, str]
 # run.  The worst accepted case is nn_i_sweep at 14, 9.0 s.
 MAX_N_MAX: dict[str, int] = {
     "morrison": 4,  # 0.8 s (builds f(8) cold); at 5 f(10) is over MAX_BOX_COLOR
-    "jw_laws": 6,  # 1.5 s / 7: 12.6-17.4 s (mostly the product f(7) f(7))
+    "jw_laws": 8,  # 7.1-7.3 s (3 runs; 7: 1.0-1.1 s); at 9 f(9) is over MAX_BOX_COLOR
     "theta_oracle": 4,  # 1.2 s; at 5 the colour 10 is over MAX_BOX_COLOR
     "tail_lemma_fact": 70,  # 6.2 s / 80: 13.3 s
     "tail_lemma_bubble0": 70,  # 7.7 s

@@ -3,15 +3,17 @@
 TL products, strand closures and the network contraction all glue points
 together and follow arcs through them.  These properties check ``join``
 against a union-find reference, the TL product against a per-pair
-stacking built on that reference, and each composition built on it
-through a law it must satisfy: associativity of stacking, closing strands
-in two steps or in one, and Reidemeister II invariance of the bracket.  The TL
-elements carry integer numerators over a random denominator, so the
-algebra laws (associativity, distributivity, equality up to a common
-factor) also check the cross-multiplied arithmetic.
+stacking built on that reference (also at coefficients far wider than
+any projector's, where the packed product's slot width is tight), and
+each composition built on it through a law it must satisfy: associativity
+of stacking, closing strands in two steps or in one, and Reidemeister II
+invariance of the bracket.  The TL elements carry integer numerators
+over a random denominator, so the algebra laws (associativity,
+distributivity, equality up to a common factor) also check the
+cross-multiplied arithmetic.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skeintails.networks import (
@@ -23,7 +25,8 @@ from skeintails.networks import (
     torus_knot_network,
 )
 from skeintails.qcore import V_LOOP, VLaurent
-from skeintails.tl_oracle import TLElement, join
+from skeintails import tl_oracle
+from skeintails.tl_oracle import TLElement, join, jones_wenzl
 from tl_diagrams import enumerate_matchings
 
 _MATCHINGS = {n: enumerate_matchings(n) for n in range(6)}
@@ -163,6 +166,89 @@ def test_tl_product_matches_reference_stacking(pair):
     a, b = pair
     got, want = a * b, _reference_product(a, b)
     assert (got.terms, got.den) == (want.terms, want.den)
+
+
+# Coefficients up to 2**64 in absolute value.  Each element draws one
+# magnitude 2**k, so products of its extremes (2**k, 2**k - 1) fall at
+# every bit length mod 8, and a slot one bit too narrow, or sized from the
+# largest coefficient instead of the sums, overflows on some of them.
+_WIDE = 2**64
+
+
+@st.composite
+def _wide_elements(draw, n):
+    """A TL_n element with wide coefficients at odd and negative exponents,
+    on some or (often) every diagram of TL_n."""
+    top = 2 ** draw(st.integers(1, 64))
+    coeffs = st.one_of(
+        st.sampled_from([top, -top, top - 1, 1 - top]), st.integers(-top, top)
+    )
+    everything = _MATCHINGS[n]
+    if draw(st.booleans()):
+        diagrams = everything
+    else:
+        diagrams = draw(
+            st.lists(
+                st.sampled_from(everything),
+                min_size=1,
+                max_size=len(everything),
+                unique=True,
+            )
+        )
+    laurents = st.dictionaries(st.integers(-7, 7), coeffs, min_size=1, max_size=4)
+    terms = {m: VLaurent(draw(laurents)) for m in diagrams}
+    return TLElement(n, terms, draw(_nonzero_small_laurents))
+
+
+@st.composite
+def _wide_pairs(draw):
+    n = draw(st.integers(0, 4))
+    return draw(_wide_elements(n)), draw(_wide_elements(n))
+
+
+def _one_term(n: int, diagram, terms: dict) -> TLElement:
+    return TLElement(n, {diagram: VLaurent(terms)})
+
+
+# Products at the slot bound.  (2**64 - 1)**2 has exactly 128 bits, so its
+# slot needs 17 bytes.  2**63 (1 + v**4) squared has the middle coefficient
+# 2**127: the largest coefficient alone (2**126) would size 16 bytes.  In
+# TL_4, (e_1 e_3)**2 closes two loops, and delta**2 = v**4 + 2 + v**-4.
+# Then products that are zero: every packed sum of e_i f(3) and f(3) e_i
+# cancels, and b - b has no terms.
+_E1E3 = (1, 0, 3, 2, 5, 4, 7, 6)
+_F3 = jones_wenzl(3).scale(VLaurent({-5: _WIDE, 3: 1 - _WIDE}))
+_B = TLElement(3, {d: VLaurent({1: _WIDE - 1, -7: -_WIDE}) for d in _MATCHINGS[3]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_wide_pairs())
+@example(pair=(_one_term(0, (), {0: _WIDE - 1}),) * 2)
+@example(pair=(_one_term(0, (), {0: 2**63, 4: 2**63}),) * 2)
+@example(pair=(_one_term(4, _E1E3, {1: 2**63}), _one_term(4, _E1E3, {-3: 2**63})))
+@example(pair=(TLElement.generator(3, 1), _F3))
+@example(pair=(_F3, TLElement.generator(3, 2)))
+@example(pair=(_B, _B - _B))
+@example(pair=(_B - _B, _B))
+def test_wide_product_matches_reference_stacking(pair):
+    a, b = pair
+    got, want = a * b, _reference_product(a, b)
+    assert (got.terms, got.den) == (want.terms, want.den)
+
+
+def test_product_joins_once_per_top_half_class(monkeypatch):
+    # f(5) has 42 diagrams in 10 classes of top halves (C(5, 2)): one join
+    # per class and right diagram, not one per diagram pair (1,764).
+    f = jones_wenzl(5)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return join(*args)
+
+    monkeypatch.setattr(tl_oracle, "join", counted)
+    assert f * f == f
+    assert calls == [420]
 
 
 @st.composite

@@ -25,6 +25,9 @@ from skeintails.qcore import (
     div_one_minus_qk,
     fraction_to_q_series,
     fraction_to_x_series,
+    kronecker_pack,
+    kronecker_unpack,
+    kronecker_width,
     mul_one_minus_qk,
     mul_poch_inf,
     poch_finite,
@@ -703,6 +706,28 @@ def test_kronecker_product_matches_dict_loop(data, step):
     want = q_dict_mul(a.terms, b.terms)
     assert (a * b).terms == want
     assert _kronecker_mul(a.terms, b.terms) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 3),
+    g=st.sampled_from([1, 2, 4]),
+    e0=st.integers(-9, 9),
+    data=st.data(),
+)
+def test_kronecker_pack_round_trip(width, g, e0, data):
+    # Every digit in the open slot range, extremes drawn often: a top slot
+    # of 1 above lower slots of -(2**(W-1) - 1) is the smallest packed
+    # value with that top slot, and unpacking must still find it.
+    top = 2 ** (8 * width - 1) - 1
+    assert kronecker_width(top) == width and kronecker_width(top + 1) == width + 1
+    coeff = st.one_of(st.sampled_from([top, -top, 1, -1]), st.integers(-top, top))
+    slots = data.draw(st.dictionaries(st.integers(0, 12), coeff, max_size=13))
+    terms = {e0 + g * k: c for k, c in slots.items() if c}
+    packed = kronecker_pack(terms, e0, g, width) if terms else 0
+    assert packed == sum(c << (8 * width * ((e - e0) // g)) for e, c in terms.items())
+    assert kronecker_unpack(packed, e0, g, width) == terms
+    assert kronecker_unpack(-packed, e0, g, width) == {e: -c for e, c in terms.items()}
 
 
 class TestKronecker:
