@@ -33,9 +33,12 @@ Three value types live here:
 The quantum/number-theoretic primitives (quantum integers, Delta_n,
 quantum factorials, q-Pochhammer symbols, q-binomials) are built on top.
 Every finite product of quantum integers [a] and Pochhammer factors
-(1 - q^a), and every exact quotient of two such products, is one call of
-one kernel, ``poch_ratio``, on a dense coefficient list in q: one O(degree)
-pass per factor instead of a chain of VLaurent products.
+(1 - q^a), every exact quotient of two such products, and every exact
+division of a Laurent polynomial by such a product, is one call of one
+kernel, ``mul_poch_ratio(p, ups, downs)`` (``poch_ratio`` is its case
+p = 1), on one dense coefficient list in q per v-exponent residue mod 4:
+one O(degree) pass per factor instead of a chain of VLaurent products or a
+long division.
 """
 
 from __future__ import annotations
@@ -496,8 +499,9 @@ class VFraction:
         # Move the denominator's v-shift into the numerator, then divide out
         # the common integer content and give den a positive lead.
         s = den.min_exp()
-        den = den.shift(-s)
-        num = num.shift(-s)
+        if s:
+            den = den.shift(-s)
+            num = num.shift(-s)
         content = math.gcd(*num.terms.values(), *den.terms.values())
         if den.terms[den.max_exp()] < 0:
             content = -content
@@ -913,36 +917,54 @@ def div_one_minus_qk(cs: list, k: int) -> None:
         cs[r::k] = accumulate(cs[r::k])
 
 
-def poch_ratio(ups: Iterable[int], downs: Iterable[int]) -> VLaurent:
-    """prod_{a in ups} (1 - q^a) / prod_{b in downs} (1 - q^b) for two
-    multisets of exponents >= 1, when the ratio is a polynomial in q.
+def mul_poch_ratio(
+    p: VLaurent, ups: Iterable[int], downs: Iterable[int]
+) -> VLaurent:
+    """p * prod_{a in ups} (1 - q^a) / prod_{b in downs} (1 - q^b) for two
+    multisets of exponents >= 1, when the result is a Laurent polynomial.
 
-    A factor on both sides cancels first.  The rest runs on one dense
-    coefficient list: multiplying by (1 - q^a) is one shifted difference,
-    and dividing by (1 - q^b) is one running sum per residue class mod b,
-    so every factor costs one O(degree) pass.  The numerator is built
-    before any division, so a ratio that is a polynomial divides exactly at
-    every step; a division that leaves a remainder (its top b quotient
-    coefficients are not all zero) raises ConsistencyError.
+    A factor on both sides cancels first.  Since q = v^4, the factors act on
+    each v-exponent residue class of p mod 4 alone, so each class is one
+    dense coefficient list in q: multiplying by (1 - q^a) is one shifted
+    difference, and dividing by (1 - q^b) is one running sum per residue
+    class mod b, so every factor costs one O(degree) pass.  All ups are
+    applied before any division, so a result that is a polynomial divides
+    exactly at every step; a division that leaves a remainder (its top b
+    quotient coefficients are not all zero) raises ConsistencyError.
     """
     ups, downs = Counter(ups), Counter(downs)
     if any(a < 1 for a in chain(ups, downs)):
         raise DomainError("poch_ratio needs factors (1 - q^a) with a >= 1")
     common = ups & downs
-    ups -= common
-    downs -= common
-    cs = [1]
-    for a in ups.elements():
-        cs += [0] * a
-        mul_one_minus_qk(cs, a)
-    for b in downs.elements():
-        div_one_minus_qk(cs, b)
-        if any(cs[-b:]):
-            raise ConsistencyError(f"(1 - q^{b}) does not divide the product")
-        del cs[-b:]
+    ups = sorted((ups - common).elements())
+    downs = sorted((downs - common).elements(), reverse=True)
+    classes: dict[int, dict[int, int]] = {}
+    for e, c in p.terms.items():
+        classes.setdefault(e % 4, {})[e] = c
+    out: dict[int, int] = {}
+    for terms in classes.values():
+        e0 = min(terms)
+        cs = [0] * ((max(terms) - e0) // 4 + 1)
+        for e, c in terms.items():
+            cs[(e - e0) // 4] = c
+        for a in ups:
+            cs += [0] * a
+            mul_one_minus_qk(cs, a)
+        for b in downs:
+            div_one_minus_qk(cs, b)
+            if any(cs[-b:]):
+                raise ConsistencyError(f"(1 - q^{b}) does not divide the product")
+            del cs[-b:]
+        out.update((e0 + 4 * j, c) for j, c in enumerate(cs) if c)
     res = VLaurent.__new__(VLaurent)
-    res.terms = {4 * e: c for e, c in enumerate(cs) if c}
+    res.terms = out
     return res
+
+
+def poch_ratio(ups: Iterable[int], downs: Iterable[int]) -> VLaurent:
+    """prod_{a in ups} (1 - q^a) / prod_{b in downs} (1 - q^b), a polynomial
+    in q: ``mul_poch_ratio`` of 1."""
+    return mul_poch_ratio(_ONE_TERMS_DEN, ups, downs)
 
 
 def quantum_product(args: Iterable[int]) -> VLaurent:

@@ -13,11 +13,18 @@ coefficients, the normalized colored Jones polynomial of (2, f) torus
 links, and the multi-sum tails of the bubble chains.
 
 Each closed form is a signed power of v times a ratio of products of
-quantum integers [a] and Pochhammer factors (1 - q^a).  Every such product
-is one call of the dense kernel ``qcore.poch_ratio`` (or
-``qcore.quantum_product``, through [a] = v^(-2(a-1)) (1 - q^a)/(1 - q)),
-with repeated factors listed as often as they occur, never a chain of
-VLaurent products or powers.
+quantum integers [a] and Pochhammer factors (1 - q^a), through
+[a] = v^(-2(a-1)) (1 - q^a) / (1 - q).  Each lists its factors once, with
+repeated factors as often as they occur, and ``_poch_fraction`` makes them
+one cancelled fraction: factors on both sides of the fraction line cancel,
+a factor (1 - q^b) below that divides a distinct (1 - q^a) above is divided
+out by the dense kernel ``qcore.mul_poch_ratio``, and the rest of the
+factors below are the stored denominator.  So no closed form runs a chain
+of VLaurent products or powers, and every stored denominator is a product
+of factors (1 - q^b), with constant term +-1.  The stored (num, den) are
+smaller than the plain product of the factors on each side; the value, and
+its gcd-reduced form, are the same.  The (2, f) torus sum is signed
+monomials over (1 - q^(n+1)), divided exactly in one kernel call.
 
 Values here are exact rational functions of v (VFraction); genuinely
 polynomial results (like the normalized colored Jones) are reduced to
@@ -26,16 +33,10 @@ VLaurent with a remainder assertion, never by rounding.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .errors import ConsistencyError, DomainError
-from .qcore import (
-    QSeries,
-    VFraction,
-    VLaurent,
-    delta_n,
-    poch_ratio,
-    quantum_fact,
-    quantum_product,
-)
+from .qcore import QSeries, VFraction, VLaurent, mul_poch_ratio, poch_ratio
 from .qidentities import ag_rhs, false_ag_rhs
 
 
@@ -43,6 +44,67 @@ def _upto(t: int, times: int = 1) -> list[int]:
     """1, ..., t, each ``times`` times: the factors of ([t]!)^times, or of
     (q;q)_t^times."""
     return [*range(1, t + 1)] * times
+
+
+def _poch_fraction(
+    terms: list[tuple[int, int, list[int]]], downs: list[int]
+) -> VFraction:
+    """sum_{(c, e, ups) in terms} c v^e prod_{a in ups} (1 - q^a), divided by
+    prod_{b in downs} (1 - q^b), as one polynomial over a product of factors
+    (1 - q^b).
+
+    A factor in every term's ups and in downs cancels.  A remaining down b
+    that divides a distinct remaining up a in every term, as (1 - q^b)
+    divides (1 - q^a), is divided out in each term's kernel call; the other
+    downs are the stored denominator, so its constant term is +-1 and
+    expanding the value as a series needs no gcd.
+    """
+    ups = [Counter(u) for _, _, u in terms]
+    left = Counter(downs)
+    for u in ups:
+        left &= u
+    ups = [u - left for u in ups]
+    free = [sorted(u.elements()) for u in ups]
+    inside, outside = [], []
+    for b in sorted((Counter(downs) - left).elements(), reverse=True):
+        picks = [next((k for k, a in enumerate(f) if a % b == 0), None) for f in free]
+        if None in picks:
+            outside.append(b)
+            continue
+        for f, k in zip(free, picks):
+            del f[k]
+        inside.append(b)
+    num = VLaurent()
+    for (c, e, _), u in zip(terms, ups):
+        num = num + mul_poch_ratio(VLaurent.monomial(c, e), u.elements(), inside)
+    return VFraction(num, poch_ratio(outside, ()))
+
+
+def _quantum_fraction(
+    terms: list[tuple[int, int, list[int], list[int]]],
+    downs: list[int],
+    q_downs: list[int] | tuple[()] = (),
+) -> VFraction:
+    """sum_{(c, e, ups, q_ups) in terms} c v^e prod_{a in ups} [a]
+    prod_{a in q_ups} (1 - q^a), divided by prod_{b in downs} [b]
+    prod_{b in q_downs} (1 - q^b), through [a] = v^(-2(a-1)) (1 - q^a) / (1 - q).
+
+    Every term is put over (1 - q)^u, with u the most quantum integers
+    above in one term, so the terms share their factors below.
+    """
+    u = max(len(ups) for _, _, ups, _ in terms)
+    v_den = 2 * sum(b - 1 for b in downs)
+    return _poch_fraction(
+        [
+            (
+                c,
+                e + v_den - 2 * sum(a - 1 for a in ups),
+                [*ups, *q_ups] + [1] * (len(downs) + u - len(ups)),
+            )
+            for c, e, ups, q_ups in terms
+        ],
+        [*downs, *q_downs] + [1] * u,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -68,18 +130,20 @@ def _bubble_times(
     m: int, n: int, k: int, l: int, i: int, sign: int, up: list[int], down: list[int]
 ) -> VFraction:
     """sign * ceil[m n; k l]_i * prod_{a in up} [a] / prod_{b in down} [b],
-    with the extra factors in the same two kernel calls as the bubble's."""
-    # The quantum integers of the numerator, and the q-binomial's factors.
+    as one cancelled fraction."""
     ups = [k - j for j in range(l - i)]
     ups += [x for s in range(i) for x in (n - s, m - s)]
     ups += [m + n + k - i - j + 1 for j in range(l - i)]
-    ups += up
-    num = poch_ratio(ups + _upto(l), [1] * len(ups) + _upto(i) + _upto(l - i))
-    num = num.scale(-sign if (i + l) % 2 else sign)  # times (-1)^(i+l)
-    # q^(i(i-l)/2) has v-exponent 2 i (i - l); [a] carries v^(-2(a-1)).
-    num = num.shift(2 * i * (i - l) - 2 * sum(a - 1 for a in ups))
     downs = [x for t in range(l) for x in (n + k - t, m + k - t)]
-    return VFraction(num, quantum_product(downs + down))
+    if (i + l) % 2:  # (-1)^(i+l)
+        sign = -sign
+    # q^(i(i-l)/2) has v-exponent 2 i (i - l); qbinom(l, i) is a ratio of
+    # Pochhammer factors.
+    return _quantum_fraction(
+        [(sign, 2 * i * (i - l), ups + up, _upto(l))],
+        downs + down,
+        _upto(i) + _upto(l - i),
+    )
 
 
 def theta_2n(n: int) -> VFraction:
@@ -96,19 +160,20 @@ def tet_2n(n: int) -> VFraction:
     """The tetrahedron with all six edges colored 2n.
 
     Tet = ([n]!)^12 / ([2n]!)^6 * sum_{i=3n}^{4n}
-              (-1)^i [i+1]! / (([4n-i]!)^3 ([i-3n]!)^4).
+              (-1)^i [i+1]! / (([4n-i]!)^3 ([i-3n]!)^4),
+
+    summed as one numerator over [2n]!^6 / [n]!^5, less the factors it
+    shares with every term: the term of i is
+    (-1)^i [i+1]! ([n]!/[4n-i]!)^3 ([n]!/[i-3n]!)^4, a polynomial.
     """
     if n < 0:
         raise DomainError("tet_2n needs n >= 0")
-    acc = VFraction.zero()
+    terms = []
     for i in range(3 * n, 4 * n + 1):
-        num = quantum_fact(i + 1)
-        if i % 2:
-            num = -num
-        den = quantum_product(_upto(4 * n - i, 3) + _upto(i - 3 * n, 4))
-        acc = acc + VFraction(num, den)
-    pref = VFraction(quantum_product(_upto(n, 12)), quantum_product(_upto(2 * n, 6)))
-    return pref * acc
+        ups = _upto(i + 1)
+        ups += [*range(4 * n - i + 1, n + 1)] * 3 + [*range(i - 3 * n + 1, n + 1)] * 4
+        terms.append((-1 if i % 2 else 1, 0, ups, []))
+    return _quantum_fraction(terms, _upto(n) + [*range(n + 1, 2 * n + 1)] * 6)
 
 
 def p_coeff(n: int, i: int) -> VFraction:
@@ -138,18 +203,10 @@ def nn_i_coeff(n: int, i: int, j: int) -> VFraction:
         raise DomainError("nn_i_coeff needs 0 <= j <= i <= n")
     sign = -1 if (j + n) % 2 else 1
     # v-exponent of q^(j^2 + j/2 - n/2) is 4 j^2 + 2 j - 2 n.
-    out = VFraction.from_poly(VLaurent.monomial(sign, 4 * j * j + 2 * j - 2 * n))
-    num = poch_ratio(_upto(i, 2) + _upto(n, 4) + _upto(2 * n + i - j + 1), ())
-    den = poch_ratio(
-        _upto(i - j)
-        + _upto(j, 2)
-        + _upto(2 * n)
-        + _upto(n + i)
-        + _upto(n + i + 1)
-        + _upto(n - j, 2),
-        (),
-    )
-    return out * VFraction(num, den)
+    ups = _upto(i, 2) + _upto(n, 4) + _upto(2 * n + i - j + 1)
+    downs = _upto(i - j) + _upto(j, 2) + _upto(2 * n) + _upto(n + i)
+    downs += _upto(n + i + 1) + _upto(n - j, 2)
+    return _poch_fraction([(sign, 4 * j * j + 2 * j - 2 * n, ups)], downs)
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +231,17 @@ def colored_jones_torus(f: int, n: int) -> VLaurent:
         raise DomainError("colored_jones_torus needs f >= 1")
     if n < 0:
         raise DomainError("colored_jones_torus needs n >= 0")
-    acc = VLaurent.zero()
+    # Delta_2i = v^(-4i) (1 - q^(2i+1)) / (1 - q) and Delta_n = (-1)^n
+    # v^(-2n) (1 - q^(n+1)) / (1 - q): the (1 - q) cancel, so the sum is
+    # 2(n + 1) signed monomials over (1 - q^(n+1)).
+    terms: dict[int, int] = {}
     for i in range(n + 1):
-        sign = -1 if (f * (n - i)) % 2 else 1
-        mono = VLaurent.monomial(sign, f * (2 * i + 2 * i * i - 2 * n - n * n))
-        acc = acc + mono * delta_n(2 * i)
+        sign = -1 if (f * (n - i) + n) % 2 else 1
+        e = f * (2 * i + 2 * i * i - 2 * n - n * n) + 2 * n - 4 * i
+        terms[e] = terms.get(e, 0) + sign
+        terms[e + 8 * i + 4] = terms.get(e + 8 * i + 4, 0) - sign
     try:
-        return acc.div_exact(delta_n(n))
+        return mul_poch_ratio(VLaurent(terms), (), [n + 1])
     except ConsistencyError as exc:
         raise ConsistencyError("torus Jones sum not divisible by Delta_n") from exc
 

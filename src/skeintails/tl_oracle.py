@@ -66,6 +66,7 @@ from .qcore import (
     kronecker_pack,
     kronecker_unpack,
     kronecker_width,
+    mul_poch_ratio,
     quantum_int,
 )
 
@@ -443,8 +444,10 @@ def _jones_wenzl(n: int) -> TLElement:
     else:
         # p = f(n-1) x 1 = N / [n-1]!, and -Delta_{n-2}/Delta_{n-1} = [n-1]/[n],
         # so f(n) = p + ([n-1]/[n]) p e p has, over [n]! = [n-1]! [n], the
-        # numerators N [n] + [n-1] (N e N) / [n-1]!.  The division is exact
-        # ([n]! f(n) is integral) and [n-1]! is monic, so it stays in Z.
+        # numerators N [n] + [n-1] (N e N) / [n-1]! = N [n] + (N e N) / [n-2]!.
+        # The division is exact ([n]! f(n) is integral), and [n-2]! is
+        # v^(-(n-2)(n-3)) prod_{k<n-1} (1 - q^k) / (1 - q), so it is one pass
+        # of the dense kernel per factor.
         # A diagram of p e with a cap on adjacent top points j, j+1 < n-1
         # meets f(n-1) x 1 in cap_j f(n-1) = 0, so (p e) p drops it first:
         # n-1 of the Catalan(n-1) terms survive.
@@ -456,10 +459,12 @@ def _jones_wenzl(n: int) -> TLElement:
             if all(m[n + j] != n + j + 1 for j in range(n - 2))
         }
         pep = TLElement(n, live, pe.den) * p
-        qn, qn1 = quantum_int(n), quantum_int(n - 1)
+        qn = quantum_int(n)
         terms = {m: c * qn for m, c in p.terms.items()}
+        ones, down = [1] * (n - 2), range(1, n - 1)
         for m, c in pep.terms.items():
-            _accumulate(terms, m, (c * qn1).div_exact(p.den))
+            c = mul_poch_ratio(c, ones, down).shift((n - 2) * (n - 3))
+            _accumulate(terms, m, c)
         el = TLElement(n, terms, p.den * qn)
     _jw_cache[n] = el
     return el

@@ -1,13 +1,17 @@
 """The dense Pochhammer-ratio kernel and the closed forms built on it.
 
-``qcore.poch_ratio`` builds every product of quantum integers and factors
-(1 - q^a) in the package.  It is checked against a reference made of plain
-VLaurent products and ``div_exact``.  The closed forms are checked against
-test-local copies of their VLaurent product loops, term for term in the
-stored (num, den): the kernel changes how a value is computed, never which
-polynomials are stored.  This reference is independent of the kernel, so
-checks that now use the kernel on both sides (``nn_i_sweep``, the
-``poch_finite`` targets of the tail lemmas) stay honest.
+``qcore.mul_poch_ratio`` (and ``poch_ratio``, its case p = 1) builds every
+product of quantum integers and factors (1 - q^a) in the package.  It is
+checked against a reference made of plain VLaurent products and
+``div_exact``.  ``quantum_fact``, ``poch_finite``, ``qbinom`` and
+``colored_jones_torus`` are checked against test-local copies of their
+VLaurent product loops, term for term in what they store.  The five
+closed forms that return a VFraction store one cancelled fraction, smaller
+than the product loops' (num, den): they are checked term for term in the
+gcd-reduced canonical form, which is unique, so the check is still exact
+equality.  This reference is independent of the kernel, so checks that now
+use the kernel on both sides (``nn_i_sweep``, the ``poch_finite`` targets of
+the tail lemmas) stay honest.
 """
 
 import pytest
@@ -20,6 +24,7 @@ from skeintails.qcore import (
     VFraction,
     VLaurent,
     delta_n,
+    mul_poch_ratio,
     poch_finite,
     poch_ratio,
     qbinom,
@@ -107,10 +112,28 @@ def _ref_nn_i_coeff(n, i, j):
     return out * VFraction(num, den)
 
 
+def _ref_colored_jones_torus(f, n):
+    acc = VLaurent.zero()
+    for i in range(n + 1):
+        sign = -1 if (f * (n - i)) % 2 else 1
+        mono = VLaurent.monomial(sign, f * (2 * i + 2 * i * i - 2 * n - n * n))
+        acc = acc + mono * delta_n(2 * i)
+    return acc.div_exact(delta_n(n))
+
+
 def _stored(x):
     if isinstance(x, VFraction):
         return x.num.terms, x.den.terms
     return x.terms
+
+
+def _canonical(x):
+    if isinstance(x, VFraction):
+        return _stored(x.reduced())
+    return _stored(x)
+
+
+_CLOSED_FORMS = (sf.bubble_coeff, sf.theta_2n, sf.tet_2n, sf.p_coeff, sf.nn_i_coeff)
 
 
 def _grid():
@@ -123,6 +146,9 @@ def _grid():
     for n in range(16):
         for i in range(n + 1):
             yield qbinom, _ref_qbinom, (n, i)
+    for f in range(1, 13):
+        for n in range(16):
+            yield sf.colored_jones_torus, _ref_colored_jones_torus, (f, n)
     for m in range(5):
         for n in range(5):
             for k in range(1, 5):
@@ -143,9 +169,24 @@ def _grid():
 def test_stored_forms_match_the_product_loops():
     count = 0
     for fn, ref, args in _grid():
-        assert _stored(fn(*args)) == _stored(ref(*args)), (fn.__name__, args)
+        key = _canonical if fn in _CLOSED_FORMS else _stored
+        assert key(fn(*args)) == key(ref(*args)), (fn.__name__, args)
         count += 1
-    assert count == 935
+    assert count == 1127
+
+
+def _den_degree(x: VFraction) -> int:
+    return max(x.den.terms) - min(x.den.terms)
+
+
+def test_cancelled_denominators_are_smaller():
+    """The cancelled fractions of nn_i_coeff and tet_2n store, summed over
+    the grid, a denominator of lower degree than the product loops."""
+    for fn in (sf.nn_i_coeff, sf.tet_2n):
+        cases = [(args, ref) for f, ref, args in _grid() if f is fn]
+        ours = sum(_den_degree(fn(*args)) for args, _ in cases)
+        theirs = sum(_den_degree(ref(*args)) for args, ref in cases)
+        assert ours < theirs, (fn.__name__, ours, theirs)
 
 
 # -- the kernel itself ---------------------------------------------------------
@@ -179,6 +220,38 @@ def test_poch_ratio_matches_reference(ratio):
             poch_ratio(ups, downs)
         return
     assert poch_ratio(ups, downs).terms == want.terms
+
+
+_LAURENT = st.dictionaries(
+    st.integers(-40, 40), st.integers(-9, 9).filter(bool), max_size=6
+).map(VLaurent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LAURENT, _ratios())
+def test_mul_poch_ratio_matches_reference(p, ratio):
+    """p mixes v-exponent residues mod 4 and negative exponents, or is zero;
+    ``_ratios`` may add downs that leave a remainder."""
+    ups, downs = ratio
+    num = p * _product(_one_minus_q(a) for a in ups)
+    try:
+        want = num.div_exact(_product(_one_minus_q(b) for b in downs))
+    except ConsistencyError:
+        with pytest.raises(ConsistencyError):
+            mul_poch_ratio(p, ups, downs)
+        return
+    assert mul_poch_ratio(p, ups, downs).terms == want.terms
+
+
+def test_mul_poch_ratio_divides_each_residue_class():
+    # v + v^2 (1 - q^2) is divisible by (1 - q) only in its v^2 class.
+    p = VLaurent({1: 1, 2: 1, 10: -1})
+    with pytest.raises(ConsistencyError):
+        mul_poch_ratio(p, [], [1])
+    assert mul_poch_ratio(p, [1], [1]) == p
+    q = VLaurent({-3: 1, 1: -1, 2: 1, 10: -1})  # v^-3 (1 - q) + v^2 (1 - q^2)
+    assert mul_poch_ratio(q, [], [1]) == VLaurent({-3: 1, 2: 1, 6: 1})
+    assert mul_poch_ratio(VLaurent(), [2], [3]).is_zero()
 
 
 @settings(max_examples=100, deadline=None)
