@@ -11,7 +11,8 @@ Exit codes: 0 all passed / value printed, 1 verification failure, 2 usage,
 parse, or capacity error (``verify`` opens its ``--out`` report before any
 case runs, so an unwritable path is a usage error).  Every ``--order``, and
 every ``order`` in a suite file, is capped at MAX_SERIES_ORDER before any
-series is built; a suite's ``n_max`` is capped per check at
+series is built, and in a verify case an order below 1 is an error case,
+like a ``k_max`` below 1; a suite's ``n_max`` is capped per check at
 ``verifycases.MAX_N_MAX`` (``bubble_oracle``'s ``max_param`` at
 ``verifycases.MAX_MAX_PARAM`` and ``torus_oracle``'s ``f`` at
 ``verifycases.MAX_F``, and each of them below at 1) before any value is

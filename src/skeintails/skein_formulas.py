@@ -8,9 +8,10 @@ cross-checks: the bubble-expansion coefficients
           / prod_{t<l} [n+k-t][m+k-t]
         * qbinom(l, i) * prod_{j<l-i} [m+n+k-i-j+1],
 
-the theta and all-equal tetrahedron evaluations, the P(n,i) chain
-coefficients, the normalized colored Jones polynomial of (2, f) torus
-links, and the multi-sum tails of the bubble chains.
+the theta and all-equal tetrahedron evaluations and their ratio, the
+P(n,i) chain coefficients, the hook coefficient ([n]!)^2/[2n]! of f(2n),
+the normalized colored Jones polynomial of (2, f) torus links, and the
+multi-sum tails of the bubble chains.
 
 Each closed form is a signed power of v times a ratio of products of
 quantum integers [a] and Pochhammer factors (1 - q^a), through
@@ -26,6 +27,18 @@ smaller than the plain product of the factors on each side; the value, and
 its gcd-reduced form, are the same.  The (2, f) torus sum is signed
 monomials over (1 - q^(n+1)), divided exactly in one kernel call.
 
+A value that a check would otherwise derive from other closed forms is one
+such fraction of its own: ``hook_coeff`` is ([n]!)^2/[2n]! with (q;q)_n
+cancelled, not a square of [n]! over [2n]!, and ``tet_theta_ratio`` is
+Tet(2n)/Theta(2n, 2n, 2n) with theta's factors moved across the fraction
+line, not a quotient of two VFractions.  Only ``p_coeff`` is cached: two
+checks, the P(n,i) sums of ``tail_lemma_psum`` and
+``tail_lemma_psum_nn0``, call it with the same arguments, 44 of its 88
+calls in the ``tails`` benchmark suite.  Other closed forms repeat rarely
+there (12 of 94 ``bubble_coeff`` and ``nn_i_coeff`` calls), and a cache
+mostly holds memory: with those two cached, ``nn_i_sweep`` at its cap
+peaks at 54 MiB instead of 16 MiB.
+
 Values here are exact rational functions of v (VFraction); genuinely
 polynomial results (like the normalized colored Jones) are reduced to
 VLaurent with a remainder assertion, never by rounding.
@@ -34,6 +47,7 @@ VLaurent with a remainder assertion, never by rounding.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError
 from .qcore import QSeries, VFraction, VLaurent, mul_poch_ratio, poch_ratio
@@ -156,8 +170,8 @@ def theta_2n(n: int) -> VFraction:
     return _bubble_times(n, n, n, n, 0, 1, [2 * n + 1], [])
 
 
-def tet_2n(n: int) -> VFraction:
-    """The tetrahedron with all six edges colored 2n.
+def _tet_terms(n: int) -> tuple[list[tuple[int, int, list[int], list[int]]], list[int]]:
+    """The terms of Tet(2n) and the factors below them, for ``_quantum_fraction``:
 
     Tet = ([n]!)^12 / ([2n]!)^6 * sum_{i=3n}^{4n}
               (-1)^i [i+1]! / (([4n-i]!)^3 ([i-3n]!)^4),
@@ -166,18 +180,44 @@ def tet_2n(n: int) -> VFraction:
     shares with every term: the term of i is
     (-1)^i [i+1]! ([n]!/[4n-i]!)^3 ([n]!/[i-3n]!)^4, a polynomial.
     """
-    if n < 0:
-        raise DomainError("tet_2n needs n >= 0")
     terms = []
     for i in range(3 * n, 4 * n + 1):
         ups = _upto(i + 1)
         ups += [*range(4 * n - i + 1, n + 1)] * 3 + [*range(i - 3 * n + 1, n + 1)] * 4
         terms.append((-1 if i % 2 else 1, 0, ups, []))
-    return _quantum_fraction(terms, _upto(n) + [*range(n + 1, 2 * n + 1)] * 6)
+    return terms, _upto(n) + [*range(n + 1, 2 * n + 1)] * 6
 
 
+def tet_2n(n: int) -> VFraction:
+    """The tetrahedron with all six edges colored 2n (see ``_tet_terms``)."""
+    if n < 0:
+        raise DomainError("tet_2n needs n >= 0")
+    return _quantum_fraction(*_tet_terms(n))
+
+
+def tet_theta_ratio(n: int) -> VFraction:
+    """Tet(2n) / Theta(2n, 2n, 2n), as one cancelled fraction.
+
+    Theta(2n, 2n, 2n) = (-1)^n [n]! prod_{a=2n+1}^{3n+1} [a]
+    / prod_{a=n+1}^{2n} [a]^2 (``theta_2n``) is one term, so its factors
+    move across the fraction line: its denominator joins every term of
+    Tet, and its numerator joins Tet's factors below.
+    """
+    if n < 0:
+        raise DomainError("tet_theta_ratio needs n >= 0")
+    terms, downs = _tet_terms(n)
+    sign = -1 if n % 2 else 1
+    theta_downs = [*range(n + 1, 2 * n + 1)] * 2
+    terms = [(sign * c, e, ups + theta_downs, q_ups) for c, e, ups, q_ups in terms]
+    return _quantum_fraction(terms, downs + _upto(n) + [*range(2 * n + 1, 3 * n + 2)])
+
+
+@lru_cache(maxsize=None)
 def p_coeff(n: int, i: int) -> VFraction:
-    """P(n, i) = ceil[n n; n n]_i * Delta_2n / Delta_{n+i}."""
+    """P(n, i) = ceil[n n; n n]_i * Delta_2n / Delta_{n+i}.
+
+    Cached: two tail checks sum the same P(n, i).
+    """
     if n < 1:
         raise DomainError("p_coeff needs n >= 1")
     if not (0 <= i <= n):
@@ -185,6 +225,15 @@ def p_coeff(n: int, i: int) -> VFraction:
     # Delta_2n / Delta_{n+i} = (-1)^(n+i) [2n + 1] / [n + i + 1].
     sign = -1 if (n + i) % 2 else 1
     return _bubble_times(n, n, n, n, i, sign, [2 * n + 1], [n + i + 1])
+
+
+def hook_coeff(n: int) -> VFraction:
+    """([n]!)^2 / [2n]!, the coefficient of the hook matching in f(2n), as
+    one cancelled fraction: (q;q)_n cancels, leaving
+    (q;q)_n / (q^(n+1);q)_n times a power of v."""
+    if n < 0:
+        raise DomainError("hook_coeff needs n >= 0")
+    return _quantum_fraction([(1, 0, _upto(n, 2), [])], _upto(2 * n))
 
 
 def nn_i_coeff(n: int, i: int, j: int) -> VFraction:

@@ -27,18 +27,21 @@ CheckResult = tuple[bool, str]
 # one step further, in-process past the limit, where it was run.  The limits of the tail
 # checks were set before their closed forms became cancelled Pochhammer
 # fractions; they now run far below 10 s there, and the limits were kept.
-# The worst accepted case is jw_laws at 8, 7.0-7.1 s.
+# The worst accepted case is jw_laws at 8, 7.0-7.1 s.  tail_lemma_psum and
+# tail_lemma_psum_nn0 share the cached P(n, i) of ``skein_formulas.p_coeff``:
+# both at their caps in one process take 1.2-1.4 s (1.8 s uncached) and
+# hold the 435 values of the larger one, about 100 MiB peak (36 MiB uncached).
 MAX_N_MAX: dict[str, int] = {
     "morrison": 4,  # 0.3 s (builds f(8) cold); at 5 f(10) is over MAX_BOX_COLOR
     "jw_laws": 8,  # 7.0-7.1 s (3 runs; 7: 1.3 s); at 9 f(9) is over MAX_BOX_COLOR
     "theta_oracle": 4,  # 0.5 s; at 5 the colour 10 is over MAX_BOX_COLOR
-    "tail_lemma_fact": 70,  # 3.7-3.9 s (3 runs) / 80: 7.5 s
+    "tail_lemma_fact": 70,  # 0.33-0.34 s (3 runs) / 80: 0.47 s
     "tail_lemma_bubble0": 70,  # 1.6-1.7 s (3 runs)
-    "tail_lemma_psum": 28,  # 1.4 s (3 runs) / 30: 1.8 s
+    "tail_lemma_psum": 28,  # 1.04-1.10 s, 97 MiB (3 runs) / 30: 1.4 s
     "tail_lemma_psum_nn0": 24,  # 1.0-1.4 s (3 runs) / 26: 1.3 s
     "nn_i_sweep": 14,  # 1.0 s (3 runs) / 16: 2.0 s
     "torus_stabilization": 50,  # 0.16-0.21 s at k_max 3 (3 runs) / 60: 0.19 s
-    "lambda_theorem": 11,  # 0.13 s (3 runs) / 12: 0.11 s
+    "lambda_theorem": 11,  # 0.06-0.07 s (3 runs) / 12: 0.02 s
     "theta_tail": 60,  # 1.0-1.1 s (3 runs)
     "tail85_oracle": 2,  # 0.07 s; at 3 the work cap refuses the braid (101,181 joins)
 }
@@ -63,6 +66,13 @@ MAX_F: dict[str, int] = {
 
 # The suite parameters capped above, each with its table of limits.
 _CAPPED = (("n_max", MAX_N_MAX), ("max_param", MAX_MAX_PARAM), ("f", MAX_F))
+
+# Parameters that must be at least 1 in every check, or a check would
+# compare nothing and pass: below 1 each capped parameter and k_max leave a
+# check's loop empty, at order 0 a series comparison has no coefficients,
+# and at colour n = 0 both sides of torus_oracle and tet_oracle are the
+# empty diagram, 1.
+_AT_LEAST_ONE = (*(key for key, _ in _CAPPED), "k_max", "order", "n")
 
 
 def _series_diff_detail(a: QSeries, b: QSeries) -> str:
@@ -254,13 +264,6 @@ def check_bubble_oracle(params: dict) -> CheckResult:
     return True, f"bubble expansion matches the oracle on {count} closures"
 
 
-def _require_color(n: int) -> None:
-    # At colour 0 both sides are the empty diagram, 1, so a check would
-    # compare nothing and pass.
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-
-
 def check_torus_oracle(params: dict) -> CheckResult:
     from .networks import bracket_closed, torus_knot_network
     from .qcore import delta_n
@@ -268,7 +271,6 @@ def check_torus_oracle(params: dict) -> CheckResult:
     from .tails_engine import normalize
 
     f, n = int(params["f"]), int(params["n"])
-    _require_color(n)
     bracket = bracket_closed(torus_knot_network(f, n))
     poly = bracket.to_vlaurent().div_exact(delta_n(n))
     lhs = normalize(poly)
@@ -295,7 +297,6 @@ def check_tet_oracle(params: dict) -> CheckResult:
     from .skein_formulas import tet_2n
 
     n = int(params.get("n", 1))
-    _require_color(n)
     got = bracket_closed(tet_network(2 * n))
     want = tet_2n(n)
     if got == want:
@@ -329,13 +330,13 @@ def check_oracle_basics(params: dict) -> CheckResult:
 
 
 def check_tail_lemma_fact(params: dict) -> CheckResult:
-    from .qcore import VFraction, poch_finite, quantum_fact, to_q_series
+    from .qcore import poch_finite, to_q_series
+    from .skein_formulas import hook_coeff
     from .tails_engine import agree_to_order, normalize
 
     n_max = int(params.get("n_max", 20))
     for n in range(1, n_max + 1):
-        val = VFraction(quantum_fact(n) ** 2, quantum_fact(2 * n))
-        s = normalize(val, order=n + 1)
+        s = normalize(hook_coeff(n), order=n + 1)
         tgt = to_q_series(poch_finite(1, 1, n), n + 1)
         if not agree_to_order(s, tgt, n):
             return False, f"([n]!)^2/[2n]! tail fails at n={n}"
@@ -435,7 +436,7 @@ def check_torus_stabilization(params: dict) -> CheckResult:
 
 def check_lambda_theorem(params: dict) -> CheckResult:
     from .qidentities import lambda_series
-    from .skein_formulas import tet_2n, theta_2n
+    from .skein_formulas import tet_theta_ratio
     from .tails_engine import (
         agree_to_order,
         sum_fraction_products_x,
@@ -445,8 +446,7 @@ def check_lambda_theorem(params: dict) -> CheckResult:
     n_max = int(params.get("n_max", 6))
     lam = lambda_series(n_max + 2)
     for n in range(1, n_max + 1):
-        ratio = tet_2n(n) / theta_2n(n)
-        rx = sum_fraction_products_x([[ratio]], n + 2)
+        rx = sum_fraction_products_x([[tet_theta_ratio(n)]], n + 2)
         rq = x_series_to_normalized_q(rx, n + 2)
         if not agree_to_order(rq, lam, n):
             return False, f"tet/theta ratio differs from Lambda at n={n}"
@@ -584,12 +584,12 @@ def run_check(name: str, params: dict) -> CheckResult:
         fn = CHECKS[name]
     except KeyError:
         raise SkeinError(f"unknown check {name!r}") from None
+    for key in _AT_LEAST_ONE:
+        if key in params and (value := int(params[key])) < 1:
+            raise DomainError(f"{key} must be >= 1, got {value}")
     for key, caps in _CAPPED:
         if name in caps and key in params:
             value, limit = int(params[key]), caps[name]
-            if value < 1:
-                # Below 1 a check would loop over nothing and pass.
-                raise DomainError(f"{key} must be >= 1, got {value}")
             if value > limit:
                 raise CapacityError(f"{key} {value} exceeds limit {limit}")
     return fn(params)

@@ -198,3 +198,23 @@ def test_capped_parameter_below_one_is_refused(name, key, value):
     params = {"f": 3, "n": 1, key: value}
     with pytest.raises(DomainError, match=f"^{key} must be >= 1, got {value}$"):
         run_check(name, params)
+
+
+@pytest.mark.parametrize(
+    "name,params,key",
+    [
+        ("series_equal",
+         {"a": {"series": "lambda"}, "b": {"series": "poch_inf", "c": 1}},
+         "order"),
+        ("andrews_gordon", {"k": 2}, "order"),
+        ("jacobi_triple", {}, "order"),
+        ("product_laws", {}, "order"),
+        ("torus_stabilization", {"n_max": 12}, "k_max"),
+    ],
+)
+@pytest.mark.parametrize("value", [0, -1])
+def test_uncapped_parameter_below_one_is_refused(name, params, key, value):
+    # At order 0 a series comparison compares no coefficients ("equal (0
+    # coefficients)"), and at k_max 0 torus_stabilization checks no k.
+    with pytest.raises(DomainError, match=f"^{key} must be >= 1, got {value}$"):
+        run_check(name, {**params, key: value})

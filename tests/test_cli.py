@@ -14,7 +14,7 @@ from skeintails.cli import MAX_JONES_N, MAX_JONES_SIZE, main
 from skeintails.networks import tet_network, theta_network, torus_knot_network
 from skeintails.qcore import MAX_SERIES_ORDER, poch_inf
 from skeintails.qidentities import MAX_AG_K, theta_f
-from skeintails.verifycases import MAX_F, MAX_MAX_PARAM, MAX_N_MAX
+from skeintails.verifycases import MAX_F, MAX_MAX_PARAM, MAX_N_MAX, check_product_laws
 
 
 def run(argv):
@@ -386,8 +386,10 @@ class TestVerify:
         assert code == 0 and "order 10" in out
 
     def test_product_laws_at_order_zero(self, tmp_path):
-        # Every series is empty at order 0; the check must still run through
-        # (it used to end in an IndexError traceback inside series_div).
+        # Every series is empty at order 0, so the check would compare
+        # nothing: verify refuses the order as an error case.  The check
+        # itself still runs through at order 0 (it used to end in an
+        # IndexError traceback inside series_div).
         suite = {
             "suite": "s",
             "cases": [{"id": "p0", "check": "product_laws", "params": {"order": 0}}],
@@ -395,11 +397,14 @@ class TestVerify:
         path = tmp_path / "s.json"
         path.write_text(json.dumps(suite))
         code, out = run(["verify", str(path)])
-        assert code == 0
+        assert code == 2
         assert out.splitlines() == [
-            "[PASS ] p0: unit laws and the four-triangle wheel hold at order 0",
-            "1/1 cases passed",
+            "[ERROR] p0: DomainError: order must be >= 1, got 0",
+            "0/1 cases passed",
         ]
+        assert check_product_laws({"order": 0}) == (
+            True, "unit laws and the four-triangle wheel hold at order 0"
+        )
 
     def test_slow_key_is_ignored(self, tmp_path):
         # A "slow" key selects nothing: the case runs, like one with "kind".
@@ -418,15 +423,30 @@ class TestVerify:
         ]
 
     def test_tail85_at_order_zero_is_error_case(self):
-        # The order-0 series has no q^0 coefficient to compare; the case is
-        # reported as an error and the other case still runs.
+        # --order 0 is refused in every case that reads an order; the
+        # order-0 series would have no q^0 coefficient to compare.
         code, out = run(["verify", "builtin:products", "--order", "0"])
         assert code == 2
         assert out.splitlines() == [
-            "[PASS ] product-laws: unit laws and the four-triangle wheel hold at order 0",
-            "[ERROR] tail-85: PrecisionError: coefficient of q^0 not computed",
-            "1/2 cases passed",
+            "[ERROR] product-laws: DomainError: order must be >= 1, got 0",
+            "[ERROR] tail-85: DomainError: order must be >= 1, got 0",
+            "0/2 cases passed",
         ]
+
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    def test_verify_order_below_one_is_error_case(self, order):
+        # builtin:jacobi used to print "3/3 cases passed" at --order 0.
+        code, out = run(["verify", "builtin:jacobi", "--order", order])
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 4 and lines[-1] == "0/3 cases passed"
+        for line in lines[:3]:
+            assert line.endswith(f"DomainError: order must be >= 1, got {order}")
+
+    def test_series_at_order_zero_still_prints(self):
+        # series prints a value, not a check, so order 0 stays allowed.
+        code, _ = run(["series", "theta_f", "--k", "2", "--order", "0"])
+        assert code == 0
 
 
 class TestJones:

@@ -5,13 +5,16 @@ product of quantum integers and factors (1 - q^a) in the package.  It is
 checked against a reference made of plain VLaurent products and
 ``div_exact``.  ``quantum_fact``, ``poch_finite``, ``qbinom`` and
 ``colored_jones_torus`` are checked against test-local copies of their
-VLaurent product loops, term for term in what they store.  The five
-closed forms that return a VFraction store one cancelled fraction, smaller
-than the product loops' (num, den): they are checked term for term in the
+VLaurent product loops, term for term in what they store.  The closed
+forms that return a VFraction store one cancelled fraction, smaller than
+the product loops' (num, den): they are checked term for term in the
 gcd-reduced canonical form, which is unique, so the check is still exact
 equality.  This reference is independent of the kernel, so checks that now
 use the kernel on both sides (``nn_i_sweep``, the ``poch_finite`` targets of
-the tail lemmas) stay honest.
+the tail lemmas) stay honest.  ``hook_coeff`` and ``tet_theta_ratio`` are
+compared in the same way with the values they replace in the tail checks,
+([n]!)^2 / [2n]! from ``quantum_fact`` and ``tet_2n / theta_2n``, both
+checked above against the product loops.
 """
 
 import pytest
@@ -103,6 +106,14 @@ def _ref_p_coeff(n, i):
     return _ref_bubble_coeff(n, n, n, n, i) * ratio
 
 
+def _ref_hook_coeff(n):
+    return VFraction(quantum_fact(n) ** 2, quantum_fact(2 * n))
+
+
+def _ref_tet_theta_ratio(n):
+    return sf.tet_2n(n) / sf.theta_2n(n)
+
+
 def _ref_nn_i_coeff(n, i, j):
     sign = -1 if (j + n) % 2 else 1
     out = VFraction.from_poly(VLaurent.monomial(sign, 4 * j * j + 2 * j - 2 * n))
@@ -133,7 +144,15 @@ def _canonical(x):
     return _stored(x)
 
 
-_CLOSED_FORMS = (sf.bubble_coeff, sf.theta_2n, sf.tet_2n, sf.p_coeff, sf.nn_i_coeff)
+_CLOSED_FORMS = (
+    sf.bubble_coeff,
+    sf.theta_2n,
+    sf.tet_2n,
+    sf.p_coeff,
+    sf.nn_i_coeff,
+    sf.hook_coeff,
+    sf.tet_theta_ratio,
+)
 
 
 def _grid():
@@ -164,6 +183,10 @@ def _grid():
             yield sf.p_coeff, _ref_p_coeff, (n, i)
             for j in range(i + 1):
                 yield sf.nn_i_coeff, _ref_nn_i_coeff, (n, i, j)
+    for n in range(21):
+        yield sf.hook_coeff, _ref_hook_coeff, (n,)
+    for n in range(9):
+        yield sf.tet_theta_ratio, _ref_tet_theta_ratio, (n,)
 
 
 def test_stored_forms_match_the_product_loops():
@@ -172,7 +195,25 @@ def test_stored_forms_match_the_product_loops():
         key = _canonical if fn in _CLOSED_FORMS else _stored
         assert key(fn(*args)) == key(ref(*args)), (fn.__name__, args)
         count += 1
-    assert count == 1127
+    assert count == 1157
+
+
+def test_repeated_p_coeff_runs_no_kernel(monkeypatch):
+    """p_coeff is cached: a second call with the same arguments returns the
+    stored value without calling the kernel."""
+    sf.p_coeff.cache_clear()
+    calls = []
+
+    def kernel_once(*args):
+        if calls:
+            raise AssertionError("the kernel ran again for a cached P(n, i)")
+        calls.append(args)
+        return mul_poch_ratio(*args)
+
+    monkeypatch.setattr(sf, "mul_poch_ratio", kernel_once)
+    first = sf.p_coeff(5, 2)
+    assert calls
+    assert sf.p_coeff(5, 2) is first
 
 
 def _den_degree(x: VFraction) -> int:
