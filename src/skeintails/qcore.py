@@ -38,7 +38,8 @@ division of a Laurent polynomial by such a product, is one call of one
 kernel, ``mul_poch_ratio(p, ups, downs)`` (``poch_ratio`` is its case
 p = 1), on one dense coefficient list in q per v-exponent residue mod 4:
 one O(degree) pass per factor instead of a chain of VLaurent products or a
-long division.
+long division.  Such a product read only as a series, to a stated order, is
+one call of ``poch_ratio_series``, whose list stops at that order.
 """
 
 from __future__ import annotations
@@ -917,6 +918,16 @@ def div_one_minus_qk(cs: list, k: int) -> None:
         cs[r::k] = accumulate(cs[r::k])
 
 
+def _cancelled(ups: Iterable[int], downs: Iterable[int]) -> tuple[Counter, Counter]:
+    """The factor multisets of a Pochhammer ratio, less the factors on both
+    sides; an exponent below 1 raises DomainError."""
+    ups, downs = Counter(ups), Counter(downs)
+    if any(a < 1 for a in chain(ups, downs)):
+        raise DomainError("poch_ratio needs factors (1 - q^a) with a >= 1")
+    common = ups & downs
+    return ups - common, downs - common
+
+
 def mul_poch_ratio(
     p: VLaurent, ups: Iterable[int], downs: Iterable[int]
 ) -> VLaurent:
@@ -932,12 +943,9 @@ def mul_poch_ratio(
     exactly at every step; a division that leaves a remainder (its top b
     quotient coefficients are not all zero) raises ConsistencyError.
     """
-    ups, downs = Counter(ups), Counter(downs)
-    if any(a < 1 for a in chain(ups, downs)):
-        raise DomainError("poch_ratio needs factors (1 - q^a) with a >= 1")
-    common = ups & downs
-    ups = sorted((ups - common).elements())
-    downs = sorted((downs - common).elements(), reverse=True)
+    ups, downs = _cancelled(ups, downs)
+    ups = sorted(ups.elements())
+    downs = sorted(downs.elements(), reverse=True)
     classes: dict[int, dict[int, int]] = {}
     for e, c in p.terms.items():
         classes.setdefault(e % 4, {})[e] = c
@@ -965,6 +973,37 @@ def poch_ratio(ups: Iterable[int], downs: Iterable[int]) -> VLaurent:
     """prod_{a in ups} (1 - q^a) / prod_{b in downs} (1 - q^b), a polynomial
     in q: ``mul_poch_ratio`` of 1."""
     return mul_poch_ratio(_ONE_TERMS_DEN, ups, downs)
+
+
+def poch_ratio_series(
+    c: int, e: int, ups: Iterable[int], downs: Iterable[int], order: int
+) -> QSeries:
+    """c v^e prod_{a in ups} (1 - q^a) / prod_{b in downs} (1 - q^b) as a
+    series in x = q**(1/2) = v**2: shift e/2 and ``order`` coefficients.
+
+    A factor on both sides cancels first.  The value is v^e times a series
+    in q, so it is one dense list of ceil(order/2) q-coefficients, spread
+    onto the even x-positions.  A factor (1 - q^k) with k below that length
+    is one ``mul_one_minus_qk`` or ``div_one_minus_qk`` pass; the others are
+    1 modulo q^length and are skipped, as in ``poch_inf``, so the truncation
+    is exact.  No polynomial of the full degree is built.
+    """
+    if e % 2:
+        raise RepresentationError(f"v-exponent {e} is not a multiple of 2 (x = v^2)")
+    if order < 0:
+        raise DomainError("order must be non-negative")
+    ups, downs = _cancelled(ups, downs)
+    length = (order + 1) // 2
+    cs = [c] + [0] * (length - 1) if length else []
+    for a in ups.elements():
+        if a < length:
+            mul_one_minus_qk(cs, a)
+    for b in downs.elements():
+        if b < length:
+            div_one_minus_qk(cs, b)
+    xs = [0] * order
+    xs[::2] = cs
+    return QSeries(e // 2, xs)
 
 
 def quantum_product(args: Iterable[int]) -> VLaurent:

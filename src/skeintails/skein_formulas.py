@@ -31,13 +31,20 @@ A value that a check would otherwise derive from other closed forms is one
 such fraction of its own: ``hook_coeff`` is ([n]!)^2/[2n]! with (q;q)_n
 cancelled, not a square of [n]! over [2n]!, and ``tet_theta_ratio`` is
 Tet(2n)/Theta(2n, 2n, 2n) with theta's factors moved across the fraction
-line, not a quotient of two VFractions.  Only ``p_coeff`` is cached: two
-checks, the P(n,i) sums of ``tail_lemma_psum`` and
-``tail_lemma_psum_nn0``, call it with the same arguments, 44 of its 88
-calls in the ``tails`` benchmark suite.  Other closed forms repeat rarely
-there (12 of 94 ``bubble_coeff`` and ``nn_i_coeff`` calls), and a cache
-mostly holds memory: with those two cached, ``nn_i_sweep`` at its cap
-peaks at 54 MiB instead of 16 MiB.
+line, not a quotient of two VFractions.
+
+The single-term closed forms (``bubble_coeff``, ``theta_2n``, ``p_coeff``,
+``hook_coeff``, ``nn_i_coeff``) also evaluate to an order: given
+``order=k`` they return the first k coefficients of the value as a series
+in x = q**(1/2), equal term for term to ``fraction_to_x_series`` of the
+exact value, from the same factor lists through
+``qcore.poch_ratio_series``.  A factor (1 - q^a) = (1 - x^(2a)) with 2a at
+or past the order is 1 there and is never applied, so a tail check that
+compares n + 1 coefficients does O(n) work per factor instead of building
+a polynomial of q-degree O(n^2).  The forms with several terms (``tet_2n``,
+``tet_theta_ratio``, ``colored_jones_torus``) stay exact only: their lowest
+terms can cancel, so a fixed order would not bound the precision of the
+sum.
 
 Values here are exact rational functions of v (VFraction); genuinely
 polynomial results (like the normalized colored Jones) are reduced to
@@ -47,10 +54,16 @@ VLaurent with a remainder assertion, never by rounding.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError
-from .qcore import QSeries, VFraction, VLaurent, mul_poch_ratio, poch_ratio
+from .qcore import (
+    QSeries,
+    VFraction,
+    VLaurent,
+    mul_poch_ratio,
+    poch_ratio,
+    poch_ratio_series,
+)
 from .qidentities import ag_rhs, false_ag_rhs
 
 
@@ -61,8 +74,10 @@ def _upto(t: int, times: int = 1) -> list[int]:
 
 
 def _poch_fraction(
-    terms: list[tuple[int, int, list[int]]], downs: list[int]
-) -> VFraction:
+    terms: list[tuple[int, int, list[int]]],
+    downs: list[int],
+    order: int | None = None,
+) -> VFraction | QSeries:
     """sum_{(c, e, ups) in terms} c v^e prod_{a in ups} (1 - q^a), divided by
     prod_{b in downs} (1 - q^b), as one polynomial over a product of factors
     (1 - q^b).
@@ -72,7 +87,13 @@ def _poch_fraction(
     divides (1 - q^a), is divided out in each term's kernel call; the other
     downs are the stored denominator, so its constant term is +-1 and
     expanding the value as a series needs no gcd.
+
+    With an order, the one term is the x-series of ``poch_ratio_series`` to
+    that order instead (see the module docstring).
     """
+    if order is not None:
+        [(c, e, ups)] = terms
+        return poch_ratio_series(c, e, ups, downs, order)
     ups = [Counter(u) for _, _, u in terms]
     left = Counter(downs)
     for u in ups:
@@ -98,13 +119,15 @@ def _quantum_fraction(
     terms: list[tuple[int, int, list[int], list[int]]],
     downs: list[int],
     q_downs: list[int] | tuple[()] = (),
-) -> VFraction:
+    order: int | None = None,
+) -> VFraction | QSeries:
     """sum_{(c, e, ups, q_ups) in terms} c v^e prod_{a in ups} [a]
     prod_{a in q_ups} (1 - q^a), divided by prod_{b in downs} [b]
     prod_{b in q_downs} (1 - q^b), through [a] = v^(-2(a-1)) (1 - q^a) / (1 - q).
 
     Every term is put over (1 - q)^u, with u the most quantum integers
-    above in one term, so the terms share their factors below.
+    above in one term, so the terms share their factors below.  An order
+    goes to ``_poch_fraction``.
     """
     u = max(len(ups) for _, _, ups, _ in terms)
     v_den = 2 * sum(b - 1 for b in downs)
@@ -118,6 +141,7 @@ def _quantum_fraction(
             for c, e, ups, q_ups in terms
         ],
         [*downs, *q_downs] + [1] * u,
+        order,
     )
 
 
@@ -126,8 +150,11 @@ def _quantum_fraction(
 # ---------------------------------------------------------------------------
 
 
-def bubble_coeff(m: int, n: int, k: int, l: int, i: int) -> VFraction:
-    """The bubble expansion coefficient ceil[m n; k l]_i.
+def bubble_coeff(
+    m: int, n: int, k: int, l: int, i: int, *, order: int | None = None
+) -> VFraction | QSeries:
+    """The bubble expansion coefficient ceil[m n; k l]_i; with an order, its
+    x-series to that order.
 
     Stated for k >= l >= 1 only; no mirror symmetry is assumed for k < l.
     """
@@ -137,14 +164,22 @@ def bubble_coeff(m: int, n: int, k: int, l: int, i: int) -> VFraction:
         raise DomainError("colors must be non-negative")
     if not (0 <= i <= min(m, n, l)):
         raise DomainError(f"index i={i} outside 0..min(m, n, l)")
-    return _bubble_times(m, n, k, l, i, 1, [], [])
+    return _bubble_times(m, n, k, l, i, 1, [], [], order)
 
 
 def _bubble_times(
-    m: int, n: int, k: int, l: int, i: int, sign: int, up: list[int], down: list[int]
-) -> VFraction:
+    m: int,
+    n: int,
+    k: int,
+    l: int,
+    i: int,
+    sign: int,
+    up: list[int],
+    down: list[int],
+    order: int | None,
+) -> VFraction | QSeries:
     """sign * ceil[m n; k l]_i * prod_{a in up} [a] / prod_{b in down} [b],
-    as one cancelled fraction."""
+    as one cancelled fraction, or its x-series to the order."""
     ups = [k - j for j in range(l - i)]
     ups += [x for s in range(i) for x in (n - s, m - s)]
     ups += [m + n + k - i - j + 1 for j in range(l - i)]
@@ -157,17 +192,21 @@ def _bubble_times(
         [(sign, 2 * i * (i - l), ups + up, _upto(l))],
         downs + down,
         _upto(i) + _upto(l - i),
+        order,
     )
 
 
-def theta_2n(n: int) -> VFraction:
-    """Theta(2n, 2n, 2n) = ceil[n n; n n]_0 * Delta_2n; Theta(0,0,0) = 1."""
+def theta_2n(n: int, *, order: int | None = None) -> VFraction | QSeries:
+    """Theta(2n, 2n, 2n) = ceil[n n; n n]_0 * Delta_2n; Theta(0,0,0) = 1.
+    With an order, its x-series to that order."""
     if n < 0:
         raise DomainError("theta_2n needs n >= 0")
     if n == 0:
-        return VFraction.one()
+        if order is None:
+            return VFraction.one()
+        return poch_ratio_series(1, 0, (), (), order)
     # Delta_2n = [2n + 1].
-    return _bubble_times(n, n, n, n, 0, 1, [2 * n + 1], [])
+    return _bubble_times(n, n, n, n, 0, 1, [2 * n + 1], [], order)
 
 
 def _tet_terms(n: int) -> tuple[list[tuple[int, int, list[int], list[int]]], list[int]]:
@@ -212,32 +251,33 @@ def tet_theta_ratio(n: int) -> VFraction:
     return _quantum_fraction(terms, downs + _upto(n) + [*range(2 * n + 1, 3 * n + 2)])
 
 
-@lru_cache(maxsize=None)
-def p_coeff(n: int, i: int) -> VFraction:
-    """P(n, i) = ceil[n n; n n]_i * Delta_2n / Delta_{n+i}.
-
-    Cached: two tail checks sum the same P(n, i).
-    """
+def p_coeff(n: int, i: int, *, order: int | None = None) -> VFraction | QSeries:
+    """P(n, i) = ceil[n n; n n]_i * Delta_2n / Delta_{n+i}; with an order,
+    its x-series to that order."""
     if n < 1:
         raise DomainError("p_coeff needs n >= 1")
     if not (0 <= i <= n):
         raise DomainError("p_coeff needs 0 <= i <= n")
     # Delta_2n / Delta_{n+i} = (-1)^(n+i) [2n + 1] / [n + i + 1].
     sign = -1 if (n + i) % 2 else 1
-    return _bubble_times(n, n, n, n, i, sign, [2 * n + 1], [n + i + 1])
+    return _bubble_times(n, n, n, n, i, sign, [2 * n + 1], [n + i + 1], order)
 
 
-def hook_coeff(n: int) -> VFraction:
+def hook_coeff(n: int, *, order: int | None = None) -> VFraction | QSeries:
     """([n]!)^2 / [2n]!, the coefficient of the hook matching in f(2n), as
     one cancelled fraction: (q;q)_n cancels, leaving
-    (q;q)_n / (q^(n+1);q)_n times a power of v."""
+    (q;q)_n / (q^(n+1);q)_n times a power of v.  With an order, its
+    x-series to that order."""
     if n < 0:
         raise DomainError("hook_coeff needs n >= 0")
-    return _quantum_fraction([(1, 0, _upto(n, 2), [])], _upto(2 * n))
+    return _quantum_fraction([(1, 0, _upto(n, 2), [])], _upto(2 * n), order=order)
 
 
-def nn_i_coeff(n: int, i: int, j: int) -> VFraction:
-    """Closed form for ceil[n i; n n]_j.
+def nn_i_coeff(
+    n: int, i: int, j: int, *, order: int | None = None
+) -> VFraction | QSeries:
+    """Closed form for ceil[n i; n n]_j; with an order, its x-series to that
+    order.
 
     Equals (-1)^(j+n) q^(j^2 + j/2 - n/2)
         (q;q)_i^2 (q;q)_n^4 (q;q)_{2n+i-j+1}
@@ -255,7 +295,7 @@ def nn_i_coeff(n: int, i: int, j: int) -> VFraction:
     ups = _upto(i, 2) + _upto(n, 4) + _upto(2 * n + i - j + 1)
     downs = _upto(i - j) + _upto(j, 2) + _upto(2 * n) + _upto(n + i)
     downs += _upto(n + i + 1) + _upto(n - j, 2)
-    return _poch_fraction([(sign, 4 * j * j + 2 * j - 2 * n, ups)], downs)
+    return _poch_fraction([(sign, 4 * j * j + 2 * j - 2 * n, ups)], downs, order)
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,16 @@ def agree_to_order(a: QSeries, b: QSeries, n: int) -> bool:
     return na.coeffs[:n] == nb.coeffs[:n]
 
 
+def x_window(q_order: int) -> int:
+    """The x-order, counted from a sum's lowest term, to which
+    ``sum_fraction_products_x`` carries a sum read to q_order
+    q-coefficients: two x-steps per q-step and two q-steps spare.  A
+    factor given as an x-series needs this many coefficients."""
+    return 2 * q_order + 4
+
+
 def sum_fraction_products_x(
-    terms: list[list[VFraction]], q_order: int
+    terms: list[list[VFraction | QSeries]], q_order: int
 ) -> QSeries:
     """Exact series (in x = q**(1/2)) of a finite sum of products of
     rational functions, carried far enough for q_order q-coefficients past
@@ -101,7 +109,10 @@ def sum_fraction_products_x(
     Summing rational functions through a common polynomial denominator is
     exponentially wasteful here (the chain-coefficient denominators barely
     overlap); expanding each product as a truncated x-series and aligning
-    shifts costs O(order^2) per term instead.
+    shifts costs O(order^2) per term instead.  A factor may already be an
+    x-series: it is truncated to the coefficients its product needs, which
+    ``x_window(q_order)`` coefficients always cover, and one that is too
+    short raises PrecisionError rather than shortening the sum.
     """
     shifts = []
     for factors in terms:
@@ -110,21 +121,28 @@ def sum_fraction_products_x(
             if f.is_zero():
                 sh = None
                 break
-            sh += (f.num.min_exp() - f.den.min_exp()) // 2
+            if isinstance(f, QSeries):
+                sh += f.shift
+            else:
+                sh += (f.num.min_exp() - f.den.min_exp()) // 2
         shifts.append(sh)
     live = [s for s in shifts if s is not None]
     if not live:
         return QSeries.zero(2 * q_order)
     lo = min(live)
-    window_end = lo + 2 * q_order + 4
-    total = QSeries(lo, [0] * (2 * q_order + 4))
+    window = x_window(q_order)
+    window_end = lo + window
+    total = QSeries(lo, [0] * window)
     for factors, sh in zip(terms, shifts):
         if sh is None or sh >= window_end:
             continue
         need = window_end - sh
         prod = None
         for f in factors:
-            s = fraction_to_x_series(f, need)
+            if isinstance(f, QSeries):
+                s = f.with_order(need)
+            else:
+                s = fraction_to_x_series(f, need)
             prod = s if prod is None else series_mul(prod, s)
         total = total + prod
     return total

@@ -24,25 +24,25 @@ CheckResult = tuple[bool, str]
 # before any value is built.  Each limit is the largest value measured to
 # run in at most about 10 s (2 cores, CPython 3.11.7); the comment gives
 # that time for a one-case verify process and, after the slash, the time
-# one step further, in-process past the limit, where it was run.  The limits of the tail
-# checks were set before their closed forms became cancelled Pochhammer
-# fractions; they now run far below 10 s there, and the limits were kept.
-# The worst accepted case is jw_laws at 8, 7.0-7.1 s.  tail_lemma_psum and
-# tail_lemma_psum_nn0 share the cached P(n, i) of ``skein_formulas.p_coeff``:
-# both at their caps in one process take 1.2-1.4 s (1.8 s uncached) and
-# hold the 435 values of the larger one, about 100 MiB peak (36 MiB uncached).
+# one step further, in-process past the limit, where it was run.  The limits
+# of the tail checks were set when their closed forms were exact products;
+# they now run far below 10 s there, and the limits were kept.  The five
+# checks that read a single-term closed form only to the order they compare
+# run in under 0.1 s at their caps, of which about 0.05 s is the start-up of
+# the process, and peak at 17-19 MiB.  The worst accepted case is jw_laws
+# at 8, 7.0-7.1 s.
 MAX_N_MAX: dict[str, int] = {
     "morrison": 4,  # 0.3 s (builds f(8) cold); at 5 f(10) is over MAX_BOX_COLOR
     "jw_laws": 8,  # 7.0-7.1 s (3 runs; 7: 1.3 s); at 9 f(9) is over MAX_BOX_COLOR
     "theta_oracle": 4,  # 0.5 s; at 5 the colour 10 is over MAX_BOX_COLOR
-    "tail_lemma_fact": 70,  # 0.33-0.34 s (3 runs) / 80: 0.47 s
-    "tail_lemma_bubble0": 70,  # 1.6-1.7 s (3 runs)
-    "tail_lemma_psum": 28,  # 1.04-1.10 s, 97 MiB (3 runs) / 30: 1.4 s
-    "tail_lemma_psum_nn0": 24,  # 1.0-1.4 s (3 runs) / 26: 1.3 s
+    "tail_lemma_fact": 70,  # 0.09-0.10 s (3 runs) / 80: 0.07 s
+    "tail_lemma_bubble0": 70,  # 0.10 s (3 runs) / 80: 0.08 s
+    "tail_lemma_psum": 28,  # 0.09 s (3 runs) / 30: 0.05-0.06 s
+    "tail_lemma_psum_nn0": 24,  # 0.10 s (3 runs) / 26: 0.06 s
     "nn_i_sweep": 14,  # 1.0 s (3 runs) / 16: 2.0 s
     "torus_stabilization": 50,  # 0.16-0.21 s at k_max 3 (3 runs) / 60: 0.19 s
     "lambda_theorem": 11,  # 0.06-0.07 s (3 runs) / 12: 0.02 s
-    "theta_tail": 60,  # 1.0-1.1 s (3 runs)
+    "theta_tail": 60,  # 0.08 s (3 runs) / 70: 0.05 s
     "tail85_oracle": 2,  # 0.07 s; at 3 the work cap refuses the braid (101,181 joins)
 }
 
@@ -332,11 +332,11 @@ def check_oracle_basics(params: dict) -> CheckResult:
 def check_tail_lemma_fact(params: dict) -> CheckResult:
     from .qcore import poch_finite, to_q_series
     from .skein_formulas import hook_coeff
-    from .tails_engine import agree_to_order, normalize
+    from .tails_engine import agree_to_order, x_series_to_normalized_q
 
     n_max = int(params.get("n_max", 20))
     for n in range(1, n_max + 1):
-        s = normalize(hook_coeff(n), order=n + 1)
+        s = x_series_to_normalized_q(hook_coeff(n, order=2 * n + 2), n + 1)
         tgt = to_q_series(poch_finite(1, 1, n), n + 1)
         if not agree_to_order(s, tgt, n):
             return False, f"([n]!)^2/[2n]! tail fails at n={n}"
@@ -346,11 +346,13 @@ def check_tail_lemma_fact(params: dict) -> CheckResult:
 def check_tail_lemma_bubble0(params: dict) -> CheckResult:
     from .qcore import poch_finite, to_q_series
     from .skein_formulas import bubble_coeff
-    from .tails_engine import agree_to_order, normalize
+    from .tails_engine import agree_to_order, x_series_to_normalized_q
 
     n_max = int(params.get("n_max", 20))
     for n in range(1, n_max + 1):
-        s = normalize(bubble_coeff(n, n, n, n, 0), order=n + 1)
+        s = x_series_to_normalized_q(
+            bubble_coeff(n, n, n, n, 0, order=2 * n + 2), n + 1
+        )
         tgt = to_q_series(poch_finite(1, 1, n), n + 1)
         if not agree_to_order(s, tgt, n):
             return False, f"bubble coefficient tail fails at n={n}"
@@ -364,11 +366,13 @@ def check_tail_lemma_psum(params: dict) -> CheckResult:
         agree_to_order,
         sum_fraction_products_x,
         x_series_to_normalized_q,
+        x_window,
     )
 
     n_max = int(params.get("n_max", 12))
     for n in range(1, n_max + 1):
-        terms = [[p_coeff(n, i)] for i in range(n + 1)]
+        w = x_window(n + 1)
+        terms = [[p_coeff(n, i, order=w)] for i in range(n + 1)]
         sx = sum_fraction_products_x(terms, n + 1)
         sq = x_series_to_normalized_q(sx, n + 1)
         if not agree_to_order(sq, false_theta(2, n + 1), n):
@@ -383,11 +387,16 @@ def check_tail_lemma_psum_nn0(params: dict) -> CheckResult:
         agree_to_order,
         sum_fraction_products_x,
         x_series_to_normalized_q,
+        x_window,
     )
 
     n_max = int(params.get("n_max", 12))
     for n in range(1, n_max + 1):
-        terms = [[p_coeff(n, i), nn_i_coeff(n, i, 0)] for i in range(n + 1)]
+        w = x_window(n + 1)
+        terms = [
+            [p_coeff(n, i, order=w), nn_i_coeff(n, i, 0, order=w)]
+            for i in range(n + 1)
+        ]
         sx = sum_fraction_products_x(terms, n + 1)
         sq = x_series_to_normalized_q(sx, n + 1)
         if not agree_to_order(sq, theta_f(2, n + 1), n):
@@ -456,11 +465,11 @@ def check_lambda_theorem(params: dict) -> CheckResult:
 def check_theta_tail(params: dict) -> CheckResult:
     from .qcore import poch_finite, to_q_series
     from .skein_formulas import theta_2n
-    from .tails_engine import agree_to_order, normalize
+    from .tails_engine import agree_to_order, x_series_to_normalized_q
 
     n_max = int(params.get("n_max", 15))
     for n in range(1, n_max + 1):
-        s = normalize(theta_2n(n), order=n + 1)
+        s = x_series_to_normalized_q(theta_2n(n, order=2 * n + 2), n + 1)
         tgt = to_q_series(poch_finite(1, 2, n), n + 1)
         if not agree_to_order(s, tgt, n):
             return False, f"theta_2n tail fails at n={n}"

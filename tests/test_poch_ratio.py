@@ -14,27 +14,40 @@ use the kernel on both sides (``nn_i_sweep``, the ``poch_finite`` targets of
 the tail lemmas) stay honest.  ``hook_coeff`` and ``tet_theta_ratio`` are
 compared in the same way with the values they replace in the tail checks,
 ([n]!)^2 / [2n]! from ``quantum_fact`` and ``tet_2n / theta_2n``, both
-checked above against the product loops.
+checked above against the product loops.  The single-term closed forms
+evaluated to an order (``qcore.poch_ratio_series``) are checked against
+the series expansion of their exact values, at every order up to past
+their first factors.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeintails import qcore
 from skeintails import skein_formulas as sf
-from skeintails.errors import ConsistencyError, DomainError
+from skeintails.errors import (
+    ConsistencyError,
+    DomainError,
+    PrecisionError,
+    RepresentationError,
+)
 from skeintails.qcore import (
     VFraction,
     VLaurent,
     delta_n,
+    fraction_to_x_series,
     mul_poch_ratio,
     poch_finite,
     poch_ratio,
+    poch_ratio_series,
     qbinom,
     quantum_fact,
     quantum_int,
     quantum_product,
 )
+from skeintails.tails_engine import sum_fraction_products_x, x_window
+from skeintails.verifycases import run_check
 
 
 def _one_minus_q(a: int) -> VLaurent:
@@ -198,22 +211,91 @@ def test_stored_forms_match_the_product_loops():
     assert count == 1157
 
 
-def test_repeated_p_coeff_runs_no_kernel(monkeypatch):
-    """p_coeff is cached: a second call with the same arguments returns the
-    stored value without calling the kernel."""
-    sf.p_coeff.cache_clear()
-    calls = []
+# -- evaluation to an order ------------------------------------------------------
 
-    def kernel_once(*args):
-        if calls:
-            raise AssertionError("the kernel ran again for a cached P(n, i)")
-        calls.append(args)
-        return mul_poch_ratio(*args)
+_ORDERED_FORMS = (
+    sf.bubble_coeff,
+    sf.theta_2n,
+    sf.p_coeff,
+    sf.nn_i_coeff,
+    sf.hook_coeff,
+)
 
-    monkeypatch.setattr(sf, "mul_poch_ratio", kernel_once)
-    first = sf.p_coeff(5, 2)
-    assert calls
-    assert sf.p_coeff(5, 2) is first
+
+def test_order_gives_the_exact_series_prefix():
+    """f(*args, order=k) is the x-series of the exact value to order k, term
+    for term, at every order up to past the value's first few factors."""
+    count = 0
+    for fn, _, args in _grid():
+        if fn not in _ORDERED_FORMS:
+            continue
+        exact = fn(*args)
+        for k in range(2 * max(args) + 7):
+            got = fn(*args, order=k)
+            assert got == fraction_to_x_series(exact, k), (fn.__name__, args, k)
+        count += 1
+    assert count == 617
+
+
+def test_order_below_zero_raises():
+    for fn, args in (
+        (sf.bubble_coeff, (2, 2, 2, 1, 1)),
+        (sf.theta_2n, (0,)),
+        (sf.theta_2n, (2,)),
+        (sf.p_coeff, (2, 1)),
+        (sf.nn_i_coeff, (2, 1, 0)),
+        (sf.hook_coeff, (2,)),
+    ):
+        with pytest.raises(DomainError):
+            fn(*args, order=-1)
+    with pytest.raises(DomainError):
+        poch_ratio_series(1, 0, [2], [1], -1)
+    with pytest.raises(DomainError):
+        poch_ratio_series(1, 0, [0], [], 4)
+
+
+def test_odd_v_exponent_has_no_x_series():
+    with pytest.raises(RepresentationError):
+        poch_ratio_series(1, 3, [2], [1], 4)
+
+
+def test_short_series_factor_raises():
+    """A factor given as an x-series shorter than the sum's window raises
+    PrecisionError; at the window the sum is the one of the exact value."""
+    q_order = 3
+    w = x_window(q_order)
+    exact = [[sf.p_coeff(3, i)] for i in range(4)]
+    want = sum_fraction_products_x(exact, q_order)
+    assert sum_fraction_products_x(
+        [[sf.p_coeff(3, i, order=w)] for i in range(4)], q_order
+    ) == want
+    for i in range(4):
+        with pytest.raises(PrecisionError):
+            sum_fraction_products_x([[sf.p_coeff(3, i, order=w - 1)]], q_order)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        "tail_lemma_fact",
+        "tail_lemma_bubble0",
+        "theta_tail",
+        "tail_lemma_psum",
+        "tail_lemma_psum_nn0",
+    ],
+)
+def test_tail_checks_build_no_exact_fraction(monkeypatch, check):
+    """The tail checks of the single-term closed forms read them only to
+    the order they compare: no exact closed form is built (the kernel
+    ``mul_poch_ratio``) and no series is divided."""
+
+    def refuse(*args):
+        raise AssertionError("an exact closed form was expanded")
+
+    monkeypatch.setattr(sf, "mul_poch_ratio", refuse)
+    monkeypatch.setattr(qcore, "series_div", refuse)
+    ok, detail = run_check(check, {"n_max": 6})
+    assert ok, detail
 
 
 def _den_degree(x: VFraction) -> int:
