@@ -4,7 +4,7 @@ Subcommands:
 
   series  NAME [--k 2 ...] --order N [--format text|json|csv]
   verify  SUITE [--order N] [--jobs J] [--out PATH]
-  jones   --f F --n N [--normalized] [--format text|json|csv]
+  jones   --f F --n N [--normalized [--order N]] [--format text|json|csv]
   oracle  FILE [--format text|json]
 
 Exit codes: 0 all passed / value printed, 1 verification failure, 2 usage,
@@ -17,6 +17,8 @@ like a ``k_max`` below 1; a suite's ``n_max`` is capped per check at
 ``verifycases.MAX_MAX_PARAM`` and ``torus_oracle``'s ``f`` at
 ``verifycases.MAX_F``, and each of them below at 1) before any value is
 built; and ``jones`` caps its inputs at MAX_JONES_N and MAX_JONES_SIZE.
+``jones --normalized --order N`` reads the value only to its first N
+coefficients; without ``--order`` it prints the whole normalized value.
 ``oracle`` refuses a box colour above ``tl_oracle.MAX_BOX_COLOR``, more than
 ``networks.MAX_FREE_LOOPS`` free loops, and a network whose contraction
 work would exceed ``networks.MAX_CONTRACTION_WORK``.  A suite case
@@ -193,10 +195,14 @@ def _cmd_jones(args, out) -> int:
     from .skein_formulas import colored_jones_torus
     from .tails_engine import normalize
 
-    value = colored_jones_torus(args.f, args.n)
     if args.normalized:
-        _emit_series(normalize(value, args.order), args.format, out)
+        if args.order is None:
+            s = normalize(colored_jones_torus(args.f, args.n))
+        else:
+            s = colored_jones_torus(args.f, args.n, order=args.order)
+        _emit_series(s, args.format, out)
     else:
+        value = colored_jones_torus(args.f, args.n)
         if args.format == "json":
             print(json.dumps(value.to_json_obj(), sort_keys=True), file=out)
         elif args.format == "csv":

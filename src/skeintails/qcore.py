@@ -46,9 +46,8 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate
 from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -482,7 +481,8 @@ class VFraction:
     coefficient, and num and den share no integer content.  No polynomial
     gcd is taken when a value is built, because the Euclidean gcd would
     dominate the runtime, so equal values may be stored differently.
-    Equality goes through cross-multiplication; ``reduced()`` gives the
+    Equality compares numerators when the stored denominators are equal
+    and goes through cross-multiplication otherwise; ``reduced()`` gives the
     canonical gcd-reduced form, which hashing and the oracle's printed value
     use.
     """
@@ -566,6 +566,9 @@ class VFraction:
             other = VFraction.from_poly(VLaurent({0: other}))
         if not isinstance(other, VFraction):
             return NotImplemented
+        if self.den == other.den:
+            # a / d = b / d exactly when a = b: no products needed.
+            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     def __hash__(self) -> int:
@@ -918,14 +921,27 @@ def div_one_minus_qk(cs: list, k: int) -> None:
         cs[r::k] = accumulate(cs[r::k])
 
 
-def _cancelled(ups: Iterable[int], downs: Iterable[int]) -> tuple[Counter, Counter]:
-    """The factor multisets of a Pochhammer ratio, less the factors on both
-    sides; an exponent below 1 raises DomainError."""
-    ups, downs = Counter(ups), Counter(downs)
-    if any(a < 1 for a in chain(ups, downs)):
+def _cancelled(ups: Iterable[int], downs: Iterable[int]) -> tuple[list[int], list[int]]:
+    """The factors of a Pochhammer ratio, less those on both sides, as two
+    ascending lists of exponents.
+
+    Each exponent gets one net count, +1 per factor above and -1 per factor
+    below, so a factor on both sides cancels in one pass over plain ints.
+    Every exponent given, also one that cancels, must be at least 1, or
+    DomainError is raised.
+    """
+    net: dict[int, int] = {}
+    for a in ups:
+        net[a] = net.get(a, 0) + 1
+    for b in downs:
+        net[b] = net.get(b, 0) - 1
+    if min(net, default=1) < 1:
         raise DomainError("poch_ratio needs factors (1 - q^a) with a >= 1")
-    common = ups & downs
-    return ups - common, downs - common
+    keys = sorted(net)
+    return (
+        [a for a in keys for _ in range(net[a])],
+        [b for b in keys for _ in range(-net[b])],
+    )
 
 
 def mul_poch_ratio(
@@ -944,8 +960,7 @@ def mul_poch_ratio(
     quotient coefficients are not all zero) raises ConsistencyError.
     """
     ups, downs = _cancelled(ups, downs)
-    ups = sorted(ups.elements())
-    downs = sorted(downs.elements(), reverse=True)
+    downs.reverse()
     classes: dict[int, dict[int, int]] = {}
     for e, c in p.terms.items():
         classes.setdefault(e % 4, {})[e] = c
@@ -995,12 +1010,14 @@ def poch_ratio_series(
     ups, downs = _cancelled(ups, downs)
     length = (order + 1) // 2
     cs = [c] + [0] * (length - 1) if length else []
-    for a in ups.elements():
-        if a < length:
-            mul_one_minus_qk(cs, a)
-    for b in downs.elements():
-        if b < length:
-            div_one_minus_qk(cs, b)
+    for a in ups:
+        if a >= length:
+            break
+        mul_one_minus_qk(cs, a)
+    for b in downs:
+        if b >= length:
+            break
+        div_one_minus_qk(cs, b)
     xs = [0] * order
     xs[::2] = cs
     return QSeries(e // 2, xs)
@@ -1021,7 +1038,6 @@ def quantum_fact(n: int) -> VLaurent:
     return quantum_product(range(1, n + 1))
 
 
-@lru_cache(maxsize=None)
 def poch_finite(sign: int, c: int, n: int) -> VLaurent:
     """Finite q-Pochhammer (sign*q^c; q)_n = prod_{j<n} (1 - sign*q^(c+j))
     for c >= 1; a factor (1 + q^a) is (1 - q^(2a)) / (1 - q^a)."""

@@ -41,10 +41,13 @@ exact value, from the same factor lists through
 ``qcore.poch_ratio_series``.  A factor (1 - q^a) = (1 - x^(2a)) with 2a at
 or past the order is 1 there and is never applied, so a tail check that
 compares n + 1 coefficients does O(n) work per factor instead of building
-a polynomial of q-degree O(n^2).  The forms with several terms (``tet_2n``,
-``tet_theta_ratio``, ``colored_jones_torus``) stay exact only: their lowest
-terms can cancel, so a fixed order would not bound the precision of the
-sum.
+a polynomial of q-degree O(n^2).  The Pochhammer-quotient forms with
+several terms (``tet_2n``, ``tet_theta_ratio``) stay exact only: their
+lowest terms can cancel, so a fixed order would not bound the precision of
+the sum.  ``colored_jones_torus`` also takes ``order=``: its sum is
+2(n + 1) monomials, added exactly before anything is truncated, so one pass
+of division by (1 - q^(n+1)) over its lowest coefficients gives the
+normalized value to that order.
 
 Values here are exact rational functions of v (VFraction); genuinely
 polynomial results (like the normalized colored Jones) are reduced to
@@ -53,13 +56,12 @@ VLaurent with a remainder assertion, never by rounding.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .errors import ConsistencyError, DomainError
 from .qcore import (
     QSeries,
     VFraction,
     VLaurent,
+    div_one_minus_qk,
     mul_poch_ratio,
     poch_ratio,
     poch_ratio_series,
@@ -71,6 +73,20 @@ def _upto(t: int, times: int = 1) -> list[int]:
     """1, ..., t, each ``times`` times: the factors of ([t]!)^times, or of
     (q;q)_t^times."""
     return [*range(1, t + 1)] * times
+
+
+def _counts(exps: list[int]) -> dict[int, int]:
+    """Exponent -> how often it occurs."""
+    out: dict[int, int] = {}
+    for a in exps:
+        out[a] = out.get(a, 0) + 1
+    return out
+
+
+def _elements(counts: dict[int, int]) -> list[int]:
+    """The exponents of an exponent -> count dict, ascending, each as often
+    as it counts."""
+    return [a for a in sorted(counts) for _ in range(counts[a])]
 
 
 def _poch_fraction(
@@ -94,14 +110,18 @@ def _poch_fraction(
     if order is not None:
         [(c, e, ups)] = terms
         return poch_ratio_series(c, e, ups, downs, order)
-    ups = [Counter(u) for _, _, u in terms]
-    left = Counter(downs)
-    for u in ups:
-        left &= u
-    ups = [u - left for u in ups]
-    free = [sorted(u.elements()) for u in ups]
+    down = _counts(downs)
+    ups = [_counts(u) for _, _, u in terms]
+    for b, k in down.items():
+        common = min(k, *(u.get(b, 0) for u in ups))
+        if common:
+            down[b] = k - common
+            for u in ups:
+                u[b] -= common
+    ups = [_elements(u) for u in ups]
+    free = [list(u) for u in ups]
     inside, outside = [], []
-    for b in sorted((Counter(downs) - left).elements(), reverse=True):
+    for b in reversed(_elements(down)):
         picks = [next((k for k, a in enumerate(f) if a % b == 0), None) for f in free]
         if None in picks:
             outside.append(b)
@@ -111,7 +131,7 @@ def _poch_fraction(
         inside.append(b)
     num = VLaurent()
     for (c, e, _), u in zip(terms, ups):
-        num = num + mul_poch_ratio(VLaurent.monomial(c, e), u.elements(), inside)
+        num = num + mul_poch_ratio(VLaurent.monomial(c, e), u, inside)
     return VFraction(num, poch_ratio(outside, ()))
 
 
@@ -303,7 +323,9 @@ def nn_i_coeff(
 # ---------------------------------------------------------------------------
 
 
-def colored_jones_torus(f: int, n: int) -> VLaurent:
+def colored_jones_torus(
+    f: int, n: int, *, order: int | None = None
+) -> VLaurent | QSeries:
     """Normalized colored Jones polynomial of the (2, f) torus link.
 
     J~_(n)/Delta_n = (1/Delta_n) sum_{i=0}^{n}
@@ -315,6 +337,10 @@ def colored_jones_torus(f: int, n: int) -> VLaurent:
     1/(1 - q): a tail of <K_n> is the tail here times 1/(1 - q).  The
     framing factor (a global power of +-A) is not fixed here; callers
     compare through normalization.
+
+    With an order, it returns ``tails_engine.normalize`` of the value to
+    that order instead, without building the value: see
+    ``_normalized_quotient``.
     """
     if f < 1:
         raise DomainError("colored_jones_torus needs f >= 1")
@@ -330,9 +356,37 @@ def colored_jones_torus(f: int, n: int) -> VLaurent:
         terms[e] = terms.get(e, 0) + sign
         terms[e + 8 * i + 4] = terms.get(e + 8 * i + 4, 0) - sign
     try:
-        return mul_poch_ratio(VLaurent(terms), (), [n + 1])
+        if order is None:
+            return mul_poch_ratio(VLaurent(terms), (), [n + 1])
+        return _normalized_quotient(VLaurent(terms), n + 1, order)
     except ConsistencyError as exc:
         raise ConsistencyError("torus Jones sum not divisible by Delta_n") from exc
+
+
+def _normalized_quotient(num: VLaurent, m: int, order: int) -> QSeries:
+    """``normalize(num / (1 - q^m), order)`` when (1 - q^m) divides num
+    exactly, read off num's lowest ``order`` q-coefficients; otherwise
+    ConsistencyError.
+
+    (1 - q^m) has constant term 1, so the quotient's lowest term is num's,
+    and normalizing num to the order and dividing that prefix once by
+    (1 - q^m) (``div_one_minus_qk``) gives the quotient's prefix exactly:
+    the sum num is exact before anything is truncated.  The divisibility
+    test is O(len(num)): q^m = 1 modulo (1 - q^m), so (1 - q^m) divides num
+    exactly when, in each v-exponent class mod 4, the coefficients of each
+    q-exponent class mod m add up to 0, that is, when those of each
+    v-exponent class mod 4m do.
+    """
+    from .tails_engine import normalize
+
+    sums: dict[int, int] = {}
+    for e, c in num.terms.items():
+        sums[e % (4 * m)] = sums.get(e % (4 * m), 0) + c
+    if any(sums.values()):
+        raise ConsistencyError(f"(1 - q^{m}) does not divide the sum")
+    cs = list(normalize(num, order).coeffs)
+    div_one_minus_qk(cs, m)
+    return QSeries(0, cs)
 
 
 # ---------------------------------------------------------------------------

@@ -303,11 +303,12 @@ def graph_family_tail(family: str, params: dict, order: int) -> QSeries:
 
 
 def torus_jones_generator(f: int) -> SeriesGenerator:
-    """n -> normalized colored Jones of the (2, f) torus link."""
+    """n -> normalized colored Jones of the (2, f) torus link, read only to
+    the n coefficients ``SeriesGenerator.normalized`` keeps."""
     from .skein_formulas import colored_jones_torus
 
     return SeriesGenerator(
         name="torus_jones",
         params={"f": f},
-        eval=lambda n: colored_jones_torus(f, n),
+        eval=lambda n: colored_jones_torus(f, n, order=n),
     )

@@ -10,15 +10,16 @@ forms that return a VFraction store one cancelled fraction, smaller than
 the product loops' (num, den): they are checked term for term in the
 gcd-reduced canonical form, which is unique, so the check is still exact
 equality.  This reference is independent of the kernel, so checks that now
-use the kernel on both sides (``nn_i_sweep``, the ``poch_finite`` targets of
-the tail lemmas) stay honest.  ``hook_coeff`` and ``tet_theta_ratio`` are
-compared in the same way with the values they replace in the tail checks,
-([n]!)^2 / [2n]! from ``quantum_fact`` and ``tet_2n / theta_2n``, both
-checked above against the product loops.  The single-term closed forms
-evaluated to an order (``qcore.poch_ratio_series``) are checked against
-the series expansion of their exact values, at every order up to past
-their first factors.
+use the kernel on both sides (``nn_i_sweep``) stay honest.  ``hook_coeff``
+and ``tet_theta_ratio`` are compared in the same way with the values they
+replace in the tail checks, ([n]!)^2 / [2n]! from ``quantum_fact`` and
+``tet_2n / theta_2n``, both checked above against the product loops.  The
+single-term closed forms evaluated to an order (``qcore.poch_ratio_series``)
+are checked against the series expansion of their exact values, at every
+order up to past their first factors.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -282,18 +283,21 @@ def test_short_series_factor_raises():
         "theta_tail",
         "tail_lemma_psum",
         "tail_lemma_psum_nn0",
+        "torus_stabilization",
     ],
 )
 def test_tail_checks_build_no_exact_fraction(monkeypatch, check):
-    """The tail checks of the single-term closed forms read them only to
-    the order they compare: no exact closed form is built (the kernel
-    ``mul_poch_ratio``) and no series is divided."""
+    """The tail checks of the closed forms read them only to the order
+    they compare: no exact closed form is built (the kernel
+    ``mul_poch_ratio``), no series is divided, and no target (q^c; q)_n is
+    built whole (``poch_finite``)."""
 
     def refuse(*args):
         raise AssertionError("an exact closed form was expanded")
 
     monkeypatch.setattr(sf, "mul_poch_ratio", refuse)
     monkeypatch.setattr(qcore, "series_div", refuse)
+    monkeypatch.setattr(qcore, "poch_finite", refuse)
     ok, detail = run_check(check, {"n_max": 6})
     assert ok, detail
 
@@ -390,6 +394,38 @@ def test_inexact_ratio_raises():
         poch_ratio([], [1])
     with pytest.raises(ConsistencyError):
         poch_ratio([2, 3], [5])
+
+
+def _counter_cancelled(ups, downs):
+    """Reference: the two factor multisets less their common part."""
+    ups, downs = Counter(ups), Counter(downs)
+    common = ups & downs
+    return sorted((ups - common).elements()), sorted((downs - common).elements())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-2, 12), max_size=12),
+    st.lists(st.integers(-2, 12), max_size=12),
+)
+def test_cancelled_matches_counter_reference(ups, downs):
+    """Any exponent below 1 raises DomainError, also one that cancels."""
+    if min(ups + downs, default=1) < 1:
+        with pytest.raises(DomainError):
+            qcore._cancelled(ups, downs)
+        return
+    assert qcore._cancelled(ups, downs) == _counter_cancelled(ups, downs)
+
+
+def test_cancelled_factor_below_one_still_raises():
+    for ups, downs in (([0, 3], [0]), ([2, -1], [-1, 2]), ([-3], [-3, 1])):
+        # the factor below 1 is on both sides, so it cancels
+        left_up, left_down = _counter_cancelled(ups, downs)
+        assert min(left_up + left_down, default=1) >= 1
+        with pytest.raises(DomainError):
+            qcore._cancelled(ups, downs)
+        with pytest.raises(DomainError):
+            poch_ratio_series(1, 0, ups, downs, 6)
 
 
 def test_factor_below_one_raises():

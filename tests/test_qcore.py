@@ -194,6 +194,34 @@ def test_equal_fractions_hash_equal(num, den, factor):
         assert b == a.num and hash(b) == hash(a.num)
 
 
+# Stored denominators as VFraction keeps them: valuation 0, a unit
+# coefficient, a positive leading coefficient.
+_stored_dens = st.dictionaries(st.integers(1, 7), st.integers(-3, 3), max_size=3).map(
+    lambda d: VLaurent({0: 1, **d, 8: 1})
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=_nonzero_laurents,
+    b=_nonzero_laurents,
+    den=_stored_dens,
+    other=_nonzero_laurents,
+    same=st.booleans(),
+)
+def test_equality_matches_cross_multiplication(a, b, den, other, same):
+    """With equal stored denominators equality compares numerators; it
+    agrees with cross-multiplication there, for different numerators too,
+    and across other denominators, also for a over a multiple of den."""
+    x = VFraction(a, den)
+    y = VFraction(b, den if same else den * other)
+    assert x.den == den and (y.den == den or not same)
+    for u, w in ((x, y), (y, x), (x, VFraction(a * other, den * other))):
+        assert (u == w) == (u.num * w.den == w.num * u.den)
+    if same:
+        assert (x == y) == (a == b)
+
+
 def test_canonical_form_has_no_common_integer_content():
     two = VLaurent({0: 2})
     v = VLaurent({1: 1})

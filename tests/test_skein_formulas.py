@@ -1,8 +1,11 @@
 """Closed-form skein evaluations against spec examples and the oracle."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skeintails.errors import DomainError
+from skeintails import skein_formulas
+from skeintails.errors import ConsistencyError, DomainError
 from skeintails.networks import (
     bracket_closed,
     bubble_lhs_network,
@@ -15,6 +18,7 @@ from skeintails.qcore import (
     VFraction,
     VLaurent,
     delta_n,
+    mul_poch_ratio,
     poch_inf,
     quantum_int,
 )
@@ -171,6 +175,61 @@ class TestColoredJonesTorus:
     def test_domain(self):
         with pytest.raises(DomainError):
             colored_jones_torus(0, 1)
+        with pytest.raises(DomainError):
+            colored_jones_torus(0, 1, order=3)
+        with pytest.raises(DomainError):
+            colored_jones_torus(3, -1, order=3)
+        with pytest.raises(DomainError):
+            colored_jones_torus(3, 2, order=-1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9), st.integers(0, 14), st.data())
+    def test_order_is_the_normalized_prefix(self, f, n, data):
+        k = data.draw(st.integers(1, 2 * n + 4))
+        want = normalize(colored_jones_torus(f, n), k)
+        assert colored_jones_torus(f, n, order=k) == want
+
+    def test_order_path_refuses_a_remainder(self):
+        # 1 - q sums to 0 but not on each class mod 2: (1 - q^2) does not
+        # divide it.  1 - q^4 is divisible by (1 - q^2), to 1 + q^2.
+        one_minus_q = VLaurent({0: 1, 4: -1})
+        for num, m in ((one_minus_q, 2), (VLaurent({-8: 2, 12: 1}), 3)):
+            with pytest.raises(ConsistencyError):
+                skein_formulas._normalized_quotient(num, m, 4)
+            with pytest.raises(ConsistencyError):
+                mul_poch_ratio(num, (), [m])
+        got = skein_formulas._normalized_quotient(VLaurent({0: 1, 16: -1}), 2, 4)
+        assert got.coeffs == (1, 0, 1, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.dictionaries(
+            st.integers(-8, 8), st.integers(-5, 5).filter(bool), min_size=1, max_size=6
+        ),
+        r=st.integers(0, 3),
+        m=st.integers(1, 6),
+        order=st.integers(0, 20),
+        bump=st.none()
+        | st.tuples(st.integers(-8, 12), st.integers(-3, 3).filter(bool)),
+    )
+    def test_order_path_divides_only_exactly(self, p, r, m, order, bump):
+        """The order path's quotient (1 - q^m) | num agrees with the exact
+        division: the prefix of the quotient when it divides, and
+        ConsistencyError when it leaves a remainder."""
+        num = VLaurent({4 * j + r: c for j, c in p.items()})
+        num = num * VLaurent({0: 1, 4 * m: -1})
+        if bump is not None:
+            num = num + VLaurent({4 * bump[0] + r: bump[1]})
+        try:
+            exact = mul_poch_ratio(num, (), [m])
+        except ConsistencyError:
+            with pytest.raises(ConsistencyError):
+                skein_formulas._normalized_quotient(num, m, order)
+            return
+        if exact.is_zero():
+            return
+        want = normalize(exact, order)
+        assert skein_formulas._normalized_quotient(num, m, order) == want
 
 
 class TestChainTail:
