@@ -7,10 +7,13 @@ follows the two Kauffman relations: each crossing resolves into
 A * (A-smoothing) + A**-1 * (B-smoothing), each box expands into its
 projector, and each closed loop contributes delta = -A**2 - A**-2.
 
-Both kinds of node go through one contraction: a node is a sum of local
-terms (a matching on its ports times a coefficient; two terms for a
-crossing, the projector's terms for a box).  The nodes are expanded one at
-a time, in a greedy order: next, the node that leaves the fewest open ends
+A colour-1 box holds f(1), the identity strand, so it is spliced out of the
+arcs before anything is expanded: its two neighbours are joined, and a ring
+of colour-1 boxes is one more free loop.  Both kinds of node go through one
+contraction: a node is a sum of local terms (a matching on its ports times
+a coefficient; two terms for a crossing, the projector's terms for a box).
+The nodes are expanded one at a time, in a greedy order: next, the node
+that leaves the fewest open ends
 (Bar-Natan's local order, "Fast Khovanov homology computations", 2007).
 A state is a pairing of the open ends, the ports whose arc runs into the
 expanded part; each step composes every state with every term, counts the
@@ -45,8 +48,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import re
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Collection, Sequence
 
 from .errors import CapacityError, DomainError
@@ -62,17 +65,19 @@ _SMOOTHINGS = {
     "nwse": ((1, 0, 3, 2), (3, 2, 1, 0)),
 }
 
-_BOX_PORT = re.compile(r"[ab](0|[1-9][0-9]*)")
-
-# Most free loops (``loops k``, summed) a network may declare.  Each loop is
-# one more factor of delta in the value, so the value and its printed form
-# grow with k; the networks used here declare at most a few.
+# Most free loops (``loops k``, summed) a network may declare, and, apart
+# from those, most rings of colour-1 boxes it may hold (each is a loop too,
+# since f(1) is the identity strand).  Each loop is one more factor of delta
+# in the value, so the value and its printed form grow with k; the networks
+# used here declare at most a few.
 MAX_FREE_LOOPS = 100
 
 # Most contraction work ``bracket_closed`` may do: the sum, over the nodes
 # expanded so far, of (states before the step) x (the node's local terms),
 # the number of joins the steps run.  It is checked before each step, so an
 # oversized network is refused before the step that would exceed it runs.
+# A colour-1 box is a plain strand: it is spliced out before the
+# contraction, is never expanded and adds no work.
 # At 100 000 tet n=3 (7 128 joins), theta(8,8,8) (10 010, about 1 s with
 # f(8) cached), the (5,3) torus (20 054, 0.4 s) and the (2,5) torus at
 # colour 5 run; tet n=4 (122 980 at node 4) and the (3,4), (3,5) and
@@ -125,30 +130,32 @@ class ClosedNetwork:
             return list(_CROSS_PORTS)
         raise DomainError(f"unknown node {name!r}")
 
-    def _has_port(self, name: str, port: str) -> bool:
-        if name in self.crossings:
-            return port in _CROSS_PORTS
-        if name not in self.boxes:
-            raise DomainError(f"unknown node {name!r}")
-        m = _BOX_PORT.fullmatch(port)
-        # Canonical decimals order numerically by (length, text).
-        limit = str(self.boxes[name])
-        return m is not None and (len(m[1]), m[1]) < (len(limit), limit)
-
     def validate(self) -> None:
-        seen: dict[tuple[str, str], int] = {}
-        for e1, e2 in self.arcs:
-            for e in (e1, e2):
-                node, port = e
-                if not self._has_port(node, port):
+        """Check that every arc endpoint is a port and every port is used once.
+
+        The first endpoint, in arc order, that is not a port is reported
+        first; then the first port, boxes before crossings, that is not used
+        exactly once.
+        """
+        ports = [
+            (name, port)
+            for name in itertools.chain(self.boxes, self.crossings)
+            for port in self.ports_of(name)
+        ]
+        port_set = set(ports)
+        seen = Counter(itertools.chain.from_iterable(self.arcs))
+        # Every endpoint a port, every port seen, and 2 x arcs distinct
+        # endpoints: then each port is used exactly once.
+        if len(seen) == len(port_set) == 2 * len(self.arcs) and port_set >= seen.keys():
+            return
+        for node, port in seen:
+            if (node, port) not in port_set:
+                if node in self.boxes or node in self.crossings:
                     raise DomainError(f"no port {port!r} on node {node!r}")
-                seen[e] = seen.get(e, 0) + 1
-        for name in itertools.chain(self.boxes, self.crossings):
-            for port in self.ports_of(name):
-                if seen.get((name, port), 0) != 1:
-                    raise DomainError(
-                        f"port {name}.{port} used {seen.get((name, port), 0)} times"
-                    )
+                raise DomainError(f"unknown node {node!r}")
+        for name, port in ports:
+            if seen[name, port] != 1:
+                raise DomainError(f"port {name}.{port} used {seen[name, port]} times")
 
     # -- text format ----------------------------------------------------------
 
@@ -203,8 +210,8 @@ def bracket_closed(net: ClosedNetwork) -> VFraction:
     """Kauffman bracket of a closed network, as an exact rational function.
 
     Raises ``CapacityError`` for a box colour above ``MAX_BOX_COLOR``, more
-    than ``MAX_FREE_LOOPS`` free loops, or contraction work above
-    ``MAX_CONTRACTION_WORK``.
+    than ``MAX_FREE_LOOPS`` declared free loops or rings of colour-1 boxes,
+    or contraction work above ``MAX_CONTRACTION_WORK``.
     """
     for name, color in net.boxes.items():
         if color > MAX_BOX_COLOR:
@@ -217,12 +224,34 @@ def bracket_closed(net: ClosedNetwork) -> VFraction:
         )
     net.validate()
 
+    # f(1) is the identity strand, so a colour-1 box is spliced out of the
+    # arcs, its two neighbours joined; one whose a0 and b0 meet, directly or
+    # through other colour-1 boxes, closes a free loop.
+    partner: dict[tuple[str, str], tuple[str, str]] = {}
+    for e1, e2 in net.arcs:
+        partner[e1], partner[e2] = e2, e1
+    rings = 0
+    boxes = {}
+    for name, color in net.boxes.items():
+        if color > 1:
+            boxes[name] = color
+            continue
+        p, q = partner.pop((name, "a0")), partner.pop((name, "b0"))
+        if p == (name, "b0"):
+            rings += 1
+        else:
+            partner[p], partner[q] = q, p
+    if rings > MAX_FREE_LOOPS:
+        raise CapacityError(
+            f"{rings} rings of colour-1 boxes exceed limit {MAX_FREE_LOOPS}"
+        )
+
     # Each node is a sum of local terms: (matching on its ports, coefficient).
     # A box contributes its projector's integer numerators, and its
     # denominator goes into one product taken out of the whole sum.
     node_terms: dict[str, Collection[tuple[tuple[int, ...], VLaurent]]] = {}
     den = VLaurent.one()
-    for name, color in net.boxes.items():
+    for name, color in boxes.items():
         element = jones_wenzl(color)
         node_terms[name] = element.terms.items()
         den = den * element.den
@@ -238,22 +267,19 @@ def bracket_closed(net: ClosedNetwork) -> VFraction:
         node_ports[name] = [
             pid.setdefault((name, port), len(pid)) for port in net.ports_of(name)
         ]
-    pairing: dict[int, int] = {}
-    for e1, e2 in net.arcs:
-        pairing[pid[e1]] = pid[e2]
-        pairing[pid[e2]] = pid[e1]
+    pairing = {pid[e]: pid[f] for e, f in partner.items()}
 
     # f(n) e_j = 0, so a box annihilates a pairing of its ports a_j, a_j+1
     # or b_j, b_j+1 (ports j, j+1 or n+j, n+j+1 in its port list).
     dead = set()
-    for name, color in net.boxes.items():
+    for name, color in boxes.items():
         ports = node_ports[name]
         for j in range(2 * color - 1):
             if j != color - 1:
                 dead.add((ports[j], ports[j + 1]))
                 dead.add((ports[j + 1], ports[j]))
 
-    num = _contract(node_terms, node_ports, pairing, V_LOOP**net.free_loops, dead)
+    num = _contract(node_terms, node_ports, pairing, net.free_loops + rings, dead)
     return VFraction(num, den).reduced()
 
 
@@ -261,7 +287,7 @@ def _contract(
     node_terms: dict[str, Collection[tuple[tuple[int, ...], VLaurent]]],
     node_ports: dict[str, list[int]],
     pairing: dict[int, int],
-    initial: VLaurent,
+    free_loops: int,
     dead: set[tuple[int, int]],
 ) -> VLaurent:
     """Expand every node into its local terms, with state aggregation.
@@ -274,15 +300,17 @@ def _contract(
     it, and merges states that end up with the same pairing.  A state that
     pairs two ports as a pair of ``dead`` does (adjacent same-side ports of
     a box not yet expanded, in both orders) is dropped: the projector
-    annihilates it.  Raises ``CapacityError`` before a step that would take
-    the work (states x terms, summed over the steps) above
-    ``MAX_CONTRACTION_WORK``.
+    annihilates it.  The value starts at delta**free_loops, and each power
+    of delta is computed once, in a table shared by every join.  Raises
+    ``CapacityError`` before a step that would take the work (states x
+    terms, summed over the steps) above ``MAX_CONTRACTION_WORK``.
     """
     owner = {p: name for name, ports in node_ports.items() for p in ports}
     order = _greedy_order(node_ports, pairing, owner)
+    powers = [VLaurent.one()]
     states: dict[tuple, VLaurent] = {}
     if dead.isdisjoint(pairing.items()):
-        states[()] = initial
+        states[()] = _loop_power(powers, free_loops)
     expanded: set[str] = set()
     work = 0
     for step, name in enumerate(order, 1):
@@ -326,12 +354,20 @@ def _contract(
                 )
                 c = coeff * mcoeff
                 if loops:
-                    c = c * V_LOOP**loops
+                    c = c * _loop_power(powers, loops)
                 s = new_states.get(k)
                 new_states[k] = c if s is None else s + c
         states = new_states
     # All nodes expanded: only the empty pairing remains.
     return states.get((), VLaurent())
+
+
+def _loop_power(powers: list[VLaurent], k: int) -> VLaurent:
+    """delta**k from the table ``powers`` of delta**0, delta**1, ..., which
+    grows by one multiplication per new power."""
+    while len(powers) <= k:
+        powers.append(powers[-1] * V_LOOP)
+    return powers[k]
 
 
 def _greedy_order(

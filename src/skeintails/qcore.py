@@ -427,17 +427,22 @@ def _poly_gcd(a: VLaurent, b: VLaurent) -> VLaurent:
     """Primitive gcd in Z[v], with positive leading coefficient, of two
     Laurent polynomials (shifts ignored).
 
-    Computed by a primitive pseudo-remainder sequence over the integers.
+    Computed by a primitive pseudo-remainder sequence over the integers, on
+    the coefficients at stride g, the gcd of every exponent's offset from
+    its polynomial's lowest one: both inputs are polynomials in v^g (up to
+    their shifts), and so is their gcd.
     """
     if a.is_zero():
         return b
     if b.is_zero():
         return a
+    lo_a, lo_b = a.min_exp(), b.min_exp()
+    g = math.gcd(*(e - lo_a for e in a.terms), *(e - lo_b for e in b.terms)) or 1
     x, y = (
         _strip_valuation_and_content(
-            [p.terms.get(e, 0) for e in range(p.min_exp(), p.max_exp() + 1)]
+            [p.terms.get(e, 0) for e in range(lo, p.max_exp() + 1, g)]
         )
-        for p in (a, b)
+        for p, lo in ((a, lo_a), (b, lo_b))
     )
     if len(y) > len(x):
         x, y = y, x
@@ -448,7 +453,7 @@ def _poly_gcd(a: VLaurent, b: VLaurent) -> VLaurent:
         r = _pseudo_mod(x, y)
         x, y = y, _strip_valuation_and_content(r)
     sign = 1 if x[-1] > 0 else -1
-    return VLaurent({e: sign * c for e, c in enumerate(x)})
+    return VLaurent({g * e: sign * c for e, c in enumerate(x)})
 
 
 def _pseudo_mod(u: list[int], v: list[int]) -> list[int]:
@@ -996,27 +1001,30 @@ def poch_ratio_series(
     """c v^e prod_{a in ups} (1 - q^a) / prod_{b in downs} (1 - q^b) as a
     series in x = q**(1/2) = v**2: shift e/2 and ``order`` coefficients.
 
-    A factor on both sides cancels first.  The value is v^e times a series
-    in q, so it is one dense list of ceil(order/2) q-coefficients, spread
-    onto the even x-positions.  A factor (1 - q^k) with k below that length
-    is one ``mul_one_minus_qk`` or ``div_one_minus_qk`` pass; the others are
-    1 modulo q^length and are skipped, as in ``poch_inf``, so the truncation
-    is exact.  No polynomial of the full degree is built.
+    The value is v^e times a series in q, so it is one dense list of
+    ceil(order/2) q-coefficients, spread onto the even x-positions.  A
+    factor (1 - q^k) with k at or past that length is 1 modulo q^length and
+    is dropped before the rest are counted, as in ``poch_inf``, so the
+    truncation is exact; a factor below it on both sides cancels, and each
+    other one is one ``mul_one_minus_qk`` or ``div_one_minus_qk`` pass.
+    Every factor, also one dropped, must have k >= 1, or DomainError is
+    raised.  No polynomial of the full degree is built.
     """
     if e % 2:
         raise RepresentationError(f"v-exponent {e} is not a multiple of 2 (x = v^2)")
     if order < 0:
         raise DomainError("order must be non-negative")
-    ups, downs = _cancelled(ups, downs)
+    ups, downs = list(ups), list(downs)
+    if min(ups, default=1) < 1 or min(downs, default=1) < 1:
+        raise DomainError("poch_ratio needs factors (1 - q^a) with a >= 1")
     length = (order + 1) // 2
+    ups, downs = _cancelled(
+        [a for a in ups if a < length], [b for b in downs if b < length]
+    )
     cs = [c] + [0] * (length - 1) if length else []
     for a in ups:
-        if a >= length:
-            break
         mul_one_minus_qk(cs, a)
     for b in downs:
-        if b >= length:
-            break
         div_one_minus_qk(cs, b)
     xs = [0] * order
     xs[::2] = cs

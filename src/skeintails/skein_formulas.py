@@ -129,9 +129,11 @@ def _poch_fraction(
         for f, k in zip(free, picks):
             del f[k]
         inside.append(b)
-    num = VLaurent()
-    for (c, e, _), u in zip(terms, ups):
-        num = num + mul_poch_ratio(VLaurent.monomial(c, e), u, inside)
+    first, *rest = (
+        mul_poch_ratio(VLaurent.monomial(c, e), u, inside)
+        for (c, e, _), u in zip(terms, ups)
+    )
+    num = sum(rest, first)
     return VFraction(num, poch_ratio(outside, ()))
 
 

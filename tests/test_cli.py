@@ -505,7 +505,7 @@ class TestJones:
 # text, then the text output, then the numerator and denominator terms of
 # the JSON output.
 _ORACLE_GOLDEN = [
-    (  # the two examples of docs/network-format.md
+    (  # the three examples of docs/network-format.md
         "box p color 2\narc p.a0 p.b0\narc p.a1 p.b1\n",
         "v^4 + 1 + v^-4",
         "[[-4, 1, 1], [0, 1, 1], [4, 1, 1]]",
@@ -515,6 +515,12 @@ _ORACLE_GOLDEN = [
         "cross x over nesw\narc x.ne x.se\narc x.nw x.sw\n",
         "v^5 + v",
         "[[1, 1, 1], [5, 1, 1]]",
+        "[[0, 1, 1]]",
+    ),
+    (
+        "box p color 1\nbox r color 1\narc p.a0 r.b0\narc r.a0 p.b0\n",
+        "-v^2 - v^-2",
+        "[[-2, -1, 1], [2, -1, 1]]",
         "[[0, 1, 1]]",
     ),
     (
@@ -559,6 +565,7 @@ class TestOracle:
         ids=[
             "closed-f2",
             "kinked-loop",
+            "colour-1-ring",
             "theta-1-1-2",
             "theta-2-2-2",
             "theta-2-3-3",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skeintails import networks, qidentities
+from skeintails import networks, qidentities, skein_formulas
 from skeintails.errors import CapacityError, DomainError
 from skeintails.networks import (
     MAX_FREE_LOOPS,
@@ -249,6 +249,40 @@ class TestValidation:
         with pytest.raises(DomainError):
             net.add_crossing("p")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("box p color 1\narc p.a0 q.b0\n", "unknown node 'q'"),
+            ("box p color 1\narc p.a0 p.a1\n", "no port 'a1' on node 'p'"),
+            ("cross x over nesw\narc x.nw x.up\n", "no port 'up' on node 'x'"),
+            ("box p color 1\n", "port p.a0 used 0 times"),
+            ("box p color 1\narc p.a0 p.b0\narc p.b0 p.a0\n", "port p.a0 used 2 times"),
+            # An endpoint fault is reported before any port count, and the
+            # first faulty endpoint in arc order wins.
+            ("box p color 2\narc p.a0 p.a0\narc p.b0 q.a0\narc p.a2 r.b0\n",
+             "unknown node 'q'"),
+            ("box p color 2\narc p.a0 p.a0\narc p.b0 p.b2\narc s.a0 p.b1\n",
+             "no port 'b2' on node 'p'"),
+            # Port counts: boxes before crossings, each in declaration order,
+            # ports in the order of ports_of.
+            ("cross x over nesw\nbox p color 2\narc p.a1 p.b0\narc p.b1 p.b1\n",
+             "port p.a0 used 0 times"),
+            ("box p color 2\nbox r color 1\narc p.a0 p.b0\narc p.a1 p.b0\n",
+             "port p.b0 used 2 times"),
+            ("box p color 1\ncross x over nesw\narc p.a0 p.b0\narc x.nw x.ne\n",
+             "port x.se used 0 times"),
+        ],
+        ids=["unknown-node", "box-port", "crossing-port", "unused", "used-twice",
+             "first-endpoint-unknown", "first-endpoint-port", "boxes-first",
+             "port-order", "crossing-count"],
+    )
+    def test_validation_messages(self, text, message):
+        net = ClosedNetwork.parse(text)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            net.validate()
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            bracket_closed(net)
+
 
 class TestTextFormat:
     def test_round_trip(self):
@@ -342,6 +376,97 @@ def test_parse_inverts_serialize(net):
     assert again.free_loops == net.free_loops
 
 
+# -- colour-1 boxes: f(1) is the identity strand ------------------------------
+
+
+def _ring(net: ClosedNetwork, k: int, prefix: str) -> None:
+    """Add a ring of k colour-1 boxes, each a0 joined to the next one's b0."""
+    names = [net.add_box(f"{prefix}{j}", 1) for j in range(k)]
+    for j, name in enumerate(names):
+        net.add_arc((name, "a0"), (names[(j + 1) % k], "b0"))
+
+
+@st.composite
+def _with_strand_boxes(draw):
+    """A random network, and a copy with chains of colour-1 boxes (either
+    way round) on random arcs and rings of them beside it."""
+    net = draw(_random_networks())
+    out = ClosedNetwork()
+    out.boxes, out.crossings = dict(net.boxes), dict(net.crossings)
+    out.free_loops = net.free_loops
+    for i, (e1, e2) in enumerate(net.arcs):
+        end = e1
+        for j in range(draw(st.integers(0, 2))):
+            name = out.add_box(f"s{i}_{j}", 1)
+            near, far = draw(st.sampled_from((("a0", "b0"), ("b0", "a0"))))
+            out.add_arc(end, (name, near))
+            end = (name, far)
+        out.add_arc(end, e2)
+    rings = draw(st.lists(st.integers(1, 3), max_size=2))
+    for r, k in enumerate(rings):
+        _ring(out, k, f"r{r}_")
+    return net, out, len(rings)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_with_strand_boxes())
+def test_colour_one_boxes_are_plain_strands(pair):
+    net, with_boxes, rings = pair
+    want = bracket_closed(net) * DELTA**rings
+    got = bracket_closed(with_boxes)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+class TestColourOneBoxes:
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_ring_is_one_loop(self, k):
+        net = ClosedNetwork()
+        _ring(net, k, "p")
+        got, want = bracket_closed(net), bracket_closed(loop_network(1))
+        assert (got.num, got.den) == (want.num, want.den)
+
+    def test_ring_count_limit(self):
+        # Each ring is a factor of delta, as a declared loop is; a network
+        # may hold MAX_FREE_LOOPS rings besides its declared loops.
+        net = loop_network(MAX_FREE_LOOPS)
+        for r in range(MAX_FREE_LOOPS):
+            _ring(net, 1 + r % 2, f"r{r}_")
+        assert bracket_closed(net) == DELTA ** (2 * MAX_FREE_LOOPS)
+        _ring(net, 1, "last")
+        with pytest.raises(
+            CapacityError,
+            match=rf"^{MAX_FREE_LOOPS + 1} rings of colour-1 boxes exceed limit "
+            rf"{MAX_FREE_LOOPS}$",
+        ):
+            bracket_closed(net)
+
+    def test_no_projector_for_colour_one(self, monkeypatch):
+        # A colour-1 box is spliced out: no f(1) is built and no join runs.
+        built = []
+        real = networks.jones_wenzl
+        monkeypatch.setattr(
+            networks, "jones_wenzl", lambda n: built.append(n) or real(n)
+        )
+        monkeypatch.setattr(networks, "join", None)
+        net = ClosedNetwork()
+        _ring(net, 3, "p")
+        assert bracket_closed(net) == DELTA
+        assert bracket_closed(theta_network(1, 1, 0)) == DELTA
+        assert built == []
+        monkeypatch.undo()
+        # In the (2, 3) torus at colour 1 only the three crossings expand,
+        # in 10 joins (12 at five nodes when the two boxes expanded too).
+        net = torus_knot_network(3, 1)
+        monkeypatch.setattr(networks, "MAX_CONTRACTION_WORK", 9)
+        with pytest.raises(
+            CapacityError, match=r"^contraction work 10 .* at node 3 of 3$"
+        ):
+            bracket_closed(net)
+        monkeypatch.setattr(networks, "MAX_CONTRACTION_WORK", 10)
+        got, want = bracket_closed(net), _reference_bracket(net, max_work=100)
+        assert (got.num, got.den) == (want.num, want.den)
+
+
 class TestBubbleNetworks:
     def test_existence_constraints(self):
         with pytest.raises(DomainError):
@@ -367,6 +492,33 @@ class TestBubbleNetworks:
             bubble_lhs_network(m, n, mp, np_, k, l, closure)
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             bubble_rhs_network(m, n, mp, np_, k, l, 0, closure)
+
+    def test_bubble_oracle_contracts_each_network_once(self, monkeypatch):
+        # 67 brackets over 26 closures, of 38 distinct networks.
+        texts = []
+        real = networks.bracket_closed
+
+        def counting(net):
+            texts.append(net.serialize())
+            return real(net)
+
+        monkeypatch.setattr(networks, "bracket_closed", counting)
+        assert run_check("bubble_oracle", {"max_param": 2}) == (
+            True, "bubble expansion matches the oracle on 26 closures"
+        )
+        assert len(texts) == len(set(texts)) == 38
+
+    def test_bubble_oracle_compares_every_closure(self, monkeypatch):
+        # A coefficient that is wrong only where it multiplies an i = 2 term
+        # is caught at the first closure with such a term.
+        real = skein_formulas.bubble_coeff
+        monkeypatch.setattr(
+            skein_formulas, "bubble_coeff",
+            lambda m, n, k, l, i: real(m, n, k, l, i) * (2 if i == 2 else 1),
+        )
+        assert run_check("bubble_oracle", {"max_param": 2}) == (
+            False, "bubble expansion fails at (2, 2, 2, 2, 2, 2, 'topbottom')"
+        )
 
     def test_smallest_bubble_closures(self):
         # (1,1,1,1;1,1) closed top-bottom is the two-bead necklace, whose

@@ -34,6 +34,7 @@ from skeintails.errors import (
     RepresentationError,
 )
 from skeintails.qcore import (
+    QSeries,
     VFraction,
     VLaurent,
     delta_n,
@@ -426,6 +427,16 @@ def test_cancelled_factor_below_one_still_raises():
             qcore._cancelled(ups, downs)
         with pytest.raises(DomainError):
             poch_ratio_series(1, 0, ups, downs, 6)
+
+
+def test_factor_below_one_past_the_order_still_raises():
+    # At order 0 every factor is past the order and none is applied, yet a
+    # factor (1 - q^a) with a < 1 is still refused, as at any other order.
+    for ups, downs in (([0], []), ([], [0]), ([7, 0], [7]), ([-1], [-1])):
+        with pytest.raises(DomainError):
+            poch_ratio_series(1, 0, ups, downs, 0)
+    # Factors past the order are 1 there and drop out, cancelled or not.
+    assert poch_ratio_series(3, 2, [9], [9, 10], 4) == QSeries(1, [3, 0, 0, 0])
 
 
 def test_factor_below_one_raises():

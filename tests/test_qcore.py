@@ -287,6 +287,49 @@ def test_canonical_form_is_unique(num, den, factor, shift, unit):
         assert gcd(*a.num.terms.values(), *a.den.terms.values()) == 1
 
 
+def _gcd_at_stride_one(a: VLaurent, b: VLaurent) -> VLaurent:
+    """Reference for _poly_gcd: the same primitive pseudo-remainder
+    sequence on every coefficient, with no exponent stride."""
+    x, y = (
+        qcore._strip_valuation_and_content(
+            [p.terms.get(e, 0) for e in range(p.min_exp(), p.max_exp() + 1)]
+        )
+        for p in (a, b)
+    )
+    if len(y) > len(x):
+        x, y = y, x
+    while y:
+        if len(y) == 1:
+            x = [1]
+            break
+        x, y = y, qcore._strip_valuation_and_content(qcore._pseudo_mod(x, y))
+    sign = 1 if x[-1] > 0 else -1
+    return VLaurent({e: sign * c for e, c in enumerate(x)})
+
+
+def _in_v_power(p: VLaurent, g: int) -> VLaurent:
+    return VLaurent({g * e: c for e, c in p.terms.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=_nonzero_laurents,
+    b=_nonzero_laurents,
+    factor=_nonzero_laurents,
+    strides=st.sampled_from([(1, 1), (2, 2), (4, 4), (3, 3), (2, 4), (2, 3)]),
+    shifts=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+)
+def test_poly_gcd_at_exponent_stride(a, b, factor, strides, shifts):
+    # Polynomials in v^g (for g the gcd of both strides) have their gcd in
+    # v^g; the PRS at stride g must give what it gives on every coefficient.
+    g = gcd(*strides)
+    a, b = (
+        (_in_v_power(p, s) * _in_v_power(factor, g)).shift(t)
+        for p, s, t in zip((a, b), strides, shifts)
+    )
+    assert qcore._poly_gcd(a, b).terms == _gcd_at_stride_one(a, b).terms
+
+
 class TestQuantumPrimitives:
     def test_quantum_int_examples(self):
         assert quantum_int(0).is_zero()
