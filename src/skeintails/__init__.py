@@ -23,6 +23,7 @@ _EXPORTS = {
         "SkeinError",
     ),
     "qcore": (
+        "PochTerm",
         "QSeries",
         "VFraction",
         "VLaurent",

@@ -20,7 +20,7 @@ kernel, at v-step 4 or 2.  The kernel refuses a v-exponent that is not a
 multiple of the step, so a fractional power of q is never stored;
 dropping the framing power of A is left to ``tails_engine.normalize``.
 
-Three value types live here:
+Four value types live here:
 
 * ``VLaurent``    -- a sparse, exact Laurent polynomial in v.
 * ``VFraction``   -- an exact ratio of two VLaurent values (skein evaluations
@@ -29,6 +29,8 @@ Three value types live here:
 * ``QSeries``     -- a formal power series in q over Z with an integer
                      shift, truncated at a finite order; the value type of
                      tails and q-identities.
+* ``PochTerm``    -- c v^e prod (1 - q^a)^k, in canonical form: the value of
+                     every single-term closed form.
 
 The quantum/number-theoretic primitives (quantum integers, Delta_n,
 quantum factorials, q-Pochhammer symbols, q-binomials) are built on top.
@@ -38,8 +40,12 @@ division of a Laurent polynomial by such a product, is one call of one
 kernel, ``mul_poch_ratio(p, ups, downs)`` (``poch_ratio`` is its case
 p = 1), on one dense coefficient list in q per v-exponent residue mod 4:
 one O(degree) pass per factor instead of a chain of VLaurent products or a
-long division.  Such a product read only as a series, to a stated order, is
-one call of ``poch_ratio_series``, whose list stops at that order.
+long division.  A signed power of v times such a ratio is a ``PochTerm``,
+stored as its canonical exponent -> count dict (``_net``, the one place
+where factors on both sides cancel): equal terms compare equal with no
+polynomial built, ``exact()`` is the kernel's cancelled fraction, and
+``series(order)`` is one dense list that stops at that order.
+``poch_sum`` puts several terms over one denominator.
 """
 
 from __future__ import annotations
@@ -926,14 +932,12 @@ def div_one_minus_qk(cs: list, k: int) -> None:
         cs[r::k] = accumulate(cs[r::k])
 
 
-def _cancelled(ups: Iterable[int], downs: Iterable[int]) -> tuple[list[int], list[int]]:
-    """The factors of a Pochhammer ratio, less those on both sides, as two
-    ascending lists of exponents.
-
-    Each exponent gets one net count, +1 per factor above and -1 per factor
-    below, so a factor on both sides cancels in one pass over plain ints.
-    Every exponent given, also one that cancels, must be at least 1, or
-    DomainError is raised.
+def _net(ups: Iterable[int], downs: Iterable[int]) -> dict[int, int]:
+    """The factors of a Pochhammer ratio as one exponent -> net count dict:
+    +1 per factor (1 - q^a) above and -1 per factor below, so a factor on
+    both sides cancels in one pass over plain ints, and a zero count is
+    dropped.  Every exponent given, also one that cancels, must be at least
+    1, or DomainError is raised.
     """
     net: dict[int, int] = {}
     for a in ups:
@@ -942,11 +946,7 @@ def _cancelled(ups: Iterable[int], downs: Iterable[int]) -> tuple[list[int], lis
         net[b] = net.get(b, 0) - 1
     if min(net, default=1) < 1:
         raise DomainError("poch_ratio needs factors (1 - q^a) with a >= 1")
-    keys = sorted(net)
-    return (
-        [a for a in keys for _ in range(net[a])],
-        [b for b in keys for _ in range(-net[b])],
-    )
+    return {a: k for a, k in net.items() if k}
 
 
 def mul_poch_ratio(
@@ -964,8 +964,10 @@ def mul_poch_ratio(
     exactly at every step; a division that leaves a remainder (its top b
     quotient coefficients are not all zero) raises ConsistencyError.
     """
-    ups, downs = _cancelled(ups, downs)
-    downs.reverse()
+    net = _net(ups, downs)
+    keys = sorted(net)
+    ups = [a for a in keys for _ in range(net[a])]
+    downs = [b for b in reversed(keys) for _ in range(-net[b])]
     classes: dict[int, dict[int, int]] = {}
     for e, c in p.terms.items():
         classes.setdefault(e % 4, {})[e] = c
@@ -995,40 +997,147 @@ def poch_ratio(ups: Iterable[int], downs: Iterable[int]) -> VLaurent:
     return mul_poch_ratio(_ONE_TERMS_DEN, ups, downs)
 
 
-def poch_ratio_series(
-    c: int, e: int, ups: Iterable[int], downs: Iterable[int], order: int
-) -> QSeries:
-    """c v^e prod_{a in ups} (1 - q^a) / prod_{b in downs} (1 - q^b) as a
-    series in x = q**(1/2) = v**2: shift e/2 and ``order`` coefficients.
+class PochTerm:
+    """c v^e prod_a (1 - q^a)^net[a]: a nonzero integer times a power of v
+    times a ratio of Pochhammer factors, the value of every single-term
+    closed form in ``skein_formulas``.
 
-    The value is v^e times a series in q, so it is one dense list of
-    ceil(order/2) q-coefficients, spread onto the even x-positions.  A
-    factor (1 - q^k) with k at or past that length is 1 modulo q^length and
-    is dropped before the rest are counted, as in ``poch_inf``, so the
-    truncation is exact; a factor below it on both sides cancels, and each
-    other one is one ``mul_one_minus_qk`` or ``div_one_minus_qk`` pass.
-    Every factor, also one dropped, must have k >= 1, or DomainError is
-    raised.  No polynomial of the full degree is built.
+    ``PochTerm(c, e, ups, downs)`` puts each factor (1 - q^a), a in ups,
+    above and each (1 - q^b), b in downs, below; ``net`` is their
+    exponent -> count dict from ``_net``, with no zero count.  The factors
+    (1 - q^a) are multiplicatively independent: at a primitive a-th root of
+    unity, of the factors with exponents up to a only (1 - q^a) vanishes,
+    and simply.  As c is the value's lowest coefficient, (c, e, net) is
+    canonical, and ``==`` and ``hash`` are exact value equality with no
+    polynomial built.  Zero has no such form and is refused.  Instances are
+    immutable.
     """
-    if e % 2:
-        raise RepresentationError(f"v-exponent {e} is not a multiple of 2 (x = v^2)")
-    if order < 0:
-        raise DomainError("order must be non-negative")
-    ups, downs = list(ups), list(downs)
-    if min(ups, default=1) < 1 or min(downs, default=1) < 1:
-        raise DomainError("poch_ratio needs factors (1 - q^a) with a >= 1")
-    length = (order + 1) // 2
-    ups, downs = _cancelled(
-        [a for a in ups if a < length], [b for b in downs if b < length]
+
+    __slots__ = ("c", "e", "net")
+
+    def __init__(
+        self, c: int, e: int, ups: Iterable[int] = (), downs: Iterable[int] = ()
+    ):
+        if not isinstance(c, int) or not c:
+            raise DomainError(f"a PochTerm needs a nonzero integer, got {c!r}")
+        self.c, self.e, self.net = c, e, _net(ups, downs)
+
+    def _combined(self, c: int, other: "PochTerm", sign: int) -> "PochTerm":
+        """c times v^e and the factors of self, times (sign 1) or divided by
+        (sign -1) v^e and the factors of other."""
+        net = dict(self.net)
+        for a, k in other.net.items():
+            k = net.get(a, 0) + sign * k
+            if k:
+                net[a] = k
+            else:
+                del net[a]
+        out = PochTerm.__new__(PochTerm)
+        out.c, out.e, out.net = c, self.e + sign * other.e, net
+        return out
+
+    def __mul__(self, other: "PochTerm") -> "PochTerm":
+        if not isinstance(other, PochTerm):
+            return NotImplemented
+        return self._combined(self.c * other.c, other, 1)
+
+    def __truediv__(self, other: "PochTerm") -> "PochTerm":
+        """Exact division; a coefficient that other's does not divide
+        raises DomainError."""
+        if not isinstance(other, PochTerm):
+            return NotImplemented
+        c, r = divmod(self.c, other.c)
+        if r:
+            raise DomainError(f"{self.c} is not a multiple of {other.c}")
+        return self._combined(c, other, -1)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PochTerm):
+            return NotImplemented
+        return (self.c, self.e, self.net) == (other.c, other.e, other.net)
+
+    def __hash__(self) -> int:
+        return hash((self.c, self.e, frozenset(self.net.items())))
+
+    def __repr__(self) -> str:
+        return f"PochTerm({self.c}, {self.e}, {dict(sorted(self.net.items()))})"
+
+    def exact(self) -> VFraction:
+        """The value as one cancelled fraction: ``poch_sum`` of this term."""
+        return poch_sum([self])
+
+    def series(self, order: int) -> QSeries:
+        """The value as a series in x = q**(1/2) = v**2: shift e/2 and
+        ``order`` coefficients.
+
+        The value is v^e times a series in q, so it is one dense list of
+        ceil(order/2) q-coefficients, spread onto the even x-positions.  A
+        factor (1 - q^a) with a at or past that length is 1 modulo
+        q^length and is never applied, as in ``poch_inf``, so the
+        truncation is exact; each other one is one ``mul_one_minus_qk`` or
+        ``div_one_minus_qk`` pass per unit of its count.  No polynomial of
+        the full degree is built.
+        """
+        if self.e % 2:
+            raise RepresentationError(
+                f"v-exponent {self.e} is not a multiple of 2 (x = v^2)"
+            )
+        if order < 0:
+            raise DomainError("order must be non-negative")
+        length = (order + 1) // 2
+        cs = [self.c] + [0] * (length - 1) if length else []
+        for a, k in self.net.items():
+            if a < length:
+                apply = mul_one_minus_qk if k > 0 else div_one_minus_qk
+                for _ in range(abs(k)):
+                    apply(cs, a)
+        xs = [0] * order
+        xs[::2] = cs
+        return QSeries(self.e // 2, xs)
+
+
+def poch_sum(terms: Sequence[PochTerm]) -> VFraction:
+    """The sum of one or more terms as one polynomial over a product of
+    factors (1 - q^b), with no gcd.
+
+    The terms go over their least common Pochhammer denominator: each
+    (1 - q^b) as often as the most any term has it below.  A factor of it
+    that divides a distinct factor (1 - q^a) left above in every term, as
+    (1 - q^b) divides (1 - q^a) for b | a, is divided out in each term's
+    kernel call (``mul_poch_ratio``); the rest are the stored denominator,
+    so its constant term is +-1 and expanding the value as a series needs
+    no gcd.  Largest factors below are matched first, each with the smallest
+    free multiple above.
+    """
+    down: dict[int, int] = {}
+    for t in terms:
+        for b, k in t.net.items():
+            if -k > down.get(b, 0):
+                down[b] = -k
+    ups = []
+    for t in terms:
+        up = dict(down)
+        for a, k in t.net.items():
+            up[a] = up.get(a, 0) + k
+        ups.append([a for a in sorted(up) for _ in range(up[a])])
+    free = [list(u) for u in ups]
+    inside, outside = [], []
+    for b in sorted(down, reverse=True):
+        for _ in range(down[b]):
+            picks = [
+                next((k for k, a in enumerate(f) if a % b == 0), None) for f in free
+            ]
+            if None in picks:
+                outside.append(b)
+                continue
+            for f, k in zip(free, picks):
+                del f[k]
+            inside.append(b)
+    first, *rest = (
+        mul_poch_ratio(VLaurent.monomial(t.c, t.e), u, inside)
+        for t, u in zip(terms, ups)
     )
-    cs = [c] + [0] * (length - 1) if length else []
-    for a in ups:
-        mul_one_minus_qk(cs, a)
-    for b in downs:
-        div_one_minus_qk(cs, b)
-    xs = [0] * order
-    xs[::2] = cs
-    return QSeries(e // 2, xs)
+    return VFraction(sum(rest, first), poch_ratio(outside, ()))
 
 
 def quantum_product(args: Iterable[int]) -> VLaurent:

@@ -19,6 +19,7 @@ from collections.abc import Callable
 
 from .errors import DomainError, PrecisionError, RepresentationError
 from .qcore import (
+    PochTerm,
     QSeries,
     VFraction,
     VLaurent,
@@ -91,38 +92,29 @@ def agree_to_order(a: QSeries, b: QSeries, n: int) -> bool:
     return na.coeffs[:n] == nb.coeffs[:n]
 
 
-def x_window(q_order: int) -> int:
-    """The x-order, counted from a sum's lowest term, to which
-    ``sum_fraction_products_x`` carries a sum read to q_order
-    q-coefficients: two x-steps per q-step and two q-steps spare.  A
-    factor given as an x-series needs this many coefficients."""
-    return 2 * q_order + 4
-
-
 def sum_fraction_products_x(
-    terms: list[list[VFraction | QSeries]], q_order: int
+    terms: list[list[VFraction | PochTerm]], q_order: int
 ) -> QSeries:
     """Exact series (in x = q**(1/2)) of a finite sum of products of
     rational functions, carried far enough for q_order q-coefficients past
-    the sum's leading term.
+    the sum's leading term: two x-steps per q-step and two q-steps spare.
 
     Summing rational functions through a common polynomial denominator is
     exponentially wasteful here (the chain-coefficient denominators barely
     overlap); expanding each product as a truncated x-series and aligning
-    shifts costs O(order^2) per term instead.  A factor may already be an
-    x-series: it is truncated to the coefficients its product needs, which
-    ``x_window(q_order)`` coefficients always cover, and one that is too
-    short raises PrecisionError rather than shortening the sum.
+    shifts costs O(order^2) per term instead.  Each factor is read only to
+    the coefficients its product needs: a ``PochTerm`` through its
+    ``series``, never as an exact fraction.
     """
     shifts = []
     for factors in terms:
         sh = 0
         for f in factors:
-            if f.is_zero():
+            if isinstance(f, PochTerm):
+                sh += f.e // 2
+            elif f.is_zero():
                 sh = None
                 break
-            if isinstance(f, QSeries):
-                sh += f.shift
             else:
                 sh += (f.num.min_exp() - f.den.min_exp()) // 2
         shifts.append(sh)
@@ -130,7 +122,7 @@ def sum_fraction_products_x(
     if not live:
         return QSeries.zero(2 * q_order)
     lo = min(live)
-    window = x_window(q_order)
+    window = 2 * q_order + 4
     window_end = lo + window
     total = QSeries(lo, [0] * window)
     for factors, sh in zip(terms, shifts):
@@ -139,8 +131,8 @@ def sum_fraction_products_x(
         need = window_end - sh
         prod = None
         for f in factors:
-            if isinstance(f, QSeries):
-                s = f.with_order(need)
+            if isinstance(f, PochTerm):
+                s = f.series(need)
             else:
                 s = fraction_to_x_series(f, need)
             prod = s if prod is None else series_mul(prod, s)

@@ -29,8 +29,10 @@ CheckResult = tuple[bool, str]
 # they now run far below 10 s there, and the limits were kept.  The checks
 # that read their closed forms and targets only to the order they compare
 # run in about 0.05-0.1 s at their caps, most of it the start-up of the
-# process, and peak at 17 MiB.  The worst accepted case is jw_laws at 8,
-# 7.0-7.1 s.
+# process, and peak at 17 MiB; nn_i_sweep compares its closed forms as
+# PochTerm values, with no polynomial built (timed on a busier machine,
+# where its exact comparison took 0.8-1.1 s).  The worst accepted case is
+# jw_laws at 8, 7.0-7.1 s.
 MAX_N_MAX: dict[str, int] = {
     "morrison": 4,  # 0.3 s (builds f(8) cold); at 5 f(10) is over MAX_BOX_COLOR
     "jw_laws": 8,  # 7.0-7.1 s (3 runs; 7: 1.3 s); at 9 f(9) is over MAX_BOX_COLOR
@@ -39,7 +41,7 @@ MAX_N_MAX: dict[str, int] = {
     "tail_lemma_bubble0": 70,  # 0.06 s (3 runs; 10 ms in-process) / 80: 0.01 s
     "tail_lemma_psum": 28,  # 0.09 s (3 runs) / 30: 0.05-0.06 s
     "tail_lemma_psum_nn0": 24,  # 0.10 s (3 runs) / 26: 0.06 s
-    "nn_i_sweep": 14,  # 0.44 s (3 runs; 0.39 s in-process) / 16: 0.73 s
+    "nn_i_sweep": 14,  # 0.16-0.17 s (3 runs; exact fractions: 0.8-1.1 s) / 16: 0.07 s
     "torus_stabilization": 50,  # 0.06 s at k_max 3 (3 runs) / 60: 0.02 s
     "lambda_theorem": 11,  # 0.06-0.07 s (3 runs) / 12: 0.02 s
     "theta_tail": 60,  # 0.05 s (3 runs; 7 ms in-process) / 70: 0.01 s
@@ -257,7 +259,10 @@ def check_bubble_oracle(params: dict) -> CheckResult:
     # network (by its serialized text) is contracted once, and each distinct
     # coefficient is built once.
     brackets: dict[str, VFraction] = {}
-    coeff = cache(bubble_coeff)
+
+    @cache
+    def coeff(*args) -> VFraction:
+        return bubble_coeff(*args).exact()
 
     def bracket(net) -> VFraction:
         text = net.serialize()
@@ -302,7 +307,7 @@ def check_theta_oracle(params: dict) -> CheckResult:
     n_max = int(params.get("n_max", 2))
     for n in range(1, n_max + 1):
         got = bracket_closed(theta_network(2 * n, 2 * n, 2 * n))
-        if got != theta_2n(n):
+        if got != theta_2n(n).exact():
             return False, f"theta network differs from theta_2n at n={n}"
     return True, f"theta_2n matches the theta-network bracket for n <= {n_max}"
 
@@ -344,41 +349,47 @@ def check_oracle_basics(params: dict) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-# The targets (q^c; q)_n of tail_lemma_fact, tail_lemma_bubble0 and
-# theta_tail are read to n + 1 coefficients, where they equal
-# (q^c; q)_inf for c >= 1: both apply the same factors (1 - q^a) with
-# a <= n, and the rest are 1 there.  So each target is
-# ``poch_inf(c, n + 1)``, not the whole polynomial (q^c; q)_n.
+def _closed_form_tail(
+    n_max: int, form: Callable, c: int, name: str, label: str
+) -> CheckResult:
+    """A single-term closed form read to order 2n + 2 in x agrees with
+    (q^c; q)_n to order n for n <= n_max.
+
+    The target is read to n + 1 coefficients, where (q^c; q)_n equals
+    (q^c; q)_inf for c >= 1: both apply the same factors (1 - q^a) with
+    a <= n, and the rest are 1 there.  So it is ``poch_inf(c, n + 1)``,
+    not the whole polynomial (q^c; q)_n.
+    """
+    from .qcore import poch_inf
+    from .tails_engine import agree_to_order, x_series_to_normalized_q
+
+    for n in range(1, n_max + 1):
+        s = x_series_to_normalized_q(form(n).series(2 * n + 2), n + 1)
+        if not agree_to_order(s, poch_inf(c, n + 1), n):
+            return False, f"{name} tail fails at n={n}"
+    target = "(q;q)_n" if c == 1 else f"(q^{c};q)_n"
+    return True, f"{label} agrees with {target} to order n for n <= {n_max}"
 
 
 def check_tail_lemma_fact(params: dict) -> CheckResult:
-    from .qcore import poch_inf
     from .skein_formulas import hook_coeff
-    from .tails_engine import agree_to_order, x_series_to_normalized_q
 
     n_max = int(params.get("n_max", 20))
-    for n in range(1, n_max + 1):
-        s = x_series_to_normalized_q(hook_coeff(n, order=2 * n + 2), n + 1)
-        tgt = poch_inf(1, n + 1)
-        if not agree_to_order(s, tgt, n):
-            return False, f"([n]!)^2/[2n]! tail fails at n={n}"
-    return True, f"([n]!)^2/[2n]! agrees with (q;q)_n to order n for n <= {n_max}"
+    fact = "([n]!)^2/[2n]!"
+    return _closed_form_tail(n_max, hook_coeff, 1, fact, fact)
 
 
 def check_tail_lemma_bubble0(params: dict) -> CheckResult:
-    from .qcore import poch_inf
     from .skein_formulas import bubble_coeff
-    from .tails_engine import agree_to_order, x_series_to_normalized_q
 
     n_max = int(params.get("n_max", 20))
-    for n in range(1, n_max + 1):
-        s = x_series_to_normalized_q(
-            bubble_coeff(n, n, n, n, 0, order=2 * n + 2), n + 1
-        )
-        tgt = poch_inf(1, n + 1)
-        if not agree_to_order(s, tgt, n):
-            return False, f"bubble coefficient tail fails at n={n}"
-    return True, f"ceil[n n; n n]_0 agrees with (q;q)_n to order n for n <= {n_max}"
+    return _closed_form_tail(
+        n_max,
+        lambda n: bubble_coeff(n, n, n, n, 0),
+        1,
+        "bubble coefficient",
+        "ceil[n n; n n]_0",
+    )
 
 
 def check_tail_lemma_psum(params: dict) -> CheckResult:
@@ -388,13 +399,11 @@ def check_tail_lemma_psum(params: dict) -> CheckResult:
         agree_to_order,
         sum_fraction_products_x,
         x_series_to_normalized_q,
-        x_window,
     )
 
     n_max = int(params.get("n_max", 12))
     for n in range(1, n_max + 1):
-        w = x_window(n + 1)
-        terms = [[p_coeff(n, i, order=w)] for i in range(n + 1)]
+        terms = [[p_coeff(n, i)] for i in range(n + 1)]
         sx = sum_fraction_products_x(terms, n + 1)
         sq = x_series_to_normalized_q(sx, n + 1)
         if not agree_to_order(sq, false_theta(2, n + 1), n):
@@ -409,16 +418,11 @@ def check_tail_lemma_psum_nn0(params: dict) -> CheckResult:
         agree_to_order,
         sum_fraction_products_x,
         x_series_to_normalized_q,
-        x_window,
     )
 
     n_max = int(params.get("n_max", 12))
     for n in range(1, n_max + 1):
-        w = x_window(n + 1)
-        terms = [
-            [p_coeff(n, i, order=w), nn_i_coeff(n, i, 0, order=w)]
-            for i in range(n + 1)
-        ]
+        terms = [[p_coeff(n, i), nn_i_coeff(n, i, 0)] for i in range(n + 1)]
         sx = sum_fraction_products_x(terms, n + 1)
         sq = x_series_to_normalized_q(sx, n + 1)
         if not agree_to_order(sq, theta_f(2, n + 1), n):
@@ -485,17 +489,10 @@ def check_lambda_theorem(params: dict) -> CheckResult:
 
 
 def check_theta_tail(params: dict) -> CheckResult:
-    from .qcore import poch_inf
     from .skein_formulas import theta_2n
-    from .tails_engine import agree_to_order, x_series_to_normalized_q
 
     n_max = int(params.get("n_max", 15))
-    for n in range(1, n_max + 1):
-        s = x_series_to_normalized_q(theta_2n(n, order=2 * n + 2), n + 1)
-        tgt = poch_inf(2, n + 1)
-        if not agree_to_order(s, tgt, n):
-            return False, f"theta_2n tail fails at n={n}"
-    return True, f"theta_2n(n) agrees with (q^2;q)_n to order n for n <= {n_max}"
+    return _closed_form_tail(n_max, theta_2n, 2, "theta_2n", "theta_2n(n)")
 
 
 def check_product_laws(params: dict) -> CheckResult:

@@ -22,7 +22,15 @@ from skeintails.networks import (
     theta_network,
     torus_knot_network,
 )
-from skeintails.qcore import V_LOOP, QSeries, VFraction, VLaurent, delta_n, quantum_int
+from skeintails.qcore import (
+    V_LOOP,
+    PochTerm,
+    QSeries,
+    VFraction,
+    VLaurent,
+    delta_n,
+    quantum_int,
+)
 from skeintails.skein_formulas import colored_jones_torus, tet_2n, theta_2n
 from skeintails.tails_engine import normalize
 from skeintails.tl_oracle import MAX_BOX_COLOR, join, jones_wenzl
@@ -86,7 +94,10 @@ class TestSpinNetworks:
 
     @pytest.mark.parametrize(
         "net, formula, n",
-        [(tet_network(6), tet_2n, 3), (theta_network(8, 8, 8), theta_2n, 4)],
+        [
+            (tet_network(6), tet_2n, 3),
+            (theta_network(8, 8, 8), lambda n: theta_2n(n).exact(), 4),
+        ],
         ids=["tet-n3", "theta-8-8-8"],
     )
     def test_projector_heavy_networks(self, net, formula, n):
@@ -514,7 +525,7 @@ class TestBubbleNetworks:
         real = skein_formulas.bubble_coeff
         monkeypatch.setattr(
             skein_formulas, "bubble_coeff",
-            lambda m, n, k, l, i: real(m, n, k, l, i) * (2 if i == 2 else 1),
+            lambda m, n, k, l, i: real(m, n, k, l, i) * PochTerm(2 if i == 2 else 1, 0),
         )
         assert run_check("bubble_oracle", {"max_param": 2}) == (
             False, "bubble expansion fails at (2, 2, 2, 2, 2, 2, 'topbottom')"

@@ -6,17 +6,19 @@ checked against a reference made of plain VLaurent products and
 ``div_exact``.  ``quantum_fact``, ``poch_finite``, ``qbinom`` and
 ``colored_jones_torus`` are checked against test-local copies of their
 VLaurent product loops, term for term in what they store.  The closed
-forms that return a VFraction store one cancelled fraction, smaller than
-the product loops' (num, den): they are checked term for term in the
-gcd-reduced canonical form, which is unique, so the check is still exact
-equality.  This reference is independent of the kernel, so checks that now
-use the kernel on both sides (``nn_i_sweep``) stay honest.  ``hook_coeff``
+forms store one cancelled fraction (a ``PochTerm``'s ``exact()``, or
+``poch_sum`` of several terms), smaller than the product loops' (num,
+den): they are checked term for term in the gcd-reduced canonical form,
+which is unique, so the check is still exact equality.  This reference is
+independent of the kernel, so checks that use the kernel's forms on both
+sides (``nn_i_sweep``) stay honest.  ``hook_coeff``
 and ``tet_theta_ratio`` are compared in the same way with the values they
 replace in the tail checks, ([n]!)^2 / [2n]! from ``quantum_fact`` and
 ``tet_2n / theta_2n``, both checked above against the product loops.  The
-single-term closed forms evaluated to an order (``qcore.poch_ratio_series``)
-are checked against the series expansion of their exact values, at every
-order up to past their first factors.
+single-term closed forms read to an order (``PochTerm.series``) are checked
+against the series expansion of their exact values, at every order up to
+past their first factors, and ``PochTerm`` equality against the equality
+of the exact values.
 """
 
 from collections import Counter
@@ -30,10 +32,10 @@ from skeintails import skein_formulas as sf
 from skeintails.errors import (
     ConsistencyError,
     DomainError,
-    PrecisionError,
     RepresentationError,
 )
 from skeintails.qcore import (
+    PochTerm,
     QSeries,
     VFraction,
     VLaurent,
@@ -42,13 +44,12 @@ from skeintails.qcore import (
     mul_poch_ratio,
     poch_finite,
     poch_ratio,
-    poch_ratio_series,
     qbinom,
     quantum_fact,
     quantum_int,
     quantum_product,
 )
-from skeintails.tails_engine import sum_fraction_products_x, x_window
+from skeintails.tails_engine import sum_fraction_products_x
 from skeintails.verifycases import run_check
 
 
@@ -126,7 +127,7 @@ def _ref_hook_coeff(n):
 
 
 def _ref_tet_theta_ratio(n):
-    return sf.tet_2n(n) / sf.theta_2n(n)
+    return sf.tet_2n(n) / sf.theta_2n(n).exact()
 
 
 def _ref_nn_i_coeff(n, i, j):
@@ -153,7 +154,12 @@ def _stored(x):
     return x.terms
 
 
+def _exact(x):
+    return x.exact() if isinstance(x, PochTerm) else x
+
+
 def _canonical(x):
+    x = _exact(x)
     if isinstance(x, VFraction):
         return _stored(x.reduced())
     return _stored(x)
@@ -225,15 +231,17 @@ _ORDERED_FORMS = (
 
 
 def test_order_gives_the_exact_series_prefix():
-    """f(*args, order=k) is the x-series of the exact value to order k, term
-    for term, at every order up to past the value's first few factors."""
+    """f(*args).series(k) is the x-series of the exact value to order k,
+    term for term, at every order up to past the value's first few
+    factors."""
     count = 0
     for fn, _, args in _grid():
         if fn not in _ORDERED_FORMS:
             continue
-        exact = fn(*args)
+        term = fn(*args)
+        exact = term.exact()
         for k in range(2 * max(args) + 7):
-            got = fn(*args, order=k)
+            got = term.series(k)
             assert got == fraction_to_x_series(exact, k), (fn.__name__, args, k)
         count += 1
     assert count == 617
@@ -249,31 +257,30 @@ def test_order_below_zero_raises():
         (sf.hook_coeff, (2,)),
     ):
         with pytest.raises(DomainError):
-            fn(*args, order=-1)
+            fn(*args).series(-1)
     with pytest.raises(DomainError):
-        poch_ratio_series(1, 0, [2], [1], -1)
+        PochTerm(1, 0, [2], [1]).series(-1)
     with pytest.raises(DomainError):
-        poch_ratio_series(1, 0, [0], [], 4)
+        PochTerm(1, 0, [0], [])
 
 
 def test_odd_v_exponent_has_no_x_series():
     with pytest.raises(RepresentationError):
-        poch_ratio_series(1, 3, [2], [1], 4)
+        PochTerm(1, 3, [2], [1]).series(4)
 
 
-def test_short_series_factor_raises():
-    """A factor given as an x-series shorter than the sum's window raises
-    PrecisionError; at the window the sum is the one of the exact value."""
-    q_order = 3
-    w = x_window(q_order)
-    exact = [[sf.p_coeff(3, i)] for i in range(4)]
-    want = sum_fraction_products_x(exact, q_order)
-    assert sum_fraction_products_x(
-        [[sf.p_coeff(3, i, order=w)] for i in range(4)], q_order
-    ) == want
-    for i in range(4):
-        with pytest.raises(PrecisionError):
-            sum_fraction_products_x([[sf.p_coeff(3, i, order=w - 1)]], q_order)
+def test_term_factors_sum_like_their_exact_values():
+    """``sum_fraction_products_x`` reads a PochTerm factor only to the
+    order its product needs, alone or next to a VFraction, and gets the sum
+    of the exact values."""
+    for n in range(1, 5):
+        terms = [[sf.p_coeff(n, i), sf.nn_i_coeff(n, i, 0)] for i in range(n + 1)]
+        exact = [[f.exact() for f in fs] for fs in terms]
+        mixed = [[p.exact(), c] for p, c in terms]
+        for q_order in range(1, n + 3):
+            want = sum_fraction_products_x(exact, q_order)
+            assert sum_fraction_products_x(terms, q_order) == want
+            assert sum_fraction_products_x(mixed, q_order) == want
 
 
 @pytest.mark.parametrize(
@@ -290,12 +297,14 @@ def test_short_series_factor_raises():
 def test_tail_checks_build_no_exact_fraction(monkeypatch, check):
     """The tail checks of the closed forms read them only to the order
     they compare: no exact closed form is built (the kernel
-    ``mul_poch_ratio``), no series is divided, and no target (q^c; q)_n is
-    built whole (``poch_finite``)."""
+    ``mul_poch_ratio``, where ``PochTerm.exact``, ``poch_sum`` and the
+    exact torus sum call it), no series is divided, and no target
+    (q^c; q)_n is built whole (``poch_finite``)."""
 
     def refuse(*args):
         raise AssertionError("an exact closed form was expanded")
 
+    monkeypatch.setattr(qcore, "mul_poch_ratio", refuse)
     monkeypatch.setattr(sf, "mul_poch_ratio", refuse)
     monkeypatch.setattr(qcore, "series_div", refuse)
     monkeypatch.setattr(qcore, "poch_finite", refuse)
@@ -312,7 +321,7 @@ def test_cancelled_denominators_are_smaller():
     the grid, a denominator of lower degree than the product loops."""
     for fn in (sf.nn_i_coeff, sf.tet_2n):
         cases = [(args, ref) for f, ref, args in _grid() if f is fn]
-        ours = sum(_den_degree(fn(*args)) for args, _ in cases)
+        ours = sum(_den_degree(_exact(fn(*args))) for args, _ in cases)
         theirs = sum(_den_degree(ref(*args)) for args, ref in cases)
         assert ours < theirs, (fn.__name__, ours, theirs)
 
@@ -410,12 +419,19 @@ def _counter_cancelled(ups, downs):
     st.lists(st.integers(-2, 12), max_size=12),
 )
 def test_cancelled_matches_counter_reference(ups, downs):
-    """Any exponent below 1 raises DomainError, also one that cancels."""
+    """The one canceller, ``qcore._net``, keeps the factors left above as
+    positive counts and those left below as negative ones, with no zero
+    count.  Any exponent below 1 raises DomainError, also one that
+    cancels."""
     if min(ups + downs, default=1) < 1:
         with pytest.raises(DomainError):
-            qcore._cancelled(ups, downs)
+            qcore._net(ups, downs)
         return
-    assert qcore._cancelled(ups, downs) == _counter_cancelled(ups, downs)
+    net = qcore._net(ups, downs)
+    assert 0 not in net.values()
+    left_up = [a for a in sorted(net) for _ in range(net[a])]
+    left_down = [b for b in sorted(net) for _ in range(-net[b])]
+    assert (left_up, left_down) == _counter_cancelled(ups, downs)
 
 
 def test_cancelled_factor_below_one_still_raises():
@@ -424,19 +440,20 @@ def test_cancelled_factor_below_one_still_raises():
         left_up, left_down = _counter_cancelled(ups, downs)
         assert min(left_up + left_down, default=1) >= 1
         with pytest.raises(DomainError):
-            qcore._cancelled(ups, downs)
+            qcore._net(ups, downs)
         with pytest.raises(DomainError):
-            poch_ratio_series(1, 0, ups, downs, 6)
+            PochTerm(1, 0, ups, downs).series(6)
 
 
 def test_factor_below_one_past_the_order_still_raises():
     # At order 0 every factor is past the order and none is applied, yet a
-    # factor (1 - q^a) with a < 1 is still refused, as at any other order.
+    # factor (1 - q^a) with a < 1 is still refused, as at any other order:
+    # the term refuses it when it is built.
     for ups, downs in (([0], []), ([], [0]), ([7, 0], [7]), ([-1], [-1])):
         with pytest.raises(DomainError):
-            poch_ratio_series(1, 0, ups, downs, 0)
+            PochTerm(1, 0, ups, downs).series(0)
     # Factors past the order are 1 there and drop out, cancelled or not.
-    assert poch_ratio_series(3, 2, [9], [9, 10], 4) == QSeries(1, [3, 0, 0, 0])
+    assert PochTerm(3, 2, [9], [9, 10]).series(4) == QSeries(1, [3, 0, 0, 0])
 
 
 def test_factor_below_one_raises():
@@ -453,3 +470,61 @@ def test_poch_finite_refuses_c_below_one():
             for n in range(4):
                 with pytest.raises(DomainError):
                     poch_finite(sign, c, n)
+
+
+# -- PochTerm as a value ----------------------------------------------------------
+
+_COEFFS = st.integers(-3, 3).filter(bool)
+_SMALL_FACTORS = st.lists(st.integers(1, 8), max_size=5)
+_TERMS = st.builds(
+    PochTerm, _COEFFS, st.integers(-6, 6), _SMALL_FACTORS, _SMALL_FACTORS
+)
+
+
+@st.composite
+def _term_pairs(draw):
+    """Two terms that are equal by construction from different factor
+    lists, or differ only in sign or in v-exponent, or are drawn apart."""
+    c, e = draw(_COEFFS), draw(st.integers(-6, 6))
+    ups, downs = draw(_SMALL_FACTORS), draw(_SMALL_FACTORS)
+    a = PochTerm(c, e, ups, downs)
+    kind = draw(st.sampled_from(["padded", "sign", "shift", "drawn"]))
+    if kind == "padded":
+        # the same value, with factors on both sides and in another order
+        extra = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+        up = draw(st.permutations(ups + extra))
+        b = PochTerm(c, e, up, draw(st.permutations(extra + downs)))
+    elif kind == "sign":
+        b = PochTerm(-c, e, ups, downs)
+    elif kind == "shift":
+        b = PochTerm(c, e + draw(st.sampled_from([-4, -2, 2, 4])), ups, downs)
+    else:
+        b = draw(_TERMS)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_pairs())
+def test_term_equality_is_value_equality(pair):
+    a, b = pair
+    assert (a == b) == (a.exact() == b.exact())
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TERMS, _TERMS)
+def test_term_products_match_their_fractions(a, b):
+    assert (a * b).exact() == a.exact() * b.exact()
+    if a.c % b.c:
+        with pytest.raises(DomainError):
+            a / b
+    else:
+        assert (a / b).exact() == a.exact() / b.exact()
+
+
+def test_zero_term_is_refused():
+    # Zero has no canonical form c v^e prod (1 - q^a)^k, so it is refused.
+    for c in (0, 2.0):
+        with pytest.raises(DomainError):
+            PochTerm(c, 0, [1], [])

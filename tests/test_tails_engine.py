@@ -108,8 +108,8 @@ class TestNormalize:
     def test_no_gcd_on_the_normal_path(self):
         # A stored denominator that starts with +-1 is expanded as stored.
         with mock.patch.object(qcore, "_poly_gcd", side_effect=AssertionError):
-            assert normalize(theta_2n(3), 4) == poch_inf(2, 4)
-            ratio = tet_2n(2) / theta_2n(2)
+            assert normalize(theta_2n(3).exact(), 4) == poch_inf(2, 4)
+            ratio = tet_2n(2) / theta_2n(2).exact()
             sx = sum_fraction_products_x([[ratio]], 4)
             assert agree_to_order(x_series_to_normalized_q(sx, 4), lambda_series(4), 2)
 
@@ -186,7 +186,7 @@ class TestStabilization:
     def test_theta_generator_tail(self):
         # the theta family stabilizes onto (q^2; q)_inf
         g = SeriesGenerator(
-            "theta_2n", {}, lambda n: normalize(theta_2n(n), max(2 * n + 4, 8))
+            "theta_2n", {}, lambda n: normalize(theta_2n(n).exact(), max(2 * n + 4, 8))
         )
         rep = stabilization_report(g, 8)
         assert rep.all_stable
