@@ -33,17 +33,21 @@ x = q**(1/2), from one dense list: a factor (1 - q^a) = (1 - x^(2a)) with
 that compares n + 1 coefficients does O(n) work per factor instead of
 building a polynomial of q-degree O(n^2).  The tail checks read it.
 
-The Pochhammer-quotient forms with several terms (``tet_2n``,
-``tet_theta_ratio``) are sums of such terms over their least common
-Pochhammer denominator (``qcore.poch_sum``, the same function as
-``.exact()``), exact only: their lowest terms can cancel, so a fixed order
-would not bound the precision of the sum.  ``tet_theta_ratio`` is
-Tet(2n)/Theta(2n, 2n, 2n) with each term divided by theta's, not a
-quotient of two VFractions.  The (2, f) torus sum is signed monomials over
-(1 - q^(n+1)), divided exactly in one kernel call; ``colored_jones_torus``
-also takes ``order=``: its sum is 2(n + 1) monomials, added exactly before
-anything is truncated, so one pass of division by (1 - q^(n+1)) over its
-lowest coefficients gives the normalized value to that order.
+The Pochhammer-quotient forms with several terms are sums of such terms.
+``tet_2n`` is their sum over the least common Pochhammer denominator
+(``qcore.poch_sum``, the same function as ``.exact()``), for the oracle
+checks.  ``tet_theta_ratio`` returns its terms, those of Tet(2n) each
+divided by Theta(2n, 2n, 2n)'s one term; the tail check reads their sum
+as series (``tails_engine.sum_fraction_products_x``), each term to the same
+window past the lowest one.  If the lowest terms cancelled, that read
+would be short of the order asked, and the comparison raises
+PrecisionError rather than pass.
+
+The (2, f) torus sum is signed monomials over (1 - q^(n+1)), divided
+exactly in one kernel call; ``colored_jones_torus`` also takes ``order=``:
+its sum is 2(n + 1) monomials, added exactly before anything is truncated,
+so one pass of division by (1 - q^(n+1)) over its lowest coefficients gives
+the normalized value to that order.
 
 Values here are exact rational functions of v (PochTerm, VFraction);
 genuinely polynomial results (like the normalized colored Jones) are
@@ -140,13 +144,13 @@ def tet_2n(n: int) -> VFraction:
     return poch_sum(_tet_terms(n))
 
 
-def tet_theta_ratio(n: int) -> VFraction:
-    """Tet(2n) / Theta(2n, 2n, 2n), as one cancelled fraction: Theta is
-    one term, so each term of Tet is divided by it."""
+def tet_theta_ratio(n: int) -> list[PochTerm]:
+    """The terms of Tet(2n) / Theta(2n, 2n, 2n): Theta is one term, so each
+    term of Tet is divided by it.  ``poch_sum`` of them is the exact value."""
     if n < 0:
         raise DomainError("tet_theta_ratio needs n >= 0")
     theta = theta_2n(n)
-    return poch_sum([t / theta for t in _tet_terms(n)])
+    return [t / theta for t in _tet_terms(n)]
 
 
 def p_coeff(n: int, i: int) -> PochTerm:

@@ -16,15 +16,15 @@ never silently returns False.
 from __future__ import annotations
 
 from collections.abc import Callable
+from operator import add
 
-from .errors import DomainError, PrecisionError, RepresentationError
+from .errors import CapacityError, DomainError, PrecisionError, RepresentationError
 from .qcore import (
     PochTerm,
     QSeries,
     VFraction,
     VLaurent,
     fraction_to_q_series,
-    fraction_to_x_series,
     mul_one_minus_qk,
     mul_poch_inf,
     poch_inf,
@@ -92,52 +92,27 @@ def agree_to_order(a: QSeries, b: QSeries, n: int) -> bool:
     return na.coeffs[:n] == nb.coeffs[:n]
 
 
-def sum_fraction_products_x(
-    terms: list[list[VFraction | PochTerm]], q_order: int
-) -> QSeries:
-    """Exact series (in x = q**(1/2)) of a finite sum of products of
-    rational functions, carried far enough for q_order q-coefficients past
-    the sum's leading term: two x-steps per q-step and two q-steps spare.
+def sum_fraction_products_x(terms: list[PochTerm], q_order: int) -> QSeries:
+    """Series in x = q**(1/2) of a sum of terms, carried far enough for
+    q_order q-coefficients past the lowest term: two x-steps per q-step and
+    two q-steps spare.
 
-    Summing rational functions through a common polynomial denominator is
-    exponentially wasteful here (the chain-coefficient denominators barely
-    overlap); expanding each product as a truncated x-series and aligning
-    shifts costs O(order^2) per term instead.  Each factor is read only to
-    the coefficients its product needs: a ``PochTerm`` through its
-    ``series``, never as an exact fraction.
+    A product of closed forms is one term (``PochTerm.__mul__`` is exact),
+    so this reads every sum of products.  Each term is read through its
+    ``series`` only to the end of that window and added into one list;
+    no fraction is built and no series is multiplied.  If the lowest terms
+    cancel, fewer coefficients than asked are left past the sum's lowest
+    nonzero one, and a comparison that needs more raises PrecisionError
+    (``agree_to_order``).
     """
-    shifts = []
-    for factors in terms:
-        sh = 0
-        for f in factors:
-            if isinstance(f, PochTerm):
-                sh += f.e // 2
-            elif f.is_zero():
-                sh = None
-                break
-            else:
-                sh += (f.num.min_exp() - f.den.min_exp()) // 2
-        shifts.append(sh)
-    live = [s for s in shifts if s is not None]
-    if not live:
-        return QSeries.zero(2 * q_order)
-    lo = min(live)
+    lo = min(t.e for t in terms) // 2
     window = 2 * q_order + 4
-    window_end = lo + window
-    total = QSeries(lo, [0] * window)
-    for factors, sh in zip(terms, shifts):
-        if sh is None or sh >= window_end:
-            continue
-        need = window_end - sh
-        prod = None
-        for f in factors:
-            if isinstance(f, PochTerm):
-                s = f.series(need)
-            else:
-                s = fraction_to_x_series(f, need)
-            prod = s if prod is None else series_mul(prod, s)
-        total = total + prod
-    return total
+    cs = [0] * window
+    for t in terms:
+        off = t.e // 2 - lo
+        if off < window:
+            cs[off:] = map(add, cs[off:], t.series(window - off).coeffs)
+    return QSeries(lo, cs)
 
 
 def x_series_to_normalized_q(s: QSeries, q_order: int) -> QSeries:
@@ -248,6 +223,16 @@ def tail_product_23(t1: QSeries, t2: QSeries, order: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
+# Largest m of the g_m and inadequate_chain families, checked before any
+# series is built.  Each unit of m is one more dense series product (g_m) or
+# one more pass of (q;q)_inf (inadequate_chain), so the time grows linearly
+# in m: at MAX_SERIES_ORDER, g_m takes 8.6-8.7 s at m = 5 (two runs) and
+# 10.2 s at 6, inadequate_chain 3.0 s at 5 (2 cores, CPython 3.11.7), while
+# m = 10**5 takes 2.8 s (g_m) and 1.9 s (inadequate_chain) already at
+# order 20.
+MAX_FAMILY_M = 5
+
+
 def graph_family_tail(family: str, params: dict, order: int) -> QSeries:
     """The stated tail of a named graph family, truncated to the order.
 
@@ -259,10 +244,13 @@ def graph_family_tail(family: str, params: dict, order: int) -> QSeries:
       theta             (q^2;q)_inf
       tet2n             Lambda(q) (q^2;q)_inf
     """
-    if family == "g_m":
+    if family in ("g_m", "inadequate_chain"):
         m = int(params["m"])
         if m < 0:
-            raise DomainError("g_m needs m >= 0")
+            raise DomainError(f"{family} needs m >= 0")
+        if m > MAX_FAMILY_M:
+            raise CapacityError(f"m {m} exceeds limit {MAX_FAMILY_M}")
+    if family == "g_m":
         out = QSeries.one(order)
         lam = lambda_series(order)
         for _ in range(m):
@@ -278,9 +266,6 @@ def graph_family_tail(family: str, params: dict, order: int) -> QSeries:
         f = theta_general(MonomialArg(-1, 2 * l + 2), MonomialArg(b_sign, 1), order)
         return series_mul(psi, f)
     if family == "inadequate_chain":
-        m = int(params["m"])
-        if m < 0:
-            raise DomainError("inadequate_chain needs m >= 0")
         return mul_poch_inf(poch_inf(2, order), 1, order, power=m)
     if family == "theta":
         return poch_inf(2, order)

@@ -29,10 +29,11 @@ CheckResult = tuple[bool, str]
 # they now run far below 10 s there, and the limits were kept.  The checks
 # that read their closed forms and targets only to the order they compare
 # run in about 0.05-0.1 s at their caps, most of it the start-up of the
-# process, and peak at 17 MiB; nn_i_sweep compares its closed forms as
-# PochTerm values, with no polynomial built (timed on a busier machine,
-# where its exact comparison took 0.8-1.1 s).  The worst accepted case is
-# jw_laws at 8, 7.0-7.1 s.
+# process, and peak at 17 MiB (lambda_theorem took 0.10 s reading Tet/Theta
+# as one exact fraction, not as its terms); nn_i_sweep compares its closed
+# forms as PochTerm values, with no polynomial built (timed on a busier
+# machine, where its exact comparison took 0.8-1.1 s).  The worst accepted
+# case is jw_laws at 8, 7.0-7.1 s.
 MAX_N_MAX: dict[str, int] = {
     "morrison": 4,  # 0.3 s (builds f(8) cold); at 5 f(10) is over MAX_BOX_COLOR
     "jw_laws": 8,  # 7.0-7.1 s (3 runs; 7: 1.3 s); at 9 f(9) is over MAX_BOX_COLOR
@@ -43,7 +44,7 @@ MAX_N_MAX: dict[str, int] = {
     "tail_lemma_psum_nn0": 24,  # 0.10 s (3 runs) / 26: 0.06 s
     "nn_i_sweep": 14,  # 0.16-0.17 s (3 runs; exact fractions: 0.8-1.1 s) / 16: 0.07 s
     "torus_stabilization": 50,  # 0.06 s at k_max 3 (3 runs) / 60: 0.02 s
-    "lambda_theorem": 11,  # 0.06-0.07 s (3 runs) / 12: 0.02 s
+    "lambda_theorem": 11,  # 0.07-0.08 s (3 runs; 3 ms in-process) / 12: 4 ms
     "theta_tail": 60,  # 0.05 s (3 runs; 7 ms in-process) / 70: 0.01 s
     "tail85_oracle": 2,  # 0.07 s; at 3 the work cap refuses the braid (101,181 joins)
 }
@@ -349,85 +350,89 @@ def check_oracle_basics(params: dict) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_tail(
-    n_max: int, form: Callable, c: int, name: str, label: str
+def _tail_check(
+    n_max: int,
+    terms: Callable[[int], list[PochTerm]],
+    target: QSeries,
+    fail: str,
+    ok: str,
 ) -> CheckResult:
-    """A single-term closed form read to order 2n + 2 in x agrees with
-    (q^c; q)_n to order n for n <= n_max.
+    """The sum of ``terms(n)``, read to n + 1 q-coefficients, agrees with
+    the target to order n for n <= n_max; the detail is ``ok``, or ``fail``
+    and the first n where they differ.
 
-    The target is read to n + 1 coefficients, where (q^c; q)_n equals
-    (q^c; q)_inf for c >= 1: both apply the same factors (1 - q^a) with
-    a <= n, and the rest are 1 there.  So it is ``poch_inf(c, n + 1)``,
-    not the whole polynomial (q^c; q)_n.
+    The target is built once, to n_max + 1 coefficients.  A (q^c; q)_n
+    target is ``poch_inf(c, n_max + 1)``: to n + 1 coefficients (q^c; q)_n
+    equals (q^c; q)_inf for c >= 1, as both apply the same factors
+    (1 - q^a) with a <= n and the rest are 1 there.
     """
-    from .qcore import poch_inf
-    from .tails_engine import agree_to_order, x_series_to_normalized_q
+    from .tails_engine import (
+        agree_to_order,
+        sum_fraction_products_x,
+        x_series_to_normalized_q,
+    )
 
     for n in range(1, n_max + 1):
-        s = x_series_to_normalized_q(form(n).series(2 * n + 2), n + 1)
-        if not agree_to_order(s, poch_inf(c, n + 1), n):
-            return False, f"{name} tail fails at n={n}"
-    target = "(q;q)_n" if c == 1 else f"(q^{c};q)_n"
-    return True, f"{label} agrees with {target} to order n for n <= {n_max}"
+        s = x_series_to_normalized_q(sum_fraction_products_x(terms(n), n + 1), n + 1)
+        if not agree_to_order(s, target, n):
+            return False, f"{fail} at n={n}"
+    return True, ok
 
 
 def check_tail_lemma_fact(params: dict) -> CheckResult:
+    from .qcore import poch_inf
     from .skein_formulas import hook_coeff
 
     n_max = int(params.get("n_max", 20))
-    fact = "([n]!)^2/[2n]!"
-    return _closed_form_tail(n_max, hook_coeff, 1, fact, fact)
+    return _tail_check(
+        n_max,
+        lambda n: [hook_coeff(n)],
+        poch_inf(1, n_max + 1),
+        "([n]!)^2/[2n]! tail fails",
+        f"([n]!)^2/[2n]! agrees with (q;q)_n to order n for n <= {n_max}",
+    )
 
 
 def check_tail_lemma_bubble0(params: dict) -> CheckResult:
+    from .qcore import poch_inf
     from .skein_formulas import bubble_coeff
 
     n_max = int(params.get("n_max", 20))
-    return _closed_form_tail(
+    return _tail_check(
         n_max,
-        lambda n: bubble_coeff(n, n, n, n, 0),
-        1,
-        "bubble coefficient",
-        "ceil[n n; n n]_0",
+        lambda n: [bubble_coeff(n, n, n, n, 0)],
+        poch_inf(1, n_max + 1),
+        "bubble coefficient tail fails",
+        f"ceil[n n; n n]_0 agrees with (q;q)_n to order n for n <= {n_max}",
     )
 
 
 def check_tail_lemma_psum(params: dict) -> CheckResult:
     from .qidentities import false_theta
     from .skein_formulas import p_coeff
-    from .tails_engine import (
-        agree_to_order,
-        sum_fraction_products_x,
-        x_series_to_normalized_q,
-    )
 
     n_max = int(params.get("n_max", 12))
-    for n in range(1, n_max + 1):
-        terms = [[p_coeff(n, i)] for i in range(n + 1)]
-        sx = sum_fraction_products_x(terms, n + 1)
-        sq = x_series_to_normalized_q(sx, n + 1)
-        if not agree_to_order(sq, false_theta(2, n + 1), n):
-            return False, f"sum of P(n,i) tail fails at n={n}"
-    return True, f"sum_i P(n,i) agrees with Psi(q^3,q) to order n for n <= {n_max}"
+    return _tail_check(
+        n_max,
+        lambda n: [p_coeff(n, i) for i in range(n + 1)],
+        false_theta(2, n_max + 1),
+        "sum of P(n,i) tail fails",
+        f"sum_i P(n,i) agrees with Psi(q^3,q) to order n for n <= {n_max}",
+    )
 
 
 def check_tail_lemma_psum_nn0(params: dict) -> CheckResult:
     from .qidentities import theta_f
     from .skein_formulas import nn_i_coeff, p_coeff
-    from .tails_engine import (
-        agree_to_order,
-        sum_fraction_products_x,
-        x_series_to_normalized_q,
-    )
 
     n_max = int(params.get("n_max", 12))
-    for n in range(1, n_max + 1):
-        terms = [[p_coeff(n, i), nn_i_coeff(n, i, 0)] for i in range(n + 1)]
-        sx = sum_fraction_products_x(terms, n + 1)
-        sq = x_series_to_normalized_q(sx, n + 1)
-        if not agree_to_order(sq, theta_f(2, n + 1), n):
-            return False, f"sum of P(n,i) ceil[n i; n n]_0 tail fails at n={n}"
-    return True, f"sum_i P(n,i) ceil_0 agrees with f(-q^4,-q) to order n for n <= {n_max}"
+    return _tail_check(
+        n_max,
+        lambda n: [p_coeff(n, i) * nn_i_coeff(n, i, 0) for i in range(n + 1)],
+        theta_f(2, n_max + 1),
+        "sum of P(n,i) ceil[n i; n n]_0 tail fails",
+        f"sum_i P(n,i) ceil_0 agrees with f(-q^4,-q) to order n for n <= {n_max}",
+    )
 
 
 def check_nn_i_sweep(params: dict) -> CheckResult:
@@ -472,27 +477,29 @@ def check_torus_stabilization(params: dict) -> CheckResult:
 def check_lambda_theorem(params: dict) -> CheckResult:
     from .qidentities import lambda_series
     from .skein_formulas import tet_theta_ratio
-    from .tails_engine import (
-        agree_to_order,
-        sum_fraction_products_x,
-        x_series_to_normalized_q,
-    )
 
     n_max = int(params.get("n_max", 6))
-    lam = lambda_series(n_max + 2)
-    for n in range(1, n_max + 1):
-        rx = sum_fraction_products_x([[tet_theta_ratio(n)]], n + 2)
-        rq = x_series_to_normalized_q(rx, n + 2)
-        if not agree_to_order(rq, lam, n):
-            return False, f"tet/theta ratio differs from Lambda at n={n}"
-    return True, f"tet_2n/theta_2n agrees with Lambda(q) to order n for n <= {n_max}"
+    return _tail_check(
+        n_max,
+        tet_theta_ratio,
+        lambda_series(n_max + 1),
+        "tet/theta ratio differs from Lambda",
+        f"tet_2n/theta_2n agrees with Lambda(q) to order n for n <= {n_max}",
+    )
 
 
 def check_theta_tail(params: dict) -> CheckResult:
+    from .qcore import poch_inf
     from .skein_formulas import theta_2n
 
     n_max = int(params.get("n_max", 15))
-    return _closed_form_tail(n_max, theta_2n, 2, "theta_2n", "theta_2n(n)")
+    return _tail_check(
+        n_max,
+        lambda n: [theta_2n(n)],
+        poch_inf(2, n_max + 1),
+        "theta_2n tail fails",
+        f"theta_2n(n) agrees with (q^2;q)_n to order n for n <= {n_max}",
+    )
 
 
 def check_product_laws(params: dict) -> CheckResult:

@@ -14,6 +14,7 @@ from skeintails.cli import MAX_JONES_N, MAX_JONES_SIZE, main
 from skeintails.networks import tet_network, theta_network, torus_knot_network
 from skeintails.qcore import MAX_SERIES_ORDER, poch_inf
 from skeintails.qidentities import MAX_AG_K, theta_f
+from skeintails.tails_engine import MAX_FAMILY_M
 from skeintails.verifycases import MAX_F, MAX_MAX_PARAM, MAX_N_MAX, check_product_laws
 
 
@@ -282,6 +283,25 @@ class TestVerify:
         assert lines[0] == f"[ERROR] huge-k: CapacityError: k 1000000 exceeds limit {MAX_AG_K}"
         assert lines[1].startswith("[PASS ] after:")
         assert lines[2] == "1/2 cases passed"
+
+    @pytest.mark.parametrize("family", ["g_m", "inadequate_chain"])
+    def test_family_m_cap_is_error_case(self, tmp_path, family):
+        # Each unit of m is one more pass over the series: uncapped, m = 10**9
+        # ran for hours even at order 20.
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"suite": "s", "cases": [
+            {"id": "huge-m", "check": "series_equal", "params": {
+                "order": 20, "a": {"family": family, "m": 10**9},
+                "b": {"series": "poch_inf", "c": 1}}},
+        ]}))
+        start = time.perf_counter()
+        code, out = run(["verify", str(path)])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out.splitlines() == [
+            f"[ERROR] huge-m: CapacityError: m 1000000000 exceeds limit {MAX_FAMILY_M}",
+            "0/1 cases passed",
+        ]
 
     def test_n_max_cap_is_error_case(self, tmp_path):
         path = tmp_path / "s.json"

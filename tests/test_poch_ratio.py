@@ -14,17 +14,19 @@ independent of the kernel, so checks that use the kernel's forms on both
 sides (``nn_i_sweep``) stay honest.  ``hook_coeff``
 and ``tet_theta_ratio`` are compared in the same way with the values they
 replace in the tail checks, ([n]!)^2 / [2n]! from ``quantum_fact`` and
-``tet_2n / theta_2n``, both checked above against the product loops.  The
+``tet_2n / theta_2n``, both checked above against the product loops
+(``tet_theta_ratio`` returns terms: their ``poch_sum`` is compared).  The
 single-term closed forms read to an order (``PochTerm.series``) are checked
 against the series expansion of their exact values, at every order up to
-past their first factors, and ``PochTerm`` equality against the equality
-of the exact values.
+past their first factors, ``PochTerm`` equality against the equality
+of the exact values, and a sum of terms read as a series
+(``sum_fraction_products_x``) against the expansion of its exact sum.
 """
 
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skeintails import qcore
@@ -43,6 +45,7 @@ from skeintails.qcore import (
     fraction_to_x_series,
     mul_poch_ratio,
     poch_finite,
+    poch_sum,
     poch_ratio,
     qbinom,
     quantum_fact,
@@ -130,6 +133,10 @@ def _ref_tet_theta_ratio(n):
     return sf.tet_2n(n) / sf.theta_2n(n).exact()
 
 
+def _tet_theta_value(n):
+    return poch_sum(sf.tet_theta_ratio(n))
+
+
 def _ref_nn_i_coeff(n, i, j):
     sign = -1 if (j + n) % 2 else 1
     out = VFraction.from_poly(VLaurent.monomial(sign, 4 * j * j + 2 * j - 2 * n))
@@ -172,7 +179,7 @@ _CLOSED_FORMS = (
     sf.p_coeff,
     sf.nn_i_coeff,
     sf.hook_coeff,
-    sf.tet_theta_ratio,
+    _tet_theta_value,
 )
 
 
@@ -207,7 +214,7 @@ def _grid():
     for n in range(21):
         yield sf.hook_coeff, _ref_hook_coeff, (n,)
     for n in range(9):
-        yield sf.tet_theta_ratio, _ref_tet_theta_ratio, (n,)
+        yield _tet_theta_value, _ref_tet_theta_ratio, (n,)
 
 
 def test_stored_forms_match_the_product_loops():
@@ -269,31 +276,71 @@ def test_odd_v_exponent_has_no_x_series():
         PochTerm(1, 3, [2], [1]).series(4)
 
 
-def test_term_factors_sum_like_their_exact_values():
-    """``sum_fraction_products_x`` reads a PochTerm factor only to the
-    order its product needs, alone or next to a VFraction, and gets the sum
-    of the exact values."""
-    for n in range(1, 5):
-        terms = [[sf.p_coeff(n, i), sf.nn_i_coeff(n, i, 0)] for i in range(n + 1)]
-        exact = [[f.exact() for f in fs] for fs in terms]
-        mixed = [[p.exact(), c] for p, c in terms]
-        for q_order in range(1, n + 3):
-            want = sum_fraction_products_x(exact, q_order)
-            assert sum_fraction_products_x(terms, q_order) == want
-            assert sum_fraction_products_x(mixed, q_order) == want
+_factors = st.lists(st.integers(1, 6), max_size=4)
 
 
-@pytest.mark.parametrize(
-    "check",
-    [
-        "tail_lemma_fact",
-        "tail_lemma_bubble0",
-        "theta_tail",
-        "tail_lemma_psum",
-        "tail_lemma_psum_nn0",
-        "torus_stabilization",
-    ],
-)
+@st.composite
+def _term_lists(draw):
+    """One to four terms on one v-residue mod 4, each maybe followed by a
+    term with the same lowest term negated, so that the sum's lowest terms
+    cancel."""
+    r = draw(st.sampled_from((0, 2)))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        c = draw(st.integers(-3, 3).filter(bool))
+        e = r + 4 * draw(st.integers(-3, 3))
+        terms.append(PochTerm(c, e, draw(_factors), draw(_factors)))
+        if draw(st.booleans()):
+            terms.append(PochTerm(-c, e, draw(_factors), draw(_factors)))
+    return terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_lists(), st.integers(0, 8))
+def test_term_factors_sum_like_their_exact_values(terms, q_order):
+    """``sum_fraction_products_x`` reads a sum of terms as the expansion of
+    its exact sum, to what is left of its window past the cancelled lowest
+    terms; a window that cancels to zero lies below the sum's lowest term."""
+    exact = poch_sum(terms)
+    assume(not exact.is_zero())
+    s = sum_fraction_products_x(terms, q_order)
+    if s.is_zero():
+        assert fraction_to_x_series(exact, 1).shift >= s.shift + s.order
+    else:
+        assert s == fraction_to_x_series(exact, s.order)
+
+
+_TAIL_CHECKS = {
+    "tail_lemma_fact": ("hook_coeff", "([n]!)^2/[2n]! tail fails"),
+    "tail_lemma_bubble0": ("bubble_coeff", "bubble coefficient tail fails"),
+    "theta_tail": ("theta_2n", "theta_2n tail fails"),
+    "tail_lemma_psum": ("p_coeff", "sum of P(n,i) tail fails"),
+    "tail_lemma_psum_nn0": ("p_coeff", "sum of P(n,i) ceil[n i; n n]_0 tail fails"),
+    "lambda_theorem": ("tet_theta_ratio", "tet/theta ratio differs from Lambda"),
+}
+
+
+@pytest.mark.parametrize("check", list(_TAIL_CHECKS))
+def test_tail_checks_name_the_first_failing_n(monkeypatch, check):
+    """A closed form made wrong at n = 3 alone, by a factor (1 - q) that
+    moves its normalized q^1 coefficient, fails its tail check at n = 3."""
+    name, detail = _TAIL_CHECKS[check]
+    real = getattr(sf, name)
+    one_minus_q = PochTerm(1, 0, [1])
+
+    def wrong(n, *rest):
+        value = real(n, *rest)
+        if n != 3:
+            return value
+        if isinstance(value, list):
+            return [t * one_minus_q for t in value]
+        return value * one_minus_q
+
+    monkeypatch.setattr(sf, name, wrong)
+    assert run_check(check, {"n_max": 5}) == (False, f"{detail} at n=3")
+
+
+@pytest.mark.parametrize("check", [*_TAIL_CHECKS, "torus_stabilization"])
 def test_tail_checks_build_no_exact_fraction(monkeypatch, check):
     """The tail checks of the closed forms read them only to the order
     they compare: no exact closed form is built (the kernel

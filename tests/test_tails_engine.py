@@ -5,32 +5,32 @@ from unittest import mock
 
 import pytest
 
-from skeintails import qcore
-from skeintails.errors import DomainError, PrecisionError
+from skeintails import qcore, tails_engine
+from skeintails.errors import CapacityError, DomainError, PrecisionError
 from skeintails.qcore import (
     QSeries,
     VFraction,
     VLaurent,
     poch_finite,
     poch_inf,
+    poch_sum,
     quantum_int,
     series_div,
     series_mul,
     to_q_series,
 )
 from skeintails.qidentities import false_theta, lambda_series, theta_f
-from skeintails.skein_formulas import colored_jones_torus, tet_2n, theta_2n
+from skeintails.skein_formulas import colored_jones_torus, tet_theta_ratio, theta_2n
 from skeintails.tails_engine import (
+    MAX_FAMILY_M,
     SeriesGenerator,
     agree_to_order,
     graph_family_tail,
     normalize,
     stabilization_report,
-    sum_fraction_products_x,
     tail_product_1,
     tail_product_23,
     torus_jones_generator,
-    x_series_to_normalized_q,
 )
 
 
@@ -109,9 +109,8 @@ class TestNormalize:
         # A stored denominator that starts with +-1 is expanded as stored.
         with mock.patch.object(qcore, "_poly_gcd", side_effect=AssertionError):
             assert normalize(theta_2n(3).exact(), 4) == poch_inf(2, 4)
-            ratio = tet_2n(2) / theta_2n(2).exact()
-            sx = sum_fraction_products_x([[ratio]], 4)
-            assert agree_to_order(x_series_to_normalized_q(sx, 4), lambda_series(4), 2)
+            ratio = poch_sum(tet_theta_ratio(2))
+            assert agree_to_order(normalize(ratio, 4), lambda_series(4), 2)
 
     def test_torus_jones_prefix(self):
         s = normalize(colored_jones_torus(3, 3))
@@ -243,6 +242,22 @@ class TestGraphFamilies:
         pp = poch_inf(1, order)
         want = series_mul(series_mul(poch_inf(2, order), pp), pp).with_order(order)
         assert graph_family_tail("inadequate_chain", {"m": 2}, order) == want
+
+    def test_m_cap(self):
+        order = 10
+        want = poch_inf(1, order)
+        for _ in range(MAX_FAMILY_M):
+            want = series_mul(want, lambda_series(order))
+        assert graph_family_tail("g_m", {"m": MAX_FAMILY_M}, order) == want
+        # Refused before any series is built, whatever the order.
+        with mock.patch.object(tails_engine, "lambda_series", side_effect=AssertionError), \
+                mock.patch.object(tails_engine, "poch_inf", side_effect=AssertionError):
+            for family in ("g_m", "inadequate_chain"):
+                for m in (MAX_FAMILY_M + 1, 10**9):
+                    with pytest.raises(
+                        CapacityError, match=f"^m {m} exceeds limit {MAX_FAMILY_M}$"
+                    ):
+                        graph_family_tail(family, {"m": m}, 10)
 
     def test_theta_family(self):
         assert graph_family_tail("theta", {}, 20) == poch_inf(2, 20)
