@@ -32,28 +32,30 @@ right numerator is added to the sum of its (diagram, loops) key, each sum
 is multiplied once by each left numerator of the class, and delta**loops,
 v**(-2 loops) (1 + v**4)**loops up to sign, is folded in as one more
 multiply by a packed (1 + X)**loops over a common offset, so a result
-diagram is unpacked once.
+diagram is unpacked once.  An element keeps the packing of its numerators
+at each slot width it has been multiplied at, so a projector used in many
+products (e_i f, f e_i, the absorption products) is packed once per width;
+elements are not changed after they are built, so a kept packing holds.
 
-Jones-Wenzl projectors are built by Wenzl's recursion
+Jones-Wenzl projectors are built from f(0) = empty and f(1) = single
+strand by the single-clasp expansion of Wenzl's recursion (Kauffman-Lins,
+*Temperley-Lieb Recoupling Theory*, 1994; S. Morrison, *A formula for the
+Jones-Wenzl projections*)
 
-    f(n) = f(n-1)x1 - (Delta_{n-2}/Delta_{n-1}) (f(n-1)x1) e_{n-1} (f(n-1)x1)
+    [n] f(n) = (f(n-1)x1) * sum_{a=1..n} [a] w_a,
 
-starting from f(1) = single strand, and memoized (the recursion reuses
-f(n-1) heavily).  Since f(n-1) e_j = 0, a term of (f(n-1)x1) e_{n-1} with
-a cap on two adjacent top points among the first n-1 vanishes against the
-second factor, so the step drops it before that product: n-1 of the
-Catalan(n-1) terms are multiplied out.
+where w_n is the identity and w_a = e_{n-1} e_{n-2} ... e_a is one
+diagram, and memoized (each step reuses f(n-1)).
 
 A ``TLElement`` is fraction-free: one integer Laurent numerator per
 diagram over one shared denominator, so products, sums and closures are
-integer polynomial arithmetic with no gcd.  The recursion only ever
-divides by quantum integers, and [n]! f(n) has integer coefficients, so
-f(n) is kept over the denominator [n]!: each step multiplies the
-numerators of f(n-1) x 1 by [n] and divides the correction term exactly
-by the monic [n-1]!.  A ``VFraction`` appears only at the boundary
-(``trace_close``, ``coeff_of`` and the argument of ``scale``).  Everything
-here is exact and serves as the independent oracle for the closed-form
-formulas elsewhere in the package.
+integer polynomial arithmetic with no gcd.  [n]! f(n) has integer
+coefficients, and the step above is one product of f(n-1)x1, over
+[n-1]!, with integer weights over [n], so f(n) is kept over the
+denominator [n]! with no division.  A ``VFraction`` appears only at the
+boundary (``trace_close``, ``coeff_of`` and the argument of ``scale``).
+Everything here is exact and serves as the independent oracle for the
+closed-form formulas elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -66,16 +68,15 @@ from .qcore import (
     kronecker_pack,
     kronecker_unpack,
     kronecker_width,
-    mul_poch_ratio,
     quantum_int,
 )
 
 
 # Largest projector colour.  f(n) has Catalan(n) diagrams with numerators
-# over [n]!; f(0..8) (1430 diagrams for f(8)) build cold in 0.31-0.36 s,
-# and each colour beyond costs several times more (f(9) 1.2 s, most of it
-# the Wenzl step's exact division by [8]!; three runs, 2 cores, CPython
-# 3.11.7).
+# over [n]!; f(0..8) (1430 diagrams for f(8)) build cold in 0.05-0.06 s,
+# and each colour beyond costs several times more (the f(9) step after
+# them 0.15-0.16 s, one product of f(8)x1, 1430 diagrams, with nine;
+# in-process, three runs, 2 cores, CPython 3.11.7).
 MAX_BOX_COLOR = 8
 
 
@@ -201,10 +202,14 @@ def _carry(sums: dict, rep: tuple[int, ...], m: tuple[int, ...], n: int) -> list
 
 
 def _times_loops(buckets: dict) -> dict:
-    """Sum the (key, loops) buckets into keys, each times delta**loops."""
+    """Sum the (key, loops) buckets into keys, each times delta**loops
+    (each power built once)."""
+    powers = [VLaurent.one()]
+    for _ in range(max((loops for _, loops in buckets), default=0)):
+        powers.append(powers[-1] * V_LOOP)
     out: dict = {}
     for (key, loops), c in buckets.items():
-        _accumulate(out, key, c * V_LOOP**loops if loops else c)
+        _accumulate(out, key, c * powers[loops] if loops else c)
     return out
 
 
@@ -218,7 +223,7 @@ class TLElement:
     the other.
     """
 
-    __slots__ = ("n", "terms", "den")
+    __slots__ = ("n", "terms", "den", "_packed")
 
     def __init__(
         self,
@@ -237,6 +242,7 @@ class TLElement:
         self.n = n
         self.terms = clean
         self.den = VLaurent.one() if den is None else den
+        self._packed: dict[int, tuple[int, dict]] = {}
 
     @staticmethod
     def identity(n: int) -> "TLElement":
@@ -273,6 +279,17 @@ class TLElement:
         terms = {m: k * c.num for m, k in self.terms.items()}
         return TLElement(self.n, terms, self.den * c.den)
 
+    def _packing(self, width: int) -> tuple[int, dict]:
+        """(e0, {diagram: _pack_parts(numerator, e0, width)}), e0 the lowest
+        exponent of all numerators; built once per slot width and kept (an
+        element is never changed after it is built)."""
+        packed = self._packed.get(width)
+        if packed is None:
+            e0 = min(c.min_exp() for c in self.terms.values())
+            parts = {m: _pack_parts(c, e0, width) for m, c in self.terms.items()}
+            packed = self._packed[width] = (e0, parts)
+        return packed
+
     def __mul__(self, other: "TLElement") -> "TLElement":
         """Algebra product: other stacked on top of self.
 
@@ -286,21 +303,18 @@ class TLElement:
         a, b = self.terms, other.terms
         if not a or not b:
             return TLElement(n, {}, den)
-        ea = min(c.min_exp() for c in a.values())
-        eb = min(c.min_exp() for c in b.values())
         # A result coefficient is at most sum |c_a| * sum |c_b| * 2**n in
         # absolute value: |delta**loops|_1 = 2**loops and loops <= n.
         width = kronecker_width((_l1(a) * _l1(b)) << n)
+        ea, left = self._packing(width)
+        eb, right = other._packing(width)
         # other's points are offset by 2n; self's top n+j is glued to
         # other's bottom 2n+j.
         glue = {}
         for j in range(n):
             glue[n + j], glue[2 * n + j] = 2 * n + j, n + j
         ends = [*range(n), *range(3 * n, 4 * n)]
-        right = [
-            (tuple(p + 2 * n for p in mb), _pack_parts(cb, eb, width))
-            for mb, cb in b.items()
-        ]
+        right = [(tuple(p + 2 * n for p in mb), cb) for mb, cb in right.items()]
         buckets: dict[tuple[tuple[int, ...], int, int], int] = {}
         for rep, *members in _top_classes(a, n):
             # Sum the packed numerators of other that give one (diagram,
@@ -315,7 +329,7 @@ class TLElement:
             sums = {key: s for key, s in sums.items() if s}
             for m in (rep, *members):
                 carried = sums.items() if m is rep else _carry(sums, rep, m, n)
-                for ra, ca in _pack_parts(a[m], ea, width):
+                for ra, ca in left[m]:
                     for (d, loops, rb), s in carried:
                         key = (d, loops, ra + rb)
                         buckets[key] = buckets.get(key, 0) + ca * s
@@ -422,7 +436,7 @@ _jw_cache: dict[int, TLElement] = {}
 
 
 def jones_wenzl(n: int) -> TLElement:
-    """The n-th Jones-Wenzl projector via Wenzl's recursion (memoized).
+    """The n-th Jones-Wenzl projector by the single-clasp step (memoized).
 
     Its denominator is [n]!, and its numerators are integer Laurent
     polynomials.
@@ -442,32 +456,28 @@ def _jones_wenzl(n: int) -> TLElement:
     elif n == 1:
         el = TLElement.identity(1)
     else:
-        # p = f(n-1) x 1 = N / [n-1]!, and -Delta_{n-2}/Delta_{n-1} = [n-1]/[n],
-        # so f(n) = p + ([n-1]/[n]) p e p has, over [n]! = [n-1]! [n], the
-        # numerators N [n] + [n-1] (N e N) / [n-1]! = N [n] + (N e N) / [n-2]!.
-        # The division is exact ([n]! f(n) is integral), and [n-2]! is
-        # v^(-(n-2)(n-3)) prod_{k<n-1} (1 - q^k) / (1 - q), so it is one pass
-        # of the dense kernel per factor.
-        # A diagram of p e with a cap on adjacent top points j, j+1 < n-1
-        # meets f(n-1) x 1 in cap_j f(n-1) = 0, so (p e) p drops it first:
-        # n-1 of the Catalan(n-1) terms survive.
+        # The single-clasp step (module docstring): one product, over
+        # [n]! = [n-1]! [n], with no division.
         p = _jones_wenzl(n - 1).tensor_strand()
-        pe = p * TLElement.generator(n, n - 1)
-        live = {
-            m: c
-            for m, c in pe.terms.items()
-            if all(m[n + j] != n + j + 1 for j in range(n - 2))
-        }
-        pep = TLElement(n, live, pe.den) * p
-        qn = quantum_int(n)
-        terms = {m: c * qn for m, c in p.terms.items()}
-        ones, down = [1] * (n - 2), range(1, n - 1)
-        for m, c in pep.terms.items():
-            c = mul_poch_ratio(c, ones, down).shift((n - 2) * (n - 3))
-            _accumulate(terms, m, c)
-        el = TLElement(n, terms, p.den * qn)
+        el = p * TLElement(
+            n, {_clasp(n, a): quantum_int(a) for a in range(1, n + 1)}, quantum_int(n)
+        )
     _jw_cache[n] = el
     return el
+
+
+def _clasp(n: int, a: int) -> tuple[int, ...]:
+    """The diagram w_a = e_{n-1} e_{n-2} ... e_a of TL_n (w_n = 1).
+
+    Bottom j < a-1 runs straight up, bottom a-1..n-3 runs up two places to
+    the right, bottom n-2 and n-1 are capped, and top a-1 and a are cupped.
+    """
+    if a == n:
+        return _identity(n)
+    arcs = [(j, n + j) for j in range(a - 1)]
+    arcs += [(j, n + j + 2) for j in range(a - 1, n - 2)]
+    arcs += [(n - 2, n - 1), (n + a - 1, n + a)]
+    return _from_arcs(n, arcs)
 
 
 def coeff_of(e: TLElement, d: tuple[int, ...]) -> VFraction:

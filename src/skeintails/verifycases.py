@@ -33,10 +33,10 @@ CheckResult = tuple[bool, str]
 # as one exact fraction, not as its terms); nn_i_sweep compares its closed
 # forms as PochTerm values, with no polynomial built (timed on a busier
 # machine, where its exact comparison took 0.8-1.1 s).  The worst accepted
-# case is jw_laws at 8, 7.0-7.1 s.
+# case is jw_laws at 8, 6.7-7.0 s.
 MAX_N_MAX: dict[str, int] = {
-    "morrison": 4,  # 0.3 s (builds f(8) cold); at 5 f(10) is over MAX_BOX_COLOR
-    "jw_laws": 8,  # 7.0-7.1 s (3 runs; 7: 1.3 s); at 9 f(9) is over MAX_BOX_COLOR
+    "morrison": 4,  # 0.13-0.15 s (builds f(8) cold); at 5 f(10) is over MAX_BOX_COLOR
+    "jw_laws": 8,  # 6.7-7.0 s (7: 0.8 s in-process); at 9 f(9) is over MAX_BOX_COLOR
     "theta_oracle": 4,  # 0.5 s; at 5 the colour 10 is over MAX_BOX_COLOR
     "tail_lemma_fact": 70,  # 0.05-0.06 s (3 runs; 9 ms in-process) / 80: 0.01 s
     "tail_lemma_bubble0": 70,  # 0.06 s (3 runs; 10 ms in-process) / 80: 0.01 s

@@ -15,7 +15,13 @@ from skeintails.qcore import (
     quantum_fact,
     quantum_int,
 )
-from skeintails.tl_oracle import TLElement, coeff_of, hook_matching, jones_wenzl
+from skeintails.tl_oracle import (
+    TLElement,
+    _clasp,
+    coeff_of,
+    hook_matching,
+    jones_wenzl,
+)
 from tl_diagrams import enumerate_matchings, is_planar, to_parens
 
 
@@ -308,6 +314,62 @@ class TestEquality:
         assert not _cross_equal(g, f)
 
 
+def _fresh(x: TLElement) -> TLElement:
+    """A copy of x with no kept packings."""
+    return TLElement(x.n, dict(x.terms), x.den)
+
+
+def _big(n: int) -> TLElement:
+    """The identity times 2**45: its products need wider slots than the
+    products of the small elements here."""
+    return TLElement.identity(n).scale(2**45)
+
+
+def _assert_kept_packings_hold(x: TLElement, partners) -> None:
+    """x times each partner, on both sides, equals the same product of
+    fresh copies; x with terms ends up packed at two widths or more."""
+    for y in (x, _big(x.n), *partners):
+        for x_left in (True, False):
+            got = x * y if x_left else y * x
+            fx, fy = _fresh(x), _fresh(y)
+            want = fx * fy if x_left else fy * fx
+            assert (got.terms, got.den) == (want.terms, want.den)
+    assert len(x._packed) >= 2 or not x.terms
+
+
+def _tensors(n: int) -> list[TLElement]:
+    return [jones_wenzl(m).tensor_with(jones_wenzl(n - m)) for m in range(n + 1)]
+
+
+@st.composite
+def _cache_cases(draw):
+    """An element of TL_n, n = 0..5 (a projector, or random numerators,
+    maybe none), and partners: generators, projector tensors, scalars."""
+    n = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        x = _fresh(jones_wenzl(n))
+    else:
+        chosen = draw(st.lists(st.sampled_from(enumerate_matchings(n)), unique=True))
+        x = TLElement(n, {d: draw(_laurents) for d in chosen}, draw(_laurents))
+    pool = [TLElement.generator(n, i) for i in range(1, n)] + _tensors(n)
+    pool += [TLElement.identity(n).scale(c) for c in (3, -(2**20))]
+    return x, draw(st.lists(st.sampled_from(pool), max_size=4))
+
+
+class TestPackingCache:
+    @settings(max_examples=100, deadline=None)
+    @given(case=_cache_cases())
+    def test_kept_packings_never_change_a_product(self, case):
+        _assert_kept_packings_hold(*case)
+
+    def test_every_small_projector_and_the_empty_element(self):
+        # At n = 0 the left and right packings share their offset.
+        for n in range(6):
+            partners = [TLElement.generator(n, i) for i in range(1, n)] + _tensors(n)
+            _assert_kept_packings_hold(_fresh(jones_wenzl(n)), partners)
+            _assert_kept_packings_hold(TLElement(n), partners)
+
+
 class TestJonesWenzl:
     def test_base_and_first_unfolding(self):
         f1 = jones_wenzl(1)
@@ -364,11 +426,12 @@ class TestJonesWenzl:
                 assert isinstance(c, VLaurent)
                 assert all(type(k) is int for k in c.terms.values())
 
-    def test_filtered_step_equals_unfiltered_recursion(self):
-        # The recursion drops the terms of p e that f(n-1) annihilates before
-        # the second product; the full p e p must give the same numerators.
+    def test_clasp_build_equals_wenzl_recursion(self):
+        # Wenzl's step f(n) = p + ([n-1]/[n]) p e_{n-1} p, p = f(n-1) x 1,
+        # over [n]! with the exact division by [n-1]!, is the reference:
+        # the single-clasp build must store the same numerators and [n]!.
         prev = TLElement.identity(1)
-        for n in range(2, 8):
+        for n in range(2, 9):
             p = prev.tensor_strand()
             pep = p * TLElement.generator(n, n - 1) * p
             qn, qn1 = quantum_int(n), quantum_int(n - 1)
@@ -380,6 +443,17 @@ class TestJonesWenzl:
             prev = TLElement(n, terms, p.den * qn)
             f = jones_wenzl(n)
             assert (f.terms, f.den) == (prev.terms, prev.den)
+
+    def test_clasp_diagrams_are_generator_words(self):
+        # w_a = e_{n-1} e_{n-2} ... e_a is one diagram with numerator 1.
+        for n in range(2, 9):
+            assert _clasp(n, n) == _diagram(TLElement.identity(n))
+            for a in range(1, n):
+                word = TLElement.generator(n, n - 1)
+                for i in range(n - 2, a - 1, -1):
+                    word = word * TLElement.generator(n, i)
+                assert word.terms == {_clasp(n, a): VLaurent.one()}
+                assert word.den == VLaurent.one()
 
     def test_golden_coefficients(self):
         for n, table in _JW_GOLDEN.items():
