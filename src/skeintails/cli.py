@@ -14,9 +14,10 @@ every ``order`` in a suite file, is capped at MAX_SERIES_ORDER before any
 series is built, and in a verify case an order below 1 is an error case,
 like a ``k_max`` below 1; a suite's ``n_max`` is capped per check at
 ``verifycases.MAX_N_MAX`` (``bubble_oracle``'s ``max_param`` at
-``verifycases.MAX_MAX_PARAM`` and ``torus_oracle``'s ``f`` at
-``verifycases.MAX_F``, and each of them below at 1) before any value is
-built; and ``jones`` caps its inputs at MAX_JONES_N and MAX_JONES_SIZE.
+``verifycases.MAX_MAX_PARAM``, ``torus_oracle``'s ``f`` at
+``verifycases.MAX_F``, the colour ``n`` of ``torus_oracle`` and
+``tet_oracle`` at ``verifycases.MAX_N``, and each of them below at 1)
+before any value is built; and ``jones`` caps its inputs at MAX_JONES_N and MAX_JONES_SIZE.
 ``jones --normalized --order N`` reads the value only to its first N
 coefficients; without ``--order`` it prints the whole normalized value.
 ``oracle`` refuses a box colour above ``tl_oracle.MAX_BOX_COLOR``, more than

@@ -53,7 +53,7 @@ from collections import Counter
 from collections.abc import Collection, Sequence
 
 from .errors import CapacityError, DomainError
-from .qcore import V_LOOP, VFraction, VLaurent
+from .qcore import VFraction, VLaurent, loop_power
 from .tl_oracle import MAX_BOX_COLOR, join, jones_wenzl
 
 _CROSS_PORTS = ("nw", "ne", "se", "sw")
@@ -301,16 +301,15 @@ def _contract(
     pairs two ports as a pair of ``dead`` does (adjacent same-side ports of
     a box not yet expanded, in both orders) is dropped: the projector
     annihilates it.  The value starts at delta**free_loops, and each power
-    of delta is computed once, in a table shared by every join.  Raises
+    of delta is ``qcore.loop_power``, built once.  Raises
     ``CapacityError`` before a step that would take the work (states x
     terms, summed over the steps) above ``MAX_CONTRACTION_WORK``.
     """
     owner = {p: name for name, ports in node_ports.items() for p in ports}
     order = _greedy_order(node_ports, pairing, owner)
-    powers = [VLaurent.one()]
     states: dict[tuple, VLaurent] = {}
     if dead.isdisjoint(pairing.items()):
-        states[()] = _loop_power(powers, free_loops)
+        states[()] = loop_power(free_loops)
     expanded: set[str] = set()
     work = 0
     for step, name in enumerate(order, 1):
@@ -354,20 +353,12 @@ def _contract(
                 )
                 c = coeff * mcoeff
                 if loops:
-                    c = c * _loop_power(powers, loops)
+                    c = c * loop_power(loops)
                 s = new_states.get(k)
                 new_states[k] = c if s is None else s + c
         states = new_states
     # All nodes expanded: only the empty pairing remains.
     return states.get((), VLaurent())
-
-
-def _loop_power(powers: list[VLaurent], k: int) -> VLaurent:
-    """delta**k from the table ``powers`` of delta**0, delta**1, ..., which
-    grows by one multiplication per new power."""
-    while len(powers) <= k:
-        powers.append(powers[-1] * V_LOOP)
-    return powers[k]
 
 
 def _greedy_order(

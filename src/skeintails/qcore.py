@@ -14,11 +14,12 @@ coefficient raises, and ``series_div`` divides only by a series whose
 constant term is +-1.  There is no floating point anywhere in this package.
 
 Every series has a finite order, the number of coefficients it knows.  A
-polynomial or rational function of v becomes a series in q = v**4 or in
-x = q**(1/2) = v**2 only at an order its caller states, through one
-kernel, at v-step 4 or 2.  The kernel refuses a v-exponent that is not a
-multiple of the step, so a fractional power of q is never stored;
-dropping the framing power of A is left to ``tails_engine.normalize``.
+polynomial or rational function of v becomes a series in q = v**4 only at
+an order its caller states, through one kernel that refuses a v-exponent
+not a multiple of 4, so a fractional power of q is never stored; dropping
+the framing power of A is left to ``tails_engine.normalize``.  (The
+kernel's v-step 2, ``to_x_series``, is kept for the benchmark's span
+table; nothing in the package calls it.)
 
 Four value types live here:
 
@@ -43,9 +44,10 @@ one O(degree) pass per factor instead of a chain of VLaurent products or a
 long division.  A signed power of v times such a ratio is a ``PochTerm``,
 stored as its canonical exponent -> count dict (``_net``, the one place
 where factors on both sides cancel): equal terms compare equal with no
-polynomial built, ``exact()`` is the kernel's cancelled fraction, and
-``series(order)`` is one dense list that stops at that order.
-``poch_sum`` puts several terms over one denominator.
+polynomial built, ``exact()`` is one fraction over the term's factors
+below, and ``series(order)``, the value divided by v^e as a q-series, is
+one dense list that stops at that order.  ``poch_sum`` puts several terms
+over their least common Pochhammer denominator.
 """
 
 from __future__ import annotations
@@ -404,6 +406,12 @@ def _format_terms(
 
 V_LOOP = VLaurent({2: -1, -2: -1})  # the loop value delta = -A**2 - A**-2
 _ONE_TERMS_DEN = VLaurent.one()
+
+
+@lru_cache(maxsize=None)
+def loop_power(k: int) -> VLaurent:
+    """delta**k, the value of k disjoint loops, built once per k."""
+    return V_LOOP**k
 
 
 # ---------------------------------------------------------------------------
@@ -879,15 +887,15 @@ def to_x_series(p: VLaurent, order: int) -> QSeries:
     """A polynomial with even v-support as a series in x = q**(1/2) = v**2,
     to ``order`` coefficients counted from its lowest term.
 
-    Every quantum integer, Delta, and q-power has even v-exponents, so the
-    skein formulas all live in Z[x, x**-1]; this is the natural domain for
-    exact summation of terms whose q-shifts differ by half-integers.
+    No code in the package calls it: ``perfbench/spans.py`` looks it up by
+    name (ROADMAP item 14).
     """
     return _to_series(p, order, 2)
 
 
 def fraction_to_x_series(f: VFraction, order: int) -> QSeries:
-    """Expand an exact rational function of v as a series in x = q**(1/2)."""
+    """Expand an exact rational function of v as a series in x = q**(1/2);
+    kept, with no caller in the package, for ``perfbench/spans.py``."""
     return _fraction_to_series(f, order, 2)
 
 
@@ -1067,77 +1075,51 @@ class PochTerm:
         return poch_sum([self])
 
     def series(self, order: int) -> QSeries:
-        """The value as a series in x = q**(1/2) = v**2: shift e/2 and
-        ``order`` coefficients.
+        """The value divided by v^e, c prod_a (1 - q^a)^net[a], as a
+        series in q to ``order`` coefficients, from one dense list.
 
-        The value is v^e times a series in q, so it is one dense list of
-        ceil(order/2) q-coefficients, spread onto the even x-positions.  A
-        factor (1 - q^a) with a at or past that length is 1 modulo
-        q^length and is never applied, as in ``poch_inf``, so the
-        truncation is exact; each other one is one ``mul_one_minus_qk`` or
+        A factor (1 - q^a) with a at or past the order is 1 modulo q^order
+        and is never applied, as in ``poch_inf``, so the truncation is
+        exact; each other one is one ``mul_one_minus_qk`` or
         ``div_one_minus_qk`` pass per unit of its count.  No polynomial of
         the full degree is built.
         """
-        if self.e % 2:
-            raise RepresentationError(
-                f"v-exponent {self.e} is not a multiple of 2 (x = v^2)"
-            )
         if order < 0:
             raise DomainError("order must be non-negative")
-        length = (order + 1) // 2
-        cs = [self.c] + [0] * (length - 1) if length else []
+        cs = [self.c] + [0] * (order - 1) if order else []
         for a, k in self.net.items():
-            if a < length:
+            if a < order:
                 apply = mul_one_minus_qk if k > 0 else div_one_minus_qk
                 for _ in range(abs(k)):
                     apply(cs, a)
-        xs = [0] * order
-        xs[::2] = cs
-        return QSeries(self.e // 2, xs)
+        return QSeries(0, cs)
 
 
 def poch_sum(terms: Sequence[PochTerm]) -> VFraction:
-    """The sum of one or more terms as one polynomial over a product of
-    factors (1 - q^b), with no gcd.
+    """The sum of one or more terms as one polynomial over their least
+    common Pochhammer denominator, with no gcd.
 
-    The terms go over their least common Pochhammer denominator: each
-    (1 - q^b) as often as the most any term has it below.  A factor of it
-    that divides a distinct factor (1 - q^a) left above in every term, as
-    (1 - q^b) divides (1 - q^a) for b | a, is divided out in each term's
-    kernel call (``mul_poch_ratio``); the rest are the stored denominator,
-    so its constant term is +-1 and expanding the value as a series needs
-    no gcd.  Largest factors below are matched first, each with the smallest
-    free multiple above.
+    The denominator has each (1 - q^b) as often as the most any term has it
+    below, so its constant term is +-1 and expanding the value as a series
+    needs no gcd.  Each term's numerator is its factors above times the
+    denominator's factors it lacks: one ``mul_poch_ratio`` call with no
+    division.
     """
     down: dict[int, int] = {}
     for t in terms:
         for b, k in t.net.items():
             if -k > down.get(b, 0):
                 down[b] = -k
-    ups = []
+    nums = []
     for t in terms:
         up = dict(down)
         for a, k in t.net.items():
             up[a] = up.get(a, 0) + k
-        ups.append([a for a in sorted(up) for _ in range(up[a])])
-    free = [list(u) for u in ups]
-    inside, outside = [], []
-    for b in sorted(down, reverse=True):
-        for _ in range(down[b]):
-            picks = [
-                next((k for k, a in enumerate(f) if a % b == 0), None) for f in free
-            ]
-            if None in picks:
-                outside.append(b)
-                continue
-            for f, k in zip(free, picks):
-                del f[k]
-            inside.append(b)
-    first, *rest = (
-        mul_poch_ratio(VLaurent.monomial(t.c, t.e), u, inside)
-        for t, u in zip(terms, ups)
-    )
-    return VFraction(sum(rest, first), poch_ratio(outside, ()))
+        ups = [a for a, k in up.items() for _ in range(k)]
+        nums.append(mul_poch_ratio(VLaurent.monomial(t.c, t.e), ups, ()))
+    first, *rest = nums
+    downs = [b for b, k in down.items() for _ in range(k)]
+    return VFraction(sum(rest, first), poch_ratio(downs, ()))
 
 
 def quantum_product(args: Iterable[int]) -> VLaurent:

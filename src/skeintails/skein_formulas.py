@@ -20,28 +20,26 @@ of v times a ratio of Pochhammer factors (1 - q^a), through
 the term stores their canonical exponent -> count dict, so ``theta_2n``
 and ``p_coeff`` are ``bubble_coeff`` times their Delta ratios, two equal
 forms compare equal with no polynomial built (``nn_i_sweep``), and a
-caller reads the value in one of two ways.  ``.exact()`` is one cancelled
-fraction: a factor (1 - q^b) below that divides a distinct (1 - q^a) above
-is divided out by the dense kernel ``qcore.mul_poch_ratio``, and the rest
-of the factors below are the stored denominator, so no closed form runs a
-chain of VLaurent products or powers, every stored denominator has
-constant term +-1, and the stored (num, den) are smaller than the plain
-product of the factors on each side.  The oracle checks compare it.
-``.series(k)`` is the first k coefficients of the value as a series in
-x = q**(1/2), from one dense list: a factor (1 - q^a) = (1 - x^(2a)) with
-2a at or past the order is 1 there and is never applied, so a tail check
-that compares n + 1 coefficients does O(n) work per factor instead of
-building a polynomial of q-degree O(n^2).  The tail checks read it.
+caller reads the value in one of two ways.  ``.exact()`` is one fraction:
+the factors left below are the stored denominator, with constant term +-1,
+and the numerator is one call of the dense kernel ``qcore.mul_poch_ratio``,
+so no closed form runs a chain of VLaurent products or powers.  The oracle
+checks compare it.  ``.series(k)`` is the first k coefficients of the
+value divided by v^e as a series in q, from one dense list: a factor
+(1 - q^a) with a at or past the order is 1 there and is never applied, so
+a tail check that compares n + 1 coefficients does O(n) work per factor
+instead of building a polynomial of q-degree O(n^2).  The tail checks read
+it.
 
 The Pochhammer-quotient forms with several terms are sums of such terms.
 ``tet_2n`` is their sum over the least common Pochhammer denominator
 (``qcore.poch_sum``, the same function as ``.exact()``), for the oracle
 checks.  ``tet_theta_ratio`` returns its terms, those of Tet(2n) each
 divided by Theta(2n, 2n, 2n)'s one term; the tail check reads their sum
-as series (``tails_engine.sum_fraction_products_x``), each term to the same
-window past the lowest one.  If the lowest terms cancelled, that read
-would be short of the order asked, and the comparison raises
-PrecisionError rather than pass.
+through ``tails_engine.sum_fraction_products_x``, each term at its q-offset
+from the lowest one in one list of coefficients.  If the lowest terms
+cancelled, that read would be short of the order asked, and the comparison
+raises PrecisionError rather than pass.
 
 The (2, f) torus sum is signed monomials over (1 - q^(n+1)), divided
 exactly in one kernel call; ``colored_jones_torus`` also takes ``order=``:

@@ -11,6 +11,11 @@ which makes the agreement predicate a genuine equivalence on prefixes.
 
 Comparing beyond the computed order of a series raises PrecisionError; it
 never silently returns False.
+
+The tail checks of the closed forms read a sum of ``qcore.PochTerm``
+values through ``sum_fraction_products_x``: terms on one v-exponent residue
+mod 4 are v^lo times series in q, so each term's q-series is added at its
+offset from the lowest one into one list, which ``normalize`` then reads.
 """
 
 from __future__ import annotations
@@ -93,31 +98,39 @@ def agree_to_order(a: QSeries, b: QSeries, n: int) -> bool:
 
 
 def sum_fraction_products_x(terms: list[PochTerm], q_order: int) -> QSeries:
-    """Series in x = q**(1/2) of a sum of terms, carried far enough for
-    q_order q-coefficients past the lowest term: two x-steps per q-step and
-    two q-steps spare.
+    """The normalized q-series of a sum of terms, to q_order coefficients
+    past its lowest nonzero one (``perfbench/spans.py`` wraps it by this
+    name).
 
     A product of closed forms is one term (``PochTerm.__mul__`` is exact),
-    so this reads every sum of products.  Each term is read through its
-    ``series`` only to the end of that window and added into one list;
-    no fraction is built and no series is multiplied.  If the lowest terms
-    cancel, fewer coefficients than asked are left past the sum's lowest
-    nonzero one, and a comparison that needs more raises PrecisionError
-    (``agree_to_order``).
+    so this reads every sum of products.  The terms must share one
+    v-exponent residue mod 4, or RepresentationError is raised: the sum is
+    then v^lo times a series in q, lo the lowest exponent.  Each term's
+    ``series`` is added at q-offset (e - lo) / 4 into one list of
+    q_order + 2 coefficients; no fraction is built and no series is
+    multiplied.  If the lowest terms cancel, fewer than q_order are left,
+    and a comparison that needs more raises PrecisionError
+    (``agree_to_order``); a list that cancels to zero raises DomainError.
     """
-    lo = min(t.e for t in terms) // 2
-    window = 2 * q_order + 4
+    lo = min(t.e for t in terms)
+    if any((t.e - lo) % 4 for t in terms):
+        raise RepresentationError("terms on two v-exponent residues mod 4")
+    window = q_order + 2
     cs = [0] * window
     for t in terms:
-        off = t.e // 2 - lo
+        off = (t.e - lo) // 4
         if off < window:
             cs[off:] = map(add, cs[off:], t.series(window - off).coeffs)
-    return QSeries(lo, cs)
+    return QSeries(0, normalize(QSeries(0, cs)).coeffs[:q_order])
 
 
 def x_series_to_normalized_q(s: QSeries, q_order: int) -> QSeries:
     """Normalize an x-series and reinterpret it in q; the normalized support
-    must lie on even x-powers (odd residues would be a q^(1/2) leftover)."""
+    must lie on even x-powers (odd residues would be a q^(1/2) leftover).
+
+    No code in the package calls it: ``perfbench/spans.py`` looks it up by
+    name (ROADMAP item 14).
+    """
     cs = normalize(s).coeffs
     if any(cs[1::2]):
         raise RepresentationError("normalized series has q^(1/2) support")

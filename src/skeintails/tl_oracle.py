@@ -62,12 +62,12 @@ from __future__ import annotations
 
 from .errors import CapacityError, DomainError
 from .qcore import (
-    V_LOOP,
     VFraction,
     VLaurent,
     kronecker_pack,
     kronecker_unpack,
     kronecker_width,
+    loop_power,
     quantum_int,
 )
 
@@ -202,14 +202,10 @@ def _carry(sums: dict, rep: tuple[int, ...], m: tuple[int, ...], n: int) -> list
 
 
 def _times_loops(buckets: dict) -> dict:
-    """Sum the (key, loops) buckets into keys, each times delta**loops
-    (each power built once)."""
-    powers = [VLaurent.one()]
-    for _ in range(max((loops for _, loops in buckets), default=0)):
-        powers.append(powers[-1] * V_LOOP)
+    """Sum the (key, loops) buckets into keys, each times delta**loops."""
     out: dict = {}
     for (key, loops), c in buckets.items():
-        _accumulate(out, key, c * powers[loops] if loops else c)
+        _accumulate(out, key, c * loop_power(loops) if loops else c)
     return out
 
 

@@ -21,32 +21,26 @@ from .errors import CapacityError, DomainError, SkeinError
 CheckResult = tuple[bool, str]
 
 # Largest ``n_max`` a suite may give each check that reads one, checked
-# before any value is built.  Each limit is the largest value measured to
-# run in at most about 10 s (2 cores, CPython 3.11.7); the comment gives
-# that time for a one-case verify process and, after the slash, the time
-# one step further, in-process past the limit, where it was run.  The limits
-# of the tail checks were set when their closed forms were exact products;
-# they now run far below 10 s there, and the limits were kept.  The checks
-# that read their closed forms and targets only to the order they compare
-# run in about 0.05-0.1 s at their caps, most of it the start-up of the
-# process, and peak at 17 MiB (lambda_theorem took 0.10 s reading Tet/Theta
-# as one exact fraction, not as its terms); nn_i_sweep compares its closed
-# forms as PochTerm values, with no polynomial built (timed on a busier
-# machine, where its exact comparison took 0.8-1.1 s).  The worst accepted
-# case is jw_laws at 8, 6.7-7.0 s.
+# before any value is built.  Each comment gives the time of a one-case
+# verify process at the cap (three runs, 2 cores, CPython 3.11.7; about
+# 0.05 s of it is the start-up of the process), and where the cap is not
+# the 10 s budget, what refuses the next step.  The tail checks were capped
+# near 10 s when their closed forms were built as exact products; they now
+# read them only to the order they compare, peak at 14 MiB, and keep those
+# caps.  The worst accepted case is jw_laws at 8.
 MAX_N_MAX: dict[str, int] = {
-    "morrison": 4,  # 0.13-0.15 s (builds f(8) cold); at 5 f(10) is over MAX_BOX_COLOR
-    "jw_laws": 8,  # 6.7-7.0 s (7: 0.8 s in-process); at 9 f(9) is over MAX_BOX_COLOR
-    "theta_oracle": 4,  # 0.5 s; at 5 the colour 10 is over MAX_BOX_COLOR
-    "tail_lemma_fact": 70,  # 0.05-0.06 s (3 runs; 9 ms in-process) / 80: 0.01 s
-    "tail_lemma_bubble0": 70,  # 0.06 s (3 runs; 10 ms in-process) / 80: 0.01 s
-    "tail_lemma_psum": 28,  # 0.09 s (3 runs) / 30: 0.05-0.06 s
-    "tail_lemma_psum_nn0": 24,  # 0.10 s (3 runs) / 26: 0.06 s
-    "nn_i_sweep": 14,  # 0.16-0.17 s (3 runs; exact fractions: 0.8-1.1 s) / 16: 0.07 s
-    "torus_stabilization": 50,  # 0.06 s at k_max 3 (3 runs) / 60: 0.02 s
-    "lambda_theorem": 11,  # 0.07-0.08 s (3 runs; 3 ms in-process) / 12: 4 ms
-    "theta_tail": 60,  # 0.05 s (3 runs; 7 ms in-process) / 70: 0.01 s
-    "tail85_oracle": 2,  # 0.07 s; at 3 the work cap refuses the braid (101,181 joins)
+    "morrison": 4,  # 0.13-0.17 s (builds f(8) cold); at 5 f(10) is over MAX_BOX_COLOR
+    "jw_laws": 8,  # 8.1-9.2 s (6.7-7.0 s when quiet); at 9 f(9) is over MAX_BOX_COLOR
+    "theta_oracle": 4,  # 0.44-0.47 s; at 5 the colour 10 is over MAX_BOX_COLOR
+    "tail_lemma_fact": 70,  # 0.08 s
+    "tail_lemma_bubble0": 70,  # 0.09-0.10 s
+    "tail_lemma_psum": 28,  # 0.14 s
+    "tail_lemma_psum_nn0": 24,  # 0.14 s
+    "nn_i_sweep": 14,  # 0.13-0.14 s
+    "torus_stabilization": 50,  # 0.13-0.14 s at k_max 3
+    "lambda_theorem": 11,  # 0.10 s
+    "theta_tail": 60,  # 0.11-0.12 s
+    "tail85_oracle": 2,  # 0.18-0.19 s; at 3 the work cap refuses the braid (101,181 joins)
 }
 
 # Largest ``max_param`` a suite may give each check that reads one, in the
@@ -68,15 +62,31 @@ MAX_F: dict[str, int] = {
     "torus_oracle": 400,
 }
 
+# Largest colour ``n`` a suite may give each check that reads one.  The
+# diagrams carry boxes of colour n (torus_oracle) or 2n (tet_oracle), which
+# bracket_closed refuses above tl_oracle.MAX_BOX_COLOR (8), but only after
+# the network is built: f * n^2 crossings for the torus (uncapped, f = 1,
+# n = 1000 took 4.8 s and 489 MiB before its refusal), linear in n for the
+# tetrahedron (n = 10,000: 0.18 s and 53 MiB).
+MAX_N: dict[str, int] = {
+    "torus_oracle": 8,
+    "tet_oracle": 4,
+}
+
 # The suite parameters capped above, each with its table of limits.
-_CAPPED = (("n_max", MAX_N_MAX), ("max_param", MAX_MAX_PARAM), ("f", MAX_F))
+_CAPPED = (
+    ("n_max", MAX_N_MAX),
+    ("max_param", MAX_MAX_PARAM),
+    ("f", MAX_F),
+    ("n", MAX_N),
+)
 
 # Parameters that must be at least 1 in every check, or a check would
 # compare nothing and pass: below 1 each capped parameter and k_max leave a
-# check's loop empty, at order 0 a series comparison has no coefficients,
-# and at colour n = 0 both sides of torus_oracle and tet_oracle are the
-# empty diagram, 1.
-_AT_LEAST_ONE = (*(key for key, _ in _CAPPED), "k_max", "order", "n")
+# check's loop empty (at colour n = 0 both sides of torus_oracle and
+# tet_oracle are the empty diagram, 1), and at order 0 a series comparison
+# has no coefficients.
+_AT_LEAST_ONE = (*(key for key, _ in _CAPPED), "k_max", "order")
 
 
 def _series_diff_detail(a: QSeries, b: QSeries) -> str:
@@ -366,14 +376,10 @@ def _tail_check(
     equals (q^c; q)_inf for c >= 1, as both apply the same factors
     (1 - q^a) with a <= n and the rest are 1 there.
     """
-    from .tails_engine import (
-        agree_to_order,
-        sum_fraction_products_x,
-        x_series_to_normalized_q,
-    )
+    from .tails_engine import agree_to_order, sum_fraction_products_x
 
     for n in range(1, n_max + 1):
-        s = x_series_to_normalized_q(sum_fraction_products_x(terms(n), n + 1), n + 1)
+        s = sum_fraction_products_x(terms(n), n + 1)
         if not agree_to_order(s, target, n):
             return False, f"{fail} at n={n}"
     return True, ok

@@ -14,7 +14,15 @@ from pathlib import Path
 import pytest
 
 from skeintails.errors import CapacityError, DomainError
-from skeintails.verifycases import CHECKS, MAX_F, MAX_MAX_PARAM, MAX_N_MAX, run_check
+from skeintails.tl_oracle import MAX_BOX_COLOR
+from skeintails.verifycases import (
+    CHECKS,
+    MAX_F,
+    MAX_MAX_PARAM,
+    MAX_N,
+    MAX_N_MAX,
+    run_check,
+)
 
 
 def _criterion(number: int, label: str, check: str, params: dict) -> None:
@@ -186,11 +194,37 @@ def test_f_caps_admit_every_shipped_suite():
     assert seen >= 10
 
 
+def test_colour_caps_are_the_largest_box_colour():
+    # torus_oracle draws boxes of colour n, tet_oracle of colour 2n.
+    assert MAX_N == {"torus_oracle": MAX_BOX_COLOR, "tet_oracle": MAX_BOX_COLOR // 2}
+    reads = {name for name, fn in CHECKS.items() if '"n"' in inspect.getsource(fn)}
+    assert reads == set(MAX_N)
+
+
+def test_colour_over_cap_is_refused_before_building():
+    for name, limit in MAX_N.items():
+        for n in (limit + 1, 10**6):
+            start = time.perf_counter()
+            with pytest.raises(CapacityError, match=f"^n {n} exceeds limit {limit}$"):
+                run_check(name, {"f": 1, "n": n})
+            assert time.perf_counter() - start < 1
+
+
+def test_colour_caps_admit_every_shipped_suite():
+    seen = 0
+    for case in _shipped_cases():
+        if case["check"] in MAX_N:
+            assert case["params"]["n"] <= MAX_N[case["check"]], case
+            seen += 1
+    assert seen >= 10
+
+
 @pytest.mark.parametrize(
     "name,key",
     [*((name, "n_max") for name in MAX_N_MAX),
      *((name, "max_param") for name in MAX_MAX_PARAM),
-     *((name, "f") for name in MAX_F)],
+     *((name, "f") for name in MAX_F),
+     *((name, "n") for name in MAX_N)],
 )
 @pytest.mark.parametrize("value", [0, -1])
 def test_capped_parameter_below_one_is_refused(name, key, value):

@@ -15,7 +15,14 @@ from skeintails.networks import tet_network, theta_network, torus_knot_network
 from skeintails.qcore import MAX_SERIES_ORDER, poch_inf
 from skeintails.qidentities import MAX_AG_K, theta_f
 from skeintails.tails_engine import MAX_FAMILY_M
-from skeintails.verifycases import MAX_F, MAX_MAX_PARAM, MAX_N_MAX, check_product_laws
+from skeintails import networks
+from skeintails.verifycases import (
+    MAX_F,
+    MAX_MAX_PARAM,
+    MAX_N,
+    MAX_N_MAX,
+    check_product_laws,
+)
 
 
 def run(argv):
@@ -359,6 +366,35 @@ class TestVerify:
         assert out.splitlines()[0] == (
             f"[ERROR] huge: CapacityError: f 100000 exceeds limit {limit}"
         )
+
+    @pytest.mark.parametrize(
+        "check,params,builder",
+        [
+            ("torus_oracle", {"f": 1, "n": 10**6}, "torus_knot_network"),
+            ("tet_oracle", {"n": 10**6}, "tet_network"),
+        ],
+    )
+    def test_colour_cap_is_error_case(
+        self, tmp_path, monkeypatch, check, params, builder
+    ):
+        # Uncapped, the network was built whole before bracket_closed
+        # refused its boxes: f * n^2 crossings for the torus.
+        def refuse(*args):
+            raise AssertionError("the network was built")
+
+        monkeypatch.setattr(networks, builder, refuse)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"suite": "s", "cases": [
+            {"id": "huge", "check": check, "params": params},
+        ]}))
+        start = time.perf_counter()
+        code, out = run(["verify", str(path)])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out.splitlines() == [
+            f"[ERROR] huge: CapacityError: n 1000000 exceeds limit {MAX_N[check]}",
+            "0/1 cases passed",
+        ]
 
     def test_max_param_cap_is_error_case(self, tmp_path):
         path = tmp_path / "s.json"

@@ -16,11 +16,12 @@ and ``tet_theta_ratio`` are compared in the same way with the values they
 replace in the tail checks, ([n]!)^2 / [2n]! from ``quantum_fact`` and
 ``tet_2n / theta_2n``, both checked above against the product loops
 (``tet_theta_ratio`` returns terms: their ``poch_sum`` is compared).  The
-single-term closed forms read to an order (``PochTerm.series``) are checked
-against the series expansion of their exact values, at every order up to
-past their first factors, ``PochTerm`` equality against the equality
-of the exact values, and a sum of terms read as a series
-(``sum_fraction_products_x``) against the expansion of its exact sum.
+single-term closed forms read to an order (``PochTerm.series``, the value
+divided by v^e as a q-series) are checked against the q-series expansion of
+their exact values, at every order up to past their first factors,
+``PochTerm`` equality against the equality of the exact values, and a sum
+of terms read as a normalized q-series (``sum_fraction_products_x``)
+against the normalized expansion of its exact sum.
 """
 
 from collections import Counter
@@ -42,7 +43,7 @@ from skeintails.qcore import (
     VFraction,
     VLaurent,
     delta_n,
-    fraction_to_x_series,
+    fraction_to_q_series,
     mul_poch_ratio,
     poch_finite,
     poch_sum,
@@ -52,7 +53,7 @@ from skeintails.qcore import (
     quantum_int,
     quantum_product,
 )
-from skeintails.tails_engine import sum_fraction_products_x
+from skeintails.tails_engine import normalize, sum_fraction_products_x
 from skeintails.verifycases import run_check
 
 
@@ -238,18 +239,19 @@ _ORDERED_FORMS = (
 
 
 def test_order_gives_the_exact_series_prefix():
-    """f(*args).series(k) is the x-series of the exact value to order k,
-    term for term, at every order up to past the value's first few
-    factors."""
+    """f(*args).series(k) is the q-series of the exact value divided by
+    v^e to order k, term for term, at every order up to past the value's
+    first few factors."""
     count = 0
     for fn, _, args in _grid():
         if fn not in _ORDERED_FORMS:
             continue
         term = fn(*args)
         exact = term.exact()
+        unshifted = VFraction(exact.num.shift(-term.e), exact.den)
         for k in range(2 * max(args) + 7):
             got = term.series(k)
-            assert got == fraction_to_x_series(exact, k), (fn.__name__, args, k)
+            assert got == fraction_to_q_series(unshifted, k), (fn.__name__, args, k)
         count += 1
     assert count == 617
 
@@ -271,9 +273,10 @@ def test_order_below_zero_raises():
         PochTerm(1, 0, [0], [])
 
 
-def test_odd_v_exponent_has_no_x_series():
-    with pytest.raises(RepresentationError):
-        PochTerm(1, 3, [2], [1]).series(4)
+def test_series_drops_the_power_of_v():
+    # (1 - q^2) / (1 - q) = 1 + q, whatever the power of v before it.
+    for e in (-5, 0, 2, 3):
+        assert PochTerm(2, e, [2], [1]).series(4) == QSeries(0, [2, 2, 0, 0])
 
 
 _factors = st.lists(st.integers(1, 6), max_size=4)
@@ -298,16 +301,42 @@ def _term_lists(draw):
 @settings(max_examples=300, deadline=None)
 @given(_term_lists(), st.integers(0, 8))
 def test_term_factors_sum_like_their_exact_values(terms, q_order):
-    """``sum_fraction_products_x`` reads a sum of terms as the expansion of
-    its exact sum, to what is left of its window past the cancelled lowest
-    terms; a window that cancels to zero lies below the sum's lowest term."""
+    """``sum_fraction_products_x`` reads a sum of terms as the normalized
+    expansion of its exact sum, to what is left of its window of
+    q_order + 2 coefficients past the cancelled lowest terms, at most
+    q_order; a window that cancels to zero raises DomainError."""
     exact = poch_sum(terms)
     assume(not exact.is_zero())
+    # The stored denominator has constant term +-1, so the numerator's lowest
+    # term is the sum's: ``skip`` q-steps past the lowest term cancel.
+    skip = (exact.num.min_exp() - min(t.e for t in terms)) // 4
+    if skip >= q_order + 2:
+        with pytest.raises(DomainError):
+            sum_fraction_products_x(terms, q_order)
+        return
     s = sum_fraction_products_x(terms, q_order)
-    if s.is_zero():
-        assert fraction_to_x_series(exact, 1).shift >= s.shift + s.order
-    else:
-        assert s == fraction_to_x_series(exact, s.order)
+    assert s.order == min(q_order, q_order + 2 - skip)
+    assert s == normalize(exact, s.order)
+
+
+def test_window_that_cancels_to_zero_raises():
+    # 1 - 1 / (1 - q^5) = -q^5 - q^10 - ...: zero on a window of 5.
+    terms = [PochTerm(1, 0), PochTerm(-1, 0, [], [5])]
+    for q_order in (0, 3):
+        with pytest.raises(DomainError):
+            sum_fraction_products_x(terms, q_order)
+    assert sum_fraction_products_x(terms, 4) == QSeries(0, [1])
+
+
+def test_terms_on_two_v_residues_raise():
+    # Their sum is no power of v times a series in q.
+    for es in ((0, 2), (0, 4, 6), (1, 3), (-1, 0)):
+        terms = [PochTerm(1, e, [1]) for e in es]
+        with pytest.raises(RepresentationError):
+            sum_fraction_products_x(terms, 6)
+    assert sum_fraction_products_x([PochTerm(1, 1), PochTerm(1, 5)], 3) == QSeries(
+        0, [1, 1, 0]
+    )
 
 
 _TAIL_CHECKS = {
@@ -500,7 +529,7 @@ def test_factor_below_one_past_the_order_still_raises():
         with pytest.raises(DomainError):
             PochTerm(1, 0, ups, downs).series(0)
     # Factors past the order are 1 there and drop out, cancelled or not.
-    assert PochTerm(3, 2, [9], [9, 10]).series(4) == QSeries(1, [3, 0, 0, 0])
+    assert PochTerm(3, 2, [9], [9, 10]).series(4) == QSeries(0, [3, 0, 0, 0])
 
 
 def test_factor_below_one_raises():
