@@ -76,15 +76,12 @@ _EXPORTS = {
         "theta_general",
     ),
     "tails_engine": (
-        "SeriesGenerator",
-        "StabilizationReport",
         "agree_to_order",
         "graph_family_tail",
         "normalize",
         "stabilization_report",
         "tail_product_1",
         "tail_product_23",
-        "torus_jones_generator",
     ),
 }
 

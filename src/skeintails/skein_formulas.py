@@ -37,15 +37,15 @@ The Pochhammer-quotient forms with several terms are sums of such terms.
 checks.  ``tet_theta_ratio`` returns its terms, those of Tet(2n) each
 divided by Theta(2n, 2n, 2n)'s one term; the tail check reads their sum
 through ``tails_engine.sum_fraction_products_x``, each term at its q-offset
-from the lowest one in one list of coefficients.  If the lowest terms
-cancelled, that read would be short of the order asked, and the comparison
-raises PrecisionError rather than pass.
+from the lowest one in one list of coefficients.  The read is exact: if
+the lowest terms cancel, the list grows until the order asked is known.
 
 The (2, f) torus sum is signed monomials over (1 - q^(n+1)), divided
 exactly in one kernel call; ``colored_jones_torus`` also takes ``order=``:
 its sum is 2(n + 1) monomials, added exactly before anything is truncated,
 so one pass of division by (1 - q^(n+1)) over its lowest coefficients gives
-the normalized value to that order.
+the normalized value to that order.  ``check_torus_stabilization`` reads
+P_n = ``colored_jones_torus(f, n, order=n)``.
 
 Values here are exact rational functions of v (PochTerm, VFraction);
 genuinely polynomial results (like the normalized colored Jones) are
@@ -251,6 +251,13 @@ def _normalized_quotient(num: VLaurent, m: int, order: int) -> QSeries:
     exactly when, in each v-exponent class mod 4, the coefficients of each
     q-exponent class mod m add up to 0, that is, when those of each
     v-exponent class mod 4m do.
+
+    The tail reader ``tails_engine.sum_fraction_products_x`` could read the
+    same sum as 2(n + 1) one-monomial terms over (1 - q^m), but one
+    ``PochTerm`` and one series pass per monomial cost more: through it,
+    ``torus_stabilization`` (k_max 3) took 6.6 ms against 4.4 ms at n_max
+    12, and 43 ms against 32 ms at its cap of 50 (in-process medians of 7
+    runs, 2 cores, CPython 3.11.7).
     """
     from .tails_engine import normalize
 

@@ -1,5 +1,6 @@
-"""Tail extraction: the "first n coefficients agree" predicate, stabilization
-reports for sequence families, and the tail product combinators.
+"""Tail extraction: the "first n coefficients agree" predicate, the
+stabilization check of a sequence n -> P_n, and the tail product
+combinators.
 
 A sequence P_1, P_2, ... of exact skein evaluations has a tail when the
 first n coefficients of P_n stabilize up to a common sign, a power of q and
@@ -16,6 +17,8 @@ The tail checks of the closed forms read a sum of ``qcore.PochTerm``
 values through ``sum_fraction_products_x``: terms on one v-exponent residue
 mod 4 are v^lo times series in q, so each term's q-series is added at its
 offset from the lowest one into one list, which ``normalize`` then reads.
+The read is exact: if the lowest terms cancel, the list grows until the
+order asked is known past the first nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from operator import add
 
 from .errors import CapacityError, DomainError, PrecisionError, RepresentationError
 from .qcore import (
+    MAX_SERIES_ORDER,
     PochTerm,
     QSeries,
     VFraction,
@@ -98,30 +102,42 @@ def agree_to_order(a: QSeries, b: QSeries, n: int) -> bool:
 
 
 def sum_fraction_products_x(terms: list[PochTerm], q_order: int) -> QSeries:
-    """The normalized q-series of a sum of terms, to q_order coefficients
-    past its lowest nonzero one (``perfbench/spans.py`` wraps it by this
-    name).
+    """The normalized q-series of a sum of terms: exactly q_order
+    coefficients, counted from its first nonzero one (``perfbench/spans.py``
+    wraps it by this name).
 
     A product of closed forms is one term (``PochTerm.__mul__`` is exact),
     so this reads every sum of products.  The terms must share one
     v-exponent residue mod 4, or RepresentationError is raised: the sum is
     then v^lo times a series in q, lo the lowest exponent.  Each term's
-    ``series`` is added at q-offset (e - lo) / 4 into one list of
-    q_order + 2 coefficients; no fraction is built and no series is
-    multiplied.  If the lowest terms cancel, fewer than q_order are left,
-    and a comparison that needs more raises PrecisionError
-    (``agree_to_order``); a list that cancels to zero raises DomainError.
+    ``series`` is added at q-offset (e - lo) / 4 into one list over a window
+    of q_order + 2 coefficients; no fraction is built and no series is
+    multiplied.  Each read is an exact truncation, so if the lowest terms
+    cancel past the window, the window doubles and the sum is read again,
+    until q_order coefficients past the first nonzero one are known.  A
+    window past MAX_SERIES_ORDER raises PrecisionError, so a sum that
+    cancels to zero raises it; an empty sum raises DomainError.
     """
+    if not terms:
+        raise DomainError("an empty sum is zero")
     lo = min(t.e for t in terms)
     if any((t.e - lo) % 4 for t in terms):
         raise RepresentationError("terms on two v-exponent residues mod 4")
     window = q_order + 2
-    cs = [0] * window
-    for t in terms:
-        off = (t.e - lo) // 4
-        if off < window:
-            cs[off:] = map(add, cs[off:], t.series(window - off).coeffs)
-    return QSeries(0, normalize(QSeries(0, cs)).coeffs[:q_order])
+    while True:
+        cs = [0] * window
+        for t in terms:
+            off = (t.e - lo) // 4
+            if off < window:
+                cs[off:] = map(add, cs[off:], t.series(window - off).coeffs)
+        s = QSeries(0, cs)
+        if not s.is_zero() and s.order >= q_order:
+            return normalize(s, q_order)
+        if window >= MAX_SERIES_ORDER:
+            raise PrecisionError(
+                f"sum cancels past a window of {window} coefficients"
+            )
+        window = min(2 * window, MAX_SERIES_ORDER)
 
 
 def x_series_to_normalized_q(s: QSeries, q_order: int) -> QSeries:
@@ -138,78 +154,27 @@ def x_series_to_normalized_q(s: QSeries, q_order: int) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# Stabilization reports
+# Stabilization
 # ---------------------------------------------------------------------------
 
 
-class SeriesGenerator:
-    """A named, pure rule n -> skein value whose tail is being studied."""
+def stabilization_report(
+    value: Callable[[int], SkeinValue], n_max: int
+) -> tuple[tuple[bool, ...], QSeries]:
+    """Check P_n = P_{n+1} on the first n coefficients for n <= n_max, where
+    P_n = value(n) is normalized to n coefficients (a polynomial shorter
+    than that is zero-padded).
 
-    __slots__ = ("name", "params", "eval")
-
-    def __init__(self, name: str, params: dict, eval: Callable[[int], SkeinValue]):
-        self.name = name
-        self.params = params
-        self.eval = eval
-
-    def normalized(self, n: int) -> QSeries:
-        """P_n normalized to n coefficients (zero-padded past a short P_n)."""
-        return normalize(self.eval(n), n)
-
-
-class StabilizationReport:
-    """The verdicts P_n = P_{n+1} to n coefficients for n <= n_max, and
-    the normalized order-n_max prefix of P_{n_max}."""
-
-    __slots__ = ("generator", "params", "n_max", "verdicts", "tail")
-
-    def __init__(
-        self,
-        generator: str,
-        params: dict,
-        n_max: int,
-        verdicts: tuple[bool, ...],
-        tail: QSeries,
-    ):
-        self.generator = generator
-        self.params = params
-        self.n_max = n_max
-        self.verdicts = verdicts
-        self.tail = tail
-
-    @property
-    def all_stable(self) -> bool:
-        return all(self.verdicts)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "generator": self.generator,
-            "params": dict(self.params),
-            "n_max": self.n_max,
-            "verdicts": list(self.verdicts),
-            "tail": self.tail.to_json_obj(),
-        }
-
-
-def stabilization_report(g: SeriesGenerator, n_max: int) -> StabilizationReport:
-    """Check P_n = P_{n+1} on the first n coefficients for n <= n_max.
-
-    The tail field is the normalized order-n_max prefix of P_{n_max}.
+    Returns the verdicts for n = 1..n_max and the tail: P_{n_max}
+    normalized to n_max coefficients.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    values = [g.normalized(n) for n in range(1, n_max + 2)]
-    verdicts = []
-    for n in range(1, n_max + 1):
-        verdicts.append(agree_to_order(values[n - 1], values[n], n))
-    tail = values[n_max - 1]
-    return StabilizationReport(
-        generator=g.name,
-        params=dict(g.params),
-        n_max=n_max,
-        verdicts=tuple(verdicts),
-        tail=tail,
+    values = [normalize(value(n), n) for n in range(1, n_max + 2)]
+    verdicts = tuple(
+        agree_to_order(values[n - 1], values[n], n) for n in range(1, n_max + 1)
     )
+    return verdicts, values[n_max - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -285,20 +250,3 @@ def graph_family_tail(family: str, params: dict, order: int) -> QSeries:
     if family == "tet2n":
         return mul_poch_inf(lambda_series(order), 2, order)
     raise DomainError(f"unknown graph family {family!r}")
-
-
-# ---------------------------------------------------------------------------
-# Generators
-# ---------------------------------------------------------------------------
-
-
-def torus_jones_generator(f: int) -> SeriesGenerator:
-    """n -> normalized colored Jones of the (2, f) torus link, read only to
-    the n coefficients ``SeriesGenerator.normalized`` keeps."""
-    from .skein_formulas import colored_jones_torus
-
-    return SeriesGenerator(
-        name="torus_jones",
-        params={"f": f},
-        eval=lambda n: colored_jones_torus(f, n, order=n),
-    )

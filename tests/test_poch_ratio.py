@@ -30,11 +30,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skeintails import qcore
+from skeintails import qcore, tails_engine
 from skeintails import skein_formulas as sf
 from skeintails.errors import (
     ConsistencyError,
     DomainError,
+    PrecisionError,
     RepresentationError,
 )
 from skeintails.qcore import (
@@ -54,7 +55,7 @@ from skeintails.qcore import (
     quantum_product,
 )
 from skeintails.tails_engine import normalize, sum_fraction_products_x
-from skeintails.verifycases import run_check
+from skeintails.verifycases import MAX_N_MAX, run_check
 
 
 def _one_minus_q(a: int) -> VLaurent:
@@ -301,31 +302,46 @@ def _term_lists(draw):
 @settings(max_examples=300, deadline=None)
 @given(_term_lists(), st.integers(0, 8))
 def test_term_factors_sum_like_their_exact_values(terms, q_order):
-    """``sum_fraction_products_x`` reads a sum of terms as the normalized
-    expansion of its exact sum, to what is left of its window of
-    q_order + 2 coefficients past the cancelled lowest terms, at most
-    q_order; a window that cancels to zero raises DomainError."""
+    """``sum_fraction_products_x`` reads a nonzero sum of terms as the
+    normalized expansion of its exact sum, to exactly q_order coefficients
+    past its first nonzero one, however far its lowest terms cancel; a sum
+    that is exactly zero raises PrecisionError."""
     exact = poch_sum(terms)
-    assume(not exact.is_zero())
-    # The stored denominator has constant term +-1, so the numerator's lowest
-    # term is the sum's: ``skip`` q-steps past the lowest term cancel.
-    skip = (exact.num.min_exp() - min(t.e for t in terms)) // 4
-    if skip >= q_order + 2:
-        with pytest.raises(DomainError):
+    if exact.is_zero():
+        with pytest.raises(PrecisionError):
             sum_fraction_products_x(terms, q_order)
         return
     s = sum_fraction_products_x(terms, q_order)
-    assert s.order == min(q_order, q_order + 2 - skip)
-    assert s == normalize(exact, s.order)
+    assert s.order == q_order
+    assert s == normalize(exact, q_order)
 
 
-def test_window_that_cancels_to_zero_raises():
-    # 1 - 1 / (1 - q^5) = -q^5 - q^10 - ...: zero on a window of 5.
+def test_window_that_cancels_reads_the_exact_prefix():
+    # 1 - 1 / (1 - q^5) = -q^5 - q^10 - ...: zero on the first window of
+    # q_order + 2 coefficients for q_order <= 3, read past it all the same.
     terms = [PochTerm(1, 0), PochTerm(-1, 0, [], [5])]
+    assert sum_fraction_products_x(terms, 0) == QSeries(0, [])
+    assert sum_fraction_products_x(terms, 3) == QSeries(0, [1, 0, 0])
+    assert sum_fraction_products_x(terms, 4) == QSeries(0, [1, 0, 0, 0])
+    assert sum_fraction_products_x(terms, 7) == QSeries(0, [1, 0, 0, 0, 0, 1, 0])
+
+
+def test_sum_that_cancels_forty_steps_reads_exactly():
+    # 1 / (1 - q^40) - 1 = q^40 + q^80 + ...: the window doubles from 5 to 80.
+    terms = [PochTerm(1, 0, [], [40]), PochTerm(-1, 0)]
+    assert sum_fraction_products_x(terms, 3) == QSeries(0, [1, 0, 0])
+    assert sum_fraction_products_x(terms, 41) == QSeries(0, [1] + [0] * 39 + [1])
+
+
+def test_zero_and_empty_sums_raise():
+    # 1 / (1 - q) - q / (1 - q) - 1 is zero: every window cancels, up to
+    # MAX_SERIES_ORDER.  An empty sum is zero too.
+    zero = [PochTerm(1, 0, [], [1]), PochTerm(-1, 4, [], [1]), PochTerm(-1, 0)]
     for q_order in (0, 3):
+        with pytest.raises(PrecisionError):
+            sum_fraction_products_x(zero, q_order)
         with pytest.raises(DomainError):
-            sum_fraction_products_x(terms, q_order)
-    assert sum_fraction_products_x(terms, 4) == QSeries(0, [1])
+            sum_fraction_products_x([], q_order)
 
 
 def test_terms_on_two_v_residues_raise():
@@ -386,6 +402,37 @@ def test_tail_checks_build_no_exact_fraction(monkeypatch, check):
     monkeypatch.setattr(qcore, "poch_finite", refuse)
     ok, detail = run_check(check, {"n_max": 6})
     assert ok, detail
+
+
+@pytest.mark.parametrize("check", list(_TAIL_CHECKS))
+def test_tail_checks_read_each_sum_in_one_pass(monkeypatch, check):
+    """At its n_max cap, each tail check reads every sum in one pass: for
+    each n, ``PochTerm.series`` is called once per term in the reader's
+    first window of n + 3 coefficients, and the window never doubles."""
+    real_series = PochTerm.series
+    real_read = tails_engine.sum_fraction_products_x
+    read: list[PochTerm] = []
+
+    def series(self, order):
+        read.append(self)
+        return real_series(self, order)
+
+    def one_pass(terms, q_order):
+        read.clear()
+        s = real_read(terms, q_order)
+        lo = min(t.e for t in terms)
+        window = [t for t in terms if (t.e - lo) // 4 < q_order + 2]
+        assert sorted(map(id, read)) == sorted(map(id, window))
+        sizes.append(q_order)
+        return s
+
+    sizes: list[int] = []
+    monkeypatch.setattr(PochTerm, "series", series)
+    monkeypatch.setattr(tails_engine, "sum_fraction_products_x", one_pass)
+    n_max = MAX_N_MAX[check]
+    ok, detail = run_check(check, {"n_max": n_max})
+    assert ok, detail
+    assert sizes == list(range(2, n_max + 2))
 
 
 def _den_degree(x: VFraction) -> int:

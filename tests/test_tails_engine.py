@@ -23,15 +23,18 @@ from skeintails.qidentities import false_theta, lambda_series, theta_f
 from skeintails.skein_formulas import colored_jones_torus, tet_theta_ratio, theta_2n
 from skeintails.tails_engine import (
     MAX_FAMILY_M,
-    SeriesGenerator,
     agree_to_order,
     graph_family_tail,
     normalize,
     stabilization_report,
     tail_product_1,
     tail_product_23,
-    torus_jones_generator,
 )
+
+
+def torus_jones(f: int):
+    """n -> the (2, f) torus value read to the n coefficients compared."""
+    return lambda n: colored_jones_torus(f, n, order=n)
 
 
 class TestNormalize:
@@ -71,10 +74,11 @@ class TestNormalize:
         assert normalize(normalize(p, 5), 3) == QSeries(0, [2, -1, 0])
         with pytest.raises(PrecisionError):
             normalize(normalize(p), 5)
-        # A generator value shorter than n is padded to the n coefficients
-        # that stabilization_report compares.
-        g = SeriesGenerator("one", {}, lambda n: VLaurent.one())
-        assert g.normalized(4) == QSeries(0, [1, 0, 0, 0])
+        # A value shorter than n is padded to the n coefficients that
+        # stabilization_report compares.
+        verdicts, tail = stabilization_report(lambda n: VLaurent.one(), 4)
+        assert verdicts == (True,) * 4
+        assert tail == QSeries(0, [1, 0, 0, 0])
 
     def test_magnitude_preserved(self):
         got = normalize(VLaurent.from_q_dict({1: -3, 2: 6}))
@@ -148,24 +152,22 @@ class TestAgreeToOrder:
 
 class TestStabilization:
     def test_constant_generator(self):
-        g = SeriesGenerator(
-            "const", {}, lambda n: VLaurent.from_q_dict({0: 1, 1: -1})
+        verdicts, tail = stabilization_report(
+            lambda n: VLaurent.from_q_dict({0: 1, 1: -1}), 8
         )
-        rep = stabilization_report(g, 8)
-        assert rep.all_stable
-        assert rep.tail == QSeries(0, [1, -1] + [0] * 6)
+        assert verdicts == (True,) * 8
+        assert tail == QSeries(0, [1, -1] + [0] * 6)
 
     def test_alternating_generator_fails(self):
-        g = SeriesGenerator(
-            "alt", {}, lambda n: VLaurent.from_q_dict({0: 1, 1: (-1) ** n})
+        verdicts, _ = stabilization_report(
+            lambda n: VLaurent.from_q_dict({0: 1, 1: (-1) ** n}), 6
         )
-        rep = stabilization_report(g, 6)
-        assert not any(rep.verdicts[1:])
+        assert not any(verdicts[1:])
 
     def test_torus_f5(self):
-        rep = stabilization_report(torus_jones_generator(5), 12)
-        assert rep.all_stable
-        assert rep.tail == theta_f(2, 12)
+        verdicts, tail = stabilization_report(torus_jones(5), 12)
+        assert all(verdicts)
+        assert tail == theta_f(2, 12)
 
     def test_strict_offset_for_torus_chains(self):
         # (2, f) torus knots agree on n + 1 coefficients, one past the tail
@@ -173,23 +175,17 @@ class TestStabilization:
         for n in range(1, 9):
             assert agree_to_order(values[n - 1], values[n], n + 1)
 
-    def test_report_json(self):
-        rep = stabilization_report(torus_jones_generator(3), 4)
-        obj = rep.to_json_obj()
-        assert obj["generator"] == "torus_jones"
-        assert obj["params"] == {"f": 3}
-        assert obj["n_max"] == 4
-        assert obj["verdicts"] == [True] * 4
-        assert obj["tail"]["variable"] == "q"
-
     def test_theta_generator_tail(self):
         # the theta family stabilizes onto (q^2; q)_inf
-        g = SeriesGenerator(
-            "theta_2n", {}, lambda n: normalize(theta_2n(n).exact(), max(2 * n + 4, 8))
+        verdicts, tail = stabilization_report(
+            lambda n: normalize(theta_2n(n).exact(), max(2 * n + 4, 8)), 8
         )
-        rep = stabilization_report(g, 8)
-        assert rep.all_stable
-        assert rep.tail == poch_inf(2, 8)
+        assert all(verdicts)
+        assert tail == poch_inf(2, 8)
+
+    def test_n_max_below_one_raises(self):
+        with pytest.raises(DomainError):
+            stabilization_report(torus_jones(3), 0)
 
 
 class TestTailProducts:
@@ -216,10 +212,9 @@ class TestTailProducts:
             t = normalize(colored_jones_torus(3, n), n)
             return t * t * to_q_series(poch_finite(1, 1, 1), n)
 
-        g = SeriesGenerator("trefoil_pair", {}, trefoil_pair)
-        rep = stabilization_report(g, order)
-        assert rep.all_stable
-        assert rep.tail == want.with_order(order)
+        verdicts, tail = stabilization_report(trefoil_pair, order)
+        assert all(verdicts)
+        assert tail == want.with_order(order)
 
     def test_wheel_reproduction(self):
         order = 30
