@@ -35,16 +35,15 @@
 # timeout guards against running the sum).  The normalized trefoil
 # at n = 1 spans four coefficients; --order 12 pads it with zeros,
 # so its last CSV row is q^11.  A suite n_max above its check's
-# cap (verifycases.MAX_N_MAX) must exit 2 at once, and [150]! must
-# build in well under the timeout (about 0.1 s with the dense
-# Pochhammer kernel, 11.5 s as a chain of VLaurent products).  A
-# bubble_oracle max_param above its cap (verifycases.MAX_MAX_PARAM)
-# must exit 2 at once, before any contraction.  So must a
-# torus_oracle f above its cap (verifycases.MAX_F), whose time
-# grows about quadratically in f, and a torus_oracle or tet_oracle
-# colour n above its cap (verifycases.MAX_N), before the network
-# is built: uncapped, the (2,1) torus at n = 1000 built f * n^2
-# crossings for 4.8 s and 489 MiB before its boxes were refused.
+# cap (its row of verifycases.CHECKS) must exit 2 at once, and
+# [150]! must build in well under the timeout (about 0.1 s with the
+# dense Pochhammer kernel, 11.5 s as a chain of VLaurent products).
+# A bubble_oracle max_param above its cap must exit 2 at once,
+# before any contraction.  So must a torus_oracle f above its cap,
+# whose time grows about quadratically in f, and a torus_oracle or
+# tet_oracle colour n above its cap, before the network is built:
+# uncapped, the (2,1) torus at n = 1000 built f * n^2 crossings for
+# 4.8 s and 489 MiB before its boxes were refused.
 # bubble_oracle at its cap (4) must pass: the tests and builtin
 # suites stop at max_param 2, and only this run draws the bubble
 # table at box colours up to 8
@@ -65,7 +64,9 @@
 # A verify --order below 1 must exit 2: a series comparison at order 0 compares no
 # coefficients and would pass.  A g_m graph family with m above
 # tails_engine.MAX_FAMILY_M must exit 2 at once: each unit of m is
-# one more series product, and m = 10**9 ran for hours.
+# one more series product, and m = 10**9 ran for hours.  A suite
+# key its check does not declare (a misspelled "nmax") must exit 2
+# at once: it used to be dropped, and the check passed at its default.
 set -e
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
@@ -128,4 +129,7 @@ code=0; timeout 10 skeintails verify builtin:jacobi --order 0 || code=$?
 test "$code" = 2
 printf '{"suite": "s", "cases": [{"id": "huge", "check": "series_equal", "params": {"order": 20, "a": {"family": "g_m", "m": 1000000000}, "b": {"series": "poch_inf", "c": 1}}}]}' > "$tmp/family-m-cap.json"
 code=0; timeout 10 skeintails verify "$tmp/family-m-cap.json" || code=$?
+test "$code" = 2
+printf '{"suite": "s", "cases": [{"id": "typo", "check": "theta_tail", "params": {"nmax": 100000}}]}' > "$tmp/unknown-key.json"
+code=0; timeout 10 skeintails verify "$tmp/unknown-key.json" || code=$?
 test "$code" = 2

@@ -9,24 +9,22 @@ Subcommands:
 
 Exit codes: 0 all passed / value printed, 1 verification failure, 2 usage,
 parse, or capacity error (``verify`` opens its ``--out`` report before any
-case runs, so an unwritable path is a usage error).  Every ``--order``, and
-every ``order`` in a suite file, is capped at MAX_SERIES_ORDER before any
-series is built, and in a verify case an order below 1 is an error case,
-like a ``k_max`` below 1; a suite's ``n_max`` is capped per check at
-``verifycases.MAX_N_MAX`` (``bubble_oracle``'s ``max_param`` at
-``verifycases.MAX_MAX_PARAM``, ``torus_oracle``'s ``f`` at
-``verifycases.MAX_F``, the colour ``n`` of ``torus_oracle`` and
-``tet_oracle`` at ``verifycases.MAX_N``, and each of them below at 1)
-before any value is built; and ``jones`` caps its inputs at MAX_JONES_N and MAX_JONES_SIZE.
+case runs, so an unwritable path is a usage error).  Every ``--order`` is
+capped at MAX_SERIES_ORDER before any series is built.  Each parameter of
+a verify case is read and held to the default, least and most that its
+check's row of ``verifycases.CHECKS`` declares (every ``order`` at most
+MAX_SERIES_ORDER and at least 1) before any value is built, and a key the
+row does not declare is refused; ``jones`` caps its inputs at MAX_JONES_N
+and MAX_JONES_SIZE.
 ``jones --normalized --order N`` reads the value only to its first N
 coefficients; without ``--order`` it prints the whole normalized value.
 ``oracle`` refuses a box colour above ``tl_oracle.MAX_BOX_COLOR``, more than
 ``networks.MAX_FREE_LOOPS`` free loops, and a network whose contraction
 work would exceed ``networks.MAX_CONTRACTION_WORK``.  A suite case
-with a malformed or missing parameter, or without a ``check``, is reported
-as an ``error`` case (exit 2); the other cases still run.  Output is
-byte-deterministic for fixed inputs: the verify runner evaluates cases one
-after another, in suite order.  ``--jobs J`` (J >= 1) is accepted for
+with a malformed, missing, unknown or out-of-range parameter, or without
+a ``check``, is reported as an ``error`` case (exit 2); the other cases
+still run.  Output is byte-deterministic for fixed inputs: the verify
+runner evaluates cases one after another, in suite order.  ``--jobs J`` (J >= 1) is accepted for
 compatibility and does not change how cases run: threads gave no speed-up
 on this CPU-bound pure-Python code.
 
@@ -130,9 +128,6 @@ def _run_case(case: dict, order_override: int | None) -> dict:
         params = dict(case.get("params", {}))
         if order_override is not None and "order" in params:
             params["order"] = order_override
-        # An order written in the suite file is capped like --order.
-        order = params.get("order")
-        _check_order(None if order is None else int(order))
         from .verifycases import run_check
 
         ok, detail = run_check(case["check"], params)

@@ -1,15 +1,19 @@
 """Named verification checks: the bridge between acceptance criteria,
 builtin CLI suites, and the test suite.
 
-Every check is a pure function params -> (ok, detail).  The detail string
-names the first failing comparison (for series, the first mismatching
-exponent), so a red case is immediately actionable.
+Every check is a pure function of its keyword parameters that returns
+(ok, detail).  The detail string names the first failing comparison (for
+series, the first mismatching exponent), so a red case is immediately
+actionable.  ``CHECKS`` declares each check's parameters once, with their
+defaults and limits, and ``run_check`` validates a suite's parameters
+against it before any value is built.
 
 Each check imports the modules it calls in its own body, so a verify
 process loads only what its cases reach: a suite of q-series identities
-never compiles the diagram oracle.  Annotations name ``qcore`` types
-without importing them; ``from __future__ import annotations`` leaves
-them unevaluated.
+never compiles the diagram oracle.  Only ``qcore``, which every check
+loads, is imported here, for the order limit.  Annotations name ``qcore``
+types without importing them; ``from __future__ import annotations``
+leaves them unevaluated.
 """
 
 from __future__ import annotations
@@ -17,76 +21,12 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .errors import CapacityError, DomainError, SkeinError
+from .qcore import MAX_SERIES_ORDER
 
 CheckResult = tuple[bool, str]
 
-# Largest ``n_max`` a suite may give each check that reads one, checked
-# before any value is built.  Each comment gives the time of a one-case
-# verify process at the cap (three runs, 2 cores, CPython 3.11.7; about
-# 0.05 s of it is the start-up of the process), and where the cap is not
-# the 10 s budget, what refuses the next step.  The tail checks were capped
-# near 10 s when their closed forms were built as exact products; they now
-# read them only to the order they compare, peak at 14 MiB, and keep those
-# caps.  The worst accepted case is jw_laws at 8.
-MAX_N_MAX: dict[str, int] = {
-    "morrison": 4,  # 0.13-0.17 s (builds f(8) cold); at 5 f(10) is over MAX_BOX_COLOR
-    "jw_laws": 8,  # 8.1-9.2 s (6.7-7.0 s when quiet); at 9 f(9) is over MAX_BOX_COLOR
-    "theta_oracle": 4,  # 0.44-0.47 s; at 5 the colour 10 is over MAX_BOX_COLOR
-    "tail_lemma_fact": 70,  # 0.08 s
-    "tail_lemma_bubble0": 70,  # 0.09-0.10 s
-    "tail_lemma_psum": 28,  # 0.14 s
-    "tail_lemma_psum_nn0": 24,  # 0.14 s
-    "nn_i_sweep": 14,  # 0.13-0.14 s
-    "torus_stabilization": 50,  # 0.13-0.14 s at k_max 3
-    "lambda_theorem": 11,  # 0.10 s
-    "theta_tail": 60,  # 0.11-0.12 s
-    "tail85_oracle": 2,  # 0.18-0.19 s; at 3 the work cap refuses the braid (101,181 joins)
-}
-
-# Largest ``max_param`` a suite may give each check that reads one, in the
-# same way: bubble_oracle at 4 runs 140 closures in 0.53 s (three runs); at
-# 5 a box of colour 9 is refused after 0.7-0.8 s of contractions
-# (in-process, two runs).
-MAX_MAX_PARAM: dict[str, int] = {
-    "bubble_oracle": 4,
-}
-
-# Largest ``f`` (crossings of the (2, f) torus diagram) a suite may give
-# torus_oracle, in the same way.  The time grows about quadratically in f
-# and is worst at colour n = 2: f = 400 takes 7.9-10.0 s (four runs) and
-# 450 11.6 s, and f = 1000 is refused by the work cap only after 38 s.  At
-# n = 1, f = 400 takes 0.2 s (3000: 4.8 s); at n = 3, f = 20 takes 3-4 s
-# and f = 25..300 are refused within 5.6 s; n = 4..8 are refused within
-# 3.2 s at every f tried.
-MAX_F: dict[str, int] = {
-    "torus_oracle": 400,
-}
-
-# Largest colour ``n`` a suite may give each check that reads one.  The
-# diagrams carry boxes of colour n (torus_oracle) or 2n (tet_oracle), which
-# bracket_closed refuses above tl_oracle.MAX_BOX_COLOR (8), but only after
-# the network is built: f * n^2 crossings for the torus (uncapped, f = 1,
-# n = 1000 took 4.8 s and 489 MiB before its refusal), linear in n for the
-# tetrahedron (n = 10,000: 0.18 s and 53 MiB).
-MAX_N: dict[str, int] = {
-    "torus_oracle": 8,
-    "tet_oracle": 4,
-}
-
-# The suite parameters capped above, each with its table of limits.
-_CAPPED = (
-    ("n_max", MAX_N_MAX),
-    ("max_param", MAX_MAX_PARAM),
-    ("f", MAX_F),
-    ("n", MAX_N),
-)
-
-# Parameters that must be at least 1 in every check, or a check would
-# compare nothing and pass: below 1 each capped parameter and k_max leave a
-# check's loop empty (at colour n = 0 both sides of torus_oracle and
-# tet_oracle are the empty diagram, 1), and at order 0 a series comparison
-# has no coefficients.
-_AT_LEAST_ONE = (*(key for key, _ in _CAPPED), "k_max", "order")
+# The default of a parameter a suite must give.
+REQUIRED = object()
 
 
 def _series_diff_detail(a: QSeries, b: QSeries) -> str:
@@ -129,17 +69,15 @@ def _resolve_series(spec: dict, order: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def check_series_equal(params: dict) -> CheckResult:
-    order = int(params["order"])
-    a = _resolve_series(params["a"], order)
-    b = _resolve_series(params["b"], order)
-    return _eq_series(a, b, f"{params['a']} vs {params['b']}")
+def check_series_equal(order: int, a: dict, b: dict) -> CheckResult:
+    return _eq_series(
+        _resolve_series(a, order), _resolve_series(b, order), f"{a} vs {b}"
+    )
 
 
-def check_andrews_gordon(params: dict) -> CheckResult:
+def check_andrews_gordon(k: int, order: int) -> CheckResult:
     from .qidentities import ag_rhs, theta_f
 
-    k, order = int(params["k"]), int(params["order"])
     return _eq_series(
         theta_f(k, order),
         ag_rhs(k, order),
@@ -147,10 +85,9 @@ def check_andrews_gordon(params: dict) -> CheckResult:
     )
 
 
-def check_false_theta_identity(params: dict) -> CheckResult:
+def check_false_theta_identity(k: int, order: int) -> CheckResult:
     from .qidentities import false_ag_rhs, false_theta
 
-    k, order = int(params["k"]), int(params["order"])
     return _eq_series(
         false_theta(k, order),
         false_ag_rhs(k, order),
@@ -158,21 +95,19 @@ def check_false_theta_identity(params: dict) -> CheckResult:
     )
 
 
-def check_jacobi_triple(params: dict) -> CheckResult:
+def check_jacobi_triple(order: int) -> CheckResult:
     from .qcore import poch_inf
     from .qidentities import MonomialArg, theta_general
 
-    order = int(params.get("order", 40))
     a = MonomialArg(-1, 2)
     b = MonomialArg(-1, 1)
     lhs = theta_general(a, b, order)
     return _eq_series(lhs, poch_inf(1, order), f"f(-q^2,-q) vs (q;q)_inf at {order}")
 
 
-def check_theta_symmetry(params: dict) -> CheckResult:
+def check_theta_symmetry(order: int) -> CheckResult:
     from .qidentities import MonomialArg, theta_general
 
-    order = int(params.get("order", 30))
     a = MonomialArg(-1, 4)
     b = MonomialArg(-1, 1)
     lhs = theta_general(a, b, order)
@@ -180,11 +115,10 @@ def check_theta_symmetry(params: dict) -> CheckResult:
     return _eq_series(lhs, rhs, "f(a,b) vs f(b,a)")
 
 
-def check_jacobi_step5(params: dict) -> CheckResult:
+def check_jacobi_step5(order: int) -> CheckResult:
     from .qcore import poch_inf_step, series_mul
     from .qidentities import MonomialArg, theta_general
 
-    order = int(params.get("order", 25))
     lhs = theta_general(MonomialArg(-1, 3), MonomialArg(-1, 2), order)
     rhs = series_mul(
         series_mul(poch_inf_step(3, 5, order), poch_inf_step(2, 5, order)),
@@ -198,11 +132,10 @@ def check_jacobi_step5(params: dict) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_morrison(params: dict) -> CheckResult:
+def check_morrison(n_max: int) -> CheckResult:
     from .qcore import VFraction, quantum_fact
     from .tl_oracle import coeff_of, hook_matching, jones_wenzl
 
-    n_max = int(params.get("n_max", 3))
     for n in range(1, n_max + 1):
         got = coeff_of(jones_wenzl(2 * n), hook_matching(n))
         want = VFraction(quantum_fact(n) ** 2, quantum_fact(2 * n))
@@ -211,11 +144,10 @@ def check_morrison(params: dict) -> CheckResult:
     return True, f"hook coefficient equals ([n]!)^2/[2n]! for n <= {n_max}"
 
 
-def check_jw_laws(params: dict) -> CheckResult:
+def check_jw_laws(n_max: int) -> CheckResult:
     from .qcore import VFraction, delta_n
     from .tl_oracle import TLElement, jones_wenzl
 
-    n_max = int(params.get("n_max", 6))
     for n in range(1, n_max + 1):
         f = jones_wenzl(n)
         if not (f * f) == f:
@@ -258,14 +190,13 @@ def bubble_sweep_cases(max_param: int = 2):
                         yield (m, n, mp, np_, k, l, "leftright")
 
 
-def check_bubble_oracle(params: dict) -> CheckResult:
+def check_bubble_oracle(max_param: int) -> CheckResult:
     from functools import cache
 
     from .networks import bracket_closed, bubble_lhs_network, bubble_rhs_network
     from .qcore import VFraction
     from .skein_formulas import bubble_coeff
 
-    max_param = int(params.get("max_param", 2))
     # Many closures share diagrams and coefficients, so each distinct
     # network (by its serialized text) is contracted once, and each distinct
     # coefficient is built once.
@@ -295,13 +226,12 @@ def check_bubble_oracle(params: dict) -> CheckResult:
     return True, f"bubble expansion matches the oracle on {count} closures"
 
 
-def check_torus_oracle(params: dict) -> CheckResult:
+def check_torus_oracle(f: int, n: int) -> CheckResult:
     from .networks import bracket_closed, torus_knot_network
     from .qcore import delta_n
     from .skein_formulas import colored_jones_torus
     from .tails_engine import normalize
 
-    f, n = int(params["f"]), int(params["n"])
     bracket = bracket_closed(torus_knot_network(f, n))
     poly = bracket.to_vlaurent().div_exact(delta_n(n))
     lhs = normalize(poly)
@@ -311,11 +241,10 @@ def check_torus_oracle(params: dict) -> CheckResult:
     return False, f"(2,{f}) n={n}: oracle and formula normalize differently"
 
 
-def check_theta_oracle(params: dict) -> CheckResult:
+def check_theta_oracle(n_max: int) -> CheckResult:
     from .networks import bracket_closed, theta_network
     from .skein_formulas import theta_2n
 
-    n_max = int(params.get("n_max", 2))
     for n in range(1, n_max + 1):
         got = bracket_closed(theta_network(2 * n, 2 * n, 2 * n))
         if got != theta_2n(n).exact():
@@ -323,11 +252,10 @@ def check_theta_oracle(params: dict) -> CheckResult:
     return True, f"theta_2n matches the theta-network bracket for n <= {n_max}"
 
 
-def check_tet_oracle(params: dict) -> CheckResult:
+def check_tet_oracle(n: int) -> CheckResult:
     from .networks import bracket_closed, tet_network
     from .skein_formulas import tet_2n
 
-    n = int(params.get("n", 1))
     got = bracket_closed(tet_network(2 * n))
     want = tet_2n(n)
     if got == want:
@@ -335,7 +263,7 @@ def check_tet_oracle(params: dict) -> CheckResult:
     return False, f"tet_2n({n}) differs from the tetrahedron bracket"
 
 
-def check_oracle_basics(params: dict) -> CheckResult:
+def check_oracle_basics() -> CheckResult:
     from .networks import bracket_closed, closed_projector, kinked_loop, loop_network
     from .qcore import V_LOOP, VFraction, VLaurent, delta_n
 
@@ -385,11 +313,10 @@ def _tail_check(
     return True, ok
 
 
-def check_tail_lemma_fact(params: dict) -> CheckResult:
+def check_tail_lemma_fact(n_max: int) -> CheckResult:
     from .qcore import poch_inf
     from .skein_formulas import hook_coeff
 
-    n_max = int(params.get("n_max", 20))
     return _tail_check(
         n_max,
         lambda n: [hook_coeff(n)],
@@ -399,11 +326,10 @@ def check_tail_lemma_fact(params: dict) -> CheckResult:
     )
 
 
-def check_tail_lemma_bubble0(params: dict) -> CheckResult:
+def check_tail_lemma_bubble0(n_max: int) -> CheckResult:
     from .qcore import poch_inf
     from .skein_formulas import bubble_coeff
 
-    n_max = int(params.get("n_max", 20))
     return _tail_check(
         n_max,
         lambda n: [bubble_coeff(n, n, n, n, 0)],
@@ -413,11 +339,10 @@ def check_tail_lemma_bubble0(params: dict) -> CheckResult:
     )
 
 
-def check_tail_lemma_psum(params: dict) -> CheckResult:
+def check_tail_lemma_psum(n_max: int) -> CheckResult:
     from .qidentities import false_theta
     from .skein_formulas import p_coeff
 
-    n_max = int(params.get("n_max", 12))
     return _tail_check(
         n_max,
         lambda n: [p_coeff(n, i) for i in range(n + 1)],
@@ -427,11 +352,10 @@ def check_tail_lemma_psum(params: dict) -> CheckResult:
     )
 
 
-def check_tail_lemma_psum_nn0(params: dict) -> CheckResult:
+def check_tail_lemma_psum_nn0(n_max: int) -> CheckResult:
     from .qidentities import theta_f
     from .skein_formulas import nn_i_coeff, p_coeff
 
-    n_max = int(params.get("n_max", 12))
     return _tail_check(
         n_max,
         lambda n: [p_coeff(n, i) * nn_i_coeff(n, i, 0) for i in range(n + 1)],
@@ -441,10 +365,9 @@ def check_tail_lemma_psum_nn0(params: dict) -> CheckResult:
     )
 
 
-def check_nn_i_sweep(params: dict) -> CheckResult:
+def check_nn_i_sweep(n_max: int) -> CheckResult:
     from .skein_formulas import bubble_coeff, nn_i_coeff
 
-    n_max = int(params.get("n_max", 4))
     for n in range(1, n_max + 1):
         for i in range(0, n + 1):
             for j in range(0, i + 1):
@@ -453,13 +376,10 @@ def check_nn_i_sweep(params: dict) -> CheckResult:
     return True, f"nn_i_coeff matches bubble_coeff(n,i,n,n,j) for n <= {n_max}"
 
 
-def check_torus_stabilization(params: dict) -> CheckResult:
+def check_torus_stabilization(n_max: int, k_max: int) -> CheckResult:
     from .qidentities import false_theta, theta_f
     from .skein_formulas import chain_tail, colored_jones_torus
     from .tails_engine import stabilization_report
-
-    k_max = int(params.get("k_max", 3))
-    n_max = int(params.get("n_max", 12))
 
     def torus(f: int) -> tuple[tuple[bool, ...], QSeries]:
         # P_n is read only to the n coefficients that are compared.
@@ -487,11 +407,10 @@ def check_torus_stabilization(params: dict) -> CheckResult:
     return True, f"torus tails and chains agree for k <= {k_max}, {n_max} coefficients"
 
 
-def check_lambda_theorem(params: dict) -> CheckResult:
+def check_lambda_theorem(n_max: int) -> CheckResult:
     from .qidentities import lambda_series
     from .skein_formulas import tet_theta_ratio
 
-    n_max = int(params.get("n_max", 6))
     return _tail_check(
         n_max,
         tet_theta_ratio,
@@ -501,11 +420,10 @@ def check_lambda_theorem(params: dict) -> CheckResult:
     )
 
 
-def check_theta_tail(params: dict) -> CheckResult:
+def check_theta_tail(n_max: int) -> CheckResult:
     from .qcore import poch_inf
     from .skein_formulas import theta_2n
 
-    n_max = int(params.get("n_max", 15))
     return _tail_check(
         n_max,
         lambda n: [theta_2n(n)],
@@ -515,7 +433,7 @@ def check_theta_tail(params: dict) -> CheckResult:
     )
 
 
-def check_product_laws(params: dict) -> CheckResult:
+def check_product_laws(order: int) -> CheckResult:
     from .qcore import (
         QSeries,
         poch_finite,
@@ -527,7 +445,6 @@ def check_product_laws(params: dict) -> CheckResult:
     from .qidentities import lambda_series, theta_f
     from .tails_engine import graph_family_tail, tail_product_1, tail_product_23
 
-    order = int(params.get("order", 30))
     t = theta_f(2, order)
     unit1 = tail_product_1(t, poch_inf(2, order), order)
     if unit1 != t.with_order(order):
@@ -553,17 +470,16 @@ def check_product_laws(params: dict) -> CheckResult:
     return True, f"unit laws and the four-triangle wheel hold at order {order}"
 
 
-def check_tail85(params: dict) -> CheckResult:
+def check_tail85(order: int) -> CheckResult:
     from .qidentities import tail_85
 
-    order = int(params.get("order", 30))
     s = tail_85(order)
     if s.shift != 0 or s.coeff(0) != 1:
         return False, "8_5 tail does not start with 1 at q^0"
     return True, f"8_5 tail: integral, leading 1 at order {order}"
 
 
-def check_tail85_oracle(params: dict) -> CheckResult:
+def check_tail85_oracle(n_max: int) -> CheckResult:
     from .networks import bracket_closed, braid_network
     from .qidentities import tail_85
     from .tails_engine import agree_to_order, normalize
@@ -571,7 +487,6 @@ def check_tail85_oracle(params: dict) -> CheckResult:
     # sigma_1^3 sigma_2^-1 sigma_1^3 sigma_2^-1 is the braid word of 8_5 in
     # KnotInfo; with sigma_i drawn "nesw", the low-v end of its bracket is
     # the one whose reduced Tait graph is the (3, 3, 2) theta graph.
-    n_max = int(params.get("n_max", 2))
     for n in range(1, n_max + 1):
         net = braid_network((1, 1, 1, -2, 1, 1, 1, -2), 3, n)
         bracket = bracket_closed(net)
@@ -583,12 +498,11 @@ def check_tail85_oracle(params: dict) -> CheckResult:
     return True, f"8_5 braid closure agrees with tail_85 to n+1 terms for n <= {n_max}"
 
 
-def check_chain_examples(params: dict) -> CheckResult:
+def check_chain_examples(order: int) -> CheckResult:
     from .qcore import poch_inf
     from .qidentities import false_ag_rhs, theta_f
     from .skein_formulas import chain_tail
 
-    order = int(params.get("order", 30))
     if chain_tail("even", 1, order) != poch_inf(1, order):
         return False, "even chain k=1 is not (q;q)_inf"
     if chain_tail("odd", 1, order) != false_ag_rhs(2, order):
@@ -598,46 +512,126 @@ def check_chain_examples(params: dict) -> CheckResult:
     return True, "chain tails match their named series"
 
 
-CHECKS: dict[str, Callable[[dict], CheckResult]] = {
-    "series_equal": check_series_equal,
-    "andrews_gordon": check_andrews_gordon,
-    "false_theta_identity": check_false_theta_identity,
-    "jacobi_triple": check_jacobi_triple,
-    "theta_symmetry": check_theta_symmetry,
-    "jacobi_step5": check_jacobi_step5,
-    "morrison": check_morrison,
-    "jw_laws": check_jw_laws,
-    "bubble_oracle": check_bubble_oracle,
-    "torus_oracle": check_torus_oracle,
-    "theta_oracle": check_theta_oracle,
-    "tet_oracle": check_tet_oracle,
-    "oracle_basics": check_oracle_basics,
-    "tail_lemma_fact": check_tail_lemma_fact,
-    "tail_lemma_bubble0": check_tail_lemma_bubble0,
-    "tail_lemma_psum": check_tail_lemma_psum,
-    "tail_lemma_psum_nn0": check_tail_lemma_psum_nn0,
-    "nn_i_sweep": check_nn_i_sweep,
-    "torus_stabilization": check_torus_stabilization,
-    "lambda_theorem": check_lambda_theorem,
-    "theta_tail": check_theta_tail,
-    "product_laws": check_product_laws,
-    "tail85": check_tail85,
-    "tail85_oracle": check_tail85_oracle,
-    "chain_examples": check_chain_examples,
+# Every check by name: its function and, for each suite parameter in the
+# order run_check reads them, (default, least, most).  REQUIRED marks a
+# parameter a suite must give.  An integer parameter is read with int()
+# and has a most; series_equal's specs have none and pass as given.
+#
+# A least of 1 refuses a value with which a check would compare nothing and
+# pass: below 1 each loop is empty (at colour n = 0 both sides of
+# torus_oracle and tet_oracle are the empty diagram, 1), and at order 0 a
+# series comparison has no coefficients.  k has no least here: theta_f,
+# false_theta and false_ag_rhs refuse a k below theirs.
+#
+# Each most is checked before any value is built.  Every order's is
+# qcore.MAX_SERIES_ORDER, as for --order.  k's and k_max's is
+# qidentities.MAX_AG_K, which ag_rhs and false_ag_rhs refuse above; it is
+# not imported, as a suite of projector checks never loads qidentities.
+# Each comment gives the time of a one-case verify process at the cap
+# (three runs, 2 cores, CPython 3.11.7; about 0.05 s of it is the start-up
+# of the process), and where the cap is not the 10 s budget, what refuses
+# the next step.  The tail checks were capped near 10 s when their closed
+# forms were built as exact products; they now read them only to the order
+# they compare, peak at 14 MiB, and keep those caps.  The worst accepted
+# case is jw_laws at 8.
+CHECKS: dict[str, tuple[Callable[..., CheckResult], dict[str, tuple]]] = {
+    "series_equal": (check_series_equal, {
+        "order": (REQUIRED, 1, MAX_SERIES_ORDER),
+        "a": (REQUIRED, None, None),
+        "b": (REQUIRED, None, None),
+    }),
+    "andrews_gordon": (check_andrews_gordon, {
+        "k": (REQUIRED, None, 10),
+        "order": (REQUIRED, 1, MAX_SERIES_ORDER),
+    }),
+    "false_theta_identity": (check_false_theta_identity, {
+        "k": (REQUIRED, None, 10),
+        "order": (REQUIRED, 1, MAX_SERIES_ORDER),
+    }),
+    "jacobi_triple": (check_jacobi_triple, {"order": (40, 1, MAX_SERIES_ORDER)}),
+    "theta_symmetry": (check_theta_symmetry, {"order": (30, 1, MAX_SERIES_ORDER)}),
+    "jacobi_step5": (check_jacobi_step5, {"order": (25, 1, MAX_SERIES_ORDER)}),
+    # 0.13-0.17 s (builds f(8) cold); at 5 f(10) is over MAX_BOX_COLOR
+    "morrison": (check_morrison, {"n_max": (3, 1, 4)}),
+    # 8.1-9.2 s (6.7-7.0 s when quiet); at 9 f(9) is over MAX_BOX_COLOR
+    "jw_laws": (check_jw_laws, {"n_max": (6, 1, 8)}),
+    # 140 closures in 0.53 s; at 5 a box of colour 9 is refused after
+    # 0.7-0.8 s of contractions (in-process, two runs)
+    "bubble_oracle": (check_bubble_oracle, {"max_param": (2, 1, 4)}),
+    # f counts the crossings of the (2, f) torus diagram.  The time grows
+    # about quadratically in f and is worst at colour n = 2: f = 400 takes
+    # 7.9-10.0 s (four runs) and 450 11.6 s, and f = 1000 is refused by the
+    # work cap only after 38 s.  At n = 1, f = 400 takes 0.2 s (3000:
+    # 4.8 s); at n = 3, f = 20 takes 3-4 s and f = 25..300 are refused
+    # within 5.6 s; n = 4..8 are refused within 3.2 s at every f tried.
+    # The diagrams carry boxes of colour n here and 2n in tet_oracle, which
+    # bracket_closed refuses above tl_oracle.MAX_BOX_COLOR (8), but only
+    # after the network is built: f * n^2 crossings for the torus
+    # (uncapped, f = 1, n = 1000 took 4.8 s and 489 MiB before its
+    # refusal), linear in n for the tetrahedron (n = 10,000: 0.18 s and
+    # 53 MiB).
+    "torus_oracle": (check_torus_oracle, {
+        "f": (REQUIRED, 1, 400),
+        "n": (REQUIRED, 1, 8),
+    }),
+    # 0.44-0.47 s; at 5 the colour 10 is over MAX_BOX_COLOR
+    "theta_oracle": (check_theta_oracle, {"n_max": (2, 1, 4)}),
+    # colour 2n: the cap is half of torus_oracle's (see there)
+    "tet_oracle": (check_tet_oracle, {"n": (1, 1, 4)}),
+    "oracle_basics": (check_oracle_basics, {}),
+    # 0.08 s
+    "tail_lemma_fact": (check_tail_lemma_fact, {"n_max": (20, 1, 70)}),
+    # 0.09-0.10 s
+    "tail_lemma_bubble0": (check_tail_lemma_bubble0, {"n_max": (20, 1, 70)}),
+    # 0.14 s
+    "tail_lemma_psum": (check_tail_lemma_psum, {"n_max": (12, 1, 28)}),
+    # 0.14 s
+    "tail_lemma_psum_nn0": (check_tail_lemma_psum_nn0, {"n_max": (12, 1, 24)}),
+    # 0.13-0.14 s
+    "nn_i_sweep": (check_nn_i_sweep, {"n_max": (4, 1, 14)}),
+    # n_max 50: 0.13-0.14 s at k_max 3, 0.16-0.20 s at k_max 10; at k_max 11
+    # the chain sums refuse k 11, after k = 1..10 have run
+    "torus_stabilization": (check_torus_stabilization, {
+        "n_max": (12, 1, 50),
+        "k_max": (3, 1, 10),
+    }),
+    # 0.10 s
+    "lambda_theorem": (check_lambda_theorem, {"n_max": (6, 1, 11)}),
+    # 0.11-0.12 s
+    "theta_tail": (check_theta_tail, {"n_max": (15, 1, 60)}),
+    "product_laws": (check_product_laws, {"order": (30, 1, MAX_SERIES_ORDER)}),
+    "tail85": (check_tail85, {"order": (30, 1, MAX_SERIES_ORDER)}),
+    # 0.18-0.19 s; at 3 the work cap refuses the braid (101,181 joins)
+    "tail85_oracle": (check_tail85_oracle, {"n_max": (2, 1, 2)}),
+    "chain_examples": (check_chain_examples, {"order": (30, 1, MAX_SERIES_ORDER)}),
 }
 
 
 def run_check(name: str, params: dict) -> CheckResult:
+    """Run check ``name`` on a suite's ``params``.  Before the check runs,
+    each parameter its row declares is read (a missing required one raises
+    ``KeyError``), held to its least and most, and any other key is
+    refused."""
     try:
-        fn = CHECKS[name]
+        fn, spec = CHECKS[name]
     except KeyError:
         raise SkeinError(f"unknown check {name!r}") from None
-    for key in _AT_LEAST_ONE:
-        if key in params and (value := int(params[key])) < 1:
-            raise DomainError(f"{key} must be >= 1, got {value}")
-    for key, caps in _CAPPED:
-        if name in caps and key in params:
-            value, limit = int(params[key]), caps[name]
-            if value > limit:
-                raise CapacityError(f"{key} {value} exceeds limit {limit}")
-    return fn(params)
+    values = {}
+    for key, (default, _, most) in spec.items():
+        if key in params:
+            value = params[key]
+        elif default is REQUIRED:
+            raise KeyError(key)
+        else:
+            value = default
+        values[key] = value if most is None else int(value)
+    for key, (_, least, most) in spec.items():
+        value = values[key]
+        if least is not None and value < least:
+            raise DomainError(f"{key} must be >= {least}, got {value}")
+        if most is not None and value > most:
+            raise CapacityError(f"{key} {value} exceeds limit {most}")
+    for key in params:
+        if key not in spec:
+            raise DomainError(f"unknown parameter {key!r} for {name}")
+    return fn(**values)

@@ -9,20 +9,16 @@ import importlib.util
 import inspect
 import json
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from skeintails.errors import CapacityError, DomainError
+from skeintails.qcore import MAX_SERIES_ORDER
+from skeintails.qidentities import MAX_AG_K
 from skeintails.tl_oracle import MAX_BOX_COLOR
-from skeintails.verifycases import (
-    CHECKS,
-    MAX_F,
-    MAX_MAX_PARAM,
-    MAX_N,
-    MAX_N_MAX,
-    run_check,
-)
+from skeintails.verifycases import CHECKS, REQUIRED, run_check
 
 
 def _criterion(number: int, label: str, check: str, params: dict) -> None:
@@ -96,9 +92,42 @@ def test_c13_85_tail():
     _criterion(13, "8_5 series checks", "tail85", {"order": 30})
 
 
-# -- the per-check n_max caps --------------------------------------------------
+# -- the parameter table -------------------------------------------------------
 
 _ROOT = Path(__file__).resolve().parents[1]
+
+# A value for each required parameter, so that a test can vary one other.
+# At n = 2 one step past torus_oracle's f cap already runs for seconds.
+_GIVEN = {
+    "order": 10, "k": 2, "f": 1, "n": 2,
+    "a": {"series": "lambda"}, "b": {"series": "lambda"},
+}
+
+
+def _required(name: str) -> dict:
+    return {
+        key: _GIVEN[key]
+        for key, (default, _, _) in CHECKS[name][1].items()
+        if default is REQUIRED
+    }
+
+
+def _least(name: str, key: str) -> int | None:
+    return CHECKS[name][1][key][1]
+
+
+def _most(name: str, key: str) -> int | None:
+    return CHECKS[name][1][key][2]
+
+
+def _limited_by(limit) -> list[tuple[str, str]]:
+    """(check, parameter) for every parameter with a ``_least`` or ``_most``."""
+    return [
+        (name, key)
+        for name, (_, spec) in CHECKS.items()
+        for key in spec
+        if limit(name, key) is not None
+    ]
 
 
 def _shipped_cases():
@@ -120,118 +149,54 @@ def _shipped_cases():
                 yield {"check": check, "params": p}
 
 
-def test_n_max_caps_cover_every_n_max_check():
-    reads_n_max = {
-        name for name, fn in CHECKS.items() if '"n_max"' in inspect.getsource(fn)
-    }
-    assert reads_n_max == set(MAX_N_MAX)
+def test_each_row_declares_its_check_signature():
+    # run_check calls each check with exactly the keys of its row, and every
+    # integer parameter (annotated int) has a limit; only series_equal's
+    # series specs pass unread.
+    for name, (fn, spec) in CHECKS.items():
+        assert list(inspect.signature(fn).parameters) == list(spec), name
+        for key, (default, least, most) in spec.items():
+            assert (most is not None) == (fn.__annotations__[key] == "int"), key
+            if default is not REQUIRED:
+                assert least is None or least <= default, (name, key)
+                assert default <= most, (name, key)
 
 
-def test_n_max_caps_admit_every_shipped_suite():
-    seen = 0
+def test_every_shipped_case_is_admitted():
+    seen = Counter()
     for case in _shipped_cases():
-        n_max = case.get("params", {}).get("n_max")
-        if n_max is not None:
-            assert n_max <= MAX_N_MAX[case["check"]], case
-            seen += 1
-    assert seen >= 20
+        spec = CHECKS[case["check"]][1]
+        for key, value in case.get("params", {}).items():
+            assert key in spec, case
+            _, least, most = spec[key]
+            assert least is None or least <= value, case
+            assert most is None or value <= most, case
+            seen[key] += 1
+    assert seen["n_max"] >= 20
+    assert seen["max_param"] >= 3
+    assert seen["f"] >= 10 and seen["n"] >= 10
 
 
-def test_n_max_over_cap_is_refused_before_building():
-    for name, limit in MAX_N_MAX.items():
+@pytest.mark.parametrize("name,key", _limited_by(_most))
+def test_over_cap_is_refused_before_building(name, key):
+    # One above the cap (a box of colour 9 after seconds of contraction for
+    # bubble_oracle, seconds of crossings for torus_oracle's f) and far
+    # above it are both refused at once.
+    most = _most(name, key)
+    for value in (most + 1, 10**9):
         start = time.perf_counter()
-        with pytest.raises(CapacityError, match=f"n_max {10**9} exceeds limit {limit}"):
-            run_check(name, {"n_max": 10**9})
+        with pytest.raises(CapacityError, match=f"^{key} {value} exceeds limit {most}$"):
+            run_check(name, {**_required(name), key: value})
         assert time.perf_counter() - start < 1
 
 
-def test_max_param_caps_cover_every_max_param_check():
-    reads = {
-        name for name, fn in CHECKS.items() if '"max_param"' in inspect.getsource(fn)
-    }
-    assert reads == set(MAX_MAX_PARAM)
-
-
-def test_max_param_caps_admit_every_shipped_suite():
-    seen = 0
-    for case in _shipped_cases():
-        value = case.get("params", {}).get("max_param")
-        if value is not None:
-            assert value <= MAX_MAX_PARAM[case["check"]], case
-            seen += 1
-    assert seen >= 3
-
-
-def test_max_param_over_cap_is_refused_before_building():
-    # One above the cap (a box of colour 9 after seconds of contraction
-    # without it) and far above it are both refused at once.
-    for name, limit in MAX_MAX_PARAM.items():
-        for value in (limit + 1, 100):
-            start = time.perf_counter()
-            with pytest.raises(
-                CapacityError, match=f"^max_param {value} exceeds limit {limit}$"
-            ):
-                run_check(name, {"max_param": value})
-            assert time.perf_counter() - start < 1
-
-
-def test_f_over_cap_is_refused_before_building():
-    # At n = 2 one step past the cap already runs for seconds.
-    for name, limit in MAX_F.items():
-        for f in (limit + 1, 100000):
-            start = time.perf_counter()
-            with pytest.raises(CapacityError, match=f"^f {f} exceeds limit {limit}$"):
-                run_check(name, {"f": f, "n": 2})
-            assert time.perf_counter() - start < 1
-
-
-def test_f_caps_admit_every_shipped_suite():
-    seen = 0
-    for case in _shipped_cases():
-        if case["check"] in MAX_F:
-            assert case["params"]["f"] <= MAX_F[case["check"]], case
-            seen += 1
-    assert seen >= 10
-
-
-def test_colour_caps_are_the_largest_box_colour():
-    # torus_oracle draws boxes of colour n, tet_oracle of colour 2n.
-    assert MAX_N == {"torus_oracle": MAX_BOX_COLOR, "tet_oracle": MAX_BOX_COLOR // 2}
-    reads = {name for name, fn in CHECKS.items() if '"n"' in inspect.getsource(fn)}
-    assert reads == set(MAX_N)
-
-
-def test_colour_over_cap_is_refused_before_building():
-    for name, limit in MAX_N.items():
-        for n in (limit + 1, 10**6):
-            start = time.perf_counter()
-            with pytest.raises(CapacityError, match=f"^n {n} exceeds limit {limit}$"):
-                run_check(name, {"f": 1, "n": n})
-            assert time.perf_counter() - start < 1
-
-
-def test_colour_caps_admit_every_shipped_suite():
-    seen = 0
-    for case in _shipped_cases():
-        if case["check"] in MAX_N:
-            assert case["params"]["n"] <= MAX_N[case["check"]], case
-            seen += 1
-    assert seen >= 10
-
-
-@pytest.mark.parametrize(
-    "name,key",
-    [*((name, "n_max") for name in MAX_N_MAX),
-     *((name, "max_param") for name in MAX_MAX_PARAM),
-     *((name, "f") for name in MAX_F),
-     *((name, "n") for name in MAX_N)],
-)
+@pytest.mark.parametrize("name,key", _limited_by(_least))
 @pytest.mark.parametrize("value", [0, -1])
 def test_capped_parameter_below_one_is_refused(name, key, value):
     # Below 1 a check loops over nothing and would pass vacuously.
-    params = {"f": 3, "n": 1, key: value}
+    assert _least(name, key) == 1
     with pytest.raises(DomainError, match=f"^{key} must be >= 1, got {value}$"):
-        run_check(name, params)
+        run_check(name, {**_required(name), key: value})
 
 
 @pytest.mark.parametrize(
@@ -252,3 +217,36 @@ def test_uncapped_parameter_below_one_is_refused(name, params, key, value):
     # coefficients)"), and at k_max 0 torus_stabilization checks no k.
     with pytest.raises(DomainError, match=f"^{key} must be >= 1, got {value}$"):
         run_check(name, {**params, key: value})
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_undeclared_parameter_is_refused(name):
+    # A misspelled key used to be dropped, so the check ran at its default.
+    with pytest.raises(
+        DomainError, match=f"^unknown parameter 'nmax' for {name}$"
+    ):
+        run_check(name, {**_required(name), "nmax": 100000})
+
+
+def test_colour_caps_are_the_largest_box_colour():
+    # torus_oracle draws boxes of colour n, tet_oracle of colour 2n.
+    assert _most("torus_oracle", "n") == MAX_BOX_COLOR
+    assert _most("tet_oracle", "n") == MAX_BOX_COLOR // 2
+
+
+def test_k_caps_are_the_largest_multi_sum_depth():
+    # The andrews_gordon and false-theta sums, and torus_stabilization's
+    # chains, call ag_rhs(k) and false_ag_rhs(k), which refuse k above
+    # MAX_AG_K.
+    assert _most("andrews_gordon", "k") == MAX_AG_K
+    assert _most("false_theta_identity", "k") == MAX_AG_K
+    assert _most("torus_stabilization", "k_max") == MAX_AG_K
+
+
+def test_order_caps_are_the_series_order_cap():
+    # So test_over_cap_is_refused_before_building refuses MAX_SERIES_ORDER + 1
+    # in every check that takes an order.  Only the CLI capped a suite's
+    # order before, and a library call reached [0] * order.
+    assert {
+        _most(name, "order") for name, (_, spec) in CHECKS.items() if "order" in spec
+    } == {MAX_SERIES_ORDER}

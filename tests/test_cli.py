@@ -16,13 +16,11 @@ from skeintails.qcore import MAX_SERIES_ORDER, poch_inf
 from skeintails.qidentities import MAX_AG_K, theta_f
 from skeintails.tails_engine import MAX_FAMILY_M
 from skeintails import networks
-from skeintails.verifycases import (
-    MAX_F,
-    MAX_MAX_PARAM,
-    MAX_N,
-    MAX_N_MAX,
-    check_product_laws,
-)
+from skeintails.verifycases import CHECKS, check_product_laws
+
+
+def _most(check: str, key: str) -> int:
+    return CHECKS[check][1][key][2]
 
 
 def run(argv):
@@ -320,7 +318,7 @@ class TestVerify:
         code, out = run(["verify", str(path), "--out", str(report)])
         assert code == 2
         lines = out.splitlines()
-        limit = MAX_N_MAX["tail_lemma_fact"]
+        limit = _most("tail_lemma_fact", "n_max")
         assert lines[0] == f"[ERROR] huge: CapacityError: n_max 100000 exceeds limit {limit}"
         assert lines[1].startswith("[PASS ] after:")
         assert lines[2] == "1/2 cases passed"
@@ -362,7 +360,7 @@ class TestVerify:
         code, out = run(["verify", str(path)])
         assert time.perf_counter() - start < 1
         assert code == 2
-        limit = MAX_F["torus_oracle"]
+        limit = _most("torus_oracle", "f")
         assert out.splitlines()[0] == (
             f"[ERROR] huge: CapacityError: f 100000 exceeds limit {limit}"
         )
@@ -392,7 +390,7 @@ class TestVerify:
         assert time.perf_counter() - start < 1
         assert code == 2
         assert out.splitlines() == [
-            f"[ERROR] huge: CapacityError: n 1000000 exceeds limit {MAX_N[check]}",
+            f"[ERROR] huge: CapacityError: n 1000000 exceeds limit {_most(check, 'n')}",
             "0/1 cases passed",
         ]
 
@@ -405,10 +403,35 @@ class TestVerify:
         code, out = run(["verify", str(path)])
         assert code == 2
         lines = out.splitlines()
-        limit = MAX_MAX_PARAM["bubble_oracle"]
+        limit = _most("bubble_oracle", "max_param")
         assert lines[0] == f"[ERROR] huge: CapacityError: max_param 100 exceeds limit {limit}"
         assert lines[1].startswith("[PASS ] after:")
         assert lines[2] == "1/2 cases passed"
+
+    def test_k_max_cap_is_error_case(self, tmp_path):
+        # Uncapped, k_max 1000 ran k = 1..10 and then failed on k 11 inside
+        # the chain sums, naming k, not k_max.
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"suite": "s", "cases": [
+            {"id": "huge", "check": "torus_stabilization", "params": {"k_max": 1000}},
+        ]}))
+        start = time.perf_counter()
+        code, out = run(["verify", str(path)])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out.splitlines() == [
+            f"[ERROR] huge: CapacityError: k_max 1000 exceeds limit {MAX_AG_K}",
+            "0/1 cases passed",
+        ]
+
+    def test_unknown_parameter_is_error_case(self, tmp_path):
+        # A misspelled key was dropped: theta_tail ran at its default n_max
+        # and passed.
+        self._malformed_case_reported(
+            tmp_path,
+            {"check": "theta_tail", "params": {"nmax": 100000}},
+            "DomainError: unknown parameter 'nmax' for theta_tail",
+        )
 
     def test_non_utf8_suite_exit2(self, tmp_path, capsys):
         path = tmp_path / "s.json"
@@ -458,7 +481,7 @@ class TestVerify:
             "[ERROR] p0: DomainError: order must be >= 1, got 0",
             "0/1 cases passed",
         ]
-        assert check_product_laws({"order": 0}) == (
+        assert check_product_laws(order=0) == (
             True, "unit laws and the four-triangle wheel hold at order 0"
         )
 

@@ -55,7 +55,7 @@ from skeintails.qcore import (
     quantum_product,
 )
 from skeintails.tails_engine import normalize, sum_fraction_products_x
-from skeintails.verifycases import MAX_N_MAX, run_check
+from skeintails.verifycases import CHECKS, run_check
 
 
 def _one_minus_q(a: int) -> VLaurent:
@@ -429,7 +429,7 @@ def test_tail_checks_read_each_sum_in_one_pass(monkeypatch, check):
     sizes: list[int] = []
     monkeypatch.setattr(PochTerm, "series", series)
     monkeypatch.setattr(tails_engine, "sum_fraction_products_x", one_pass)
-    n_max = MAX_N_MAX[check]
+    n_max = CHECKS[check][1]["n_max"][2]
     ok, detail = run_check(check, {"n_max": n_max})
     assert ok, detail
     assert sizes == list(range(2, n_max + 2))
