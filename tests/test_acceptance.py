@@ -162,8 +162,33 @@ def test_each_row_declares_its_check_signature():
                 assert default <= most, (name, key)
 
 
+def _admitted(key: str) -> int:
+    """How many shipped cases set ``key``; each holds its value to its row."""
+    seen = 0
+    for case in _shipped_cases():
+        spec = CHECKS[case["check"]][1]
+        value = case.get("params", {}).get(key)
+        if value is not None:
+            _, least, most = spec[key]
+            assert least is None or least <= value, case
+            assert most is None or value <= most, case
+            seen += 1
+    return seen
+
+
+def _capped_checks(key: str) -> set[str]:
+    return {name for name, k in _limited_by(_most) if k == key}
+
+
+def _takes(key: str) -> set[str]:
+    return {
+        name
+        for name, (fn, _) in CHECKS.items()
+        if key in inspect.signature(fn).parameters
+    }
+
+
 def test_every_shipped_case_is_admitted():
-    seen = Counter()
     for case in _shipped_cases():
         spec = CHECKS[case["check"]][1]
         for key, value in case.get("params", {}).items():
@@ -171,10 +196,30 @@ def test_every_shipped_case_is_admitted():
             _, least, most = spec[key]
             assert least is None or least <= value, case
             assert most is None or value <= most, case
-            seen[key] += 1
-    assert seen["n_max"] >= 20
-    assert seen["max_param"] >= 3
-    assert seen["f"] >= 10 and seen["n"] >= 10
+
+
+def test_n_max_caps_cover_every_n_max_check():
+    assert _takes("n_max") == _capped_checks("n_max") != set()
+
+
+def test_n_max_caps_admit_every_shipped_suite():
+    assert _admitted("n_max") >= 20
+
+
+def test_max_param_caps_cover_every_max_param_check():
+    assert _takes("max_param") == _capped_checks("max_param") != set()
+
+
+def test_max_param_caps_admit_every_shipped_suite():
+    assert _admitted("max_param") >= 3
+
+
+def test_f_caps_admit_every_shipped_suite():
+    assert _admitted("f") >= 10
+
+
+def test_colour_caps_admit_every_shipped_suite():
+    assert _admitted("n") >= 10
 
 
 @pytest.mark.parametrize("name,key", _limited_by(_most))
