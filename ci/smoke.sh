@@ -67,6 +67,9 @@
 # one more series product, and m = 10**9 ran for hours.  A suite
 # key its check does not declare (a misspelled "nmax") must exit 2
 # at once: it used to be dropped, and the check passed at its default.
+# So must a `series` flag its series does not declare (a misspelled
+# --cc printed (q;q)_inf), and a key of a series_equal spec that its
+# series does not declare.
 set -e
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
@@ -132,4 +135,9 @@ code=0; timeout 10 skeintails verify "$tmp/family-m-cap.json" || code=$?
 test "$code" = 2
 printf '{"suite": "s", "cases": [{"id": "typo", "check": "theta_tail", "params": {"nmax": 100000}}]}' > "$tmp/unknown-key.json"
 code=0; timeout 10 skeintails verify "$tmp/unknown-key.json" || code=$?
+test "$code" = 2
+code=0; timeout 10 skeintails series poch_inf --cc 3 --order 5 || code=$?
+test "$code" = 2
+printf '{"suite": "s", "cases": [{"id": "typo", "check": "series_equal", "params": {"order": 5, "a": {"series": "poch_inf", "cc": 3}, "b": {"series": "poch_inf"}}}]}' > "$tmp/unknown-spec-key.json"
+code=0; timeout 10 skeintails verify "$tmp/unknown-spec-key.json" || code=$?
 test "$code" = 2

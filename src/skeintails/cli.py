@@ -14,8 +14,9 @@ capped at MAX_SERIES_ORDER before any series is built.  Each parameter of
 a verify case is read and held to the default, least and most that its
 check's row of ``verifycases.CHECKS`` declares (every ``order`` at most
 MAX_SERIES_ORDER and at least 1) before any value is built, and a key the
-row does not declare is refused; ``jones`` caps its inputs at MAX_JONES_N
-and MAX_JONES_SIZE.
+row does not declare is refused; so is each ``series`` flag, and each key
+of a series spec in a case, by the row its series declares.  ``jones``
+caps its inputs at MAX_JONES_N and MAX_JONES_SIZE.
 ``jones --normalized --order N`` reads the value only to its first N
 coefficients; without ``--order`` it prints the whole normalized value.
 ``oracle`` refuses a box colour above ``tl_oracle.MAX_BOX_COLOR``, more than
@@ -88,19 +89,10 @@ def _emit_series(s, fmt: str, out) -> None:
 
 
 def _cmd_series(args, extra: dict[str, int], out) -> int:
-    from .qidentities import SERIES_REGISTRY, named_series
+    from .qidentities import named_series
 
-    if args.name not in SERIES_REGISTRY:
-        print(f"error: unknown series {args.name!r}; known: "
-              f"{', '.join(sorted(SERIES_REGISTRY))}", file=sys.stderr)
-        return _EXIT_USAGE
-    try:
-        _check_order(args.order)
-        s = named_series(args.name, extra, args.order)
-    except SkeinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    _emit_series(s, args.format, out)
+    _check_order(args.order)
+    _emit_series(named_series(args.name, extra, args.order), args.format, out)
     return _EXIT_PASS
 
 
@@ -236,26 +228,19 @@ def _cmd_oracle(args, out) -> int:
 
 
 def _parse_unknown_int_flags(unknown: list[str]) -> dict[str, int]:
-    """Turn ['--k', '2', '--c', '5'] into {'k': 2, 'c': 5}."""
+    """Turn ['--k', '2', '--c=5'] into {'k': 2, 'c': 5}."""
     params: dict[str, int] = {}
-    i = 0
-    while i < len(unknown):
-        tok = unknown[i]
+    tokens = iter(unknown)
+    for tok in tokens:
         if not tok.startswith("--"):
             raise DomainError(f"unexpected argument {tok!r}")
-        key = tok[2:]
-        if "=" in key:
-            key, val = key.split("=", 1)
-        else:
-            i += 1
-            if i >= len(unknown):
-                raise DomainError(f"flag --{key} needs a value")
-            val = unknown[i]
+        key, eq, val = tok[2:].partition("=")
+        if not eq and (val := next(tokens, None)) is None:
+            raise DomainError(f"flag --{key} needs a value")
         try:
             params[key.replace("-", "_")] = int(val)
         except ValueError:
             raise DomainError(f"flag --{key} needs an integer, got {val!r}") from None
-        i += 1
     return params
 
 
@@ -303,21 +288,16 @@ def main(argv: list[str] | None = None, out=None) -> int:
     try:
         if argv and argv[0] == "series":
             args, unknown = parser.parse_known_args(argv)
-            extra = _parse_unknown_int_flags(unknown)
-            return _cmd_series(args, extra, out)
+            return _cmd_series(args, _parse_unknown_int_flags(unknown), out)
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return _EXIT_USAGE if exc.code not in (0, None) else 0
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    try:
         if args.command == "verify":
             return _cmd_verify(args, out)
         if args.command == "jones":
             return _cmd_jones(args, out)
         if args.command == "oracle":
             return _cmd_oracle(args, out)
+    except SystemExit as exc:
+        return _EXIT_USAGE if exc.code not in (0, None) else 0
     except SkeinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all skeintails modules.
+"""Exception hierarchy shared by all skeintails modules, and
+``read_params``, the one reader of named parameters: every verify check,
+named series, graph family and chain parity declares its parameters as
+rows it reads.  It lives here because every entry point loads this module.
 
 The distinctions matter: a ``PrecisionError`` ("not enough computed
 coefficients to decide") must never be conflated with a plain ``False``
@@ -37,3 +40,32 @@ class CapacityError(SkeinError):
 
 class ConsistencyError(SkeinError):
     """An internal exactness assertion failed (non-zero remainder, etc.)."""
+
+
+def read_params(name: str, declared: dict, params: dict, as_given=()) -> dict:
+    """The parameters of ``name`` read from ``params`` by its rows, before
+    anything is built.
+
+    ``declared`` gives each parameter, in read order, as (default, least,
+    most), None where there is none.  Each is taken from ``params`` or its
+    default (a missing one without a default raises ``KeyError``) and read
+    with ``int()``, except the keys in ``as_given``; then each is held to
+    its least and most, and a key of ``params`` that ``declared`` does not
+    name is refused.
+    """
+    values = {}
+    for key, (default, _, _) in declared.items():
+        if key not in params and default is None:
+            raise KeyError(key)
+        value = params.get(key, default)
+        values[key] = value if key in as_given else int(value)
+    for key, (_, least, most) in declared.items():
+        value = values[key]
+        if least is not None and value < least:
+            raise DomainError(f"{key} must be >= {least}, got {value}")
+        if most is not None and value > most:
+            raise CapacityError(f"{key} {value} exceeds limit {most}")
+    for key in params:
+        if key not in declared:
+            raise DomainError(f"unknown parameter {key!r} for {name}")
+    return values

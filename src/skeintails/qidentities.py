@@ -21,7 +21,7 @@ product.  Every series returned here lives in Z[[q]], as every QSeries does.
 
 from __future__ import annotations
 
-from .errors import CapacityError, DomainError, RepresentationError
+from .errors import CapacityError, DomainError, RepresentationError, read_params
 from .qcore import (
     QSeries,
     VLaurent,
@@ -296,46 +296,54 @@ def tail_85(order: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def _arg(params: dict, key: str, default=None) -> int:
-    if key in params:
-        return int(params[key])
-    if default is not None:
-        return default
-    raise DomainError(f"missing parameter {key!r}")
-
-
-def _registry_arg(params: dict, x: str) -> MonomialArg:
-    """theta_general's argument x ("a" or "b"): x_sign * q**(x_num / x_den)."""
-    sign, num = _arg(params, f"{x}_sign"), _arg(params, f"{x}_num")
-    den = _arg(params, f"{x}_den", 1)
-    if den == 0:
-        raise DomainError(f"{x}_den must be nonzero")
+def _registry_theta_general(a_sign, a_num, a_den, b_sign, b_num, b_den, order):
+    """theta_general(a, b) for the arguments x = x_sign * q**(x_num / x_den)."""
     from fractions import Fraction
 
-    return MonomialArg(sign, Fraction(num, den))
+    args = []
+    for x, sign, num, den in ("a", a_sign, a_num, a_den), ("b", b_sign, b_num, b_den):
+        if den == 0:
+            raise DomainError(f"{x}_den must be nonzero")
+        args.append(MonomialArg(sign, Fraction(num, den)))
+    return theta_general(*args, order)
 
 
-def _registry_theta_general(params: dict, order: int) -> QSeries:
-    return theta_general(_registry_arg(params, "a"), _registry_arg(params, "b"), order)
-
-
+# Every named series by name: its function of the parameters and the order
+# and, for each parameter in read order, (default, least, most) as
+# errors.read_params reads them, None where there is none.  theta_general
+# takes x_sign, x_num and x_den (default 1) for each argument x = a, b.  The
+# most of ag_rhs's and false_ag_rhs's k is MAX_AG_K, above which they refuse
+# it too; each function refuses a k, c or step below its own least, before
+# any series is built.
 SERIES_REGISTRY = {
-    "theta_f": lambda p, N: theta_f(_arg(p, "k"), N),
-    "false_theta": lambda p, N: false_theta(_arg(p, "k"), N),
-    "ag_rhs": lambda p, N: ag_rhs(_arg(p, "k"), N),
-    "false_ag_rhs": lambda p, N: false_ag_rhs(_arg(p, "k"), N),
-    "theta_general": _registry_theta_general,
-    "lambda": lambda p, N: lambda_series(N),
-    "tail_85": lambda p, N: tail_85(N),
-    "poch_inf": lambda p, N: poch_inf(_arg(p, "c", 1), N),
-    "poch_inf_step": lambda p, N: poch_inf_step(_arg(p, "c"), _arg(p, "step"), N),
+    "theta_f": (theta_f, {"k": (None, None, None)}),
+    "false_theta": (false_theta, {"k": (None, None, None)}),
+    "ag_rhs": (ag_rhs, {"k": (None, None, MAX_AG_K)}),
+    "false_ag_rhs": (false_ag_rhs, {"k": (None, None, MAX_AG_K)}),
+    "theta_general": (_registry_theta_general, {
+        f"{x}_{part}": (1 if part == "den" else None, None, None)
+        for x in "ab" for part in ("sign", "num", "den")
+    }),
+    "lambda": (lambda_series, {}),
+    "tail_85": (tail_85, {}),
+    "poch_inf": (poch_inf, {"c": (1, None, None)}),
+    "poch_inf_step": (poch_inf_step, {
+        "c": (None, None, None),
+        "step": (None, None, None),
+    }),
 }
 
 
 def named_series(name: str, params: dict, order: int) -> QSeries:
-    """Evaluate a registry series; unknown names raise DomainError."""
+    """Evaluate a registry series on ``params``, read by its row first; an
+    unknown name, or a missing or undeclared parameter, raises DomainError."""
     try:
-        fn = SERIES_REGISTRY[name]
+        fn, declared = SERIES_REGISTRY[name]
     except KeyError:
-        raise DomainError(f"unknown series {name!r}") from None
-    return fn(params, order)
+        known = ", ".join(sorted(SERIES_REGISTRY))
+        raise DomainError(f"unknown series {name!r}; known: {known}") from None
+    try:
+        values = read_params(name, declared, params)
+    except KeyError as exc:
+        raise DomainError(f"missing parameter {exc.args[0]!r}") from None
+    return fn(**values, order=order)

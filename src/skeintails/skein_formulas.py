@@ -64,7 +64,7 @@ from .qcore import (
     mul_poch_ratio,
     poch_sum,
 )
-from .qidentities import ag_rhs, false_ag_rhs
+from .qidentities import MAX_AG_K, ag_rhs, false_ag_rhs
 
 
 def _upto(t: int, times: int = 1) -> list[int]:
@@ -274,6 +274,16 @@ def _normalized_quotient(num: VLaurent, m: int, order: int) -> QSeries:
 # ---------------------------------------------------------------------------
 # Bubble chain tails
 # ---------------------------------------------------------------------------
+
+
+# The parameters of a suite's chain spec ({"chain": parity, "k": k}) per
+# parity, (default, least, most) as errors.read_params reads them, None
+# where there is none.  k is held to MAX_AG_K in ag_rhs(k) and in
+# false_ag_rhs(k + 1); chain_tail refuses a k below 1.
+CHAIN_PARAMS = {
+    "even": {"k": (None, None, MAX_AG_K)},
+    "odd": {"k": (None, None, MAX_AG_K - 1)},
+}
 
 
 def chain_tail(parity: str, k: int, order: int) -> QSeries:

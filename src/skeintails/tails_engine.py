@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from operator import add
 
-from .errors import CapacityError, DomainError, PrecisionError, RepresentationError
+from .errors import DomainError, PrecisionError, RepresentationError, read_params
 from .qcore import (
     MAX_SERIES_ORDER,
     PochTerm,
@@ -202,17 +202,34 @@ def tail_product_23(t1: QSeries, t2: QSeries, order: int) -> QSeries:
 
 
 # Largest m of the g_m and inadequate_chain families, checked before any
-# series is built.  Each unit of m is one more dense series product (g_m) or
-# one more pass of (q;q)_inf (inadequate_chain), so the time grows linearly
-# in m: at MAX_SERIES_ORDER, g_m takes 8.6-8.7 s at m = 5 (two runs) and
-# 10.2 s at 6, inadequate_chain 3.0 s at 5 (2 cores, CPython 3.11.7), while
-# m = 10**5 takes 2.8 s (g_m) and 1.9 s (inadequate_chain) already at
-# order 20.
+# series is built.  inadequate_chain makes one pass of (q;q)_inf per unit of
+# m: 3.0 s at m = 5 and MAX_SERIES_ORDER, and m = 10**5 took 1.9 s already
+# at order 20.  g_m builds Lambda^m by repeated squaring, three dense series
+# products at m = 5, where it takes 11.2-11.6 s at MAX_SERIES_ORDER (three
+# runs on a loaded host, 2 cores, CPython 3.11.7), against 11.6-17.4 s for
+# one product per unit of m in alternating runs there.
 MAX_FAMILY_M = 5
+
+# Every graph family by name: for each parameter in read order, (default,
+# least, most) as errors.read_params reads them, None where there is none.
+# sign_fixed is a flag: any nonzero value picks the f(-q^(2l+2), -q)
+# reading of g_kl.
+GRAPH_FAMILIES = {
+    "g_m": {"m": (None, 0, MAX_FAMILY_M)},
+    "g_kl": {
+        "k": (None, 1, None),
+        "l": (0, 0, None),
+        "sign_fixed": (0, None, None),
+    },
+    "inadequate_chain": {"m": (None, 0, MAX_FAMILY_M)},
+    "theta": {},
+    "tet2n": {},
+}
 
 
 def graph_family_tail(family: str, params: dict, order: int) -> QSeries:
-    """The stated tail of a named graph family, truncated to the order.
+    """The stated tail of a named graph family, truncated to the order;
+    ``params`` are read by its row of GRAPH_FAMILIES.
 
     Families:
       g_m               wheel of m triangles: Lambda(q)^m (q;q)_inf
@@ -222,31 +239,25 @@ def graph_family_tail(family: str, params: dict, order: int) -> QSeries:
       theta             (q^2;q)_inf
       tet2n             Lambda(q) (q^2;q)_inf
     """
-    if family in ("g_m", "inadequate_chain"):
-        m = int(params["m"])
-        if m < 0:
-            raise DomainError(f"{family} needs m >= 0")
-        if m > MAX_FAMILY_M:
-            raise CapacityError(f"m {m} exceeds limit {MAX_FAMILY_M}")
+    if family not in GRAPH_FAMILIES:
+        raise DomainError(f"unknown graph family {family!r}")
+    p = read_params(family, GRAPH_FAMILIES[family], params)
     if family == "g_m":
-        out = QSeries.one(order)
-        lam = lambda_series(order)
-        for _ in range(m):
-            out = series_mul(out, lam)
+        out, power, m = QSeries.one(order), lambda_series(order), p["m"]
+        while m:
+            if m & 1:
+                out = series_mul(out, power)
+            m >>= 1
+            if m:
+                power = series_mul(power, power)
         return mul_poch_inf(out, 1, order)
     if family == "g_kl":
-        k = int(params["k"])
-        l = int(params.get("l", 0))
-        if k < 1 or l < 0:
-            raise DomainError("g_kl needs k >= 1 and l >= 0")
-        psi = psi_general(MonomialArg(1, 2 * k + 1), MonomialArg(1, 1), order)
-        b_sign = -1 if int(params.get("sign_fixed", 0)) else 1
-        f = theta_general(MonomialArg(-1, 2 * l + 2), MonomialArg(b_sign, 1), order)
+        psi = psi_general(MonomialArg(1, 2 * p["k"] + 1), MonomialArg(1, 1), order)
+        b = MonomialArg(-1 if p["sign_fixed"] else 1, 1)
+        f = theta_general(MonomialArg(-1, 2 * p["l"] + 2), b, order)
         return series_mul(psi, f)
     if family == "inadequate_chain":
-        return mul_poch_inf(poch_inf(2, order), 1, order, power=m)
+        return mul_poch_inf(poch_inf(2, order), 1, order, power=p["m"])
     if family == "theta":
         return poch_inf(2, order)
-    if family == "tet2n":
-        return mul_poch_inf(lambda_series(order), 2, order)
-    raise DomainError(f"unknown graph family {family!r}")
+    return mul_poch_inf(lambda_series(order), 2, order)

@@ -6,7 +6,13 @@ Every check is a pure function of its keyword parameters that returns
 series, the first mismatching exponent), so a red case is immediately
 actionable.  ``CHECKS`` declares each check's parameters once, with their
 defaults and limits, and ``run_check`` validates a suite's parameters
-against it before any value is built.
+against it before any value is built.  The reader is ``errors.read_params``,
+which every named series also goes through: each ``a`` and ``b`` spec of
+``series_equal`` is read by the row its ``"series"``, ``"family"`` or
+``"chain"`` names (``qidentities.SERIES_REGISTRY``,
+``tails_engine.GRAPH_FAMILIES``, ``skein_formulas.CHAIN_PARAMS``) before
+its series is built, so a key that is not declared is refused at either
+level.
 
 Each check imports the modules it calls in its own body, so a verify
 process loads only what its cases reach: a suite of q-series identities
@@ -20,13 +26,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .errors import CapacityError, DomainError, SkeinError
+from .errors import DomainError, SkeinError, read_params
 from .qcore import MAX_SERIES_ORDER
 
 CheckResult = tuple[bool, str]
-
-# The default of a parameter a suite must give.
-REQUIRED = object()
 
 
 def _series_diff_detail(a: QSeries, b: QSeries) -> str:
@@ -49,19 +52,21 @@ def _eq_series(a: QSeries, b: QSeries, label: str) -> CheckResult:
 
 
 def _resolve_series(spec: dict, order: int) -> QSeries:
+    """The series a ``series_equal`` spec names, read by its row."""
     from .qidentities import named_series
-    from .skein_formulas import chain_tail
+    from .skein_formulas import CHAIN_PARAMS, chain_tail
     from .tails_engine import graph_family_tail
 
     spec = dict(spec)
     if "family" in spec:
-        family = spec.pop("family")
-        return graph_family_tail(family, spec, order)
+        return graph_family_tail(spec.pop("family"), spec, order)
     if "chain" in spec:
         parity = spec.pop("chain")
-        return chain_tail(parity, int(spec["k"]), order)
-    name = spec.pop("series")
-    return named_series(name, spec, order)
+        if parity not in CHAIN_PARAMS:
+            raise DomainError(f"unknown chain parity {parity!r}")
+        k = read_params(f"{parity} chain", CHAIN_PARAMS[parity], spec)["k"]
+        return chain_tail(parity, k, order)
+    return named_series(spec.pop("series"), spec, order)
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +518,10 @@ def check_chain_examples(order: int) -> CheckResult:
 
 
 # Every check by name: its function and, for each suite parameter in the
-# order run_check reads them, (default, least, most).  REQUIRED marks a
-# parameter a suite must give.  An integer parameter is read with int()
-# and has a most; series_equal's specs have none and pass as given.
+# order run_check reads them, (default, least, most), None where there is
+# none: a parameter without a default is one a suite must give.  An integer
+# parameter is read with int() and has a most; series_equal's specs have
+# none and pass as given.
 #
 # A least of 1 refuses a value with which a check would compare nothing and
 # pass: below 1 each loop is empty (at colour n = 0 both sides of
@@ -536,17 +542,17 @@ def check_chain_examples(order: int) -> CheckResult:
 # case is jw_laws at 8.
 CHECKS: dict[str, tuple[Callable[..., CheckResult], dict[str, tuple]]] = {
     "series_equal": (check_series_equal, {
-        "order": (REQUIRED, 1, MAX_SERIES_ORDER),
-        "a": (REQUIRED, None, None),
-        "b": (REQUIRED, None, None),
+        "order": (None, 1, MAX_SERIES_ORDER),
+        "a": (None, None, None),
+        "b": (None, None, None),
     }),
     "andrews_gordon": (check_andrews_gordon, {
-        "k": (REQUIRED, None, 10),
-        "order": (REQUIRED, 1, MAX_SERIES_ORDER),
+        "k": (None, None, 10),
+        "order": (None, 1, MAX_SERIES_ORDER),
     }),
     "false_theta_identity": (check_false_theta_identity, {
-        "k": (REQUIRED, None, 10),
-        "order": (REQUIRED, 1, MAX_SERIES_ORDER),
+        "k": (None, None, 10),
+        "order": (None, 1, MAX_SERIES_ORDER),
     }),
     "jacobi_triple": (check_jacobi_triple, {"order": (40, 1, MAX_SERIES_ORDER)}),
     "theta_symmetry": (check_theta_symmetry, {"order": (30, 1, MAX_SERIES_ORDER)}),
@@ -571,8 +577,8 @@ CHECKS: dict[str, tuple[Callable[..., CheckResult], dict[str, tuple]]] = {
     # refusal), linear in n for the tetrahedron (n = 10,000: 0.18 s and
     # 53 MiB).
     "torus_oracle": (check_torus_oracle, {
-        "f": (REQUIRED, 1, 400),
-        "n": (REQUIRED, 1, 8),
+        "f": (None, 1, 400),
+        "n": (None, 1, 8),
     }),
     # 0.44-0.47 s; at 5 the colour 10 is over MAX_BOX_COLOR
     "theta_oracle": (check_theta_oracle, {"n_max": (2, 1, 4)}),
@@ -608,30 +614,11 @@ CHECKS: dict[str, tuple[Callable[..., CheckResult], dict[str, tuple]]] = {
 
 
 def run_check(name: str, params: dict) -> CheckResult:
-    """Run check ``name`` on a suite's ``params``.  Before the check runs,
-    each parameter its row declares is read (a missing required one raises
-    ``KeyError``), held to its least and most, and any other key is
-    refused."""
+    """Run check ``name`` on a suite's ``params``, read by its row of
+    ``CHECKS`` (``errors.read_params``) before the check runs; series_equal's
+    ``a`` and ``b`` pass as given, each read by its own row when resolved."""
     try:
         fn, spec = CHECKS[name]
     except KeyError:
         raise SkeinError(f"unknown check {name!r}") from None
-    values = {}
-    for key, (default, _, most) in spec.items():
-        if key in params:
-            value = params[key]
-        elif default is REQUIRED:
-            raise KeyError(key)
-        else:
-            value = default
-        values[key] = value if most is None else int(value)
-    for key, (_, least, most) in spec.items():
-        value = values[key]
-        if least is not None and value < least:
-            raise DomainError(f"{key} must be >= {least}, got {value}")
-        if most is not None and value > most:
-            raise CapacityError(f"{key} {value} exceeds limit {most}")
-    for key in params:
-        if key not in spec:
-            raise DomainError(f"unknown parameter {key!r} for {name}")
-    return fn(**values)
+    return fn(**read_params(name, spec, params, as_given=("a", "b")))

@@ -8,17 +8,23 @@ exercise identical code.
 import importlib.util
 import inspect
 import json
+import re
 import time
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from skeintails.errors import CapacityError, DomainError
-from skeintails.qcore import MAX_SERIES_ORDER
-from skeintails.qidentities import MAX_AG_K
+from skeintails.qcore import MAX_SERIES_ORDER, QSeries
+from skeintails.qidentities import MAX_AG_K, SERIES_REGISTRY
+from skeintails.skein_formulas import CHAIN_PARAMS
+from skeintails.tails_engine import GRAPH_FAMILIES
 from skeintails.tl_oracle import MAX_BOX_COLOR
-from skeintails.verifycases import CHECKS, REQUIRED, run_check
+from skeintails.verifycases import CHECKS, run_check
 
 
 def _criterion(number: int, label: str, check: str, params: dict) -> None:
@@ -108,7 +114,7 @@ def _required(name: str) -> dict:
     return {
         key: _GIVEN[key]
         for key, (default, _, _) in CHECKS[name][1].items()
-        if default is REQUIRED
+        if default is None
     }
 
 
@@ -157,7 +163,7 @@ def test_each_row_declares_its_check_signature():
         assert list(inspect.signature(fn).parameters) == list(spec), name
         for key, (default, least, most) in spec.items():
             assert (most is not None) == (fn.__annotations__[key] == "int"), key
-            if default is not REQUIRED:
+            if default is not None:
                 assert least is None or least <= default, (name, key)
                 assert default <= most, (name, key)
 
@@ -286,6 +292,12 @@ def test_k_caps_are_the_largest_multi_sum_depth():
     assert _most("andrews_gordon", "k") == MAX_AG_K
     assert _most("false_theta_identity", "k") == MAX_AG_K
     assert _most("torus_stabilization", "k_max") == MAX_AG_K
+    # So do the named series, and the chains: the odd chain of k is
+    # false_ag_rhs(k + 1).
+    assert SERIES_REGISTRY["ag_rhs"][1]["k"][2] == MAX_AG_K
+    assert SERIES_REGISTRY["false_ag_rhs"][1]["k"][2] == MAX_AG_K
+    assert CHAIN_PARAMS["even"]["k"][2] == MAX_AG_K
+    assert CHAIN_PARAMS["odd"]["k"][2] == MAX_AG_K - 1
 
 
 def test_order_caps_are_the_series_order_cap():
@@ -295,3 +307,91 @@ def test_order_caps_are_the_series_order_cap():
     assert {
         _most(name, "order") for name, (_, spec) in CHECKS.items() if "order" in spec
     } == {MAX_SERIES_ORDER}
+
+
+# -- the series rows ----------------------------------------------------------
+
+# Every named series, graph family and chain parity, by the name its
+# refusals give: the head of its series_equal spec, and its row.
+_SERIES_ROWS = {
+    **{name: ({"series": name}, row) for name, (_, row) in SERIES_REGISTRY.items()},
+    **{family: ({"family": family}, row) for family, row in GRAPH_FAMILIES.items()},
+    **{f"{p} chain": ({"chain": p}, row) for p, row in CHAIN_PARAMS.items()},
+}
+
+# A value for each series parameter without a default.
+_GIVEN_SERIES = {
+    "k": 2, "m": 1, "c": 1, "step": 1,
+    "a_sign": 1, "a_num": 1, "b_sign": 1, "b_num": 1,
+}
+
+
+def _spec(name: str, **params) -> dict:
+    head, row = _SERIES_ROWS[name]
+    given = {key: _GIVEN_SERIES[key] for key, (default, _, _) in row.items()
+             if default is None}
+    return {**head, **given, **params}
+
+
+def _compare_unbuilt(spec: dict):
+    """Run series_equal on ``spec`` with every QSeries construction refused."""
+    with mock.patch.object(QSeries, "__init__", side_effect=AssertionError):
+        return run_check(
+            "series_equal", {"order": 10, "a": spec, "b": {"series": "lambda"}}
+        )
+
+
+def _series_limited(slot: int) -> list[tuple[str, str]]:
+    """(name, parameter) for every series parameter with a least (slot 1)
+    or a most (slot 2)."""
+    return [
+        (name, key)
+        for name, (_, row) in _SERIES_ROWS.items()
+        for key, limits in row.items()
+        if limits[slot] is not None
+    ]
+
+
+def test_every_series_row_declares_what_it_builds():
+    # named_series calls each function with exactly its row's keys and the
+    # order, and every row's given spec builds.
+    for fn, row in SERIES_REGISTRY.values():
+        assert list(inspect.signature(fn).parameters) == [*row, "order"], fn
+    for name in _SERIES_ROWS:
+        ok, detail = run_check(
+            "series_equal", {"order": 10, "a": _spec(name), "b": _spec(name)}
+        )
+        assert ok, detail
+
+
+@pytest.mark.parametrize("name,key", _series_limited(2))
+def test_series_over_cap_is_refused_before_building(name, key):
+    most = _SERIES_ROWS[name][1][key][2]
+    for value in (most + 1, 10**9):
+        with pytest.raises(CapacityError, match=f"^{key} {value} exceeds limit {most}$"):
+            _compare_unbuilt(_spec(name, **{key: value}))
+
+
+@pytest.mark.parametrize("name,key", _series_limited(1))
+def test_series_below_least_is_refused_before_building(name, key):
+    least = _SERIES_ROWS[name][1][key][1]
+    with pytest.raises(
+        DomainError, match=f"^{key} must be >= {least}, got {least - 1}$"
+    ):
+        _compare_unbuilt(_spec(name, **{key: least - 1}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_SERIES_ROWS)),
+    key=st.text(min_size=1, max_size=12),
+    value=st.integers(),
+)
+def test_undeclared_series_parameter_is_refused(name, key, value):
+    # An undeclared key used to be dropped: a misspelled g_kl sign_fixed
+    # compared the default reading and passed.
+    assume(key not in _SERIES_ROWS[name][1] and key not in ("series", "family", "chain"))
+    with pytest.raises(
+        DomainError, match=f"^unknown parameter {re.escape(repr(key))} for {name}$"
+    ):
+        _compare_unbuilt(_spec(name, **{key: value}))

@@ -56,6 +56,12 @@ class TestSeries:
         code, _ = run(["series", "theta_f", "--order", "5"])
         assert code == 2
 
+    def test_undeclared_flag_exit2(self, capsys):
+        # An undeclared flag was dropped: this printed (q;q)_inf and exited 0.
+        code, out = run(["series", "poch_inf", "--cc", "3", "--order", "6"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: unknown parameter 'cc' for poch_inf\n"
+
     def test_non_integer_flag_exit2(self, capsys):
         code, out = run(["series", "theta_f", "--k", "abc", "--order", "5"])
         assert code == 2 and out == ""
@@ -431,6 +437,17 @@ class TestVerify:
             tmp_path,
             {"check": "theta_tail", "params": {"nmax": 100000}},
             "DomainError: unknown parameter 'nmax' for theta_tail",
+        )
+
+    def test_unknown_series_parameter_is_error_case(self, tmp_path):
+        # A misspelled sign_fixed was dropped: both sides built the default
+        # reading of g_kl and the case passed.
+        g_kl = {"family": "g_kl", "k": 1, "l": 0}
+        self._malformed_case_reported(
+            tmp_path,
+            {"check": "series_equal",
+             "params": {"order": 20, "a": {**g_kl, "sign_fixd": 1}, "b": g_kl}},
+            "DomainError: unknown parameter 'sign_fixd' for g_kl",
         )
 
     def test_non_utf8_suite_exit2(self, tmp_path, capsys):

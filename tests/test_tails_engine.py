@@ -254,6 +254,31 @@ class TestGraphFamilies:
                     ):
                         graph_family_tail(family, {"m": m}, 10)
 
+    def test_g_m_squares_lambda(self):
+        # Lambda^m by repeated squaring: at m = 5, Lambda^2, Lambda^4 and
+        # their product with Lambda, where one product per unit of m made
+        # five; m = 4 needs two squarings and the product with the unit.
+        for m, products in ((4, 3), (MAX_FAMILY_M, 4)):
+            with mock.patch.object(
+                tails_engine, "series_mul", wraps=series_mul
+            ) as counted:
+                graph_family_tail("g_m", {"m": m}, 10)
+            assert counted.call_count == products
+
+    @pytest.mark.parametrize(
+        "family,params,message",
+        [
+            ("g_m", {"m": -1}, "m must be >= 0, got -1"),
+            ("inadequate_chain", {"m": -1}, "m must be >= 0, got -1"),
+            ("g_kl", {"k": 0}, "k must be >= 1, got 0"),
+            ("g_kl", {"k": 1, "l": -1}, "l must be >= 0, got -1"),
+        ],
+        ids=["g_m", "inadequate_chain", "g_kl-k", "g_kl-l"],
+    )
+    def test_parameter_below_its_least_is_refused(self, family, params, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            graph_family_tail(family, params, 10)
+
     def test_theta_family(self):
         assert graph_family_tail("theta", {}, 20) == poch_inf(2, 20)
 
