@@ -69,7 +69,11 @@
 # at once: it used to be dropped, and the check passed at its default.
 # So must a `series` flag its series does not declare (a misspelled
 # --cc printed (q;q)_inf), and a key of a series_equal spec that its
-# series does not declare.
+# series does not declare.  A bad key in a series_equal case's b spec
+# must exit 2 before its a spec is built (g_m at m = 5 and order 5000
+# took 10 s to build before b was read), and so must a non-integer suite
+# parameter (n_max 2.9 was truncated to 2 and passed) and `jones --order`
+# without --normalized (it was ignored, and the whole value printed).
 set -e
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
@@ -140,4 +144,12 @@ code=0; timeout 10 skeintails series poch_inf --cc 3 --order 5 || code=$?
 test "$code" = 2
 printf '{"suite": "s", "cases": [{"id": "typo", "check": "series_equal", "params": {"order": 5, "a": {"series": "poch_inf", "cc": 3}, "b": {"series": "poch_inf"}}}]}' > "$tmp/unknown-spec-key.json"
 code=0; timeout 10 skeintails verify "$tmp/unknown-spec-key.json" || code=$?
+test "$code" = 2
+printf '{"suite": "s", "cases": [{"id": "late", "check": "series_equal", "params": {"order": 5000, "a": {"family": "g_m", "m": 5}, "b": {"series": "poch_inf", "cc": 1}}}]}' > "$tmp/second-spec-key.json"
+code=0; timeout 5 skeintails verify "$tmp/second-spec-key.json" || code=$?
+test "$code" = 2
+code=0; timeout 5 skeintails jones --f 3 --n 1 --order 2 || code=$?
+test "$code" = 2
+printf '{"suite": "s", "cases": [{"id": "frac", "check": "theta_tail", "params": {"n_max": 2.9}}]}' > "$tmp/fractional.json"
+code=0; timeout 5 skeintails verify "$tmp/fractional.json" || code=$?
 test "$code" = 2

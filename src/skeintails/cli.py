@@ -13,12 +13,14 @@ case runs, so an unwritable path is a usage error).  Every ``--order`` is
 capped at MAX_SERIES_ORDER before any series is built.  Each parameter of
 a verify case is read and held to the default, least and most that its
 check's row of ``verifycases.CHECKS`` declares (every ``order`` at most
-MAX_SERIES_ORDER and at least 1) before any value is built, and a key the
-row does not declare is refused; so is each ``series`` flag, and each key
+MAX_SERIES_ORDER and at least 1) before any value is built, a bool or a
+number with a fractional part is refused rather than truncated, and a key
+the row does not declare is refused; so is each ``series`` flag, and each key
 of a series spec in a case, by the row its series declares.  ``jones``
 caps its inputs at MAX_JONES_N and MAX_JONES_SIZE.
 ``jones --normalized --order N`` reads the value only to its first N
-coefficients; without ``--order`` it prints the whole normalized value.
+coefficients; without ``--order`` it prints the whole normalized value, and
+``--order`` without ``--normalized`` is refused.
 ``oracle`` refuses a box colour above ``tl_oracle.MAX_BOX_COLOR``, more than
 ``networks.MAX_FREE_LOOPS`` free loops, and a network whose contraction
 work would exceed ``networks.MAX_CONTRACTION_WORK``.  A suite case
@@ -75,7 +77,7 @@ def _series_text(s) -> str:
 def _series_csv(s) -> str:
     lines = ["exponent,numerator,denominator"]
     for j, c in enumerate(s.coeffs):
-        lines.append(f"{s.shift + j},{c},1")
+        lines.append(f"{j},{c},1")
     return "\n".join(lines)
 
 
@@ -173,6 +175,9 @@ def _cmd_verify(args, out) -> int:
 def _cmd_jones(args, out) -> int:
     if args.f < 1 or args.n < 0:
         print("error: need --f >= 1 and --n >= 0", file=sys.stderr)
+        return _EXIT_USAGE
+    if args.order is not None and not args.normalized:
+        print("error: --order needs --normalized", file=sys.stderr)
         return _EXIT_USAGE
     if args.n > MAX_JONES_N:
         raise CapacityError(f"n {args.n} exceeds limit {MAX_JONES_N}")

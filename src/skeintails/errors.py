@@ -49,16 +49,22 @@ def read_params(name: str, declared: dict, params: dict, as_given=()) -> dict:
     ``declared`` gives each parameter, in read order, as (default, least,
     most), None where there is none.  Each is taken from ``params`` or its
     default (a missing one without a default raises ``KeyError``) and read
-    with ``int()``, except the keys in ``as_given``; then each is held to
-    its least and most, and a key of ``params`` that ``declared`` does not
-    name is refused.
+    with ``int()``, except the keys in ``as_given``; a bool, or a float
+    with a fractional part, is refused rather than truncated.  Then each is
+    held to its least and most, and a key of ``params`` that ``declared``
+    does not name is refused.
     """
     values = {}
     for key, (default, _, _) in declared.items():
         if key not in params and default is None:
             raise KeyError(key)
         value = params.get(key, default)
-        values[key] = value if key in as_given else int(value)
+        if key not in as_given:
+            number = int(value)
+            if isinstance(value, bool) or isinstance(value, float) and number != value:
+                raise DomainError(f"{key} must be an integer, got {value!r}")
+            value = number
+        values[key] = value
     for key, (_, least, most) in declared.items():
         value = values[key]
         if least is not None and value < least:

@@ -9,9 +9,9 @@ so that quantities like q**(1/2) (v**2) or q**((n*n - n)/4) (v**(n*n - n))
 always have integer v-exponents and no fractional powers ever appear.
 Coefficients are exact integers: a Laurent polynomial lives in
 Z[v, v**-1], a rational function is a pair of such polynomials, and a
-q-series lives in Z[[q]] times an integer power of q: a non-integer
-coefficient raises, and ``series_div`` divides only by a series whose
-constant term is +-1.  There is no floating point anywhere in this package.
+q-series lives in Z[[q]], from q^0: a non-integer coefficient raises,
+and ``series_div`` divides only by a series whose constant term is +-1.
+There is no floating point anywhere in this package.
 
 Every series has a finite order, the number of coefficients it knows.  A
 polynomial or rational function of v becomes a series in q = v**4 only at
@@ -27,8 +27,8 @@ Four value types live here:
 * ``VFraction``   -- an exact ratio of two VLaurent values (skein evaluations
                      of closed networks with projectors are rational
                      functions of A, not polynomials).
-* ``QSeries``     -- a formal power series in q over Z with an integer
-                     shift, truncated at a finite order; the value type of
+* ``QSeries``     -- a formal power series in q over Z from q^0,
+                     truncated at a finite order; the value type of
                      tails and q-identities.
 * ``PochTerm``    -- c v^e prod (1 - q^a)^k, in canonical form: the value of
                      every single-term closed form.
@@ -654,45 +654,36 @@ class VFraction:
 
 
 class QSeries:
-    """Truncated formal power series in q over Z.
+    """Truncated formal power series in q over Z, from q^0.
 
     Coefficients are ``int``: tails and q-identities live in Z[[q]], and
     any other coefficient raises DomainError, as in VLaurent.
 
-    ``coeffs[j]`` is the coefficient of q**(shift + j), with an integer
-    ``shift``: a series never carries a fractional power of q.  ``order``
-    is the number of retained coefficients, and it is always finite: a
-    coefficient past it is unknown, never zero.  A polynomial becomes a
-    series only at a stated order (``to_q_series(p, order)``).
+    ``coeffs[j]`` is the coefficient of q**j: a series never carries an
+    offset, and leading zeros are kept.  ``order`` is the number of
+    retained coefficients, and it is always finite: a coefficient past it
+    is unknown, never zero.  A polynomial becomes a series only at a stated
+    order (``to_q_series(p, order)``).
     """
 
-    __slots__ = ("shift", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, shift: int, coeffs: Sequence[int]):
-        cs = list(coeffs)
+    def __init__(self, coeffs: Sequence[int]):
+        cs = tuple(coeffs)
         for c in cs:
             if not isinstance(c, int):
                 raise DomainError(f"series coefficient {c!r} is not an integer")
-        # Leading zeros carry no information: absorb them into the shift.  A
-        # truncated all-zero series keeps its length as precision.
-        k = 0
-        while k < len(cs) and cs[k] == 0:
-            k += 1
-        if 0 < k < len(cs):
-            shift += k
-            cs = cs[k:]
-        self.shift = shift
-        self.coeffs = tuple(cs)
+        self.coeffs = cs
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zero(order: int) -> "QSeries":
-        return QSeries(0, [0] * order)
+        return QSeries([0] * order)
 
     @staticmethod
     def one(order: int) -> "QSeries":
-        return QSeries(0, [1] + [0] * (order - 1)).with_order(order)
+        return QSeries([1] + [0] * (order - 1)).with_order(order)
 
     # -- inspection ----------------------------------------------------------
 
@@ -705,20 +696,17 @@ class QSeries:
 
     def coeff(self, q_exp: int) -> int:
         """Coefficient of q**q_exp; raises PrecisionError beyond the order."""
-        j = q_exp - self.shift
-        if j < 0:
-            return 0
-        if j >= len(self.coeffs):
+        if q_exp >= len(self.coeffs):
             raise PrecisionError(f"coefficient of q^{q_exp} not computed")
-        return self.coeffs[j]
+        return self.coeffs[q_exp] if q_exp >= 0 else 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.shift == other.shift and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.shift, self.coeffs))
+        return hash(self.coeffs)
 
     # -- order management ----------------------------------------------------
 
@@ -730,39 +718,27 @@ class QSeries:
             raise PrecisionError(
                 f"series known to order {len(self.coeffs)}, requested {order}"
             )
-        return QSeries(self.shift, self.coeffs[:order])
+        return QSeries(self.coeffs[:order])
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        s = min(self.shift, other.shift)
-        end = min(self.shift + len(self.coeffs), other.shift + len(other.coeffs))
-        n = max(end - s, 0)
-        cs = [0] * n
-        for src in (self, other):
-            for j, c in enumerate(src.coeffs):
-                k = src.shift + j - s
-                if 0 <= k < n:
-                    cs[k] += c
-        return QSeries(s, cs)
+        return QSeries(map(operator.add, self.coeffs, other.coeffs))
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.shift, [-c for c in self.coeffs])
+        return QSeries([-c for c in self.coeffs])
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
 
     def __mul__(self, other: "QSeries | int") -> "QSeries":
         if isinstance(other, int):
-            return QSeries(self.shift, [c * other for c in self.coeffs])
+            return QSeries([c * other for c in self.coeffs])
         if not isinstance(other, QSeries):
             return NotImplemented
         return series_mul(self, other)
 
     __rmul__ = __mul__
-
-    def q_shifted(self, k: int) -> "QSeries":
-        return QSeries(self.shift + k, self.coeffs)
 
     # -- formatting ----------------------------------------------------------
 
@@ -770,13 +746,14 @@ class QSeries:
         return f"QSeries({self.format()})"
 
     def format(self, max_terms: int = 12) -> str:
-        terms = ((self.shift + j, c) for j, c in enumerate(self.coeffs))
-        return _format_terms(terms, "q", max_terms)
+        return _format_terms(enumerate(self.coeffs), "q", max_terms)
 
     def to_json_obj(self) -> dict:
         return {
             "variable": "q",
-            "shift": self.shift,
+            # Every series starts at q^0; the key stays so that the JSON
+            # a series prints keeps its shape.
+            "shift": 0,
             "order": self.order,
             "coefficients": [[c, 1] for c in self.coeffs],
         }
@@ -794,20 +771,19 @@ def series_mul(a: QSeries, b: QSeries) -> QSeries:
             if k >= n:
                 break
             cs[k] += ca * cb
-    return QSeries(a.shift + b.shift, cs)
+    return QSeries(cs)
 
 
 def series_div(a: QSeries, b: QSeries) -> QSeries:
     """Long division a / b to the smaller of the two orders.
 
-    ``b`` must start with coefficient +-1, which keeps the quotient in
-    Z[[q]]; only a divisor that stores no coefficient (order 0) goes
-    unchecked, and gives the empty quotient.
+    ``b`` must have constant term +-1, which keeps the quotient in Z[[q]];
+    only a divisor that stores no coefficient (order 0) goes unchecked, and
+    gives the empty quotient.
     """
     if b.coeffs:
-        # b0 != 0 unless b is all zeros, by the leading-zero normalization.
         b0 = b.coeffs[0]
-        if b0 == 0:
+        if b.is_zero():
             raise DomainError("division by zero series")
         if b0 not in (1, -1):
             raise DomainError(f"series divisor starts with {b0}, not +-1")
@@ -823,12 +799,12 @@ def series_div(a: QSeries, b: QSeries) -> QSeries:
                 break
             acc -= c * out[k - j]
         out.append(acc * b0)
-    return QSeries(a.shift - b.shift, out)
+    return QSeries(out)
 
 
 def _to_series(p: VLaurent, order: int, step: int) -> QSeries:
-    """p as a series in v**step to ``order`` coefficients, counted from its
-    lowest term; every v-exponent must be a multiple of the step."""
+    """p divided by its lowest power of v, as a series in v**step to
+    ``order`` coefficients; every v-exponent must be a multiple of the step."""
     if p.is_zero():
         raise DomainError("cannot view the zero polynomial as a pointed series")
     bad = [e for e in p.terms if e % step]
@@ -845,7 +821,7 @@ def _to_series(p: VLaurent, order: int, step: int) -> QSeries:
         j = (e - e0) // step
         if j < order:
             cs[j] = c
-    return QSeries(e0 // step, cs)
+    return QSeries(cs)
 
 
 def _fraction_to_series(f: VFraction, order: int, step: int) -> QSeries:
@@ -869,7 +845,8 @@ def _fraction_to_series(f: VFraction, order: int, step: int) -> QSeries:
 
 def to_q_series(p: VLaurent, order: int) -> QSeries:
     """The first ``order`` coefficients of a v-Laurent polynomial as a q-series,
-    counted from its lowest term (zero-padded past its highest).
+    counted from its lowest term, whose power of q is dropped (zero-padded
+    past its highest).
 
     Every v-exponent must be a multiple of 4, or RepresentationError names
     the first one that is not.  A value that is a q-series only up to a
@@ -879,13 +856,16 @@ def to_q_series(p: VLaurent, order: int) -> QSeries:
 
 
 def fraction_to_q_series(f: VFraction, order: int) -> QSeries:
-    """Expand an exact rational function of v as a q-series to given order."""
+    """Expand an exact rational function of v as a q-series to given order,
+    after the lowest powers of q of its numerator and denominator are
+    dropped."""
     return _fraction_to_series(f, order, 4)
 
 
 def to_x_series(p: VLaurent, order: int) -> QSeries:
     """A polynomial with even v-support as a series in x = q**(1/2) = v**2,
-    to ``order`` coefficients counted from its lowest term.
+    to ``order`` coefficients counted from its lowest term, whose power of
+    x is dropped.
 
     No code in the package calls it: ``perfbench/spans.py`` looks it up by
     name (ROADMAP item 14).
@@ -1092,7 +1072,7 @@ class PochTerm:
                 apply = mul_one_minus_qk if k > 0 else div_one_minus_qk
                 for _ in range(abs(k)):
                     apply(cs, a)
-        return QSeries(0, cs)
+        return QSeries(cs)
 
 
 def poch_sum(terms: Sequence[PochTerm]) -> VFraction:
@@ -1174,11 +1154,10 @@ def mul_poch_inf(
     """s * (q^c; q^step)_infinity^power to the given order; a negative power
     divides.
 
-    The order is counted from s.shift, as in a series product: the result
-    keeps min(order, s.order) coefficients and the shift of s.  Each
-    factor (1 - q^k) with k below that length is one in-place O(order) step
-    per unit of power, so a product by a Pochhammer symbol is never a dense
-    series product.
+    The result keeps min(order, s.order) coefficients, as in a series
+    product.  Each factor (1 - q^k) with k below that length is one
+    in-place O(order) step per unit of power, so a product by a Pochhammer
+    symbol is never a dense series product.
     """
     if c <= 0 or step <= 0:
         raise DivergentProductError("step product needs c >= 1 and step >= 1")
@@ -1189,7 +1168,7 @@ def mul_poch_inf(
     for k in range(c, len(cs), step):
         for _ in range(abs(power)):
             apply(cs, k)
-    return QSeries(s.shift, cs)
+    return QSeries(cs)
 
 
 def qbinom(n: int, i: int) -> VLaurent:

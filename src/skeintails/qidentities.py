@@ -21,6 +21,8 @@ product.  Every series returned here lives in Z[[q]], as every QSeries does.
 
 from __future__ import annotations
 
+from operator import add, sub
+
 from .errors import CapacityError, DomainError, RepresentationError, read_params
 from .qcore import (
     QSeries,
@@ -116,7 +118,7 @@ def _two_variable_series(
     for deg, coeff in acc.items():
         if coeff and deg // 2 < order:
             cs[deg // 2] += coeff
-    return QSeries(0, cs)
+    return QSeries(cs)
 
 
 def theta_general(a: MonomialArg, b: MonomialArg, order: int) -> QSeries:
@@ -189,7 +191,7 @@ def nested_sum_series(depth: int, order: int, *, square_last: bool) -> QSeries:
     for cs in level.values():
         for e, c in enumerate(cs):
             total[e] += c
-    return QSeries(0, total)
+    return QSeries(total)
 
 
 def ag_rhs(k: int, order: int) -> QSeries:
@@ -236,7 +238,7 @@ def lambda_series(order: int) -> QSeries:
     """
     if order < 0:
         raise DomainError("order must be non-negative")
-    total = QSeries.zero(order)
+    total = [0] * order
     inv = list(QSeries.one(order).coeffs)  # 1 / (q;q)_i^3, divided in place
     i = 0
     while True:
@@ -247,12 +249,9 @@ def lambda_series(order: int) -> QSeries:
             for _ in range(3):
                 div_one_minus_qk(inv, i)
         if d < order:
-            term = QSeries(0, inv)
-            if i % 2:
-                term = -term
-            total = total + term.q_shifted(d)
+            total[d:] = map(sub if i % 2 else add, total[d:], inv)
         i += 1
-    return mul_poch_inf(total, 1, order, power=2)
+    return mul_poch_inf(QSeries(total), 1, order, power=2)
 
 
 def tail_85(order: int) -> QSeries:
@@ -272,7 +271,7 @@ def tail_85(order: int) -> QSeries:
     """
     if order < 0:
         raise DomainError("order must be non-negative")
-    total = QSeries.zero(order)
+    total = [0] * order
     k = 0
     while k + k * k - 2 * (k * k // 4) <= order:
         inner = VLaurent.zero()
@@ -280,15 +279,17 @@ def tail_85(order: int) -> QSeries:
             qb = qbinom(k, i)
             inner = inner + VLaurent.q_power(-2 * i * (k - i)) * (qb * qb)
         term_poly = VLaurent.q_power(k + k * k) * inner
-        shift = term_poly.min_exp() // 4
-        if shift < order:
+        # Every exponent k + k^2 - 2i(k - i) is >= 0, so the term starts at
+        # q^d with d >= 0.
+        d = term_poly.min_exp() // 4
+        if d < order:
             # Divide by (q;q)_k one (1 - q^j) factor at a time.
-            cs = list(to_q_series(term_poly, order - shift).coeffs)
+            cs = list(to_q_series(term_poly, order - d).coeffs)
             for j in range(1, k + 1):
                 div_one_minus_qk(cs, j)
-            total = total + QSeries(shift, cs)
+            total[d:] = map(add, total[d:], cs)
         k += 1
-    return mul_poch_inf(mul_poch_inf(total, 2, order), 1, order)
+    return mul_poch_inf(mul_poch_inf(QSeries(total), 2, order), 1, order)
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +335,21 @@ SERIES_REGISTRY = {
 }
 
 
-def named_series(name: str, params: dict, order: int) -> QSeries:
-    """Evaluate a registry series on ``params``, read by its row first; an
+def read_series(name: str, params: dict) -> dict:
+    """``params`` read by the row of the registry series ``name``; an
     unknown name, or a missing or undeclared parameter, raises DomainError."""
     try:
-        fn, declared = SERIES_REGISTRY[name]
+        declared = SERIES_REGISTRY[name][1]
     except KeyError:
         known = ", ".join(sorted(SERIES_REGISTRY))
         raise DomainError(f"unknown series {name!r}; known: {known}") from None
     try:
-        values = read_params(name, declared, params)
+        return read_params(name, declared, params)
     except KeyError as exc:
         raise DomainError(f"missing parameter {exc.args[0]!r}") from None
-    return fn(**values, order=order)
+
+
+def named_series(name: str, params: dict, order: int) -> QSeries:
+    """Evaluate a registry series on ``params``, read by its row first."""
+    values = read_series(name, params)
+    return SERIES_REGISTRY[name][0](**values, order=order)

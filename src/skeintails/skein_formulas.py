@@ -268,7 +268,7 @@ def _normalized_quotient(num: VLaurent, m: int, order: int) -> QSeries:
         raise ConsistencyError(f"(1 - q^{m}) does not divide the sum")
     cs = list(normalize(num, order).coeffs)
     div_one_minus_qk(cs, m)
-    return QSeries(0, cs)
+    return QSeries(cs)
 
 
 # ---------------------------------------------------------------------------

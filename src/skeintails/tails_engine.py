@@ -51,12 +51,12 @@ def normalize(p: SkeinValue, order: int | None = None) -> QSeries:
 
     A Laurent polynomial or rational function of v has its numerator moved
     to valuation 0 (the stored denominator already has it) before it is
-    expanded, so any power of A leaves with the shift.  The result has
-    ``order`` coefficients; a series is truncated to it, and a polynomial is
-    zero-padded past its span.  Only a Laurent polynomial may omit the
-    order: it then keeps its whole span.  The magnitude of the leading
-    coefficient is preserved.  Zero input and relative v-exponents that are
-    not multiples of 4 raise.
+    expanded, so any power of A leaves with it; a series has its leading
+    zeros dropped first.  The result has ``order`` coefficients; a series is
+    truncated to it, and a polynomial is zero-padded past its span.  Only a
+    Laurent polynomial may omit the order: it then keeps its whole span.
+    The magnitude of the leading coefficient is preserved.  Zero input and
+    relative v-exponents that are not multiples of 4 raise.
     """
     if isinstance(p, VLaurent):
         if p.is_zero():
@@ -73,15 +73,18 @@ def normalize(p: SkeinValue, order: int | None = None) -> QSeries:
             VFraction(p.num.shift(-p.num.min_exp()), p.den), order
         )
     elif isinstance(p, QSeries):
-        if p.is_zero():
+        lead = next((j for j, c in enumerate(p.coeffs) if c), None)
+        if lead is None:
             raise DomainError("cannot normalize zero")
-        s = p if order is None else p.with_order(order)
+        s = QSeries(p.coeffs[lead:]) if lead else p
+        if order is not None:
+            s = s.with_order(order)
     else:
         raise DomainError(f"cannot normalize {type(p).__name__}")
     cs = list(s.coeffs)
     if cs and cs[0] < 0:
         cs = [-c for c in cs]
-    return QSeries(0, cs)
+    return QSeries(cs)
 
 
 def agree_to_order(a: QSeries, b: QSeries, n: int) -> bool:
@@ -130,9 +133,9 @@ def sum_fraction_products_x(terms: list[PochTerm], q_order: int) -> QSeries:
             off = (t.e - lo) // 4
             if off < window:
                 cs[off:] = map(add, cs[off:], t.series(window - off).coeffs)
-        s = QSeries(0, cs)
-        if not s.is_zero() and s.order >= q_order:
-            return normalize(s, q_order)
+        lead = next((j for j, c in enumerate(cs) if c), None)
+        if lead is not None and lead + q_order <= window:
+            return normalize(QSeries(cs[lead:]), q_order)
         if window >= MAX_SERIES_ORDER:
             raise PrecisionError(
                 f"sum cancels past a window of {window} coefficients"
@@ -150,7 +153,7 @@ def x_series_to_normalized_q(s: QSeries, q_order: int) -> QSeries:
     cs = normalize(s).coeffs
     if any(cs[1::2]):
         raise RepresentationError("normalized series has q^(1/2) support")
-    return QSeries(0, cs[::2]).with_order(min(q_order, (len(cs) + 1) // 2))
+    return QSeries(cs[::2]).with_order(min(q_order, (len(cs) + 1) // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +196,7 @@ def tail_product_23(t1: QSeries, t2: QSeries, order: int) -> QSeries:
     prod = series_mul(t1.with_order(order), t2.with_order(order))
     cs = list(prod.coeffs)
     mul_one_minus_qk(cs, 1)
-    return QSeries(prod.shift, cs)
+    return QSeries(cs)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +230,13 @@ GRAPH_FAMILIES = {
 }
 
 
+def read_family(family: str, params: dict) -> dict:
+    """``params`` read by the row of the graph family ``family``."""
+    if family not in GRAPH_FAMILIES:
+        raise DomainError(f"unknown graph family {family!r}")
+    return read_params(family, GRAPH_FAMILIES[family], params)
+
+
 def graph_family_tail(family: str, params: dict, order: int) -> QSeries:
     """The stated tail of a named graph family, truncated to the order;
     ``params`` are read by its row of GRAPH_FAMILIES.
@@ -239,9 +249,7 @@ def graph_family_tail(family: str, params: dict, order: int) -> QSeries:
       theta             (q^2;q)_inf
       tet2n             Lambda(q) (q^2;q)_inf
     """
-    if family not in GRAPH_FAMILIES:
-        raise DomainError(f"unknown graph family {family!r}")
-    p = read_params(family, GRAPH_FAMILIES[family], params)
+    p = read_family(family, params)
     if family == "g_m":
         out, power, m = QSeries.one(order), lambda_series(order), p["m"]
         while m:

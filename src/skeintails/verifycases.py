@@ -25,6 +25,7 @@ leaves them unevaluated.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 
 from .errors import DomainError, SkeinError, read_params
 from .qcore import MAX_SERIES_ORDER
@@ -33,16 +34,10 @@ CheckResult = tuple[bool, str]
 
 
 def _series_diff_detail(a: QSeries, b: QSeries) -> str:
-    lo = min(a.shift, b.shift)
-    hi = max(a.shift + a.order, b.shift + b.order)
-    for e in range(lo, hi):
-        try:
-            ca, cb = a.coeff(e), b.coeff(e)
-        except SkeinError:
-            break
+    for e, (ca, cb) in enumerate(zip(a.coeffs, b.coeffs)):
         if ca != cb:
             return f"first mismatch at exponent q^{e}: {ca} != {cb}"
-    return "series differ in shift/order metadata"
+    return "series differ in order"
 
 
 def _eq_series(a: QSeries, b: QSeries, label: str) -> CheckResult:
@@ -51,22 +46,25 @@ def _eq_series(a: QSeries, b: QSeries, label: str) -> CheckResult:
     return False, f"{label}: {_series_diff_detail(a, b)}"
 
 
-def _resolve_series(spec: dict, order: int) -> QSeries:
-    """The series a ``series_equal`` spec names, read by its row."""
-    from .qidentities import named_series
+def _read_spec(spec: dict) -> Callable[[int], QSeries]:
+    """The series a ``series_equal`` spec names, as a function of the order:
+    the spec is read by its row here, before anything is built."""
+    from .qidentities import named_series, read_series
     from .skein_formulas import CHAIN_PARAMS, chain_tail
-    from .tails_engine import graph_family_tail
+    from .tails_engine import graph_family_tail, read_family
 
     spec = dict(spec)
     if "family" in spec:
-        return graph_family_tail(spec.pop("family"), spec, order)
+        family = spec.pop("family")
+        return partial(graph_family_tail, family, read_family(family, spec))
     if "chain" in spec:
         parity = spec.pop("chain")
         if parity not in CHAIN_PARAMS:
             raise DomainError(f"unknown chain parity {parity!r}")
         k = read_params(f"{parity} chain", CHAIN_PARAMS[parity], spec)["k"]
-        return chain_tail(parity, k, order)
-    return named_series(spec.pop("series"), spec, order)
+        return partial(chain_tail, parity, k)
+    name = spec.pop("series")
+    return partial(named_series, name, read_series(name, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +73,10 @@ def _resolve_series(spec: dict, order: int) -> QSeries:
 
 
 def check_series_equal(order: int, a: dict, b: dict) -> CheckResult:
-    return _eq_series(
-        _resolve_series(a, order), _resolve_series(b, order), f"{a} vs {b}"
-    )
+    # Both specs are read before either series is built, so a bad key in b
+    # is refused at once.
+    build_a, build_b = _read_spec(a), _read_spec(b)
+    return _eq_series(build_a(order), build_b(order), f"{a} vs {b}")
 
 
 def check_andrews_gordon(k: int, order: int) -> CheckResult:
@@ -479,7 +478,7 @@ def check_tail85(order: int) -> CheckResult:
     from .qidentities import tail_85
 
     s = tail_85(order)
-    if s.shift != 0 or s.coeff(0) != 1:
+    if s.coeff(0) != 1:
         return False, "8_5 tail does not start with 1 at q^0"
     return True, f"8_5 tail: integral, leading 1 at order {order}"
 

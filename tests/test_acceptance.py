@@ -229,6 +229,23 @@ def test_colour_caps_admit_every_shipped_suite():
 
 
 @pytest.mark.parametrize("name,key", _limited_by(_most))
+@pytest.mark.parametrize("value", [2.9, True])
+def test_non_integer_parameter_is_refused(name, key, value):
+    # int() used to truncate it: theta_tail with n_max 2.9 ran n <= 2, and
+    # tail_lemma_fact with n_max true ran n = 1, and both passed.
+    with pytest.raises(
+        DomainError, match=f"^{key} must be an integer, got {re.escape(repr(value))}$"
+    ):
+        run_check(name, {**_required(name), key: value})
+
+
+def test_integral_float_parameter_reads_as_its_integer():
+    assert run_check("theta_tail", {"n_max": 3.0}) == run_check(
+        "theta_tail", {"n_max": 3}
+    )
+
+
+@pytest.mark.parametrize("name,key", _limited_by(_most))
 def test_over_cap_is_refused_before_building(name, key):
     # One above the cap (a box of colour 9 after seconds of contraction for
     # bubble_oracle, seconds of crossings for torus_oracle's f) and far
@@ -333,12 +350,12 @@ def _spec(name: str, **params) -> dict:
     return {**head, **given, **params}
 
 
-def _compare_unbuilt(spec: dict):
-    """Run series_equal on ``spec`` with every QSeries construction refused."""
+def _compare_unbuilt(a: dict, b: dict | None = None):
+    """Run series_equal on ``a`` and ``b`` (by default Lambda) with every
+    QSeries construction refused."""
+    b = {"series": "lambda"} if b is None else b
     with mock.patch.object(QSeries, "__init__", side_effect=AssertionError):
-        return run_check(
-            "series_equal", {"order": 10, "a": spec, "b": {"series": "lambda"}}
-        )
+        return run_check("series_equal", {"order": 10, "a": a, "b": b})
 
 
 def _series_limited(slot: int) -> list[tuple[str, str]]:
@@ -393,5 +410,25 @@ def test_undeclared_series_parameter_is_refused(name, key, value):
     assume(key not in _SERIES_ROWS[name][1] and key not in ("series", "family", "chain"))
     with pytest.raises(
         DomainError, match=f"^unknown parameter {re.escape(repr(key))} for {name}$"
+    ):
+        _compare_unbuilt(_spec(name, **{key: value}))
+
+
+@pytest.mark.parametrize("name", sorted(_SERIES_ROWS))
+def test_bad_second_spec_is_refused_before_the_first_is_built(name):
+    # a was built before b was read: g_m at m = 5 ran 3.9 s at order 3000
+    # before an undeclared key of b was refused.
+    with pytest.raises(DomainError, match=f"^unknown parameter 'cc' for {name}$"):
+        _compare_unbuilt({"family": "g_m", "m": 5}, _spec(name, cc=1))
+
+
+@pytest.mark.parametrize(
+    "name,key",
+    [(name, key) for name, (_, row) in _SERIES_ROWS.items() for key in row],
+)
+@pytest.mark.parametrize("value", [2.5, True])
+def test_non_integer_series_parameter_is_refused(name, key, value):
+    with pytest.raises(
+        DomainError, match=f"^{key} must be an integer, got {re.escape(repr(value))}$"
     ):
         _compare_unbuilt(_spec(name, **{key: value}))

@@ -450,6 +450,31 @@ class TestVerify:
             "DomainError: unknown parameter 'sign_fixd' for g_kl",
         )
 
+    def test_fractional_parameter_is_error_case(self, tmp_path):
+        # int() truncated it: theta_tail ran n <= 2 and passed.
+        self._malformed_case_reported(
+            tmp_path,
+            {"check": "theta_tail", "params": {"n_max": 2.9}},
+            "DomainError: n_max must be an integer, got 2.9",
+        )
+
+    def test_boolean_parameter_is_error_case(self, tmp_path):
+        # int() read true as 1: tail_lemma_fact ran n = 1 and passed.
+        self._malformed_case_reported(
+            tmp_path,
+            {"check": "tail_lemma_fact", "params": {"n_max": True}},
+            "DomainError: n_max must be an integer, got True",
+        )
+
+    def test_fractional_series_parameter_is_error_case(self, tmp_path):
+        theta = {"series": "theta_f", "k": 2}
+        self._malformed_case_reported(
+            tmp_path,
+            {"check": "series_equal",
+             "params": {"order": 10, "a": {**theta, "k": 2.5}, "b": theta}},
+            "DomainError: k must be an integer, got 2.5",
+        )
+
     def test_non_utf8_suite_exit2(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_bytes(b"\xff\xfe")
@@ -574,6 +599,12 @@ class TestJones:
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert "1000000000" in err and "5000" in err
+
+    def test_order_without_normalized_exit2(self, capsys):
+        # --order was ignored: the whole -v^5 - v^-3 + v^-7 was printed.
+        code, out = run(["jones", "--f", "3", "--n", "1", "--order", "2"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: --order needs --normalized\n"
 
     def test_colour_cap_exit2(self, capsys):
         code, out = run(["jones", "--f", "1", "--n", str(MAX_JONES_N + 1)])

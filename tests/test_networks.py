@@ -143,7 +143,7 @@ class TestBraidNetworks:
         ok, detail = run_check("tail85_oracle", {"n_max": 2})
         assert ok, detail
         # A wrong second coefficient is caught at n = 1.
-        monkeypatch.setattr(qidentities, "tail_85", lambda order: QSeries(0, [1] * order))
+        monkeypatch.setattr(qidentities, "tail_85", lambda order: QSeries([1] * order))
         assert run_check("tail85_oracle", {"n_max": 2}) == (
             False, "8_5 braid closure differs from tail_85 at n=1"
         )

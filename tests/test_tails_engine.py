@@ -40,7 +40,17 @@ def torus_jones(f: int):
 class TestNormalize:
     def test_example(self):
         got = normalize(VLaurent.from_q_dict({2: -1, 3: 1}))
-        assert got.shift == 0 and list(map(int, got.coeffs)) == [1, -1]
+        assert got.coeffs == (1, -1)
+
+    def test_leading_zeros_are_dropped_before_the_order(self):
+        # A series keeps its leading zeros; normalize drops them with the
+        # power of q, then cuts to the order.
+        s = QSeries([0, 0, 1])
+        assert s.order == 3
+        assert normalize(s) == QSeries([1])
+        assert normalize(QSeries([0, -2, 3, 5]), 2) == QSeries([2, -3])
+        with pytest.raises(PrecisionError, match="known to order 3, requested 4"):
+            normalize(QSeries([0, -2, 3, 5]), 4)
 
     def test_idempotent(self):
         s = normalize(VLaurent.from_q_dict({2: -1, 3: 1}))
@@ -67,18 +77,18 @@ class TestNormalize:
         # span; an order cuts it or pads it with zeros, and a series is only
         # ever cut.
         p = VLaurent({-6: -2, -2: 1})
-        assert normalize(p) == QSeries(0, [2, -1])
-        assert normalize(p, 5) == QSeries(0, [2, -1, 0, 0, 0])
-        assert normalize(p, 1) == QSeries(0, [2])
-        assert normalize(p, 0) == QSeries(0, [])
-        assert normalize(normalize(p, 5), 3) == QSeries(0, [2, -1, 0])
+        assert normalize(p) == QSeries([2, -1])
+        assert normalize(p, 5) == QSeries([2, -1, 0, 0, 0])
+        assert normalize(p, 1) == QSeries([2])
+        assert normalize(p, 0) == QSeries([])
+        assert normalize(normalize(p, 5), 3) == QSeries([2, -1, 0])
         with pytest.raises(PrecisionError):
             normalize(normalize(p), 5)
         # A value shorter than n is padded to the n coefficients that
         # stabilization_report compares.
         verdicts, tail = stabilization_report(lambda n: VLaurent.one(), 4)
         assert verdicts == (True,) * 4
-        assert tail == QSeries(0, [1, 0, 0, 0])
+        assert tail == QSeries([1, 0, 0, 0])
 
     def test_magnitude_preserved(self):
         got = normalize(VLaurent.from_q_dict({1: -3, 2: 6}))
@@ -135,7 +145,7 @@ class TestAgreeToOrder:
         assert hit == [1, 2, 3]
 
     def test_simple_disagreement(self):
-        assert not agree_to_order(QSeries(0, [1, 1]), QSeries(0, [1, -1]), 2)
+        assert not agree_to_order(QSeries([1, 1]), QSeries([1, -1]), 2)
 
     def test_poch_prefix(self):
         for n in range(1, 21):
@@ -145,7 +155,7 @@ class TestAgreeToOrder:
             assert not agree_to_order(fin, inf, n + 2)
 
     def test_precision_error(self):
-        a = QSeries(0, [1, 2, 3])
+        a = QSeries([1, 2, 3])
         with pytest.raises(PrecisionError):
             agree_to_order(a, a, 4)
 
@@ -156,7 +166,7 @@ class TestStabilization:
             lambda n: VLaurent.from_q_dict({0: 1, 1: -1}), 8
         )
         assert verdicts == (True,) * 8
-        assert tail == QSeries(0, [1, -1] + [0] * 6)
+        assert tail == QSeries([1, -1] + [0] * 6)
 
     def test_alternating_generator_fails(self):
         verdicts, _ = stabilization_report(
